@@ -131,8 +131,6 @@ def cmd_sweep(args):
         with open(args.config, encoding="ascii") as f:
             data = json.load(f)
         base = os.path.dirname(os.path.abspath(args.config))
-        if args.workers is not None and "workers" not in data:
-            data["workers"] = args.workers
         config = sweep_config_from_json(data, base_dir=base)
         out_dir = data.get("out", args.out)
     else:
@@ -145,7 +143,6 @@ def cmd_sweep(args):
             spec=spec,
             k_list=tuple(int(k) for k in args.k_list.split(",")),
             s_list=tuple(float(s) for s in args.s_list.split(",")),
-            workers=args.workers or 1,
         )
         out_dir = args.out
     report = run_sweep(config)
@@ -227,7 +224,6 @@ def main(argv=None):
     p.add_argument("--k-list", default="1")
     p.add_argument("--s-list", default="0.2,0.1,0.05,0.02")
     p.add_argument("--out")
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="re-emit files from a saved report.json")

@@ -289,20 +289,6 @@ def ricci_lower_bound_scan(
     return rows, infimum
 
 
-def spec_lower_bound_scan(spec: PotentialSpec, s_list, points):
-    """min_ratio of the general family over explicit interior points."""
-    rows = []
-    infimum = {}
-    for s in s_list:
-        best = np.inf
-        for x in points:
-            data = ricci_general(spec, s, x)
-            rows.append((float(s), tuple(float(v) for v in x), data.min_ratio))
-            best = min(best, data.min_ratio)
-        infimum[float(s)] = float(best)
-    return rows, infimum
-
-
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 # ---------------------------------------------------------------------------

@@ -118,6 +118,3 @@ class TruncationTooSmall(ToricSpecError):
 class IoFailure(ToricSpecError):
     pass
 
-
-class PartialReport(ToricSpecError):
-    pass

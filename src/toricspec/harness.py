@@ -10,7 +10,6 @@ choices; they are recorded in the report header and in VERDICT_NOTES.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -57,7 +56,6 @@ class SweepConfig:
     eig_count: int = 4
     mode_margin: int = 1
     grading_ratio: float = 0.7
-    workers: int = 1
     c_grid: tuple = tuple(np.arange(0.5, 10.01, 0.25))
 
     def __post_init__(self):
@@ -100,7 +98,7 @@ def sweep_config_from_json(data, base_dir="."):
     if spec is None:
         spec = make_potential_spec(P)
     kwargs = {}
-    for key in ("h_factor", "h_floor", "eig_count", "mode_margin", "grading_ratio", "workers"):
+    for key in ("h_factor", "h_floor", "eig_count", "mode_margin", "grading_ratio"):
         if key in data:
             kwargs[key] = data[key]
     if "h_list" in data:
@@ -191,27 +189,14 @@ def run_sweep(config: SweepConfig):
             mesh = build_mesh(P, config.h_of(s), config.grading_ratio)
             factory = OperatorFactory(spec, s, k, mesh)
             results = {}
-
-            def solve(mode):
+            for mode in modes:
                 try:
-                    return mode, _solve_mode(factory, mode, config.eig_count), None
+                    dbar, spectrum = _solve_mode(factory, mode, config.eig_count)
                 except ToricSpecError as exc:
-                    return mode, None, exc
-
-            if config.workers > 1:
-                with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                    raw = list(pool.map(solve, modes))
-            else:
-                raw = [solve(m) for m in modes]
-            outcomes = []
-            for mode, result, exc in raw:
-                if exc is not None:
                     report.failures.append(
                         {"k": k, "s": float(s), "mode": list(mode), "error": str(exc)}
                     )
-                else:
-                    outcomes.append((mode, result))
-            for mode, (dbar, spectrum) in outcomes:
+                    continue
                 results[mode] = (dbar, spectrum)
                 report.eig_rows.append(
                     {
@@ -378,14 +363,19 @@ def _judge_level(report, config, k, predictions, by_mode, non_bs_lowest):
 # ---------------------------------------------------------------------------
 
 def localization_check(spec: PotentialSpec, s_list, k, c_grid=None, h_factor=40.0):
-    """Mass concentration of quantized ground modes near their base points."""
-    c_grid = tuple(np.arange(0.5, 10.01, 0.25)) if c_grid is None else tuple(c_grid)
+    """Mass concentration of quantized ground modes near their base points.
+
+    Meshes and the default c grid follow SweepConfig's rules.
+    """
+    config = SweepConfig(
+        spec=spec, k_list=(k,), s_list=tuple(sorted(s_list, reverse=True)), h_factor=h_factor
+    )
+    c_grid = config.c_grid if c_grid is None else tuple(c_grid)
     P = spec.polytope
     points = bs_points(P, k)
     rows = []
-    for s in sorted(s_list, reverse=True):
-        h = max(np.sqrt(s) / h_factor, 1.0 / 800.0 if P.dim == 1 else 1.0 / 80.0)
-        mesh = build_mesh(P, h)
+    for s in config.s_list:
+        mesh = build_mesh(P, config.h_of(s), config.grading_ratio)
         factory = OperatorFactory(spec, s, k, mesh)
         spectra = {}
         for b in points:

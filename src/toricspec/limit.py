@@ -11,7 +11,6 @@ factor 1/2 used in the degeneration dictionary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,13 +44,8 @@ class ConeModel:
     def dim(self):
         return self.A0.shape[0]
 
-    def sqrt_A0(self):
-        w, U = np.linalg.eigh(self.A0)
-        return (U * np.sqrt(w)) @ U.T
-
     def inv_sqrt_A0(self):
-        w, U = np.linalg.eigh(self.A0)
-        return (U / np.sqrt(w)) @ U.T
+        return _sqrt_A0(self.A0, inverse=True)
 
     def facet_normals(self):
         """Unit inward normals of the cone faces, rows A0^(-1/2) e_i normalized."""
@@ -204,7 +198,7 @@ def numeric_cone_spectrum(cone: ConeModel, k, count, R=None, target_h=None):
     mesh = truncated_cone_mesh(cone, R, target_h)
     q = mesh.qpoints.reshape(-1, mesh.dim)
     weight = np.exp(-k * np.sum(q * q, axis=1)).reshape(mesh.qweights.shape)
-    K, M = assemble_p1(mesh, diffusion_q=weight, potential_q=None, mass_weight_q=weight)
+    K, M = assemble_p1(mesh, diffusion_q=weight, mass_weight_q=weight)
     spectrum = solve_pencil(K, M, count, sigma=-1.0)
     vals = spectrum.eigenvalues
     if abs(vals[0]) > 1e-6:
@@ -231,21 +225,23 @@ def _cluster(vals, tol):
     return values, mults
 
 
-def rescale_to_limit(chart, A0, s, x):
+def _sqrt_A0(A0, inverse=False):
+    """A0^(1/2), or A0^(-1/2) when inverse, by the eigendecomposition of A0."""
+    w, U = np.linalg.eigh(np.asarray(A0, dtype=float))
+    root = np.sqrt(w)
+    return ((U / root) if inverse else (U * root)) @ U.T
+
+
+def rescale_to_limit(A0, s, x):
     """xi = s^(-1/2) A0^(1/2) x for x in chart coordinates."""
-    A0 = np.asarray(A0, dtype=float)
-    w, U = np.linalg.eigh(A0)
-    sqrt_A0 = (U * np.sqrt(w)) @ U.T
     x = np.asarray(x, dtype=float)
-    return (x @ sqrt_A0.T) / np.sqrt(s)
+    return (x @ _sqrt_A0(A0).T) / np.sqrt(s)
 
 
-def rescale_from_limit(chart, A0, s, xi):
-    A0 = np.asarray(A0, dtype=float)
-    w, U = np.linalg.eigh(A0)
-    inv_sqrt = (U / np.sqrt(w)) @ U.T
+def rescale_from_limit(A0, s, xi):
+    """x = s^(1/2) A0^(-1/2) xi, the inverse of rescale_to_limit."""
     xi = np.asarray(xi, dtype=float)
-    return np.sqrt(s) * (xi @ inv_sqrt.T)
+    return np.sqrt(s) * (xi @ _sqrt_A0(A0, inverse=True).T)
 
 
 def predicted_limit(spec: PotentialSpec, k, count=8):
@@ -270,6 +266,3 @@ def limit_spectrum_record(b: BSPoint, k, spectrum: LimitSpectrum):
         "multiplicities": [int(m) for m in spectrum.multiplicities],
     }
 
-
-def limit_spectrum_json(b, k, spectrum):
-    return json.dumps(limit_spectrum_record(b, k, spectrum), sort_keys=True)

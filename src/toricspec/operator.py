@@ -10,6 +10,12 @@ map to the holomorphic-sector spectrum through lambda -> (lambda - k^2 - nk)/2.
 The exact bound state exp((m - kx) . grad u_s + k u_s) with eigenvalue
 k^2 + nk anchors the discretization, and the count of modes with vanishing
 bottom eigenvalue must reproduce the lattice point count of k P.
+
+Every P1 matrix goes through one kernel: weight fields at the quadrature
+points become local (M, nb, nb) arrays by einsum, and one fixed CSR pattern
+per mesh turns their symmetric part into a matrix with a single bincount.
+A mode's stiffness is the shared diffusion part plus its potential part,
+summed locally and scattered once; mode_potential is the one source of V_m.
 """
 
 from __future__ import annotations
@@ -61,15 +67,17 @@ class Spectrum:
     vectors: np.ndarray      # (n_dofs, count), M-orthonormal
 
 
+def mode_potential(G, x, k, mode):
+    """V_m = (m - k x) . G (m - k x) + k^2 at points x (..., n) with G = G_s(x)."""
+    w = np.asarray(mode, dtype=float) - k * np.asarray(x, dtype=float)
+    return np.einsum("...i,...ij,...j->...", w, G, w) + float(k) ** 2
+
+
 def reduced_coefficients(spec: PotentialSpec, s, k, m, x):
     """Diffusion matrix G_s^-1(x) and potential V(x) of the mode-m operator."""
     x = np.asarray(x, dtype=float)
-    fam = PotentialFamily.of_spec(spec, s)
-    G = fam.hessian(x)
-    Ginv = np.linalg.inv(G)
-    w = np.asarray(m, dtype=float) - k * x
-    V = float(np.einsum("i,ij,j->", w, G, w)) + k * k
-    return Ginv, V
+    G = PotentialFamily.of_spec(spec, s).hessian(x)
+    return np.linalg.inv(G), float(mode_potential(G, x, k, m))
 
 
 def mode_set(P, k, margin=0):
@@ -102,15 +110,13 @@ def mode_set(P, k, margin=0):
 
 
 def p1_geometry(mesh: Mesh):
-    """Constant P1 gradients, barycentric values at quadrature, scatter indices."""
+    """Constant P1 gradients (M, nb, n) and barycentric values at quadrature (Q, nb)."""
     n = mesh.dim
-    cells = mesh.cells
-    coords = mesh.nodes[cells]
-    nb = n + 1
+    coords = mesh.nodes[mesh.cells]
     if n == 1:
         length = coords[:, 1, 0] - coords[:, 0, 0]
         grads = np.stack([-1.0 / length, 1.0 / length], axis=1)[:, :, None]
-        bary = np.stack([1.0 - _GAUSS1D_X, _GAUSS1D_X], axis=1)  # (Q, nb)
+        bary = np.stack([1.0 - _GAUSS1D_X, _GAUSS1D_X], axis=1)
     elif n == 2:
         v0, v1, v2 = coords[:, 0], coords[:, 1], coords[:, 2]
         area2 = (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1]) - (
@@ -123,37 +129,59 @@ def p1_geometry(mesh: Mesh):
         bary = _TRI_BARY
     else:
         raise ValueError("P1 geometry only for n <= 2")
-    rows = np.repeat(cells, nb, axis=1).reshape(-1)
-    cols = np.tile(cells, (1, nb)).reshape(-1)
-    return grads, bary, rows, cols
+    return grads, bary
 
 
-def _scatter_csr(local, rows, cols, shape):
-    A = sparse.coo_matrix((local.reshape(-1), (rows, cols)), shape=shape).tocsr()
-    return (A + A.T) * 0.5
+def _stiffness_local(w_q, grads, D_q=None):
+    """Local arrays int w grad phi_i . D grad phi_j, D = identity when omitted."""
+    if D_q is None:
+        return np.einsum("cq,cia,cja->cij", w_q, grads, grads)
+    return np.einsum("cq,cia,cqab,cjb->cij", w_q, grads, D_q, grads)
 
 
-def assemble_p1(mesh: Mesh, diffusion_q=None, potential_q=None, mass_weight_q=None):
-    """Generic P1 pair: K = int w_D grad.D.grad + V phi phi, M = int w phi phi.
+def _mass_local(w_q, bary):
+    """Local arrays int w phi_i phi_j from a weight field (M, Q)."""
+    nb = bary.shape[1]
+    outer = (bary[:, :, None] * bary[:, None, :]).reshape(len(bary), nb * nb)
+    return (w_q @ outer).reshape(-1, nb, nb)
 
-    diffusion_q is a scalar field (M, Q) acting as w * identity or a matrix
-    field (M, Q, n, n); potential_q and mass_weight_q are scalar fields.
+
+class _CSRPattern:
+    """Fixed CSR pattern of P1 matrices on one mesh.
+
+    indptr/indices hold the sorted unique (row, col) node pairs that share a
+    cell; slot sends entry (c, i, j) of a local array (M, nb, nb) to its place
+    in the CSR data, so every matrix on the mesh is one bincount.
     """
-    grads, bary, rows, cols = p1_geometry(mesh)
+
+    def __init__(self, mesh: Mesh):
+        cells = mesh.cells.astype(np.int64)
+        N = mesh.num_nodes
+        keys = cells[:, :, None] * N + cells[:, None, :]
+        pairs, self.slot = np.unique(keys.reshape(-1), return_inverse=True)
+        self.indices = pairs % N
+        self.indptr = np.zeros(N + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pairs // N, minlength=N), out=self.indptr[1:])
+        self.shape = (N, N)
+
+    def matrix(self, local):
+        """CSR matrix of the symmetric part of the local arrays."""
+        sym = 0.5 * (local + local.transpose(0, 2, 1))
+        data = np.bincount(self.slot, weights=sym.reshape(-1), minlength=len(self.indices))
+        return sparse.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+def assemble_p1(mesh: Mesh, diffusion_q, mass_weight_q=None):
+    """Weighted P1 pair K = int w_D grad phi . grad phi, M = int w phi phi.
+
+    diffusion_q and mass_weight_q are scalar fields (M, Q) at the quadrature
+    points; an omitted mass weight is 1.
+    """
+    grads, bary = p1_geometry(mesh)
     qw = mesh.qweights
-    shape = (mesh.num_nodes, mesh.num_nodes)
-    K_local = 0.0
-    if diffusion_q is not None:
-        if diffusion_q.ndim == 2:
-            K_local = np.einsum("cq,cq,cia,cja->cij", qw, diffusion_q, grads, grads)
-        else:
-            K_local = np.einsum("cq,cia,cqab,cjb->cij", qw, diffusion_q, grads, grads)
-    if potential_q is not None:
-        K_local = K_local + np.einsum("cq,qi,qj->cij", qw * potential_q, bary, bary)
-    w_mass = qw if mass_weight_q is None else qw * mass_weight_q
-    M_local = np.einsum("cq,qi,qj->cij", w_mass, bary, bary)
-    K = _scatter_csr(np.asarray(K_local), rows, cols, shape)
-    M = _scatter_csr(M_local, rows, cols, shape)
+    pattern = _CSRPattern(mesh)
+    K = pattern.matrix(_stiffness_local(qw * diffusion_q, grads))
+    M = pattern.matrix(_mass_local(qw if mass_weight_q is None else qw * mass_weight_q, bary))
     return K, M
 
 
@@ -166,56 +194,33 @@ class OperatorFactory:
         self.k = int(k)
         self.mesh = mesh
         n = mesh.dim
-        qp = mesh.qpoints
-        qw = mesh.qweights
-        M_cells, Q = qw.shape
-        grads, bary, rows, cols = p1_geometry(mesh)
-
-        flat_q = qp.reshape(-1, n)
-        G_q, Ginv_q = family_hessian_batch(spec, s, flat_q)
-        self._G_q = G_q.reshape(M_cells, Q, n, n)
-        Ginv_q = Ginv_q.reshape(M_cells, Q, n, n)
-        self._qp = qp
-        self._qw = qw
-        self._bary = bary
-
-        # mode-independent pieces
-        self._K_diff_local = np.einsum("cq,cia,cqab,cjb->cij", qw, grads, Ginv_q, grads)
-        self._E = np.einsum("cq,qi,qj->cqij", qw, bary, bary)   # (M, Q, nb, nb)
-        self._M_local = self._E.sum(axis=1)
-        self._rows, self._cols = rows, cols
-        N = mesh.num_nodes
-        self._shape = (N, N)
-        self.M_mat = self._to_csr(self._M_local)
-        if np.any(self.M_mat.diagonal() <= 0.0):
+        self._qp = mesh.qpoints
+        self._qw = mesh.qweights
+        grads, self._bary = p1_geometry(mesh)
+        G_q, Ginv_q = family_hessian_batch(spec, s, self._qp.reshape(-1, n))
+        self._G_q = G_q.reshape(self._qw.shape + (n, n))
+        self._pattern = _CSRPattern(mesh)
+        self._K_diff_local = _stiffness_local(self._qw, grads, Ginv_q.reshape(self._G_q.shape))
+        self._M = self._pattern.matrix(_mass_local(self._qw, self._bary))
+        if np.any(self._M.diagonal() <= 0.0):
             raise NotPositiveDefiniteMass("mass matrix has a nonpositive diagonal")
-        self.K_diff = self._to_csr(self._K_diff_local)
         self.h = mesh.max_diameter()
 
-    def _to_csr(self, local):
-        return _scatter_csr(local, self._rows, self._cols, self._shape)
-
-    def potential_values(self, mode):
-        w = np.asarray(mode, dtype=float)[None, None, :] - self.k * self._qp
-        V = np.einsum("cqi,cqij,cqj->cq", w, self._G_q, w) + float(self.k**2)
-        return V
-
     def operator(self, mode):
-        V = self.potential_values(mode)
+        V = mode_potential(self._G_q, self._qp, self.k, mode)
         if np.max(V) > V_OVERFLOW:
             raise CoefficientOverflow(
                 f"potential reaches {np.max(V):.3e} at a quadrature point"
             )
-        K_pot_local = np.einsum("cq,cqij->cij", V, self._E)
-        K = self.K_diff + self._to_csr(K_pot_local)
+        K = self._pattern.matrix(self._K_diff_local + _mass_local(self._qw * V, self._bary))
         return ReducedOperator(
             spec=self.spec,
             s=self.s,
             k=self.k,
             mode=tuple(int(v) for v in mode),
             K=K,
-            M=self.M_mat,
-            n_dofs=self._shape[0],
+            M=self._M,
+            n_dofs=self.mesh.num_nodes,
             mesh=self.mesh,
             h=self.h,
         )
@@ -242,72 +247,39 @@ def rayleigh_quotient(op: ReducedOperator, nodal):
     return num / den
 
 
-def rayleigh_direct(spec: PotentialSpec, s, k, mode, mesh: Mesh, nodal, chunk=200000):
-    """Rayleigh quotient of a nodal interpolant without assembling matrices.
-
-    Streams over cell blocks, so it handles the finest convergence-study
-    meshes in bounded memory.
-    """
-    grads, bary, _, _ = p1_geometry(mesh)
-    mode = np.asarray(mode, dtype=float)
-    num = 0.0
-    den = 0.0
-    M_cells = mesh.num_cells
-    for start in range(0, M_cells, chunk):
-        sl = slice(start, min(start + chunk, M_cells))
-        cells = mesh.cells[sl]
-        v = nodal[cells]                                # (m, nb)
-        qp = mesh.qpoints[sl]
-        qw = mesh.qweights[sl]
-        flat = qp.reshape(-1, mesh.dim)
-        G, Ginv = family_hessian_batch(spec, s, flat)
-        G = G.reshape(qw.shape + (mesh.dim, mesh.dim))
-        Ginv = Ginv.reshape(G.shape)
-        grad_v = np.einsum("ci,cia->ca", v, grads[sl])  # constant per cell
-        diff = np.einsum("ca,cqab,cb->cq", grad_v, Ginv, grad_v)
-        w = mode[None, None, :] - k * qp
-        V = np.einsum("cqi,cqij,cqj->cq", w, G, w) + float(k) ** 2
-        vals = np.einsum("qi,ci->cq", bary, v)
-        num += float(np.sum(qw * (diff + V * vals * vals)))
-        den += float(np.sum(qw * vals * vals))
-    return num / den
-
-
 def ground_state_rayleigh(spec: PotentialSpec, s, k, mode, mesh: Mesh):
     """Rayleigh quotient of the interpolated exact bound state; tends to k^2 + nk."""
-    from .potential import ground_state
-
-    nodal = ground_state(spec, s, k, mode)(mesh.nodes)
-    return rayleigh_direct(spec, s, k, mode, mesh, nodal)
+    mode = tuple(mode)
+    return ground_state_rayleigh_batch(spec, s, k, [mode], mesh)[mode]
 
 
 def ground_state_rayleigh_batch(spec: PotentialSpec, s, k, modes, mesh: Mesh, chunk=200000):
-    """Bound-state Rayleigh quotients for many modes, sharing the G_s sweep."""
+    """Bound-state Rayleigh quotients for many modes without assembling matrices.
+
+    Streams over cell blocks, so it handles the finest convergence-study
+    meshes in bounded memory, and shares each block's G_s across the modes.
+    """
     from .potential import ground_state
 
-    grads, bary, _, _ = p1_geometry(mesh)
+    grads, bary = p1_geometry(mesh)
     nodal = {m: ground_state(spec, s, k, m)(mesh.nodes) for m in modes}
-    num = {m: 0.0 for m in modes}
-    den = {m: 0.0 for m in modes}
-    M_cells = mesh.num_cells
-    for start in range(0, M_cells, chunk):
-        sl = slice(start, min(start + chunk, M_cells))
-        cells = mesh.cells[sl]
+    num = dict.fromkeys(nodal, 0.0)
+    den = dict.fromkeys(nodal, 0.0)
+    for start in range(0, mesh.num_cells, chunk):
+        sl = slice(start, start + chunk)
         qp = mesh.qpoints[sl]
         qw = mesh.qweights[sl]
         G, Ginv = family_hessian_batch(spec, s, qp.reshape(-1, mesh.dim))
         G = G.reshape(qw.shape + (mesh.dim, mesh.dim))
         Ginv = Ginv.reshape(G.shape)
-        for m in modes:
-            v = nodal[m][cells]
+        for m, values in nodal.items():
+            v = values[mesh.cells[sl]]
             grad_v = np.einsum("ci,cia->ca", v, grads[sl])
             diff = np.einsum("ca,cqab,cb->cq", grad_v, Ginv, grad_v)
-            w = np.asarray(m, dtype=float)[None, None, :] - k * qp
-            V = np.einsum("cqi,cqij,cqj->cq", w, G, w) + float(k) ** 2
             vals = np.einsum("qi,ci->cq", bary, v)
-            num[m] += float(np.sum(qw * (diff + V * vals * vals)))
+            num[m] += float(np.sum(qw * (diff + mode_potential(G, qp, k, m) * vals * vals)))
             den[m] += float(np.sum(qw * vals * vals))
-    return {m: num[m] / den[m] for m in modes}
+    return {m: num[m] / den[m] for m in nodal}
 
 
 def solve_pencil(K, M, count, sigma):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -113,7 +113,7 @@ class PolynomialFn:
             for i in idx:
                 p = p.derivative(i)
             val = p(x)
-            for perm in set(_permutations(idx)):
+            for perm in set(permutations(idx)):
                 out[(...,) + perm] = val
         return out
 
@@ -137,11 +137,6 @@ class PolynomialFn:
                 acc[key] = acc.get(key, 0.0) + val
         terms = tuple((k, v) for k, v in sorted(acc.items()) if v != 0.0)
         return PolynomialFn(dim=n, terms=terms)
-
-
-def _permutations(idx):
-    from itertools import permutations
-    return permutations(idx)
 
 
 def _poly_mul(p, q):
@@ -375,24 +370,51 @@ class PotentialFamily:
         )
 
 
+def _check_pd(G, X):
+    """Raise NotPositiveDefinite where lambda_min(G) <= PD_RATIO_TOL lambda_max(G).
+
+    G has shape (..., n, n) at the points X (..., n).  For n <= 2 the extreme
+    eigenvalues come from the trace and determinant, with lambda_min taken as
+    det / lambda_max, which keeps the check cheap on quadrature batches.
+    """
+    n = G.shape[-1]
+    G = G.reshape(-1, n, n)
+    if n == 1:
+        lo = hi = G[:, 0, 0]
+    elif n == 2:
+        a, b, d = G[:, 0, 0], G[:, 0, 1], G[:, 1, 1]
+        hi = 0.5 * (a + d) + np.sqrt(0.25 * (a - d) ** 2 + b * b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo = (a * d - b * b) / hi
+    else:
+        w = np.linalg.eigvalsh(G)
+        lo, hi = w[:, 0], w[:, -1]
+    bad = ~((hi > 0) & (lo > PD_RATIO_TOL * hi))
+    if bad.any():
+        x = np.reshape(X, (-1, n))[np.argmax(bad)]
+        raise NotPositiveDefinite(f"G_s at {x} has eigenvalue ratio below {PD_RATIO_TOL}")
+
+
 def family_hessian(spec: PotentialSpec, s, x):
     """HessianData of G_s = Hess(v_P + phi + psi/s) at an interior point."""
     fam = PotentialFamily.of_spec(spec, s)
     x = np.asarray(x, dtype=float)
     G = fam.hessian(x)
-    w = np.linalg.eigvalsh(G)
-    if w[0] <= PD_RATIO_TOL * w[-1]:
-        raise NotPositiveDefinite(f"G_s at {x} has eigenvalue ratio below {PD_RATIO_TOL}")
+    _check_pd(G, x)
     G_inv = np.linalg.inv(G)
     dG = fam.tensor(x, 3)
     return HessianData(point=x, s=float(s), G=G, G_inv=G_inv, det_G=float(np.linalg.det(G)), dG=dG)
 
 
 def family_hessian_batch(spec: PotentialSpec, s, X):
-    """G_s and G_s^-1 at a batch of interior points, shape (Q, n, n)."""
+    """G_s and G_s^-1 at a batch of interior points, shape (Q, n, n).
+
+    Raises NotPositiveDefinite on the same eigenvalue-ratio test as family_hessian.
+    """
     fam = PotentialFamily.of_spec(spec, s)
     X = np.asarray(X, dtype=float)
     G = fam.hessian(X)
+    _check_pd(G, X)
     return G, np.linalg.inv(G)
 
 

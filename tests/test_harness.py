@@ -74,17 +74,6 @@ class TestSweep:
         assert flag["increasing"]     # at least one margin mode tracked
         assert all(flag["increasing"].values())
 
-    def test_workers_agree(self):
-        spec = make_potential_spec(segment())
-        base = SweepConfig(spec=spec, k_list=(1,), s_list=(0.1, 0.05), eig_count=3)
-        par = SweepConfig(
-            spec=spec, k_list=(1,), s_list=(0.1, 0.05), eig_count=3, workers=4
-        )
-        r1, r2 = run_sweep(base), run_sweep(par)
-        for a, b in zip(r1.eig_rows, r2.eig_rows):
-            assert a["mode"] == b["mode"]
-            assert np.allclose(a["dbar"], b["dbar"], atol=1e-12)
-
 
 class TestEmission:
     def test_cp1_file_census(self, cp1_report, tmp_path):

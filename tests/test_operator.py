@@ -106,10 +106,30 @@ class TestCoefficients:
 
 class TestAssembly:
     def test_symmetry(self):
-        spec = make_potential_spec(simplex2())
-        op = assemble(spec, 0.5, 1, (0, 0), build_mesh(simplex2(), 0.15))
-        assert (op.K - op.K.T).nnz == 0
-        assert (op.M - op.M.T).nnz == 0
+        pairs = []
+        for P, h, mode in ((simplex2(), 0.15, (0, 0)), (segment(), 0.02, (1,))):
+            mesh = build_mesh(P, h)
+            op = assemble(make_potential_spec(P), 0.5, 1, mode, mesh)
+            weight = np.exp(-np.sum(mesh.qpoints**2, axis=-1))
+            pairs += [(op.K, op.M), assemble_p1(mesh, diffusion_q=weight, mass_weight_q=weight)]
+        for K, M in pairs:
+            assert (K - K.T).nnz == 0
+            assert (M - M.T).nnz == 0
+
+    def test_textbook_matrices(self):
+        # uniform h = 1/10 with unit weights: K = tridiag(-1, 2, -1)/h and
+        # M = h tridiag(1, 4, 1)/6, halved diagonals at the two end nodes
+        h = 0.1
+        mesh = interval_mesh(0, 1, h, grading_ratio=1.0)
+        ones = np.ones_like(mesh.qweights)
+        K, M = assemble_p1(mesh, diffusion_q=ones, mass_weight_q=ones)
+        N = mesh.num_nodes
+        lap = 2.0 * np.eye(N) - np.eye(N, k=1) - np.eye(N, k=-1)
+        lap[0, 0] = lap[-1, -1] = 1.0
+        mass = 4.0 * np.eye(N) + np.eye(N, k=1) + np.eye(N, k=-1)
+        mass[0, 0] = mass[-1, -1] = 2.0
+        assert np.max(np.abs(K.toarray() - lap / h)) < 1e-13
+        assert np.max(np.abs(M.toarray() - h * mass / 6.0)) < 1e-13
 
     def test_coercivity_floor(self):
         spec = make_potential_spec(segment())
@@ -139,11 +159,9 @@ class TestAssembly:
         mesh = build_mesh(segment(), 0.01)
         op = assemble(spec, 1.0, 1, (0,), mesh)
         nodal = ground_state(spec, 1.0, 1, (0,))(mesh.nodes)
-        from toricspec.operator import rayleigh_direct
-
         assert np.isclose(
             rayleigh_quotient(op, nodal),
-            rayleigh_direct(spec, 1.0, 1, (0,), mesh, nodal),
+            ground_state_rayleigh(spec, 1.0, 1, (0,), mesh),
             rtol=1e-11,
         )
 
@@ -159,7 +177,7 @@ class TestSolvers:
         # unit diffusion, no potential: eigenvalues (pi j)^2 on [0, 1]
         mesh = interval_mesh(0, 1, 1 / 200, grading_ratio=1.0)
         ones = np.ones_like(mesh.qweights)
-        K, M = assemble_p1(mesh, diffusion_q=ones, potential_q=None)
+        K, M = assemble_p1(mesh, diffusion_q=ones)
         sp = solve_pencil(K, M, 4, sigma=-1.0)
         expect = np.array([0.0, np.pi**2, 4 * np.pi**2, 9 * np.pi**2])
         assert np.max(np.abs(sp.eigenvalues - expect)) < 2e-2

@@ -13,6 +13,7 @@ from toricspec.potential import (
     boundary_decomposition,
     chart_hessian,
     family_hessian,
+    family_hessian_batch,
     ground_state,
     guillemin_derivatives,
     make_potential_spec,
@@ -115,6 +116,15 @@ class TestFamilyHessian:
         bad_phi = PolynomialFn(dim=1, terms=(((2,), -5.0),))
         with pytest.raises(errors.NotPositiveDefinite):
             make_potential_spec(P, phi=bad_phi)
+
+    def test_batch_guard_matches_scalar(self):
+        # psi = -x^2/2 gives G_s(1/2) = 4 - 1/s < 0 at s = 0.1
+        psi = PolynomialFn.quadratic_form([[-1.0]])
+        spec = make_potential_spec(segment(), psi=psi, validate=False)
+        with pytest.raises(errors.NotPositiveDefinite):
+            family_hessian(spec, 0.1, [0.5])
+        with pytest.raises(errors.NotPositiveDefinite):
+            family_hessian_batch(spec, 0.1, np.array([[0.01], [0.5], [0.99]]))
 
 
 class TestBoundarySplit:
