@@ -91,10 +91,6 @@ class CoefficientOverflow(ToricSpecError):
     pass
 
 
-class CholeskyFailure(ToricSpecError):
-    pass
-
-
 class ConvergenceFailure(ToricSpecError):
     pass
 

@@ -76,6 +76,11 @@ class SweepConfig:
         return max(float(np.sqrt(s)) / self.h_factor, self.h_floor)
 
 
+_SCALAR_KEYS = ("h_factor", "h_floor", "eig_count", "mode_margin", "grading_ratio")
+# "out" is the CLI's output directory
+_CONFIG_KEYS = {"polytope", "potential", "k_list", "s_list", "h_list", "out", *_SCALAR_KEYS}
+
+
 def sweep_config_from_json(data, base_dir="."):
     """SweepConfig from the sweep JSON schema (file paths or inline objects)."""
     def load(key, parser, inline_parser):
@@ -87,6 +92,9 @@ def sweep_config_from_json(data, base_dir="."):
                 return parser(f.read())
         return inline_parser(val)
 
+    unknown = sorted(set(data) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown sweep config keys: {', '.join(unknown)}")
     P = load(
         "polytope",
         polytope_from_json,
@@ -98,7 +106,7 @@ def sweep_config_from_json(data, base_dir="."):
     if spec is None:
         spec = make_potential_spec(P)
     kwargs = {}
-    for key in ("h_factor", "h_floor", "eig_count", "mode_margin", "grading_ratio"):
+    for key in _SCALAR_KEYS:
         if key in data:
             kwargs[key] = data[key]
     if "h_list" in data:
@@ -177,6 +185,9 @@ def run_sweep(config: SweepConfig):
         }
     )
 
+    # a mesh depends only on h(s), and several s can share the floor h
+    h_set = set(map(config.h_of, config.s_list))
+    meshes = {h: build_mesh(P, h, config.grading_ratio) for h in h_set}
     for k in config.k_list:
         points = bs_points(P, k)
         by_mode = {b.mode: b for b in points}
@@ -186,8 +197,7 @@ def run_sweep(config: SweepConfig):
         non_bs_lowest = {m: [] for m in modes if m not in by_mode}
 
         for s in config.s_list:
-            mesh = build_mesh(P, config.h_of(s), config.grading_ratio)
-            factory = OperatorFactory(spec, s, k, mesh)
+            factory = OperatorFactory(spec, s, k, meshes[config.h_of(s)])
             results = {}
             for mode in modes:
                 try:
@@ -260,32 +270,30 @@ def run_sweep(config: SweepConfig):
 
 
 def _localization_masses(factory, all_points, bs_list, spectra, s, c_grid):
-    """Smallest c with 99% mass in union of B(b, c sqrt(s)), per quantized mode."""
-    out = {}
+    """Smallest c with 99% mass in union of B(b, c sqrt(s)), per quantized mode.
+
+    Each mode's quadrature density and each ball mask are formed once; a mask
+    holds 0 or 1, so a masked sum is exactly the masked quadrature.
+    """
     q = factory.qpoints()
     centers = np.array([[float(c) for c in b.point] for b in all_points])
     d2 = np.min(
         np.sum((q[:, :, None, :] - centers[None, None, :, :]) ** 2, axis=-1), axis=-1
     )
     dmin = np.sqrt(d2)
-    for b in bs_list:
-        spectrum = spectra[b.mode]
-        v = spectrum.vectors[:, 0]
-        total = factory.quadrature_l2(v)
-        c_min = None
-        mass5 = None
-        for c in c_grid:
-            mask = (dmin <= c * np.sqrt(s)).astype(float)
-            frac = factory.quadrature_l2(v, mask) / total
-            if abs(c - 5.0) < 1e-9:
-                mass5 = frac
-            if c_min is None and frac >= LOCALIZATION_MASS:
-                c_min = float(c)
-        if mass5 is None:
-            mask = (dmin <= 5.0 * np.sqrt(s)).astype(float)
-            mass5 = factory.quadrature_l2(v, mask) / total
-        out[b.mode] = c_min if c_min is not None else float("inf")
-        out[(b.mode, "mass5")] = float(mass5)
+    density = {b.mode: factory.l2_density(spectra[b.mode].vectors[:, 0]) for b in bs_list}
+    total = {m: float(np.sum(w)) for m, w in density.items()}
+    c_min = dict.fromkeys(density, np.inf)
+    for c in c_grid:
+        mask = dmin <= c * np.sqrt(s)
+        for m, w in density.items():
+            if c_min[m] == np.inf and float(np.sum(w * mask)) / total[m] >= LOCALIZATION_MASS:
+                c_min[m] = float(c)
+    mask5 = dmin <= 5.0 * np.sqrt(s)
+    out = {}
+    for m, w in density.items():
+        out[m] = c_min[m]
+        out[(m, "mass5")] = float(np.sum(w * mask5)) / total[m]
     return out
 
 

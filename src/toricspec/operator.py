@@ -24,12 +24,10 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 
 from .errors import (
-    CholeskyFailure,
     CoefficientOverflow,
     ConvergenceFailure,
     NegativeEigenvalue,
@@ -38,7 +36,6 @@ from .errors import (
 from .mesh import _GAUSS1D_X, _TRI_BARY, Mesh, build_mesh  # noqa: F401 (build_mesh re-export)
 from .potential import PotentialFamily, PotentialSpec, family_hessian_batch
 
-DENSE_CUTOFF = 3000
 V_OVERFLOW = 1e14
 RESIDUAL_TOL = 1e-8
 
@@ -225,11 +222,10 @@ class OperatorFactory:
             h=self.h,
         )
 
-    def quadrature_l2(self, nodal, region_mask=None):
-        """Integral of the squared P1 interpolant, optionally over masked points."""
+    def l2_density(self, nodal):
+        """Quadrature weight times the squared P1 interpolant (M, Q); sums to ||v||^2."""
         vals = np.einsum("qi,ci->cq", self._bary, nodal[self.mesh.cells])
-        w = self._qw if region_mask is None else self._qw * region_mask
-        return float(np.sum(w * vals * vals))
+        return self._qw * vals * vals
 
     def qpoints(self):
         return self._qp
@@ -285,26 +281,22 @@ def ground_state_rayleigh_batch(spec: PotentialSpec, s, k, modes, mesh: Mesh, ch
 def solve_pencil(K, M, count, sigma):
     """Lowest ``count`` pairs of K v = lambda M v, residuals checked.
 
-    Dense symmetric reduction below DENSE_CUTOFF dofs, ARPACK shift-invert
-    above it with the given shift (which must sit below the lowest eigenvalue).
+    ARPACK shift-invert Lanczos about ``sigma``, which must sit below the
+    lowest eigenvalue; ``count`` must be below the number of dofs.  The start
+    vector is random from a fixed seed: fixed so that a pencil solved twice
+    gives the same bits, random because a symmetric start on a symmetric mesh
+    keeps the Krylov space symmetric and can miss antisymmetric eigenvectors.
     """
     N = K.shape[0]
-    if count > N:
-        raise ValueError("count exceeds the number of dofs")
-    if N <= DENSE_CUTOFF:
-        try:
-            vals, vecs = scipy.linalg.eigh(
-                K.toarray(), M.toarray(), subset_by_index=(0, count - 1)
-            )
-        except scipy.linalg.LinAlgError as exc:
-            raise CholeskyFailure(str(exc)) from exc
-    else:
-        try:
-            vals, vecs = splinalg.eigsh(K, k=count, M=M, sigma=sigma, which="LM")
-        except splinalg.ArpackNoConvergence as exc:
-            raise ConvergenceFailure(str(exc)) from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+    if count >= N:
+        raise ValueError(f"count {count} must be below the number of dofs {N}")
+    v0 = np.random.default_rng(0).standard_normal(N)
+    try:
+        vals, vecs = splinalg.eigsh(K, k=count, M=M, sigma=sigma, which="LM", v0=v0)
+    except splinalg.ArpackNoConvergence as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
     residuals = np.empty(count)
     for i in range(count):
         v = vecs[:, i]

@@ -6,17 +6,21 @@ import json
 import numpy as np
 import pytest
 
-from toricspec import cli
+from toricspec import cli, harness
 from toricspec.harness import (
+    LOCALIZATION_MASS,
     ConvergenceReport,
     SweepConfig,
+    _localization_masses,
     emit_reports,
     fiber_diameter_check,
     localization_check,
     run_sweep,
     sweep_config_from_json,
 )
-from toricspec.polytope import polytope_to_json, segment, simplex2
+from toricspec.mesh import build_mesh
+from toricspec.operator import OperatorFactory, p1_geometry, solve_eigs
+from toricspec.polytope import bs_points, polytope_to_json, segment, simplex2
 from toricspec.potential import PolynomialFn, make_potential_spec
 
 
@@ -53,6 +57,15 @@ class TestConfig:
         )
         assert cfg.eig_count == 2 and cfg.spec.polytope.dim == 1
 
+    def test_rejects_unknown_keys(self, tmp_path):
+        poly = tmp_path / "p.json"
+        poly.write_text(polytope_to_json(segment()))
+        base = {"polytope": "p.json", "k_list": [1], "s_list": [0.2], "out": "o"}
+        for extra in ({"eig_cout": 9}, {"workers": 4}):
+            with pytest.raises(ValueError, match=next(iter(extra))):
+                sweep_config_from_json({**base, **extra}, base_dir=str(tmp_path))
+        assert sweep_config_from_json(base, base_dir=str(tmp_path)).eig_count == 4
+
 
 class TestSweep:
     def test_verdicts_pass(self, cp1_report):
@@ -68,6 +81,19 @@ class TestSweep:
             assert len(rows) == 4
             for r in rows:
                 assert len(r["gaps"]) >= 3
+
+    def test_one_mesh_per_h(self, monkeypatch):
+        # s = 0.002 and 0.001 both sit at the 1-D floor h = 1/800
+        built = []
+
+        def counting_build_mesh(*args, **kwargs):
+            built.append(args[1])
+            return build_mesh(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_mesh", counting_build_mesh)
+        spec = make_potential_spec(segment())
+        run_sweep(SweepConfig(spec=spec, k_list=(1, 2), s_list=(0.1, 0.002, 0.001), eig_count=2))
+        assert sorted(built) == [1 / 800, np.sqrt(0.1) / 40]
 
     def test_non_bs_modes_reported(self, cp1_report):
         flag = cp1_report.verdicts["non_bs_divergence_k1"]
@@ -93,6 +119,16 @@ class TestEmission:
             h2 = hashlib.sha256((d2 / f).read_bytes()).hexdigest()
             assert h1 == h2
 
+    def test_rerun_byte_identical(self, cp1_report, tmp_path):
+        # a second sweep of the same config, not only a second emission
+        spec = make_potential_spec(segment())
+        config = SweepConfig(spec=spec, k_list=(1,), s_list=(0.2, 0.1, 0.05, 0.02), eig_count=4)
+        emit_reports(cp1_report, str(tmp_path / "a"))
+        emit_reports(run_sweep(config), str(tmp_path / "b"))
+        assert (tmp_path / "a" / "report.json").read_bytes() == (
+            tmp_path / "b" / "report.json"
+        ).read_bytes()
+
     def test_empty_report(self, tmp_path):
         report = ConvergenceReport(meta={})
         files = emit_reports(report, str(tmp_path))
@@ -108,6 +144,32 @@ class TestStandaloneChecks:
         assert {r["s"] for r in rows} == {0.1, 0.05}
         for r in rows:
             assert r["mass_at_c5"] >= 0.99
+
+    def test_localization_masses_match_masked_quadrature(self):
+        # reference: one masked quadrature of the interpolated mode per c
+        spec = make_potential_spec(segment())
+        config = SweepConfig(spec=spec, k_list=(2,), s_list=(0.05,))
+        s = 0.05
+        factory = OperatorFactory(spec, s, 2, build_mesh(spec.polytope, config.h_of(s)))
+        points = bs_points(spec.polytope, 2)
+        spectra = {b.mode: solve_eigs(factory.operator(b.mode), 1) for b in points}
+        masses = _localization_masses(factory, points, points, spectra, s, config.c_grid)
+
+        mesh, qw = factory.mesh, factory.mesh.qweights
+        _, bary = p1_geometry(mesh)
+        centers = np.array([[float(c) for c in b.point] for b in points])
+        q = factory.qpoints()
+        dmin = np.sqrt(np.min(np.sum((q[:, :, None, :] - centers) ** 2, axis=-1), axis=-1))
+        for b in points:
+            vals = np.einsum("qi,ci->cq", bary, spectra[b.mode].vectors[:, 0][mesh.cells])
+            total = float(np.sum(qw * vals * vals))
+            fracs = {}
+            for c in config.c_grid:
+                mask = (dmin <= c * np.sqrt(s)).astype(float)
+                fracs[c] = float(np.sum(qw * mask * vals * vals)) / total
+            c_min = next(c for c in config.c_grid if fracs[c] >= LOCALIZATION_MASS)
+            assert masses[b.mode] == c_min
+            assert masses[(b.mode, "mass5")] == fracs[5.0]
 
     def test_fiber_diameter_bound_and_scaling(self):
         spec = make_potential_spec(segment())

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import transform_polytope
 from toricspec import errors
@@ -188,20 +189,24 @@ class TestSolvers:
         sp = solve_eigs(op, 5)
         assert np.all(sp.residuals <= 1e-8 * np.maximum(1.0, np.abs(sp.eigenvalues)))
 
-    def test_sparse_path_matches_dense(self):
-        spec = make_potential_spec(segment())
-        mesh = build_mesh(segment(), 1 / 150)
-        op = assemble(spec, 0.5, 1, (0,), mesh)
-        dense = solve_eigs(op, 3)
-        import toricspec.operator as om
+    def test_matches_dense_reference(self):
+        # 1-D and 2-D pencils against LAPACK's dense generalized eigh
+        cases = (
+            (segment(), 1 / 150, (0,), 3),
+            (simplex2(), 0.1, (1, 0), 4),
+        )
+        for P, h, mode, count in cases:
+            op = assemble(make_potential_spec(P), 0.5, 1, mode, build_mesh(P, h))
+            ref = scipy.linalg.eigh(
+                op.K.toarray(), op.M.toarray(), subset_by_index=(0, count - 1), eigvals_only=True
+            )
+            assert np.allclose(solve_eigs(op, count).eigenvalues, ref, rtol=1e-9)
 
-        saved = om.DENSE_CUTOFF
-        om.DENSE_CUTOFF = 10
-        try:
-            sparse_sp = solve_eigs(op, 3)
-        finally:
-            om.DENSE_CUTOFF = saved
-        assert np.allclose(dense.eigenvalues, sparse_sp.eigenvalues, rtol=1e-9)
+    def test_count_guard(self):
+        op = assemble(make_potential_spec(segment()), 1.0, 1, (0,), build_mesh(segment(), 0.1))
+        for count in (op.n_dofs, op.n_dofs + 1):
+            with pytest.raises(ValueError):
+                solve_eigs(op, count)
 
 
 class TestDbar:
