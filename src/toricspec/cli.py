@@ -24,7 +24,7 @@ from .harness import (
 )
 from .limit import limit_spectrum_record, predicted_limit
 from .mesh import build_mesh
-from .operator import OperatorFactory, solve_eigs, map_dbar, spectrum_record
+from .operator import dbar_spectrum, spectrum_record
 from .polytope import bs_points, delzant_violations, polytope_from_json
 from .potential import make_potential_spec, potential_spec_from_json
 from .reports import ensure_dir, write_csv, write_json
@@ -110,10 +110,8 @@ def cmd_spectrum(args):
     spec = _load_spec(P, args.potential)
     mode = tuple(int(v) for v in json.loads(args.mode))
     mesh = build_mesh(P, args.h)
-    factory = OperatorFactory(spec, args.s, args.level, mesh)
-    spectrum = solve_eigs(factory.operator(mode), args.count)
-    dbar = map_dbar(spectrum, args.level, P.dim)
-    record = spectrum_record(spec, args.s, args.level, mode, mesh, dbar, spectrum)
+    dbar, _, spectrum = dbar_spectrum(spec, args.s, args.level, mode, mesh, args.count)
+    record = spectrum_record(args.s, args.level, mode, mesh, dbar, spectrum)
     print(json.dumps(record, sort_keys=True))
     return EXIT_PASS
 

@@ -49,7 +49,7 @@ class SweepConfig:
 
     spec: PotentialSpec
     k_list: tuple
-    s_list: tuple            # descending positive
+    s_list: tuple            # strictly descending, positive
     h_factor: float = 40.0
     h_floor: float = None
     h_list: tuple = None
@@ -60,8 +60,9 @@ class SweepConfig:
 
     def __post_init__(self):
         s = list(self.s_list)
-        if any(v <= 0 for v in s) or sorted(s, reverse=True) != s:
-            raise ValueError("s_list must be positive and descending")
+        # a repeated s would make the Richardson step divide by zero
+        if any(v <= 0 for v in s) or any(a <= b for a, b in zip(s, s[1:])):
+            raise ValueError("s_list must be positive and strictly descending")
         if self.eig_count < 1:
             raise ValueError("eig_count must be >= 1")
         if self.h_floor is None:

@@ -21,7 +21,6 @@ summed locally and scattered once; mode_potential is the one source of V_m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 import scipy.sparse as sparse
@@ -34,6 +33,7 @@ from .errors import (
     NotPositiveDefiniteMass,
 )
 from .mesh import _GAUSS1D_X, _TRI_BARY, Mesh, build_mesh  # noqa: F401 (build_mesh re-export)
+from .polytope import _lattice_points
 from .potential import PotentialFamily, PotentialSpec, family_hessian_batch
 
 V_OVERFLOW = 1e14
@@ -42,17 +42,11 @@ RESIDUAL_TOL = 1e-8
 
 @dataclass
 class ReducedOperator:
-    """Assembled stiffness/mass pair of one (s, k, m) reduced operator."""
+    """Stiffness/mass pair of one (s, k, m) reduced operator; k sets the default shift."""
 
-    spec: PotentialSpec
-    s: float
-    k: int
-    mode: tuple
     K: sparse.csr_matrix
     M: sparse.csr_matrix
-    n_dofs: int
-    mesh: Mesh
-    h: float
+    k: int
 
 
 @dataclass
@@ -85,25 +79,7 @@ def mode_set(P, k, margin=0):
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    from .polytope import _enumerate_vertices
-
-    inflated = _enumerate_vertices(
-        P.dim, P.normals, [k * lam - margin for lam in P.offsets]
-    )
-    ranges = []
-    for i in range(P.dim):
-        a = int(np.ceil(min(float(v[i]) for v in inflated)))
-        b = int(np.floor(max(float(v[i]) for v in inflated)))
-        ranges.append(range(a, b + 1))
-    out = []
-    for m in product(*ranges):
-        ok = all(
-            sum(nu_i * m_i for nu_i, m_i in zip(nu, m)) >= k * lam - margin
-            for nu, lam in zip(P.normals, P.offsets)
-        )
-        if ok:
-            out.append(tuple(m))
-    return out
+    return _lattice_points(P, [k * lam - margin for lam in P.offsets])
 
 
 def p1_geometry(mesh: Mesh):
@@ -186,8 +162,6 @@ class OperatorFactory:
     """Shares mesh geometry and G_s quadrature data across modes of one (s, k)."""
 
     def __init__(self, spec: PotentialSpec, s, k, mesh: Mesh):
-        self.spec = spec
-        self.s = float(s)
         self.k = int(k)
         self.mesh = mesh
         n = mesh.dim
@@ -201,7 +175,6 @@ class OperatorFactory:
         self._M = self._pattern.matrix(_mass_local(self._qw, self._bary))
         if np.any(self._M.diagonal() <= 0.0):
             raise NotPositiveDefiniteMass("mass matrix has a nonpositive diagonal")
-        self.h = mesh.max_diameter()
 
     def operator(self, mode):
         V = mode_potential(self._G_q, self._qp, self.k, mode)
@@ -210,17 +183,7 @@ class OperatorFactory:
                 f"potential reaches {np.max(V):.3e} at a quadrature point"
             )
         K = self._pattern.matrix(self._K_diff_local + _mass_local(self._qw * V, self._bary))
-        return ReducedOperator(
-            spec=self.spec,
-            s=self.s,
-            k=self.k,
-            mode=tuple(int(v) for v in mode),
-            K=K,
-            M=self._M,
-            n_dofs=self.mesh.num_nodes,
-            mesh=self.mesh,
-            h=self.h,
-        )
+        return ReducedOperator(K=K, M=self._M, k=self.k)
 
     def l2_density(self, nodal):
         """Quadrature weight times the squared P1 interpolant (M, Q); sums to ||v||^2."""
@@ -316,10 +279,9 @@ def solve_eigs(op: ReducedOperator, count, sigma=None):
     return solve_pencil(op.K, op.M, count, sigma)
 
 
-def dbar_spectrum(spec: PotentialSpec, s, k, mode, mesh: Mesh, count, factory=None):
+def dbar_spectrum(spec: PotentialSpec, s, k, mode, mesh: Mesh, count):
     """Holomorphic-sector eigenvalues (lambda - k^2 - nk)/2 of one mode."""
-    fac = factory if factory is not None else OperatorFactory(spec, s, k, mesh)
-    op = fac.operator(mode)
+    op = OperatorFactory(spec, s, k, mesh).operator(mode)
     spec_out = solve_eigs(op, count)
     return map_dbar(spec_out, k, spec.polytope.dim), op, spec_out
 
@@ -333,7 +295,7 @@ def map_dbar(spectrum: Spectrum, k, n):
     return np.maximum(shifted, 0.0)
 
 
-def spectrum_record(spec: PotentialSpec, s, k, mode, mesh, dbar_vals, spectrum: Spectrum):
+def spectrum_record(s, k, mode, mesh, dbar_vals, spectrum: Spectrum):
     """JSON-ready record of one mode solve."""
     return {
         "s": float(s),

@@ -1,10 +1,19 @@
 """Exact combinatorics of Delzant lattice polytopes.
 
-Everything here runs in exact rational arithmetic (``fractions.Fraction``):
-Delzant validation, vertex/face enumeration, unimodular local charts and the
-enumeration of quantized lattice points are lattice statements where floating
-point rounding is fatal.  Downstream metric modules convert to floats at the
-last moment.
+Everything here runs in exact arithmetic: integers where the data are
+integral, ``fractions.Fraction`` otherwise.  Delzant validation, vertex and
+face enumeration, unimodular local charts and the enumeration of quantized
+lattice points are lattice statements where floating point rounding is fatal.
+Downstream metric modules convert to floats at the last moment.
+
+One Gauss-Jordan elimination over the rationals serves determinants, square
+solves and kernel vectors; one helper evaluates the facet functions
+nu_r . x - lambda_r.  Charts need no integer normal form: by Delzant's
+condition the normals at any vertex form a basis of Z^n, so the chart at a
+boundary point takes the normals active there and completes them with the
+other normals of a vertex of its minimal face.  One enumerator lists the
+integer points of {nu_r . m >= c_r}; the quantized points of level k and the
+lattice modes of the reduced operators are its two uses.
 """
 
 from __future__ import annotations
@@ -13,12 +22,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 
 import numpy as np
 
 from .errors import (
-    ChartFailure,
     DimensionUnsupported,
     EmptyInterior,
     NonPrimitiveNormal,
@@ -28,90 +36,58 @@ from .errors import (
     Unbounded,
 )
 
-Vector = tuple  # rational or integer coordinate tuples
-
 
 # ---------------------------------------------------------------------------
-# exact linear algebra helpers (tiny sizes, Fraction entries)
+# exact linear algebra (tiny sizes, Fraction entries)
 # ---------------------------------------------------------------------------
 
-def _det_fraction(rows):
-    """Determinant by fraction-free Gaussian elimination (n <= 4)."""
+def _gauss_jordan(rows, n):
+    """Reduce rows to reduced row echelon form over Q, pivoting in columns < n.
+
+    Returns (reduced rows, pivot columns, det); det is the determinant of an
+    n x n input and 0 whenever a column has no pivot.
+    """
     m = [[Fraction(v) for v in row] for row in rows]
-    n = len(m)
+    pivots = []
     det = Fraction(1)
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        top = len(pivots)
+        piv = next((r for r in range(top, len(m)) if m[r][col] != 0), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+            det = Fraction(0)
+            continue
+        if piv != top:
+            m[top], m[piv] = m[piv], m[top]
             det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+        p = m[top][col]
+        det *= p
+        m[top] = [v / p for v in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[top])]
+        pivots.append(col)
+    return m, pivots, det
+
+
+def _det_fraction(rows):
+    """Exact determinant of a square matrix."""
+    return _gauss_jordan(rows, len(rows))[2]
 
 
 def _solve_fraction(rows, rhs):
     """Solve the square rational system rows * x = rhs, or return None."""
     n = len(rows)
-    m = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return tuple(m[r][n] for r in range(n))
+    m, pivots, _ = _gauss_jordan([list(row) + [b] for row, b in zip(rows, rhs)], n)
+    if len(pivots) < n:
+        return None
+    return tuple(row[n] for row in m)
 
 
-def _rank_fraction(rows, n):
-    m = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def _kernel_direction(rows, n):
-    """One rational kernel vector of an (n-1)-rank system, or None."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank != n - 1:
+def _kernel_vector(rows, n):
+    """A nonzero rational kernel vector of the stacked rows, or None at rank n."""
+    m, pivots, _ = _gauss_jordan(rows, n)
+    if len(pivots) == n:
         return None
     free = next(c for c in range(n) if c not in pivots)
     vec = [Fraction(0)] * n
@@ -121,104 +97,15 @@ def _kernel_direction(rows, n):
     return tuple(vec)
 
 
-def _smith_normal_form(mat):
-    """Smith normal form over the integers: returns (diag, U, V) with U M V = D.
-
-    Sizes here never exceed 3x3 so the classical pivoting algorithm is fine.
-    """
-    a = [list(map(int, row)) for row in mat]
-    rows, cols = len(a), len(a[0])
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, f):
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        U[dst] = [x + f * y for x, y in zip(U[dst], U[src])]
-
-    def add_col(src, dst, f):
-        for r in a:
-            r[dst] += f * r[src]
-        for r in V:
-            r[dst] += f * r[src]
-
-    t = 0
-    while t < min(rows, cols):
-        # locate a nonzero pivot of minimal magnitude
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        done = False
-        while not done:
-            done = True
-            for i in range(t + 1, rows):
-                if a[i][t] % a[t][t] != 0:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-                    swap_rows(t, i)
-                    done = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-            for j in range(t + 1, cols):
-                if a[t][j] % a[t][t] != 0:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
-                    swap_cols(t, j)
-                    done = False
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-    diag = [a[i][i] for i in range(min(rows, cols))]
-    return diag, U, V
+def _facet_values(normals, offsets, x):
+    """nu_r . x - c_r for every facet; integer x stays in integer arithmetic."""
+    return tuple(
+        sum(nu_i * x_i for nu_i, x_i in zip(nu, x)) - c for nu, c in zip(normals, offsets)
+    )
 
 
-def _int_inverse(mat):
-    """Inverse of a unimodular integer matrix, returned with integer entries."""
-    n = len(mat)
-    det = _det_fraction(mat)
-    if abs(det) != 1:
-        raise ChartFailure("matrix is not unimodular")
-    cols = []
-    for j in range(n):
-        rhs = [Fraction(int(i == j)) for i in range(n)]
-        cols.append(_solve_fraction(mat, rhs))
-    return [[int(cols[j][i]) for j in range(n)] for i in range(n)]
-
-
-def complete_to_unimodular(rows, n):
-    """Extend primitive integer rows (part of a Z-basis) to a GL_n(Z) matrix.
-
-    Uses the Smith decomposition M = U^-1 [I 0] V^-1: the missing rows are the
-    trailing rows of V^-1.  Raises ChartFailure if the rows do not extend.
-    """
-    if not rows:
-        return [[int(i == j) for j in range(n)] for i in range(n)]
-    diag, _u, V = _smith_normal_form(rows)
-    if any(abs(d) != 1 for d in diag) or len(diag) < len(rows):
-        raise ChartFailure("rows are not part of a lattice basis")
-    v_inv = _int_inverse(V)
-    full = [list(map(int, r)) for r in rows] + v_inv[len(rows):]
-    if abs(_det_fraction(full)) != 1:
-        raise ChartFailure("completion failed")
-    return full
+def _centroid(points):
+    return tuple(sum(p[i] for p in points) / len(points) for i in range(len(points[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +126,8 @@ class DelzantPolytope:
         return len(self.normals)
 
     def facet_values(self, x):
-        """Exact facet functions ell_r(x) = nu_r . x - lambda_r."""
-        return tuple(
-            sum(Fraction(nu_i) * Fraction(x_i) for nu_i, x_i in zip(nu, x)) - lam
-            for nu, lam in zip(self.normals, self.offsets)
-        )
+        """Exact facet functions ell_r(x) = nu_r . x - lambda_r at integer or rational x."""
+        return _facet_values(self.normals, self.offsets, x)
 
     def contains(self, x):
         return all(v >= 0 for v in self.facet_values(x))
@@ -255,8 +139,7 @@ class DelzantPolytope:
         return tuple(r for r, v in enumerate(vals) if v == 0)
 
     def interior_point(self):
-        n = len(self.vertices)
-        return tuple(sum(v[i] for v in self.vertices) / n for i in range(self.dim))
+        return _centroid(self.vertices)
 
     def bounding_box(self):
         lo = tuple(min(v[i] for v in self.vertices) for i in range(self.dim))
@@ -285,7 +168,7 @@ class LocalChart:
     """Unimodular affine chart x -> A x + c sending the base point to 0.
 
     The facets active at the base point become {x_i = 0}, i = 1..local_codim,
-    and near 0 the image of the polytope is {x : x_i >= 0, i <= local_codim}.
+    and the image of the polytope lies in {x : x_i >= 0, i <= local_codim}.
     """
 
     base: tuple              # rational base point b
@@ -294,16 +177,14 @@ class LocalChart:
     local_codim: int
 
     def apply(self, x):
-        n = len(self.base)
+        x = [Fraction(c) for c in x]
         return tuple(
-            sum(Fraction(self.lattice_map[i][j]) * Fraction(x[j]) for j in range(n))
-            + self.shift[i]
-            for i in range(n)
+            sum(a * x_j for a, x_j in zip(row, x)) + c
+            for row, c in zip(self.lattice_map, self.shift)
         )
 
     def inverse(self, y):
-        n = len(self.base)
-        rhs = [Fraction(y[i]) - self.shift[i] for i in range(n)]
+        rhs = [Fraction(y_i) - c for y_i, c in zip(y, self.shift)]
         return _solve_fraction(self.lattice_map, rhs)
 
     def matrix(self):
@@ -332,69 +213,24 @@ class BSPoint:
 def _enumerate_vertices(dim, normals, offsets):
     verts = set()
     for idx in combinations(range(len(normals)), dim):
-        rows = [normals[r] for r in idx]
-        if _det_fraction(rows) == 0:
-            continue
-        x = _solve_fraction(rows, [offsets[r] for r in idx])
-        vals = [
-            sum(Fraction(nu_i) * x_i for nu_i, x_i in zip(normals[r], x)) - offsets[r]
-            for r in range(len(normals))
-        ]
-        if all(v >= 0 for v in vals):
-            verts.add(tuple(x))
+        x = _solve_fraction([normals[r] for r in idx], [offsets[r] for r in idx])
+        if x is not None and all(v >= 0 for v in _facet_values(normals, offsets, x)):
+            verts.add(x)
     return sorted(verts)
-
-
-def _full_kernel_vector(rows, n):
-    """Any nonzero rational kernel vector of the stacked rows, or None."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank == n:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    vec = [Fraction(0)] * n
-    vec[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        vec[col] = -m[r][free]
-    return tuple(vec)
 
 
 def _recession_ray(dim, normals):
     """A nonzero rational direction in the recession cone, or None."""
-    line = _full_kernel_vector(normals, dim)
+    line = _kernel_vector(normals, dim)
     if line is not None:
         return line
-    # extreme rays sit on dim-1 active constraints
-    subsets = combinations(range(len(normals)), dim - 1) if dim > 1 else [()]
-    for idx in subsets:
-        rows = [normals[r] for r in idx]
-        if dim == 1:
-            candidates = [(Fraction(1),), (Fraction(-1),)]
-        else:
-            v = _kernel_direction(rows, dim)
-            if v is None:
-                continue
-            candidates = [v, tuple(-c for c in v)]
-        for cand in candidates:
-            dots = [
-                sum(Fraction(nu_i) * c_i for nu_i, c_i in zip(normals[r], cand))
-                for r in range(len(normals))
-            ]
-            if all(d >= 0 for d in dots):
+    # extreme rays sit on dim-1 active constraints; every candidate is checked
+    # against all normals, so a rank-deficient subset costs nothing
+    zero = [0] * len(normals)
+    for idx in combinations(range(len(normals)), dim - 1):
+        v = _kernel_vector([normals[r] for r in idx], dim)
+        for cand in (v, tuple(-c for c in v)):
+            if all(d >= 0 for d in _facet_values(normals, zero, cand)):
                 return cand
     return None
 
@@ -403,17 +239,17 @@ def delzant_violations(raw_facets, dim=None):
     """Collect structured Delzant violations without raising.
 
     ``raw_facets`` is a list of (normal, offset) pairs with integer data.
-    Returns a list of exception instances; empty means valid.
+    Returns a list of exception instances; empty means valid.  A normal whose
+    length is not the dimension is malformed input and raises ValueError.
     """
     normals = [tuple(int(v) for v in nu) for nu, _ in raw_facets]
     offsets = [int(lam) for _, lam in raw_facets]
     n = dim if dim is not None else (len(normals[0]) if normals else 0)
-    problems = []
-
     for r, nu in enumerate(normals):
-        g = gcd(*[abs(v) for v in nu]) if len(nu) > 1 else abs(nu[0])
-        if g != 1:
-            problems.append(NonPrimitiveNormal(r))
+        if len(nu) != n:
+            raise ValueError(f"normal {r} has {len(nu)} entries in dimension {n}")
+
+    problems = [NonPrimitiveNormal(r) for r, nu in enumerate(normals) if gcd(*nu) != 1]
     if problems:
         return problems
 
@@ -424,41 +260,23 @@ def delzant_violations(raw_facets, dim=None):
     verts = _enumerate_vertices(n, normals, offsets)
     if not verts:
         return [EmptyInterior("no vertices")]
-    centroid = tuple(sum(v[i] for v in verts) / len(verts) for i in range(n))
-    cvals = [
-        sum(Fraction(nu_i) * c_i for nu_i, c_i in zip(normals[r], centroid)) - offsets[r]
-        for r in range(len(normals))
-    ]
-    if any(v <= 0 for v in cvals):
+    if any(v <= 0 for v in _facet_values(normals, offsets, _centroid(verts))):
         return [EmptyInterior("vertex centroid touches a facet")]
 
-    facet_vertices = {r: [] for r in range(len(normals))}
-    for v in verts:
-        for r in range(len(normals)):
-            val = sum(Fraction(nu_i) * v_i for nu_i, v_i in zip(normals[r], v)) - offsets[r]
-            if val == 0:
-                facet_vertices[r].append(v)
+    values = {v: _facet_values(normals, offsets, v) for v in verts}
     for r in range(len(normals)):
-        fv = facet_vertices[r]
+        fv = [v for v in verts if values[v][r] == 0]
         if not fv:
             problems.append(RedundantFacet(r))
             continue
-        fc = tuple(sum(v[i] for v in fv) / len(fv) for i in range(n))
-        for q in range(len(normals)):
-            if q == r:
-                continue
-            val = sum(Fraction(nu_i) * c_i for nu_i, c_i in zip(normals[q], fc)) - offsets[q]
-            if val == 0:
-                problems.append(RedundantFacet(r))
-                break
+        at_centroid = _facet_values(normals, offsets, _centroid(fv))
+        if any(val == 0 for q, val in enumerate(at_centroid) if q != r):
+            problems.append(RedundantFacet(r))
     if problems:
         return problems
 
     for v in verts:
-        active = [
-            r for r in range(len(normals))
-            if sum(Fraction(nu_i) * v_i for nu_i, v_i in zip(normals[r], v)) == offsets[r]
-        ]
+        active = [r for r, val in enumerate(values[v]) if val == 0]
         if len(active) != n:
             problems.append(NotDelzant(v, f"vertex {v} lies on {len(active)} facets"))
             continue
@@ -491,89 +309,83 @@ def vertices_and_faces(P):
     """
     if P.dim > 3:
         raise DimensionUnsupported("face lattices are built for n <= 3 only")
-    active_at = {}
-    for v in P.vertices:
-        active_at[v] = tuple(P.active_facets(v))
+    active_at = {v: P.active_facets(v) for v in P.vertices}
 
-    faces = []
+    faces = [Face(active=(), codim=0, vertices=P.vertices, rep_point=P.interior_point())]
     seen = set()
-    centroid = P.interior_point()
-    faces.append(Face(active=(), codim=0, vertices=P.vertices, rep_point=centroid))
     for m in range(1, P.dim + 1):
-        for v, act in active_at.items():
+        for act in active_at.values():
             for sub in combinations(act, m):
                 if sub in seen:
                     continue
                 seen.add(sub)
                 fv = tuple(w for w in P.vertices if set(sub) <= set(active_at[w]))
-                rep = tuple(sum(w[i] for w in fv) / len(fv) for i in range(P.dim))
-                faces.append(Face(active=sub, codim=m, vertices=fv, rep_point=rep))
+                faces.append(Face(active=sub, codim=m, vertices=fv, rep_point=_centroid(fv)))
     return faces
+
+
+def _face_vertex(P, active):
+    """The least vertex of the face cut out by the facets ``active``."""
+    return min(v for v in P.vertices if set(active) <= set(P.active_facets(v)))
 
 
 def local_chart(P, b):
     """Chart x -> A x + c with A in GL_n(Z) normalizing the polytope at b.
 
-    The facets active at b map to {x_i = 0} in order, b maps to the origin,
-    and the shift c lies in (1/l) Z^n for the strict level l of b.
+    The rows of A are the normals active at b, in order, followed by the other
+    normals of the least vertex of b's minimal face; by Delzant's condition
+    they form a basis of Z^n.  At an interior point A is the identity.  The
+    shift c = -A b sends b to the origin and lies in (1/l) Z^n for the strict
+    level l of b.
     """
     b = tuple(Fraction(c) for c in b)
     active = P.active_facets(b)   # raises PointOutside when b is not in P
-    rows = [list(P.normals[r]) for r in active]
-    A = complete_to_unimodular(rows, P.dim)
-    shift = []
-    for i in range(P.dim):
-        if i < len(active):
-            shift.append(Fraction(-P.offsets[active[i]]))
-        else:
-            shift.append(-sum(Fraction(A[i][j]) * b[j] for j in range(P.dim)))
-    chart = LocalChart(
-        base=b,
-        lattice_map=tuple(tuple(r) for r in A),
-        shift=tuple(shift),
-        local_codim=len(active),
-    )
-    if any(chart.apply(b)[i] != 0 for i in range(P.dim)):
-        raise ChartFailure("chart does not center the base point")
-    return chart
+    if active:
+        rest = [r for r in P.active_facets(_face_vertex(P, active)) if r not in active]
+        A = tuple(P.normals[r] for r in active + tuple(rest))
+    else:
+        A = tuple(tuple(int(i == j) for j in range(P.dim)) for i in range(P.dim))
+    shift = tuple(-sum(a * b_j for a, b_j in zip(row, b)) for row in A)
+    return LocalChart(base=b, lattice_map=A, shift=shift, local_codim=len(active))
+
+
+def _lattice_points(P, offsets):
+    """Integer points m with nu_r . m >= offsets_r, in lexicographic order."""
+    corners = _enumerate_vertices(P.dim, P.normals, offsets)
+    ranges = [
+        range(ceil(min(v[i] for v in corners)), floor(max(v[i] for v in corners)) + 1)
+        for i in range(P.dim)
+    ]
+    return [
+        m for m in product(*ranges)
+        if all(v >= 0 for v in _facet_values(P.normals, offsets, m))
+    ]
 
 
 def bs_points(P, k):
     """All points of P cap (1/k) Z^n with strict levels and face codimensions."""
     if k < 1:
         raise ValueError("level k must be >= 1")
-    lo, hi = P.bounding_box()
-    ranges = []
-    for i in range(P.dim):
-        a = (Fraction(k) * lo[i]).__ceil__()
-        b = (Fraction(k) * hi[i]).__floor__()
-        ranges.append(range(a, b + 1))
+    offsets = [k * lam for lam in P.offsets]
     points = []
-    for m in product(*ranges):
+    for m in _lattice_points(P, offsets):
         b = tuple(Fraction(mi, k) for mi in m)
-        if not P.contains(b):
-            continue
-        strict = lcm(*[c.denominator for c in b]) if P.dim > 1 else b[0].denominator
-        codim = len(P.active_facets(b))
+        codim = sum(v == 0 for v in _facet_values(P.normals, offsets, m))
+        strict = lcm(*[c.denominator for c in b])
         points.append(BSPoint(point=b, level=k, strict_level=strict, face_codim=codim))
-    points.sort(key=lambda p: p.point)
     return points
 
 
 def fiber_holonomy(P, b, k):
     """Holonomy generators exp(2 pi i k b_i) in a vertex-anchored trivialization.
 
-    The trivialization is taken over the chart of a vertex of the minimal face
-    containing b, where the connection is d - i x . dtheta; all generators
-    equal one exactly when b is a quantized point of level k.
+    The trivialization is taken over the chart of the vertex local_chart
+    completes from (the least vertex of the minimal face containing b), where
+    the connection is d - i x . dtheta; all generators equal one exactly when
+    b is a quantized point of level k.
     """
     b = tuple(Fraction(c) for c in b)
-    active = set(P.active_facets(b))
-    candidates = [v for v in P.vertices if active <= set(P.active_facets(v))]
-    if not candidates:
-        raise ChartFailure("no vertex on the minimal face")
-    vertex = min(candidates)
-    chart = local_chart(P, vertex)
+    chart = local_chart(P, _face_vertex(P, P.active_facets(b)))
     b_chart = chart.apply(b)
     gens = tuple(np.exp(2j * np.pi * float(k * c)) for c in b_chart)
     trivial = all((Fraction(k) * c).denominator == 1 for c in b_chart)
@@ -611,5 +423,9 @@ def simplex2():
 
 
 def hirzebruch(a=2):
-    """Trapezoid {x >= 0, y >= 0, y <= 1, x + y <= a}."""
-    return validate_delzant([((1, 0), 0), ((0, 1), 0), ((0, -1), -1), ((-1, -1), -a)])
+    """Trapezoid {x >= 0, 0 <= y <= 1, x + a y <= a + 1} of the Hirzebruch surface F_a.
+
+    The normals (1, 0), (0, 1), (0, -1), (-1, -a) are Delzant for every integer
+    a >= 0; a = 0 gives the unit square (P^1 x P^1), a = 1 the blown-up plane.
+    """
+    return validate_delzant([((1, 0), 0), ((0, 1), 0), ((0, -1), -1), ((-1, -a), -(a + 1))])

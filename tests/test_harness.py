@@ -37,6 +37,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             SweepConfig(spec=spec, k_list=(1,), s_list=(0.1, 0.2))
 
+    def test_rejects_repeated_s(self, tmp_path):
+        # a repeated s would divide the Richardson step by zero
+        spec = make_potential_spec(segment())
+        msg = "strictly descending"
+        with pytest.raises(ValueError, match=msg):
+            SweepConfig(spec=spec, k_list=(1,), s_list=(0.2, 0.1, 0.1))
+        poly = tmp_path / "p.json"
+        poly.write_text(polytope_to_json(segment()))
+        with pytest.raises(ValueError, match=msg):
+            sweep_config_from_json(
+                {"polytope": "p.json", "k_list": [1], "s_list": [0.2, 0.1, 0.1]},
+                base_dir=str(tmp_path),
+            )
+
     def test_rejects_zero_count(self):
         spec = make_potential_spec(segment())
         with pytest.raises(ValueError):
@@ -215,6 +229,22 @@ class TestCli:
         )
         assert cli.main(["check", "--polytope", str(bad)]) == 1
         assert "NotDelzant" in capsys.readouterr().out
+
+    def test_check_wrong_length_normal(self, tmp_path, capsys):
+        # a malformed normal is an input error (2), not a Delzant verdict (1)
+        for normal in ([1], [1, 0, 7]):
+            bad = tmp_path / "bad.json"
+            bad.write_text(
+                json.dumps(
+                    {"dim": 2, "facets": [
+                        {"normal": [1, 0], "offset": 0},
+                        {"normal": normal, "offset": 0},
+                        {"normal": [-1, -1], "offset": -1},
+                    ]}
+                )
+            )
+            assert cli.main(["check", "--polytope", str(bad)]) == 2
+            assert "normal 1 has" in capsys.readouterr().err
 
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "broken.json"

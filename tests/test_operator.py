@@ -204,7 +204,7 @@ class TestSolvers:
 
     def test_count_guard(self):
         op = assemble(make_potential_spec(segment()), 1.0, 1, (0,), build_mesh(segment(), 0.1))
-        for count in (op.n_dofs, op.n_dofs + 1):
+        for count in (op.K.shape[0], op.K.shape[0] + 1):
             with pytest.raises(ValueError):
                 solve_eigs(op, count)
 

@@ -58,6 +58,14 @@ class TestValidation:
         with pytest.raises(errors.RedundantFacet):
             validate_delzant(raw)
 
+    def test_wrong_length_normal_is_input_error(self):
+        for normal in ((1,), (1, 0, 7)):
+            raw = [((1, 0), 0), (normal, 0), ((-1, -1), -1)]
+            with pytest.raises(ValueError, match="normal 1 has"):
+                delzant_violations(raw, dim=2)
+        with pytest.raises(ValueError):
+            polytope_from_json('{"dim": 2, "facets": [{"normal": [1], "offset": 0}]}')
+
     def test_validity_invariant_under_lattice_maps(self, rng):
         for _ in range(20):
             P = random_delzant(rng, int(rng.integers(1, 3)))
@@ -99,6 +107,15 @@ class TestFaces:
         faces = vertices_and_faces(H)
         assert sum(1 for f in faces if f.codim == 1) == 4
         assert sum(1 for f in faces if f.codim == 2) == 4
+
+    def test_hirzebruch_family(self):
+        # {x >= 0, 0 <= y <= 1, x + a y <= a + 1} is Delzant for every a >= 0
+        for a in range(4):
+            H = hirzebruch(a)
+            assert H.normals[-1] == (-1, -a)
+            assert set(H.vertices) == {(0, 0), (0, 1), (1, 1), (a + 1, 0)}
+        trapezoid = validate_delzant([((1, 0), 0), ((0, 1), 0), ((0, -1), -1), ((-1, -1), -2)])
+        assert hirzebruch(1) == trapezoid
 
     def test_rep_points_in_relative_interior(self):
         for P in (segment(), simplex2(), hirzebruch(3)):
