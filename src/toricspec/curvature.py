@@ -23,6 +23,7 @@ from .errors import RegionTouchesCodimTwo, SingularA, SingularG, StepTooLarge
 from .potential import GuilleminPotential, PolynomialFn, PotentialFamily, PotentialSpec
 
 CORNER_Z_CUT = 5.0
+SCAN_Z_MIN = 1e-2
 
 
 @dataclass(frozen=True)
@@ -252,25 +253,24 @@ def ricci_lower_bound_scan(
     s_list,
     z_max,
     grid_points=12,
-    z_min=1e-2,
     allow_corner=False,
-    corner_cut=CORNER_Z_CUT,
 ):
     """Grid of min_ratio over a z-box for the corner model, one table per s.
 
-    z_j = sqrt(s)/(2 x_j) are the facet-distance variables; boxes where two or
-    more of them reach past ``corner_cut`` touch a codimension-two face and are
-    rejected unless ``allow_corner`` is set.  Returns (rows, per_s_infimum)
-    where rows are (s, x_1..x_n, min_ratio).
+    z_j = sqrt(s)/(2 x_j) are the facet-distance variables, sampled
+    geometrically from SCAN_Z_MIN; boxes where two or more of them reach past
+    CORNER_Z_CUT touch a codimension-two face and are rejected unless
+    ``allow_corner`` is set.  Returns (rows, per_s_infimum) where rows are
+    (s, x_1..x_n, min_ratio).
     """
     z_max = np.asarray(z_max, dtype=float)
     if len(z_max) != m:
         raise ValueError("one z bound per corner direction expected")
-    if not allow_corner and int(np.sum(z_max > corner_cut)) >= 2:
+    if not allow_corner and int(np.sum(z_max > CORNER_Z_CUT)) >= 2:
         raise RegionTouchesCodimTwo(
-            f"z box {z_max} reaches past {corner_cut} in two corner directions"
+            f"z box {z_max} reaches past {CORNER_Z_CUT} in two corner directions"
         )
-    axes = [np.geomspace(z_min, zm, grid_points) for zm in z_max]
+    axes = [np.geomspace(SCAN_Z_MIN, zm, grid_points) for zm in z_max]
     mesh = np.meshgrid(*axes, indexing="ij")
     zs = np.stack([g.ravel() for g in mesh], axis=-1)
     rows = []

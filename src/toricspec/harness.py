@@ -55,7 +55,6 @@ class SweepConfig:
     h_list: tuple = None
     eig_count: int = 4
     mode_margin: int = 1
-    grading_ratio: float = 0.7
     c_grid: tuple = tuple(np.arange(0.5, 10.01, 0.25))
 
     def __post_init__(self):
@@ -63,10 +62,16 @@ class SweepConfig:
         # a repeated s would make the Richardson step divide by zero
         if any(v <= 0 for v in s) or any(a <= b for a, b in zip(s, s[1:])):
             raise ValueError("s_list must be positive and strictly descending")
+        if not self.k_list:
+            raise ValueError("k_list must name at least one level")
         if self.eig_count < 1:
             raise ValueError("eig_count must be >= 1")
         if self.h_floor is None:
             self.h_floor = 1.0 / 800.0 if self.spec.polytope.dim == 1 else 1.0 / 80.0
+        for name in ("h_factor", "h_floor"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.h_list is not None:
             if len(self.h_list) != len(self.s_list) or any(h <= 0 for h in self.h_list):
                 raise ValueError("h_list must give one positive target per s")
@@ -77,7 +82,7 @@ class SweepConfig:
         return max(float(np.sqrt(s)) / self.h_factor, self.h_floor)
 
 
-_SCALAR_KEYS = ("h_factor", "h_floor", "eig_count", "mode_margin", "grading_ratio")
+_SCALAR_KEYS = ("h_factor", "h_floor", "eig_count", "mode_margin")
 # "out" is the CLI's output directory
 _CONFIG_KEYS = {"polytope", "potential", "k_list", "s_list", "h_list", "out", *_SCALAR_KEYS}
 
@@ -188,7 +193,7 @@ def run_sweep(config: SweepConfig):
 
     # a mesh depends only on h(s), and several s can share the floor h
     h_set = set(map(config.h_of, config.s_list))
-    meshes = {h: build_mesh(P, h, config.grading_ratio) for h in h_set}
+    meshes = {h: build_mesh(P, h) for h in h_set}
     for k in config.k_list:
         points = bs_points(P, k)
         by_mode = {b.mode: b for b in points}
@@ -276,7 +281,7 @@ def _localization_masses(factory, all_points, bs_list, spectra, s, c_grid):
     Each mode's quadrature density and each ball mask are formed once; a mask
     holds 0 or 1, so a masked sum is exactly the masked quadrature.
     """
-    q = factory.qpoints()
+    q = factory.mesh.qpoints
     centers = np.array([[float(c) for c in b.point] for b in all_points])
     d2 = np.min(
         np.sum((q[:, :, None, :] - centers[None, None, :, :]) ** 2, axis=-1), axis=-1
@@ -384,7 +389,7 @@ def localization_check(spec: PotentialSpec, s_list, k, c_grid=None, h_factor=40.
     points = bs_points(P, k)
     rows = []
     for s in config.s_list:
-        mesh = build_mesh(P, config.h_of(s), config.grading_ratio)
+        mesh = build_mesh(P, config.h_of(s))
         factory = OperatorFactory(spec, s, k, mesh)
         spectra = {}
         for b in points:

@@ -135,8 +135,8 @@ def _compositions(N, slots):
     return comb(N + slots - 1, slots - 1)
 
 
-def default_truncation_radius(k, target_norm=0.0):
-    return float(np.sqrt(30.0 / k) + target_norm)
+def default_truncation_radius(k):
+    return float(np.sqrt(30.0 / k))
 
 
 def _clip_polygon(poly, normal, offset):
@@ -166,7 +166,7 @@ def truncated_cone_mesh(cone: ConeModel, R, target_h):
     n, m = cone.dim, cone.codim
     if n == 1:
         lo = 0.0 if m >= 1 else -R
-        return interval_mesh(lo, R, target_h, grading_ratio=1.0)
+        return interval_mesh(lo, R, target_h, graded=False)
     if n == 2:
         box = [
             np.array([-R, -R]),
@@ -180,7 +180,7 @@ def truncated_cone_mesh(cone: ConeModel, R, target_h):
             poly = _clip_polygon(poly, S[i], 0.0)
             if len(poly) < 3:
                 raise ChartFailure("cone truncation degenerated")
-        return polygon_mesh(np.array(poly), target_h, boundary_layer=False)
+        return polygon_mesh(np.array(poly), target_h, graded=False)
     raise DimensionUnsupported("numeric cone spectra for n <= 2 only")
 
 

@@ -4,51 +4,78 @@ The reduced operators carry coefficients that blow up like 1/ell toward the
 facets, so quadrature points must stay strictly interior and cells shrink
 toward the boundary: geometric end layers in 1d, one conforming red-green
 refinement pass along the boundary in 2d.
+
+A Mesh owns its P1 geometry.  Each cell is the image of the reference simplex
+under one affine map x = v_0 + J^T xi, whose rows of J are the edges from
+vertex 0 (Ciarlet, The Finite Element Method for Elliptic Problems, 1978);
+the P1 gradients, quadrature points and weights follow from J in any
+dimension, and |det J| makes them independent of the vertex order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import atan2, ceil, log2
+from itertools import combinations
+from math import atan2, ceil, factorial, log2
 
 import numpy as np
 
 from .errors import DimensionUnsupported
 
-# 3-point Gauss on [0, 1]
-_GAUSS1D_X = np.array([0.5 - np.sqrt(3.0 / 5.0) / 2.0, 0.5, 0.5 + np.sqrt(3.0 / 5.0) / 2.0])
-_GAUSS1D_W = np.array([5.0, 8.0, 5.0]) / 18.0
+GRADING_RATIO = 0.7      # width ratio of consecutive 1d end-layer cells
+GRADING_DEPTH = 12       # number of 1d end-layer cells
+SHAPE_LIMIT = 10.0       # largest admitted longest edge / (2 inradius)
 
-# 6-point degree-4 rule on the reference triangle, barycentric rows
+_GAUSS_X = np.array([0.5 - np.sqrt(3.0 / 5.0) / 2.0, 0.5, 0.5 + np.sqrt(3.0 / 5.0) / 2.0])
 _A1 = 0.445948490915965
 _A2 = 0.091576213509771
-_TRI_BARY = np.array(
-    [
-        [1 - 2 * _A1, _A1, _A1],
-        [_A1, 1 - 2 * _A1, _A1],
-        [_A1, _A1, 1 - 2 * _A1],
-        [1 - 2 * _A2, _A2, _A2],
-        [_A2, 1 - 2 * _A2, _A2],
-        [_A2, _A2, 1 - 2 * _A2],
-    ]
-)
-_TRI_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
+# interior barycentric rules on the reference simplex, weights summing to 1:
+# 3-point Gauss on [0, 1] and the 6-point degree-4 rule on the triangle
+_BARY_RULES = {
+    1: (np.stack([1.0 - _GAUSS_X, _GAUSS_X], axis=1), np.array([5.0, 8.0, 5.0]) / 18.0),
+    2: (
+        np.array(
+            [
+                [1 - 2 * _A1, _A1, _A1],
+                [_A1, 1 - 2 * _A1, _A1],
+                [_A1, _A1, 1 - 2 * _A1],
+                [1 - 2 * _A2, _A2, _A2],
+                [_A2, 1 - 2 * _A2, _A2],
+                [_A2, _A2, 1 - 2 * _A2],
+            ]
+        ),
+        np.array([0.223381589678011] * 3 + [0.109951743655322] * 3),
+    ),
+}
 
 
 @dataclass
 class Mesh:
-    """Conforming simplicial mesh of a convex region of R^n, n in {1, 2}."""
+    """Conforming simplicial mesh of a convex region of R^n, n in {1, 2}.
+
+    qpoints (M, Q, n) and qweights (M, Q) are the quadrature of each cell,
+    bary (Q, n + 1) the P1 basis values at the quadrature points and grads
+    (M, n + 1, n) the constant P1 gradients.
+    """
 
     dim: int
     nodes: np.ndarray        # (N, dim)
     cells: np.ndarray        # (M, dim + 1) node indices
-    grading: float           # geometric ratio used toward the boundary
-    qpoints: np.ndarray = field(default=None, repr=False)   # (M, Q, dim)
-    qweights: np.ndarray = field(default=None, repr=False)  # (M, Q)
+    qpoints: np.ndarray = field(init=False, repr=False)
+    qweights: np.ndarray = field(init=False, repr=False)
+    bary: np.ndarray = field(init=False, repr=False)
+    grads: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.qpoints is None:
-            self.qpoints, self.qweights = _quadrature(self.dim, self.nodes, self.cells)
+        if self.dim not in _BARY_RULES:
+            raise DimensionUnsupported("meshes are built for n <= 2 only")
+        self.bary, w = _BARY_RULES[self.dim]
+        coords = self.nodes[self.cells]
+        J = coords[:, 1:] - coords[:, :1]
+        ref = np.vstack([-np.ones(self.dim), np.eye(self.dim)])
+        self.grads = ref @ np.linalg.inv(J).transpose(0, 2, 1)
+        self.qpoints = self.bary @ coords
+        self.qweights = np.outer(np.abs(np.linalg.det(J)) / factorial(self.dim), w)
 
     @property
     def num_nodes(self):
@@ -59,75 +86,53 @@ class Mesh:
         return self.cells.shape[0]
 
     def max_diameter(self):
-        coords = self.nodes[self.cells]
-        if self.dim == 1:
-            return float(np.abs(coords[:, 1, 0] - coords[:, 0, 0]).max())
-        d01 = np.linalg.norm(coords[:, 0] - coords[:, 1], axis=1)
-        d12 = np.linalg.norm(coords[:, 1] - coords[:, 2], axis=1)
-        d20 = np.linalg.norm(coords[:, 2] - coords[:, 0], axis=1)
-        return float(np.maximum(d01, np.maximum(d12, d20)).max())
+        return float(_edge_lengths(self.nodes, self.cells).max())
 
     def shape_regularity(self):
         """max over cells of longest edge / (2 inradius); 1d meshes return 1."""
         if self.dim == 1:
             return 1.0
-        coords = self.nodes[self.cells]
-        a = np.linalg.norm(coords[:, 1] - coords[:, 2], axis=1)
-        b = np.linalg.norm(coords[:, 2] - coords[:, 0], axis=1)
-        c = np.linalg.norm(coords[:, 0] - coords[:, 1], axis=1)
-        s = 0.5 * (a + b + c)
-        area = np.sqrt(np.maximum(s * (s - a) * (s - b) * (s - c), 0.0))
-        inradius = area / s
-        longest = np.maximum(a, np.maximum(b, c))
-        return float((longest / (2.0 * inradius)).max())
+        lengths = _edge_lengths(self.nodes, self.cells)
+        s = 0.5 * lengths.sum(axis=1)
+        area = np.sqrt(np.maximum(s * np.prod(s[:, None] - lengths, axis=1), 0.0))
+        return float((lengths.max(axis=1) * s / (2.0 * area)).max())
 
 
-def _quadrature(dim, nodes, cells):
+def _edge_lengths(nodes, cells):
+    """(M, E) lengths of the edges of each cell."""
     coords = nodes[cells]
-    if dim == 1:
-        x0 = coords[:, 0, 0]
-        x1 = coords[:, 1, 0]
-        length = x1 - x0
-        qp = x0[:, None] + np.outer(length, _GAUSS1D_X)
-        qw = np.outer(length, _GAUSS1D_W)
-        return qp[..., None], qw
-    if dim == 2:
-        qp = np.einsum("qi,cid->cqd", _TRI_BARY, coords)
-        v0, v1, v2 = coords[:, 0], coords[:, 1], coords[:, 2]
-        area = 0.5 * np.abs(
-            (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1])
-            - (v2[:, 0] - v0[:, 0]) * (v1[:, 1] - v0[:, 1])
-        )
-        qw = np.outer(area, _TRI_W)
-        return qp, qw
-    raise DimensionUnsupported("quadrature only for n <= 2")
+    pairs = combinations(range(cells.shape[1]), 2)
+    return np.stack([np.linalg.norm(coords[:, i] - coords[:, j], axis=1) for i, j in pairs], axis=1)
+
+
+def _check_target_h(target_h):
+    if not (np.isfinite(target_h) and target_h > 0):
+        raise ValueError(f"mesh size target_h must be finite and positive, got {target_h}")
 
 
 # ---------------------------------------------------------------------------
 # 1d graded partitions
 # ---------------------------------------------------------------------------
 
-def interval_mesh(a, b, target_h, grading_ratio=0.7, grading_depth=12):
+def interval_mesh(a, b, target_h, graded=True):
     """Uniform core with geometric layers stacked toward both endpoints.
 
-    With ratio 1 this is the plain uniform partition.  Otherwise the first and
-    last core cell are replaced by ``grading_depth`` sub-cells whose widths
-    decrease geometrically toward the endpoint.
+    When graded, the first and last core cell are replaced by GRADING_DEPTH
+    sub-cells whose widths shrink by GRADING_RATIO toward the endpoint;
+    otherwise this is the plain uniform partition.
     """
+    _check_target_h(target_h)
     a, b = float(a), float(b)
     n_core = max(int(ceil((b - a) / target_h)), 2)
-    core = np.linspace(a, b, n_core + 1)
-    if grading_ratio >= 1.0 or grading_depth <= 0:
-        nodes = core
-    else:
-        q = grading_ratio
-        widths = q ** np.arange(1, grading_depth + 1)
+    nodes = np.linspace(a, b, n_core + 1)
+    if graded:
+        widths = GRADING_RATIO ** np.arange(1, GRADING_DEPTH + 1)
         frac = np.cumsum(widths[::-1]) / widths.sum()
-        left = core[0] + (core[1] - core[0]) * frac[:-1]
-        right = core[-1] - (core[-1] - core[-2]) * frac[:-1]
-        nodes = np.unique(np.concatenate([core, left, right[::-1]]))
+        left = nodes[0] + (nodes[1] - nodes[0]) * frac[:-1]
+        right = nodes[-1] - (nodes[-1] - nodes[-2]) * frac[:-1]
+        nodes = np.unique(np.concatenate([nodes, left, right[::-1]]))
     cells = np.stack([np.arange(len(nodes) - 1), np.arange(1, len(nodes))], axis=1)
-    return Mesh(dim=1, nodes=nodes[:, None], cells=cells, grading=grading_ratio)
+    return Mesh(dim=1, nodes=nodes[:, None], cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -162,42 +167,15 @@ def _cell_edges(cells):
     return edges, inverse.reshape(3, M).T
 
 
-def _refine_once(nodes, cells):
-    edges, cell_edges = _cell_edges(cells)
-    mids = 0.5 * (nodes[edges[:, 0]] + nodes[edges[:, 1]])
-    mid_id = len(nodes) + np.arange(len(edges))
-    nodes = np.vstack([nodes, mids])
-    i, j, k = cells[:, 0], cells[:, 1], cells[:, 2]
-    ij = mid_id[cell_edges[:, 0]]
-    jk = mid_id[cell_edges[:, 1]]
-    ki = mid_id[cell_edges[:, 2]]
-    new_cells = np.concatenate(
-        [
-            np.stack([i, ij, ki], axis=1),
-            np.stack([ij, j, jk], axis=1),
-            np.stack([ki, jk, k], axis=1),
-            np.stack([ij, jk, ki], axis=1),
-        ]
-    )
-    return nodes, new_cells
+def _red_green(nodes, cells, red):
+    """One conforming refinement pass of the triangles selected by ``red``.
 
-
-def _boundary_mask(nodes, edges_normals, edges_offsets, tol):
-    """For each node, the boolean row of polygon edges it lies on."""
-    vals = nodes @ edges_normals.T - edges_offsets
-    return np.abs(vals) <= tol
-
-
-def _red_green_boundary(nodes, cells, on_edge):
-    """One conforming local refinement pass of boundary-touching triangles.
-
-    Boundary cells split red (into four); cells inheriting two or more hanging
-    edges are promoted to red until stable; a single hanging edge is fixed by
-    a green bisection through the opposite vertex.
+    Red cells split into four; cells inheriting two or more hanging edges are
+    promoted to red until stable; a single hanging edge is fixed by a green
+    bisection through the opposite vertex (Bank, Sherman & Weiser, 1983).
+    With every cell red this is uniform quadrisection.
     """
     edges, cell_edges = _cell_edges(cells)
-    boundary_edge = np.any(on_edge[edges[:, 0]] & on_edge[edges[:, 1]], axis=1)
-    red = np.any(boundary_edge[cell_edges], axis=1)
     marked = np.zeros(len(edges), dtype=bool)
     marked[cell_edges[red].ravel()] = True
     while True:
@@ -205,7 +183,7 @@ def _red_green_boundary(nodes, cells, on_edge):
         promote = (~red) & (count >= 2)
         if not promote.any():
             break
-        red |= promote
+        red = red | promote
         marked[cell_edges[promote].ravel()] = True
 
     mid_id = np.full(len(edges), -1, dtype=int)
@@ -213,81 +191,60 @@ def _red_green_boundary(nodes, cells, on_edge):
     mid_id[which] = len(nodes) + np.arange(len(which))
     nodes = np.vstack([nodes, 0.5 * (nodes[edges[which, 0]] + nodes[edges[which, 1]])])
 
-    i, j, k = cells[:, 0], cells[:, 1], cells[:, 2]
-    ij, jk, ki = (mid_id[cell_edges[:, t]] for t in range(3))
-    out = []
-    r = red
-    out.append(np.stack([i[r], ij[r], ki[r]], axis=1))
-    out.append(np.stack([ij[r], j[r], jk[r]], axis=1))
-    out.append(np.stack([ki[r], jk[r], k[r]], axis=1))
-    out.append(np.stack([ij[r], jk[r], ki[r]], axis=1))
-
-    count = marked[cell_edges].sum(axis=1)
+    i, j, k = cells.T
+    ij, jk, ki = mid_id[cell_edges].T
+    out = [np.stack(t, axis=1)[red] for t in ((i, ij, ki), (ij, j, jk), (ki, jk, k), (ij, jk, ki))]
+    out.append(cells[(~red) & (count == 0)])
     green = (~red) & (count == 1)
-    plain = (~red) & (count == 0)
-    out.append(cells[plain])
-    if green.any():
-        gcells = cells[green]
-        gedges = cell_edges[green]
-        gmark = marked[gedges]
-        which_edge = np.argmax(gmark, axis=1)         # 0: (i,j), 1: (j,k), 2: (k,i)
-        opp = np.choose(which_edge, [gcells[:, 2], gcells[:, 0], gcells[:, 1]])
-        a = np.choose(which_edge, [gcells[:, 0], gcells[:, 1], gcells[:, 2]])
-        b = np.choose(which_edge, [gcells[:, 1], gcells[:, 2], gcells[:, 0]])
-        mid = mid_id[np.take_along_axis(gedges, which_edge[:, None], axis=1)[:, 0]]
-        out.append(np.stack([opp, a, mid], axis=1))
-        out.append(np.stack([opp, mid, b], axis=1))
+    gcells, gedges = cells[green], cell_edges[green]
+    e = np.argmax(marked[gedges], axis=1)         # hanging edge 0: (i,j), 1: (j,k), 2: (k,i)
+    rows = np.arange(len(e))
+    a, b, opp = gcells[rows, e], gcells[rows, (e + 1) % 3], gcells[rows, (e + 2) % 3]
+    mid = mid_id[gedges[rows, e]]
+    out += [np.stack([opp, a, mid], axis=1), np.stack([opp, mid, b], axis=1)]
     return nodes, np.concatenate(out)
 
 
-def polygon_mesh(vertices, target_h, grading_ratio=0.7, boundary_layer=True):
+def polygon_mesh(vertices, target_h, graded=True):
     """Fan triangulation of a convex polygon, refined to target_h.
 
-    Uniform quadrisection until the longest edge is below target_h, then one
-    conforming red-green pass along the polygon boundary when requested.
+    Uniform quadrisection until the longest edge is below target_h, then,
+    when graded, one red-green pass refining every triangle with an edge on
+    the polygon boundary.
     """
+    _check_target_h(target_h)
     pts = order_polygon(vertices)
     nodes, cells = _fan(pts)
-    edges = np.roll(pts, -1, axis=0) - pts
-    normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1)
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    offsets = np.einsum("ij,ij->i", normals, pts)
-
-    max_edge = 0.0
-    for (i, j, k) in cells:
-        for a, b in ((i, j), (j, k), (k, i)):
-            max_edge = max(max_edge, float(np.linalg.norm(nodes[a] - nodes[b])))
-    levels = max(0, int(ceil(log2(max_edge / target_h)))) if max_edge > target_h else 0
+    levels = max(0, ceil(log2(_edge_lengths(nodes, cells).max() / target_h)))
     for _ in range(levels):
-        nodes, cells = _refine_once(nodes, cells)
-    if boundary_layer and grading_ratio < 1.0:
-        scale = float(np.abs(pts).max())
-        on_edge = _boundary_mask(nodes, normals, offsets, tol=1e-9 * max(scale, 1.0))
-        nodes, cells = _red_green_boundary(nodes, cells, on_edge)
-    # enforce positive orientation
-    v = nodes[cells]
-    det = (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1]) - (
-        v[:, 2, 0] - v[:, 0, 0]
-    ) * (v[:, 1, 1] - v[:, 0, 1])
-    flip = det < 0
-    cells[flip] = cells[flip][:, [0, 2, 1]]
-    return Mesh(dim=2, nodes=nodes, cells=cells, grading=grading_ratio)
+        nodes, cells = _red_green(nodes, cells, np.ones(len(cells), dtype=bool))
+    if graded:
+        edges = np.roll(pts, -1, axis=0) - pts
+        normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1)
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        offsets = np.einsum("ij,ij->i", normals, pts)
+        tol = 1e-9 * max(float(np.abs(pts).max()), 1.0)
+        # on[c, v, f]: vertex v of cell c lies on polygon edge f
+        on = np.abs(nodes @ normals.T - offsets)[cells] <= tol
+        red = np.any(on & np.roll(on, -1, axis=1), axis=(1, 2))
+        nodes, cells = _red_green(nodes, cells, red)
+    return Mesh(dim=2, nodes=nodes, cells=cells)
 
 
-def build_mesh(P, target_h, grading_ratio=0.7):
-    """Mesh of a Delzant polytope: graded partition (n=1) or triangles (n=2)."""
+def build_mesh(P, target_h):
+    """Graded mesh of a Delzant polytope: intervals (n=1) or triangles (n=2)."""
     if P.dim == 1:
         lo, hi = P.bounding_box()
-        return interval_mesh(float(lo[0]), float(hi[0]), target_h, grading_ratio)
+        return interval_mesh(float(lo[0]), float(hi[0]), target_h)
     if P.dim == 2:
         verts = [[float(c) for c in v] for v in P.vertices]
-        return polygon_mesh(verts, target_h, grading_ratio, boundary_layer=True)
+        return polygon_mesh(verts, target_h)
     raise DimensionUnsupported("meshes are built for n <= 2 only")
 
 
-def check_mesh(mesh: Mesh, P=None, shape_limit=10.0):
+def check_mesh(mesh: Mesh, P=None):
     """Raise AssertionError if the mesh violates its contract."""
-    assert mesh.shape_regularity() <= shape_limit, "shape regularity exceeded"
+    assert mesh.shape_regularity() <= SHAPE_LIMIT, "shape regularity exceeded"
     if P is not None:
         normals = P.normals_array()
         offsets = P.offsets_array()
@@ -296,11 +253,7 @@ def check_mesh(mesh: Mesh, P=None, shape_limit=10.0):
         q = mesh.qpoints.reshape(-1, mesh.dim)
         q_vals = q @ normals.T - offsets
         assert q_vals.min() > 0.0, "quadrature point not strictly interior"
-    # conforming: every edge shared by at most two cells, consistent node ids
+    # conforming: every edge shared by at most two cells
     if mesh.dim == 2:
-        from collections import Counter
-        count = Counter()
-        for (i, j, k) in mesh.cells:
-            for e in ((i, j), (j, k), (k, i)):
-                count[(min(e), max(e))] += 1
-        assert max(count.values()) <= 2, "non-conforming edge"
+        _, cell_edges = _cell_edges(mesh.cells)
+        assert np.bincount(cell_edges.ravel()).max() <= 2, "non-conforming edge"

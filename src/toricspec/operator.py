@@ -11,9 +11,10 @@ The exact bound state exp((m - kx) . grad u_s + k u_s) with eigenvalue
 k^2 + nk anchors the discretization, and the count of modes with vanishing
 bottom eigenvalue must reproduce the lattice point count of k P.
 
-Every P1 matrix goes through one kernel: weight fields at the quadrature
-points become local (M, nb, nb) arrays by einsum, and one fixed CSR pattern
-per mesh turns their symmetric part into a matrix with a single bincount.
+Every P1 matrix goes through one kernel: weight fields at the mesh's
+quadrature points become local (M, nb, nb) arrays by einsum with the mesh's
+P1 gradients and barycentric values, and one fixed CSR pattern of the mesh
+turns their symmetric part into a matrix with a single bincount.
 A mode's stiffness is the shared diffusion part plus its potential part,
 summed locally and scattered once; mode_potential is the one source of V_m.
 """
@@ -32,12 +33,13 @@ from .errors import (
     NegativeEigenvalue,
     NotPositiveDefiniteMass,
 )
-from .mesh import _GAUSS1D_X, _TRI_BARY, Mesh, build_mesh  # noqa: F401 (build_mesh re-export)
+from .mesh import Mesh
 from .polytope import _lattice_points
 from .potential import PotentialFamily, PotentialSpec, family_hessian_batch
 
 V_OVERFLOW = 1e14
 RESIDUAL_TOL = 1e-8
+RAYLEIGH_CHUNK = 200000      # cells per block of the matrix-free Rayleigh quotient
 
 
 @dataclass
@@ -80,29 +82,6 @@ def mode_set(P, k, margin=0):
     if margin < 0:
         raise ValueError("margin must be >= 0")
     return _lattice_points(P, [k * lam - margin for lam in P.offsets])
-
-
-def p1_geometry(mesh: Mesh):
-    """Constant P1 gradients (M, nb, n) and barycentric values at quadrature (Q, nb)."""
-    n = mesh.dim
-    coords = mesh.nodes[mesh.cells]
-    if n == 1:
-        length = coords[:, 1, 0] - coords[:, 0, 0]
-        grads = np.stack([-1.0 / length, 1.0 / length], axis=1)[:, :, None]
-        bary = np.stack([1.0 - _GAUSS1D_X, _GAUSS1D_X], axis=1)
-    elif n == 2:
-        v0, v1, v2 = coords[:, 0], coords[:, 1], coords[:, 2]
-        area2 = (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1]) - (
-            v2[:, 0] - v0[:, 0]
-        ) * (v1[:, 1] - v0[:, 1])
-        g0 = np.stack([v1[:, 1] - v2[:, 1], v2[:, 0] - v1[:, 0]], axis=1)
-        g1 = np.stack([v2[:, 1] - v0[:, 1], v0[:, 0] - v2[:, 0]], axis=1)
-        g2 = np.stack([v0[:, 1] - v1[:, 1], v1[:, 0] - v0[:, 0]], axis=1)
-        grads = np.stack([g0, g1, g2], axis=1) / area2[:, None, None]
-        bary = _TRI_BARY
-    else:
-        raise ValueError("P1 geometry only for n <= 2")
-    return grads, bary
 
 
 def _stiffness_local(w_q, grads, D_q=None):
@@ -150,48 +129,45 @@ def assemble_p1(mesh: Mesh, diffusion_q, mass_weight_q=None):
     diffusion_q and mass_weight_q are scalar fields (M, Q) at the quadrature
     points; an omitted mass weight is 1.
     """
-    grads, bary = p1_geometry(mesh)
     qw = mesh.qweights
     pattern = _CSRPattern(mesh)
-    K = pattern.matrix(_stiffness_local(qw * diffusion_q, grads))
-    M = pattern.matrix(_mass_local(qw if mass_weight_q is None else qw * mass_weight_q, bary))
+    K = pattern.matrix(_stiffness_local(qw * diffusion_q, mesh.grads))
+    M = pattern.matrix(_mass_local(qw if mass_weight_q is None else qw * mass_weight_q, mesh.bary))
     return K, M
 
 
 class OperatorFactory:
-    """Shares mesh geometry and G_s quadrature data across modes of one (s, k)."""
+    """Shares G_s quadrature data and the mass matrix across modes of one (s, k)."""
 
     def __init__(self, spec: PotentialSpec, s, k, mesh: Mesh):
         self.k = int(k)
         self.mesh = mesh
         n = mesh.dim
-        self._qp = mesh.qpoints
-        self._qw = mesh.qweights
-        grads, self._bary = p1_geometry(mesh)
-        G_q, Ginv_q = family_hessian_batch(spec, s, self._qp.reshape(-1, n))
-        self._G_q = G_q.reshape(self._qw.shape + (n, n))
+        G_q, Ginv_q = family_hessian_batch(spec, s, mesh.qpoints.reshape(-1, n))
+        self._G_q = G_q.reshape(mesh.qweights.shape + (n, n))
         self._pattern = _CSRPattern(mesh)
-        self._K_diff_local = _stiffness_local(self._qw, grads, Ginv_q.reshape(self._G_q.shape))
-        self._M = self._pattern.matrix(_mass_local(self._qw, self._bary))
+        self._K_diff_local = _stiffness_local(
+            mesh.qweights, mesh.grads, Ginv_q.reshape(self._G_q.shape)
+        )
+        self._M = self._pattern.matrix(_mass_local(mesh.qweights, mesh.bary))
         if np.any(self._M.diagonal() <= 0.0):
             raise NotPositiveDefiniteMass("mass matrix has a nonpositive diagonal")
 
     def operator(self, mode):
-        V = mode_potential(self._G_q, self._qp, self.k, mode)
+        mesh = self.mesh
+        V = mode_potential(self._G_q, mesh.qpoints, self.k, mode)
         if np.max(V) > V_OVERFLOW:
             raise CoefficientOverflow(
                 f"potential reaches {np.max(V):.3e} at a quadrature point"
             )
-        K = self._pattern.matrix(self._K_diff_local + _mass_local(self._qw * V, self._bary))
+        K = self._pattern.matrix(self._K_diff_local + _mass_local(mesh.qweights * V, mesh.bary))
         return ReducedOperator(K=K, M=self._M, k=self.k)
 
     def l2_density(self, nodal):
         """Quadrature weight times the squared P1 interpolant (M, Q); sums to ||v||^2."""
-        vals = np.einsum("qi,ci->cq", self._bary, nodal[self.mesh.cells])
-        return self._qw * vals * vals
-
-    def qpoints(self):
-        return self._qp
+        mesh = self.mesh
+        vals = np.einsum("qi,ci->cq", mesh.bary, nodal[mesh.cells])
+        return mesh.qweights * vals * vals
 
 
 def assemble(spec: PotentialSpec, s, k, mode, mesh: Mesh):
@@ -212,7 +188,7 @@ def ground_state_rayleigh(spec: PotentialSpec, s, k, mode, mesh: Mesh):
     return ground_state_rayleigh_batch(spec, s, k, [mode], mesh)[mode]
 
 
-def ground_state_rayleigh_batch(spec: PotentialSpec, s, k, modes, mesh: Mesh, chunk=200000):
+def ground_state_rayleigh_batch(spec: PotentialSpec, s, k, modes, mesh: Mesh):
     """Bound-state Rayleigh quotients for many modes without assembling matrices.
 
     Streams over cell blocks, so it handles the finest convergence-study
@@ -220,12 +196,11 @@ def ground_state_rayleigh_batch(spec: PotentialSpec, s, k, modes, mesh: Mesh, ch
     """
     from .potential import ground_state
 
-    grads, bary = p1_geometry(mesh)
     nodal = {m: ground_state(spec, s, k, m)(mesh.nodes) for m in modes}
     num = dict.fromkeys(nodal, 0.0)
     den = dict.fromkeys(nodal, 0.0)
-    for start in range(0, mesh.num_cells, chunk):
-        sl = slice(start, start + chunk)
+    for start in range(0, mesh.num_cells, RAYLEIGH_CHUNK):
+        sl = slice(start, start + RAYLEIGH_CHUNK)
         qp = mesh.qpoints[sl]
         qw = mesh.qweights[sl]
         G, Ginv = family_hessian_batch(spec, s, qp.reshape(-1, mesh.dim))
@@ -233,9 +208,9 @@ def ground_state_rayleigh_batch(spec: PotentialSpec, s, k, modes, mesh: Mesh, ch
         Ginv = Ginv.reshape(G.shape)
         for m, values in nodal.items():
             v = values[mesh.cells[sl]]
-            grad_v = np.einsum("ci,cia->ca", v, grads[sl])
+            grad_v = np.einsum("ci,cia->ca", v, mesh.grads[sl])
             diff = np.einsum("ca,cqab,cb->cq", grad_v, Ginv, grad_v)
-            vals = np.einsum("qi,ci->cq", bary, v)
+            vals = np.einsum("qi,ci->cq", mesh.bary, v)
             num[m] += float(np.sum(qw * (diff + mode_potential(G, qp, k, m) * vals * vals)))
             den[m] += float(np.sum(qw * vals * vals))
     return {m: num[m] / den[m] for m in nodal}

@@ -19,7 +19,7 @@ from toricspec.harness import (
     sweep_config_from_json,
 )
 from toricspec.mesh import build_mesh
-from toricspec.operator import OperatorFactory, p1_geometry, solve_eigs
+from toricspec.operator import OperatorFactory, solve_eigs
 from toricspec.polytope import bs_points, polytope_to_json, segment, simplex2
 from toricspec.potential import PolynomialFn, make_potential_spec
 
@@ -55,6 +55,22 @@ class TestConfig:
         spec = make_potential_spec(segment())
         with pytest.raises(ValueError):
             SweepConfig(spec=spec, k_list=(1,), s_list=(0.1,), eig_count=0)
+
+    def test_rejects_bad_levels_and_h(self, tmp_path):
+        spec = make_potential_spec(segment())
+        bad = ({"k_list": ()}, {"h_factor": 0.0}, {"h_factor": -40.0},
+               {"h_factor": float("inf")}, {"h_floor": 0.0}, {"h_floor": -1e-3},
+               {"h_floor": float("nan")})
+        for kwargs in bad:
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                SweepConfig(**{"spec": spec, "k_list": (1,), "s_list": (0.1,), **kwargs})
+        poly = tmp_path / "p.json"
+        poly.write_text(polytope_to_json(segment()))
+        for kwargs in bad:
+            data = {"polytope": "p.json", "k_list": [1], "s_list": [0.1], **kwargs}
+            cfg = tmp_path / "sweep.json"
+            cfg.write_text(json.dumps(data))
+            assert cli.main(["sweep", "--config", str(cfg)]) == 2
 
     def test_h_rule(self):
         spec = make_potential_spec(segment())
@@ -169,10 +185,9 @@ class TestStandaloneChecks:
         spectra = {b.mode: solve_eigs(factory.operator(b.mode), 1) for b in points}
         masses = _localization_masses(factory, points, points, spectra, s, config.c_grid)
 
-        mesh, qw = factory.mesh, factory.mesh.qweights
-        _, bary = p1_geometry(mesh)
+        mesh = factory.mesh
+        qw, bary, q = mesh.qweights, mesh.bary, mesh.qpoints
         centers = np.array([[float(c) for c in b.point] for b in points])
-        q = factory.qpoints()
         dmin = np.sqrt(np.min(np.sum((q[:, :, None, :] - centers) ** 2, axis=-1), axis=-1))
         for b in points:
             vals = np.einsum("qi,ci->cq", bary, spectra[b.mode].vectors[:, 0][mesh.cells])
@@ -269,6 +284,20 @@ class TestCli:
         assert code == 0
         rec = json.loads(capsys.readouterr().out)
         assert rec["dbar_eigenvalues"][0] < 1e-3
+
+    def test_spectrum_rejects_bad_h(self, tmp_path, capsys):
+        # a zero, negative, infinite or nan mesh size is an input error
+        poly = self._write_inputs(tmp_path)
+        tri = tmp_path / "cp2.json"
+        tri.write_text(polytope_to_json(simplex2()))
+        for path, mode, h in ((poly, "[0]", "0"), (poly, "[0]", "-0.5"),
+                              (poly, "[0]", "inf"), (str(tri), "[0, 0]", "nan")):
+            code = cli.main(
+                ["spectrum", "--polytope", path, "--s", "0.1", "--level", "1",
+                 "--mode", mode, f"--h={h}", "--count", "2"]
+            )
+            assert code == 2
+            assert "target_h" in capsys.readouterr().err
 
     def test_sweep_and_report_roundtrip(self, tmp_path, capsys):
         poly = self._write_inputs(tmp_path)

@@ -154,7 +154,7 @@ class TestNumericSpectra:
         from toricspec.operator import assemble_p1, solve_pencil
 
         nodes2 = mesh1.nodes @ O.T
-        mesh2 = Mesh(dim=2, nodes=nodes2, cells=mesh1.cells.copy(), grading=mesh1.grading)
+        mesh2 = Mesh(dim=2, nodes=nodes2, cells=mesh1.cells.copy())
         q = mesh2.qpoints.reshape(-1, 2)
         weight = np.exp(-np.sum(q * q, axis=1)).reshape(mesh2.qweights.shape)
         K, M = assemble_p1(mesh2, diffusion_q=weight, mass_weight_q=weight)

@@ -6,7 +6,16 @@ import scipy.linalg
 
 from conftest import transform_polytope
 from toricspec import errors
-from toricspec.mesh import build_mesh, check_mesh, interval_mesh, polygon_mesh, Mesh
+from toricspec.mesh import (
+    Mesh,
+    _cell_edges,
+    _fan,
+    _red_green,
+    build_mesh,
+    check_mesh,
+    interval_mesh,
+    polygon_mesh,
+)
 from toricspec.operator import (
     OperatorFactory,
     assemble,
@@ -27,11 +36,11 @@ from toricspec.potential import ground_state, make_potential_spec
 
 class TestMesh:
     def test_uniform_interval(self):
-        m = interval_mesh(0, 1, 0.1, grading_ratio=1.0)
+        m = interval_mesh(0, 1, 0.1, graded=False)
         assert m.num_cells == 10 and m.num_nodes == 11
 
     def test_graded_interval(self):
-        m = interval_mesh(0, 1, 0.1, grading_ratio=0.7)
+        m = interval_mesh(0, 1, 0.1, graded=True)
         widths = np.diff(m.nodes[:, 0])
         assert widths.min() < 0.1
         # geometric decay toward both endpoints
@@ -56,11 +65,58 @@ class TestMesh:
 
     def test_quadrature_exactness(self):
         # the 6-point rule integrates quartics exactly on each triangle
-        mesh = polygon_mesh([[0, 0], [1, 0], [0, 1]], 0.5, boundary_layer=False)
+        mesh = polygon_mesh([[0, 0], [1, 0], [0, 1]], 0.5, graded=False)
         q = mesh.qpoints.reshape(-1, 2)
         w = mesh.qweights.reshape(-1)
         val = float(np.sum(w * q[:, 0] ** 2 * q[:, 1] ** 2))
         assert np.isclose(val, 1.0 / 180.0, rtol=1e-12)
+
+    def test_simplex_mesh_size_pinned(self):
+        mesh = build_mesh(simplex2(), 1 / 30)
+        assert (mesh.num_nodes, mesh.num_cells) == (7003, 13620)
+
+    @staticmethod
+    def _flipped_meshes():
+        """1-D and 2-D meshes with cell 3 listed in reversed (clockwise) order."""
+        out = []
+        for mesh, volume in ((interval_mesh(0, 1, 0.1), 1.0), (build_mesh(simplex2(), 0.2), 0.5)):
+            cells = mesh.cells.copy()
+            cells[3] = cells[3][::-1]
+            out.append((mesh, Mesh(dim=mesh.dim, nodes=mesh.nodes, cells=cells), volume))
+        return out
+
+    def test_p1_geometry(self):
+        for mesh, flipped, volume in self._flipped_meshes():
+            for m in (mesh, flipped):
+                slope = np.array([0.7, -1.3])[: m.dim]
+                f = m.nodes @ slope + 0.25
+                grad_f = np.einsum("ci,cia->ca", f[m.cells], m.grads)
+                assert np.max(np.abs(grad_f - slope)) < 1e-12
+                scale = np.abs(m.grads).max()
+                assert np.max(np.abs(m.grads.sum(axis=1))) < 1e-12 * scale
+                assert np.isclose(m.qweights.sum(), volume, rtol=1e-12)
+                assert np.all(m.qweights > 0)
+
+    def test_assembly_ignores_vertex_order(self):
+        for mesh, flipped, _ in self._flipped_meshes():
+            pairs = []
+            for m in (mesh, flipped):
+                weight = np.exp(-np.sum(m.qpoints**2, axis=-1))
+                pairs.append(assemble_p1(m, diffusion_q=weight, mass_weight_q=weight))
+            for A, B in zip(*pairs):
+                assert np.max(np.abs((A - B).toarray())) < 1e-12 * np.abs(A).max()
+
+    def test_uniform_red_green(self):
+        for vertices in ([[0, 0], [1, 0], [0, 1]], [[0, 0], [2, 0], [2, 1], [1, 2], [0, 1]]):
+            nodes, cells = _fan(vertices)
+            edges, _ = _cell_edges(cells)
+            fine_nodes, fine_cells = _red_green(nodes, cells, np.ones(len(cells), dtype=bool))
+            assert len(fine_cells) == 4 * len(cells)
+            assert len(fine_nodes) == len(nodes) + len(edges)
+            coarse = Mesh(dim=2, nodes=nodes, cells=cells)
+            fine = Mesh(dim=2, nodes=fine_nodes, cells=fine_cells)
+            assert np.isclose(fine.qweights.sum(), coarse.qweights.sum(), rtol=1e-13)
+            check_mesh(fine)
 
     def test_dimension_guard(self):
         from toricspec.polytope import validate_delzant
@@ -121,7 +177,7 @@ class TestAssembly:
         # uniform h = 1/10 with unit weights: K = tridiag(-1, 2, -1)/h and
         # M = h tridiag(1, 4, 1)/6, halved diagonals at the two end nodes
         h = 0.1
-        mesh = interval_mesh(0, 1, h, grading_ratio=1.0)
+        mesh = interval_mesh(0, 1, h, graded=False)
         ones = np.ones_like(mesh.qweights)
         K, M = assemble_p1(mesh, diffusion_q=ones, mass_weight_q=ones)
         N = mesh.num_nodes
@@ -176,7 +232,7 @@ class TestSolvers:
 
     def test_neumann_laplacian_surrogate(self):
         # unit diffusion, no potential: eigenvalues (pi j)^2 on [0, 1]
-        mesh = interval_mesh(0, 1, 1 / 200, grading_ratio=1.0)
+        mesh = interval_mesh(0, 1, 1 / 200, graded=False)
         ones = np.ones_like(mesh.qweights)
         K, M = assemble_p1(mesh, diffusion_q=ones)
         sp = solve_pencil(K, M, 4, sigma=-1.0)
@@ -281,7 +337,7 @@ class TestInvariance:
         mesh = build_mesh(P, 0.02)
         nodes_Q = 1.0 - mesh.nodes
         cells_Q = mesh.cells[:, ::-1]
-        mesh_Q = Mesh(dim=1, nodes=nodes_Q, cells=cells_Q, grading=mesh.grading)
+        mesh_Q = Mesh(dim=1, nodes=nodes_Q, cells=cells_Q)
         k = 1
         for m in (0, 1):
             m_new = -m + k * 1
@@ -305,12 +361,7 @@ class TestInvariance:
             psi=spec.psi.affine_pullback(A_inv, -A_inv @ c),
         )
         mesh = build_mesh(P, 0.15)
-        mesh_Q = Mesh(
-            dim=2,
-            nodes=mesh.nodes @ A_f.T + c,
-            cells=mesh.cells.copy(),
-            grading=mesh.grading,
-        )
+        mesh_Q = Mesh(dim=2, nodes=mesh.nodes @ A_f.T + c, cells=mesh.cells.copy())
         k = 1
         m = (1, 0)
         m_new = tuple(int(v) for v in np.array(A) @ np.array(m) + k * c)
@@ -322,7 +373,7 @@ class TestInvariance:
         spec = make_potential_spec(segment())
         vals = []
         for h in (0.04, 0.02, 0.01, 0.005):
-            mesh = interval_mesh(0, 1, h, grading_ratio=1.0)
+            mesh = interval_mesh(0, 1, h, graded=False)
             vals.append(solve_eigs(assemble(spec, 0.5, 1, (0,), mesh), 3).eigenvalues)
         change1 = np.abs(vals[1] - vals[0])
         change2 = np.abs(vals[2] - vals[1])
