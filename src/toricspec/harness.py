@@ -9,6 +9,7 @@ choices; they are recorded in the report header and in VERDICT_NOTES.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 import numpy as np
@@ -64,10 +65,20 @@ class SweepConfig:
             raise ValueError("s_list must be positive and strictly descending")
         if not self.k_list:
             raise ValueError("k_list must name at least one level")
-        if self.eig_count < 1:
-            raise ValueError("eig_count must be >= 1")
         if self.h_floor is None:
             self.h_floor = 1.0 / 800.0 if self.spec.polytope.dim == 1 else 1.0 / 80.0
+        # JSON gives strings and booleans too; bool is an int subclass
+        for name, kind, what in (
+            ("h_factor", numbers.Real, "a number"),
+            ("h_floor", numbers.Real, "a number"),
+            ("eig_count", numbers.Integral, "an integer"),
+            ("mode_margin", numbers.Integral, "an integer"),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+        if self.eig_count < 1:
+            raise ValueError("eig_count must be >= 1")
         for name in ("h_factor", "h_floor"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):

@@ -80,8 +80,7 @@ def cone_at(spec: PotentialSpec, b: BSPoint):
     chart = local_chart(spec.polytope, b.point)
     if chart.local_codim != b.face_codim:
         raise ChartFailure("chart codimension disagrees with the point")
-    A = chart.matrix()
-    A_inv = np.linalg.inv(A)
+    A_inv = np.array(chart.lattice_inverse(), dtype=float)
     x0 = np.array([float(c) for c in b.point])
     A0 = A_inv.T @ spec.psi.hessian(x0) @ A_inv
     return ConeModel(bs_point=b, codim=b.face_codim, A0=A0, level=b.level, chart=chart)
@@ -245,15 +244,25 @@ def rescale_from_limit(A0, s, xi):
 
 
 def predicted_limit(spec: PotentialSpec, k, count=8):
-    """Per quantized point, the limit spectrum: exact when separable, numeric else."""
-    out = {}
+    """Per quantized point, the limit spectrum: exact when separable, numeric else.
+
+    The cone, hence its spectrum, depends only on the face codimension and on
+    A0 in the unimodular chart, which cone_at computes from the exact integer
+    chart inverse; lattice-congruent points therefore give byte-identical A0.
+    One spectrum is computed per distinct (codim, A0) within this call and
+    shared by all points with that cone; nothing is kept across calls.
+    """
+    out, by_cone = {}, {}
     for b in bs_points(spec.polytope, k):
         cone = cone_at(spec, b)
-        if is_separable(cone):
-            n_max = count + 2 * cone.dim + 4
-            out[b] = exact_cone_spectrum(cone, k, n_max=n_max)
-        else:
-            out[b], _, _ = numeric_cone_spectrum(cone, k, count)
+        key = (cone.codim, cone.A0.shape, cone.A0.tobytes())
+        if key not in by_cone:
+            if is_separable(cone):
+                n_max = count + 2 * cone.dim + 4
+                by_cone[key] = exact_cone_spectrum(cone, k, n_max=n_max)
+            else:
+                by_cone[key], _, _ = numeric_cone_spectrum(cone, k, count)
+        out[b] = by_cone[key]
     return out
 
 

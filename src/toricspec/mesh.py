@@ -161,8 +161,11 @@ def _fan(vertices):
 def _cell_edges(cells):
     """Unique sorted edges and the (M, 3) map cell -> edge ids (ij, jk, ki)."""
     e = np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]])
-    e = np.sort(e, axis=1)
-    edges, inverse = np.unique(e, axis=0, return_inverse=True)
+    e = np.sort(e, axis=1).astype(np.int64)
+    # a * N + b sorts sorted pairs (a, b) lexicographically, like unique(axis=0)
+    N = int(e.max()) + 1
+    keys, inverse = np.unique(e[:, 0] * N + e[:, 1], return_inverse=True)
+    edges = np.stack([keys // N, keys % N], axis=1)
     M = len(cells)
     return edges, inverse.reshape(3, M).T
 

@@ -185,10 +185,16 @@ class LocalChart:
 
     def inverse(self, y):
         rhs = [Fraction(y_i) - c for y_i, c in zip(y, self.shift)]
-        return _solve_fraction(self.lattice_map, rhs)
+        return tuple(sum(a * r for a, r in zip(row, rhs)) for row in self.lattice_inverse())
 
-    def matrix(self):
-        return np.array(self.lattice_map, dtype=float)
+    def lattice_inverse(self):
+        """Rows of A^-1 by one elimination of [A | I]; integers for A in GL_n(Z)."""
+        n = len(self.lattice_map)
+        rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.lattice_map)]
+        m, pivots, _ = _gauss_jordan(rows, n)
+        if len(pivots) < n:
+            raise ValueError("chart matrix is singular")
+        return tuple(tuple(row[n:]) for row in m)
 
 
 @dataclass(frozen=True)

@@ -259,10 +259,6 @@ class HessianData:
     det_G: float
     dG: np.ndarray          # dG[k, i, j] = d_k G_ij, totally symmetric
 
-    @property
-    def log_det_G_inv(self):
-        return -float(np.log(self.det_G))
-
 
 def _admissibility_sample(P: DelzantPolytope):
     """Interior grid plus graded near-boundary points for spot checks."""
@@ -425,8 +421,7 @@ def family_hessian_batch(spec: PotentialSpec, s, X):
 def _pullback_data(spec: PotentialSpec, chart: LocalChart):
     """Facet data and polynomial parts of the potential in chart coordinates."""
     P = spec.polytope
-    A = np.array(chart.lattice_map, dtype=float)
-    A_inv = np.linalg.inv(A)
+    A_inv = np.array(chart.lattice_inverse(), dtype=float)
     c = np.array([float(v) for v in chart.shift])
     # ell_r(x) = nu_r . x - lam_r = nu'_r . x' - lam'_r with nu' = A^-T nu
     normals_new = (A_inv.T @ np.array(P.normals, dtype=float).T).T

@@ -72,6 +72,25 @@ class TestConfig:
             cfg.write_text(json.dumps(data))
             assert cli.main(["sweep", "--config", str(cfg)]) == 2
 
+    def test_rejects_bad_scalar_types(self, tmp_path):
+        spec = make_potential_spec(segment())
+        bad = ({"h_factor": "40"}, {"eig_count": "4"}, {"eig_count": 2.5},
+               {"eig_count": True}, {"h_floor": False}, {"mode_margin": 1.0})
+        for kwargs in bad:
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                SweepConfig(**{"spec": spec, "k_list": (1,), "s_list": (0.1,), **kwargs})
+        poly = tmp_path / "p.json"
+        poly.write_text(polytope_to_json(segment()))
+        for kwargs in bad:
+            data = {"polytope": "p.json", "k_list": [1], "s_list": [0.1], **kwargs}
+            cfg = tmp_path / "sweep.json"
+            cfg.write_text(json.dumps(data))
+            assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        # integers are numbers, and numpy scalars pass like Python ones
+        cfg = SweepConfig(spec=spec, k_list=(1,), s_list=(0.1,), h_factor=40,
+                          eig_count=np.int64(3), h_floor=np.float64(1e-3))
+        assert cfg.h_of(0.1) == max(np.sqrt(0.1) / 40, 1e-3)
+
     def test_h_rule(self):
         spec = make_potential_spec(segment())
         cfg = SweepConfig(spec=spec, k_list=(1,), s_list=(0.04,))

@@ -5,7 +5,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from toricspec import errors
+from conftest import random_unimodular, transform_polytope
+from toricspec import errors, limit
 from toricspec.limit import (
     ConeModel,
     cone_at,
@@ -17,7 +18,7 @@ from toricspec.limit import (
     rescale_from_limit,
     rescale_to_limit,
 )
-from toricspec.polytope import bs_points, segment, simplex2
+from toricspec.polytope import LocalChart, bs_points, local_chart, segment, simplex2
 from toricspec.potential import PolynomialFn, make_potential_spec
 
 
@@ -160,6 +161,80 @@ class TestNumericSpectra:
         K, M = assemble_p1(mesh2, diffusion_q=weight, mass_weight_q=weight)
         sp2 = solve_pencil(K, M, 5, sigma=-1.0)
         assert np.max(np.abs(0.5 * sp2.eigenvalues - ls1.flat(5))) < 1e-6
+
+
+def _skew_spec(H=((2.0, 1.0), (1.0, 2.0))):
+    return make_potential_spec(simplex2(), psi=PolynomialFn.quadratic_form(np.array(H)))
+
+
+def _count_numeric_solves(monkeypatch):
+    calls = []
+    solve = limit.numeric_cone_spectrum
+
+    def counted(cone, *args, **kwargs):
+        calls.append(cone)
+        return solve(cone, *args, **kwargs)
+
+    monkeypatch.setattr(limit, "numeric_cone_spectrum", counted)
+    return calls
+
+
+class TestOneSolvePerCone:
+    def test_congruent_corners_share_one_solve(self, monkeypatch):
+        # the three corners of simplex2 under psi = x^T A x / 2, A = [[2,1],[1,2]],
+        # are lattice-congruent: one numeric solve per call, none kept across calls
+        calls = _count_numeric_solves(monkeypatch)
+        spec = _skew_spec()
+        for k in (1, 2):
+            for _ in range(2):
+                del calls[:]
+                pred = predicted_limit(spec, k, count=4)
+                assert len(calls) == 1
+                corners = [ls for b, ls in pred.items() if b.face_codim == 2]
+                assert len(corners) == 3 and not corners[0].exact
+                assert all(ls is corners[0] for ls in corners)
+
+    def test_lattice_image_is_bit_identical(self, monkeypatch):
+        calls = _count_numeric_solves(monkeypatch)
+        spec = _skew_spec()
+        A = random_unimodular(np.random.default_rng(2), 2)
+        c = np.array([-2, -2])
+        A_inv = np.round(np.linalg.inv(A.astype(float)))
+        Q = transform_polytope(spec.polytope, A, c)
+        spec_Q = make_potential_spec(Q, psi=spec.psi.affine_pullback(A_inv, -A_inv @ c))
+        # premise: a float inverse of some corner chart is inexact here
+        floats = [np.linalg.inv(np.array(local_chart(Q, v).lattice_map, dtype=float)) for v in Q.vertices]
+        assert any(np.any(F != np.round(F)) for F in floats)
+        pred_Q = predicted_limit(spec_Q, 1, count=4)
+        assert len(calls) == 1
+        raw = {ls.raw for ls in predicted_limit(spec, 1, count=4).values()}
+        assert len(raw) == 1
+        assert all(ls.raw == next(iter(raw)) for ls in pred_Q.values())
+
+    def test_distinct_cones_solved_once_each(self, monkeypatch):
+        # A = [[3,1],[1,3]]: the corners (1,0) and (0,1) share A0 = [[4,2],[2,3]],
+        # the origin keeps A0 = A, so three corners give two solves
+        calls = _count_numeric_solves(monkeypatch)
+        spec = _skew_spec(((3.0, 1.0), (1.0, 3.0)))
+        pred = predicted_limit(spec, 1, count=4)
+        cones = [cone_at(spec, b) for b in pred]
+        keys = {(c.codim, c.A0.shape, c.A0.tobytes()) for c in cones if not is_separable(c)}
+        assert len(calls) == len(keys) == 2 < len(pred)
+        for b, ls in pred.items():
+            direct, _, _ = numeric_cone_spectrum(cone_at(spec, b), 1, 4)
+            assert ls == direct
+
+
+class TestChartInverse:
+    def test_exact_where_float_is_not(self):
+        rows = ((3, 2), (1, 1))
+        chart = LocalChart(base=(0, 0), lattice_map=rows, shift=(0, 0), local_codim=0)
+        A = np.array(rows, dtype=float)
+        assert np.any(np.linalg.inv(A) @ A != np.eye(2))
+        A_inv = np.array(chart.lattice_inverse(), dtype=float)
+        assert np.array_equal(A_inv, [[1.0, -2.0], [-1.0, 3.0]])
+        assert np.array_equal(A @ A_inv, np.eye(2))
+        assert np.array_equal(A_inv @ A, np.eye(2))
 
 
 class TestRescaling:

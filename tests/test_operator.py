@@ -118,6 +118,19 @@ class TestMesh:
             assert np.isclose(fine.qweights.sum(), coarse.qweights.sum(), rtol=1e-13)
             check_mesh(fine)
 
+    def test_cell_edges_match_row_unique(self):
+        from toricspec.limit import ConeModel, truncated_cone_mesh
+
+        cone = ConeModel(bs_point=None, codim=2, A0=np.array([[2.0, 1.0], [1.0, 2.0]]), level=1)
+        R = np.sqrt(30.0)
+        for cells in (build_mesh(simplex2(), 1 / 30).cells,
+                      truncated_cone_mesh(cone, R, R / 56.0).cells):
+            edges, cell_edges = _cell_edges(cells)
+            e = np.sort(np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]]), axis=1)
+            ref_edges, ref_inverse = np.unique(e, axis=0, return_inverse=True)
+            assert np.array_equal(edges, ref_edges)
+            assert np.array_equal(cell_edges, ref_inverse.reshape(3, len(cells)).T)
+
     def test_dimension_guard(self):
         from toricspec.polytope import validate_delzant
 
