@@ -10,7 +10,7 @@ import numpy as np
 
 from toricspec import (
     boundary_decomposition,
-    family_hessian,
+    family_hessian_batch,
     ground_state,
     guillemin_derivatives,
     local_chart,
@@ -28,8 +28,8 @@ print()
 print("== the Hessian family stiffens like 1/s ==")
 spec = make_potential_spec(segment())      # default psi = x^2/2
 for s in (1.0, 0.1, 0.01):
-    hd = family_hessian(spec, s, [0.5])
-    print(f"  s={s:5.2f}: G = {hd.G[0,0]:9.2f}   G^-1 = {hd.G_inv[0,0]:.5f}")
+    G, G_inv = family_hessian_batch(spec, s, [[0.5]])
+    print(f"  s={s:5.2f}: G = {G[0,0,0]:9.2f}   G^-1 = {G_inv[0,0,0]:.5f}")
 
 print()
 print("== split near a facet: singular + psi/s + bounded ==")

@@ -70,12 +70,11 @@ from .polytope import (
 )
 from .potential import (
     GuilleminPotential,
-    HessianData,
     PolynomialFn,
     PotentialFamily,
     PotentialSpec,
     boundary_decomposition,
-    family_hessian,
+    family_hessian_batch,
     ground_state,
     guillemin_derivatives,
     make_potential_spec,
@@ -91,8 +90,8 @@ __all__ = [
     "polytope_from_json", "polytope_to_json", "segment", "simplex2",
     "validate_delzant", "vertices_and_faces",
     # potential
-    "GuilleminPotential", "HessianData", "PolynomialFn", "PotentialFamily",
-    "PotentialSpec", "boundary_decomposition", "family_hessian", "ground_state",
+    "GuilleminPotential", "PolynomialFn", "PotentialFamily", "PotentialSpec",
+    "boundary_decomposition", "family_hessian_batch", "ground_state",
     "guillemin_derivatives", "make_potential_spec", "potential_spec_from_json",
     "potential_spec_to_json",
     # curvature

@@ -27,7 +27,7 @@ from .mesh import build_mesh
 from .operator import dbar_spectrum, spectrum_record
 from .polytope import bs_points, delzant_violations, polytope_from_json
 from .potential import make_potential_spec, potential_spec_from_json
-from .reports import ensure_dir, write_csv, write_json
+from .reports import write_csv, write_json
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1
@@ -90,7 +90,7 @@ def cmd_ricci_scan(args):
         allow_corner=args.allow_corner,
     )
     if args.out:
-        ensure_dir(args.out)
+        os.makedirs(args.out, exist_ok=True)
         write_csv(
             os.path.join(args.out, "ricci_scan.csv"),
             ["s"] + [f"x{i + 1}" for i in range(n)] + ["min_ratio"],
@@ -143,6 +143,9 @@ def cmd_sweep(args):
             s_list=tuple(float(s) for s in args.s_list.split(",")),
         )
         out_dir = args.out
+    if out_dir:
+        # an unwritable output path is an input error, found before the solves
+        os.makedirs(out_dir, exist_ok=True)
     report = run_sweep(config)
     if out_dir:
         emit_reports(report, out_dir)

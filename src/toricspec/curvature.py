@@ -134,11 +134,7 @@ def ricci_of_potential(parts, x, s=None):
 
 def ricci_general(spec: PotentialSpec, s, x):
     """RicciData of the family metric at an interior point x."""
-    fam = PotentialFamily.of_spec(spec, s)
-    x = np.asarray(x, dtype=float)
-    return ricci_from_tensors(
-        fam.hessian(x), fam.tensor(x, 3), fam.tensor(x, 4), point=x, s=s
-    )
+    return ricci_of_potential([PotentialFamily.of_spec(spec, s)], x, s=s)
 
 
 def model_potential_parts(model: ModelSpec, s):

@@ -108,9 +108,3 @@ class NotSeparable(ToricSpecError):
 class TruncationTooSmall(ToricSpecError):
     pass
 
-
-# -- harness ------------------------------------------------------------------
-
-class IoFailure(ToricSpecError):
-    pass
-

@@ -19,8 +19,13 @@ from .limit import predicted_limit
 from .mesh import build_mesh
 from .operator import OperatorFactory, map_dbar, mode_set, solve_eigs
 from .polytope import bs_points, polytope_from_json, validate_delzant
-from .potential import PotentialSpec, make_potential_spec, potential_spec_from_json
-from .reports import ensure_dir, svg_line_plot, write_csv, write_json
+from .potential import (
+    PotentialSpec,
+    family_hessian_batch,
+    make_potential_spec,
+    potential_spec_from_json,
+)
+from .reports import svg_line_plot, write_csv, write_json
 
 KERNEL_TOL = 1e-3
 BS_ZERO_TOL = 5e-4
@@ -28,6 +33,7 @@ LIMIT_REL_TOL = 0.05
 TAIL_NOISE = 1.10
 TAIL_ABS = 1e-3
 LOCALIZATION_MASS = 0.99
+C_GRID = tuple(np.arange(0.5, 10.01, 0.25))     # radii c of the balls B(b, c sqrt(s))
 
 VERDICT_NOTES = {
     "kernel_tol": "mode counts as holomorphic when its lowest dbar eigenvalue < 1e-3",
@@ -56,27 +62,28 @@ class SweepConfig:
     h_list: tuple = None
     eig_count: int = 4
     mode_margin: int = 1
-    c_grid: tuple = tuple(np.arange(0.5, 10.01, 0.25))
 
     def __post_init__(self):
-        s = list(self.s_list)
-        # a repeated s would make the Richardson step divide by zero
-        if any(v <= 0 for v in s) or any(a <= b for a, b in zip(s, s[1:])):
-            raise ValueError("s_list must be positive and strictly descending")
-        if not self.k_list:
-            raise ValueError("k_list must name at least one level")
         if self.h_floor is None:
             self.h_floor = 1.0 / 800.0 if self.spec.polytope.dim == 1 else 1.0 / 80.0
         # JSON gives strings and booleans too; bool is an int subclass
-        for name, kind, what in (
-            ("h_factor", numbers.Real, "a number"),
-            ("h_floor", numbers.Real, "a number"),
-            ("eig_count", numbers.Integral, "an integer"),
-            ("mode_margin", numbers.Integral, "an integer"),
-        ):
-            value = getattr(self, name)
+        real, integer = (numbers.Real, "a number"), (numbers.Integral, "an integer")
+        checks = [("h_factor", self.h_factor, real), ("h_floor", self.h_floor, real),
+                  ("eig_count", self.eig_count, integer), ("mode_margin", self.mode_margin, integer)]
+        for name, kind in (("k_list", integer), ("s_list", real), ("h_list", real)):
+            checks += [(f"{name} entry", v, kind) for v in getattr(self, name) or ()]
+        for name, value, (kind, what) in checks:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
+        # validated entries are stored as Python scalars, so reports serialize alike
+        self.k_list = tuple(int(k) for k in self.k_list)
+        self.s_list = tuple(float(s) for s in self.s_list)
+        s = self.s_list
+        # a repeated s would make the Richardson step divide by zero
+        if any(v <= 0 for v in s) or any(a <= b for a, b in zip(s, s[1:])):
+            raise ValueError("s_list must be positive and strictly descending")
+        if not self.k_list or min(self.k_list) < 1:
+            raise ValueError(f"k_list must name at least one level, each >= 1, got {self.k_list}")
         if self.eig_count < 1:
             raise ValueError("eig_count must be >= 1")
         for name in ("h_factor", "h_floor"):
@@ -127,13 +134,8 @@ def sweep_config_from_json(data, base_dir="."):
         if key in data:
             kwargs[key] = data[key]
     if "h_list" in data:
-        kwargs["h_list"] = tuple(float(h) for h in data["h_list"])
-    return SweepConfig(
-        spec=spec,
-        k_list=tuple(int(k) for k in data["k_list"]),
-        s_list=tuple(float(s) for s in data["s_list"]),
-        **kwargs,
-    )
+        kwargs["h_list"] = tuple(data["h_list"])
+    return SweepConfig(spec=spec, k_list=tuple(data["k_list"]), s_list=tuple(data["s_list"]), **kwargs)
 
 
 @dataclass
@@ -171,10 +173,6 @@ class ConvergenceReport:
             "verdicts": self.verdicts,
             "failures": self.failures,
         }
-
-
-def _count_lattice(P, k):
-    return len(bs_points(P, k))
 
 
 def _solve_mode(factory, mode, count):
@@ -251,7 +249,7 @@ def run_sweep(config: SweepConfig):
             # trajectories and localization for quantized modes
             mass_cache = _localization_masses(
                 factory, points, [by_mode[m] for m in results if m in by_mode],
-                {m: results[m][1] for m in results if m in by_mode}, s, config.c_grid
+                {m: results[m][1] for m in results if m in by_mode}, s
             )
             for mode, (dbar, spectrum) in results.items():
                 if mode not in by_mode:
@@ -286,7 +284,7 @@ def run_sweep(config: SweepConfig):
     return report
 
 
-def _localization_masses(factory, all_points, bs_list, spectra, s, c_grid):
+def _localization_masses(factory, all_points, bs_list, spectra, s):
     """Smallest c with 99% mass in union of B(b, c sqrt(s)), per quantized mode.
 
     Each mode's quadrature density and each ball mask are formed once; a mask
@@ -301,7 +299,7 @@ def _localization_masses(factory, all_points, bs_list, spectra, s, c_grid):
     density = {b.mode: factory.l2_density(spectra[b.mode].vectors[:, 0]) for b in bs_list}
     total = {m: float(np.sum(w)) for m, w in density.items()}
     c_min = dict.fromkeys(density, np.inf)
-    for c in c_grid:
+    for c in C_GRID:
         mask = dmin <= c * np.sqrt(s)
         for m, w in density.items():
             if c_min[m] == np.inf and float(np.sum(w * mask)) / total[m] >= LOCALIZATION_MASS:
@@ -387,15 +385,12 @@ def _judge_level(report, config, k, predictions, by_mode, non_bs_lowest):
 # standalone checks
 # ---------------------------------------------------------------------------
 
-def localization_check(spec: PotentialSpec, s_list, k, c_grid=None, h_factor=40.0):
+def localization_check(spec: PotentialSpec, s_list, k):
     """Mass concentration of quantized ground modes near their base points.
 
-    Meshes and the default c grid follow SweepConfig's rules.
+    Meshes follow SweepConfig's h rule and the radii run over C_GRID.
     """
-    config = SweepConfig(
-        spec=spec, k_list=(k,), s_list=tuple(sorted(s_list, reverse=True)), h_factor=h_factor
-    )
-    c_grid = config.c_grid if c_grid is None else tuple(c_grid)
+    config = SweepConfig(spec=spec, k_list=(k,), s_list=tuple(sorted(s_list, reverse=True)))
     P = spec.polytope
     points = bs_points(P, k)
     rows = []
@@ -405,7 +400,7 @@ def localization_check(spec: PotentialSpec, s_list, k, c_grid=None, h_factor=40.
         spectra = {}
         for b in points:
             spectra[b.mode] = solve_eigs(factory.operator(b.mode), 1)
-        masses = _localization_masses(factory, points, points, spectra, s, c_grid)
+        masses = _localization_masses(factory, points, points, spectra, s)
         for b in points:
             rows.append(
                 {
@@ -441,14 +436,11 @@ def fiber_diameter_check(spec: PotentialSpec, s_list, grid_per_dim=9):
             extra.append(center + (1 - eps) * (vv - center))
     pts = np.vstack([pts, np.array(extra)])
 
-    from .potential import PotentialFamily
-
     rows = []
     fitted = 0.0
     for s in s_list:
-        fam = PotentialFamily.of_spec(spec, s)
-        G = fam.hessian(pts)
-        lam_max = np.linalg.eigvalsh(np.linalg.inv(G))[:, -1]
+        _, G_inv = family_hessian_batch(spec, s, pts)
+        lam_max = np.linalg.eigvalsh(G_inv)[:, -1]
         sup = float(lam_max.max() / s)
         rows.append({"s": float(s), "sup_lambda_max_over_s": sup})
         fitted = max(fitted, sup)
@@ -464,7 +456,7 @@ def fiber_diameter_check(spec: PotentialSpec, s_list, grid_per_dim=9):
 def emit_reports(report: ConvergenceReport, out_dir):
     """Write report.json, per-level eigenvalue CSVs, localization and kernel
     CSVs, and one trajectory SVG per quantized point.  Deterministic."""
-    ensure_dir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     write_json(os.path.join(out_dir, "report.json"), report.to_json())
     files = ["report.json"]
 

@@ -247,11 +247,9 @@ def solve_pencil(K, M, count, sigma):
     return Spectrum(eigenvalues=vals, residuals=residuals, vectors=vecs)
 
 
-def solve_eigs(op: ReducedOperator, count, sigma=None):
-    """Lowest ``count`` eigenpairs of a reduced operator."""
-    if sigma is None:
-        sigma = op.k**2 - 1.0
-    return solve_pencil(op.K, op.M, count, sigma)
+def solve_eigs(op: ReducedOperator, count):
+    """Lowest ``count`` eigenpairs of a reduced operator, shifted below k^2."""
+    return solve_pencil(op.K, op.M, count, op.k**2 - 1.0)
 
 
 def dbar_spectrum(spec: PotentialSpec, s, k, mode, mesh: Mesh, count):

@@ -2,13 +2,15 @@
 
 The boundary part v_P(x) = sum_r ell_r(x) log ell_r(x) has closed-form
 derivatives of every order; phi and psi are polynomials, so the whole family
-is evaluated exactly up to floating point.  Curvature formulas downstream need
-fourth derivatives, so tensors are provided through that order.
+is evaluated exactly up to floating point.  Each summand computes all its
+derivatives in one method, ``tensor(x, order)``; curvature formulas downstream
+use orders up to four.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -25,6 +27,7 @@ from .polytope import DelzantPolytope, LocalChart, vertices_and_faces
 
 INTERIOR_TOL = 1e-14
 PD_RATIO_TOL = 1e-10
+_TENSOR_INDICES = "ijklmnopq"     # einsum letters for derivative slots; "r" runs over facets
 
 
 # ---------------------------------------------------------------------------
@@ -43,15 +46,6 @@ class PolynomialFn:
         return PolynomialFn(dim=dim, terms=())
 
     @staticmethod
-    def half_norm_sq(dim):
-        """Default curvature regulator psi = ||x||^2 / 2."""
-        terms = []
-        for i in range(dim):
-            alpha = tuple(2 if j == i else 0 for j in range(dim))
-            terms.append((alpha, 0.5))
-        return PolynomialFn(dim=dim, terms=tuple(terms))
-
-    @staticmethod
     def quadratic_form(A):
         """psi = x^T A x / 2 for a symmetric matrix A."""
         A = np.asarray(A, dtype=float)
@@ -59,7 +53,7 @@ class PolynomialFn:
         terms = []
         for i in range(n):
             for j in range(i, n):
-                coeff = A[i, i] / 2.0 if i == j else A[i, j]
+                coeff = float(A[i, i] / 2.0 if i == j else A[i, j])
                 if coeff != 0.0:
                     alpha = [0] * n
                     alpha[i] += 1
@@ -89,19 +83,10 @@ class PolynomialFn:
         return PolynomialFn(dim=self.dim, terms=tuple(new_terms))
 
     def gradient(self, x):
-        return np.stack([self.derivative(i)(x) for i in range(self.dim)], axis=-1)
+        return self.tensor(x, 1)
 
     def hessian(self, x):
-        n = self.dim
-        x = np.asarray(x, dtype=float)
-        H = np.zeros(x.shape[:-1] + (n, n))
-        for i in range(n):
-            di = self.derivative(i)
-            for j in range(i, n):
-                val = di.derivative(j)(x)
-                H[..., i, j] = val
-                H[..., j, i] = val
-        return H
+        return self.tensor(x, 2)
 
     def tensor(self, x, order):
         """Symmetric derivative tensor of the given order at x."""
@@ -155,14 +140,13 @@ def _poly_mul(p, q):
 class GuilleminPotential:
     """v(x) = sum_r w_r * ell_r(x) log ell_r(x) over a facet list.
 
-    The package's boundary potential of a Delzant polytope carries w_r = 1 on
-    every facet.  With unit weight the exact bound states scale like integer
-    powers of the facet functions, which keeps the P1 interpolation of the
-    bound-state oracle at clean second order; the corner models (weight 1/2)
-    are driven through the same closed forms with explicit weights.
+    The boundary potential of a Delzant polytope (``of_polytope``) carries
+    w_r = 1 on every facet.  With unit weight the exact bound states scale
+    like integer powers of the facet functions, which keeps the P1
+    interpolation of the bound-state oracle at clean second order; the corner
+    models (weight 1/2) are driven through the same closed forms with
+    explicit weights.
     """
-
-    DELZANT_WEIGHT = 1.0
 
     def __init__(self, normals, offsets, weights=None):
         self.normals = np.asarray(normals, dtype=float)
@@ -174,10 +158,8 @@ class GuilleminPotential:
         self.dim = self.normals.shape[1]
 
     @staticmethod
-    def of_polytope(P: DelzantPolytope, weights=None):
-        if weights is None:
-            weights = GuilleminPotential.DELZANT_WEIGHT
-        return GuilleminPotential(P.normals, P.offsets, weights=weights)
+    def of_polytope(P: DelzantPolytope):
+        return GuilleminPotential(P.normals, P.offsets)
 
     def facet_values(self, x):
         x = np.asarray(x, dtype=float)
@@ -194,34 +176,33 @@ class GuilleminPotential:
         return np.sum(self.weights * ell * np.log(ell), axis=-1)
 
     def gradient(self, x):
-        ell = self._ell_checked(x)
-        return ((self.weights * (1.0 + np.log(ell)))[..., None] * self.normals).sum(-2)
+        return self.tensor(x, 1)
 
     def hessian(self, x):
-        ell = self._ell_checked(x)
-        return np.einsum("...r,ri,rj->...ij", self.weights / ell, self.normals, self.normals)
+        return self.tensor(x, 2)
 
     def tensor(self, x, order):
-        """Derivative tensor of the given order (2, 3 or 4)."""
+        """Derivative tensor of the given order >= 1.
+
+        For order o >= 2 it is sum_r w_r (-1)^o (o-2)! ell_r^(1-o) nu_r^(x o).
+        """
+        if order < 1:
+            raise ValueError("order must be at least 1")
         ell = self._ell_checked(x)
-        if order == 2:
-            return self.hessian(x)
-        if order == 3:
-            coef = -self.weights / ell**2
-            return np.einsum("...r,ri,rj,rk->...ijk", coef, self.normals, self.normals, self.normals)
-        if order == 4:
-            coef = 2.0 * self.weights / ell**3
-            return np.einsum(
-                "...r,ri,rj,rk,rl->...ijkl", coef, self.normals, self.normals, self.normals, self.normals
-            )
-        raise ValueError("order must be 2, 3 or 4")
+        if order == 1:
+            coef = self.weights * (1.0 + np.log(ell))
+        else:
+            coef = (-1) ** order * math.factorial(order - 2) * self.weights / ell ** (order - 1)
+        idx = _TENSOR_INDICES[:order]
+        subscripts = "...r," + ",".join("r" + i for i in idx) + "->..." + idx
+        return np.einsum(subscripts, coef, *[self.normals] * order)
 
 
 def guillemin_derivatives(P: DelzantPolytope, x, order=3):
     """Value, gradient and derivative tensors of v_P at an interior point x.
 
     Returns the tuple (value, gradient, hessian, ...) through the requested
-    order (up to 4).  Raises BoundaryPoint when some ell_r(x) <= 1e-14.
+    order.  Raises BoundaryPoint when some ell_r(x) <= 1e-14.
     """
     v = GuilleminPotential.of_polytope(P)
     x = np.asarray(x, dtype=float)
@@ -244,21 +225,6 @@ class PotentialSpec:
     psi: PolynomialFn
     boundary: GuilleminPotential = field(compare=False, default=None)
 
-    def u_parts(self):
-        return self.boundary, self.phi, self.psi
-
-
-@dataclass(frozen=True)
-class HessianData:
-    """G_s and friends at one interior point."""
-
-    point: np.ndarray
-    s: float
-    G: np.ndarray
-    G_inv: np.ndarray
-    det_G: float
-    dG: np.ndarray          # dG[k, i, j] = d_k G_ij, totally symmetric
-
 
 def _admissibility_sample(P: DelzantPolytope):
     """Interior grid plus graded near-boundary points for spot checks."""
@@ -278,7 +244,7 @@ def _admissibility_sample(P: DelzantPolytope):
     return np.array(pts)
 
 
-def make_potential_spec(P: DelzantPolytope, phi=None, psi=None, validate=True):
+def make_potential_spec(P: DelzantPolytope, phi=None, psi=None):
     """Assemble a PotentialSpec, spot-checking admissibility on a sample of P.
 
     phi must keep Hess(v_P + phi) positive definite inside P with the boundary
@@ -286,24 +252,22 @@ def make_potential_spec(P: DelzantPolytope, phi=None, psi=None, validate=True):
     on all of P; both are checked by sampling, not proved.
     """
     phi = phi if phi is not None else PolynomialFn.zero(P.dim)
-    psi = psi if psi is not None else PolynomialFn.half_norm_sq(P.dim)
+    psi = psi if psi is not None else PolynomialFn.quadratic_form(np.eye(P.dim))
     boundary = GuilleminPotential.of_polytope(P)
-    spec = PotentialSpec(polytope=P, phi=phi, psi=psi, boundary=boundary)
-    if validate:
-        sample = _admissibility_sample(P)
-        hess_psi = psi.hessian(sample)
-        for q, H in zip(sample, hess_psi):
-            if np.linalg.eigvalsh(H)[0] <= 0:
-                raise NotPositiveDefinite(f"Hess(psi) fails at {q}")
-        ell = boundary.facet_values(sample)
-        hess_v = boundary.hessian(sample) + phi.hessian(sample)
-        for q, H, lrow in zip(sample, hess_v, ell):
-            w = np.linalg.eigvalsh(H)
-            if w[0] <= 0:
-                raise NotPositiveDefinite(f"Hess(v_P + phi) fails at {q}")
-            if np.linalg.det(H) * np.prod(lrow) <= 0:
-                raise NotPositiveDefinite(f"boundary determinant product fails at {q}")
-    return spec
+    sample = _admissibility_sample(P)
+    hess_psi = psi.hessian(sample)
+    for q, H in zip(sample, hess_psi):
+        if np.linalg.eigvalsh(H)[0] <= 0:
+            raise NotPositiveDefinite(f"Hess(psi) fails at {q}")
+    ell = boundary.facet_values(sample)
+    hess_v = boundary.hessian(sample) + phi.hessian(sample)
+    for q, H, lrow in zip(sample, hess_v, ell):
+        w = np.linalg.eigvalsh(H)
+        if w[0] <= 0:
+            raise NotPositiveDefinite(f"Hess(v_P + phi) fails at {q}")
+        if np.linalg.det(H) * np.prod(lrow) <= 0:
+            raise NotPositiveDefinite(f"boundary determinant product fails at {q}")
+    return PotentialSpec(polytope=P, phi=phi, psi=psi, boundary=boundary)
 
 
 def potential_spec_from_json(P: DelzantPolytope, text):
@@ -317,7 +281,7 @@ def potential_spec_from_json(P: DelzantPolytope, text):
         return PolynomialFn(dim=P.dim, terms=terms)
 
     phi = parse("phi", PolynomialFn.zero(P.dim))
-    psi = parse("psi", PolynomialFn.half_norm_sq(P.dim))
+    psi = parse("psi", PolynomialFn.quadratic_form(np.eye(P.dim)))
     return make_potential_spec(P, phi=phi, psi=psi)
 
 
@@ -332,7 +296,7 @@ def potential_spec_to_json(spec: PotentialSpec):
 
 
 class PotentialFamily:
-    """u_s = v_P + phi + psi/s at fixed s, with derivative tensors through order 4."""
+    """u_s = v_P + phi + psi/s at fixed s; ``tensor`` sums the summands' tensors."""
 
     def __init__(self, boundary: GuilleminPotential, phi: PolynomialFn, psi: PolynomialFn, s: float):
         if s <= 0:
@@ -347,18 +311,10 @@ class PotentialFamily:
     def of_spec(spec: PotentialSpec, s):
         return PotentialFamily(spec.boundary, spec.phi, spec.psi, s)
 
-    def value(self, x):
-        return self.boundary(x) + self.phi(x) + self.psi(x) / self.s
-
-    def gradient(self, x):
-        return self.boundary.gradient(x) + self.phi.gradient(x) + self.psi.gradient(x) / self.s
-
     def hessian(self, x):
-        return self.boundary.hessian(x) + self.phi.hessian(x) + self.psi.hessian(x) / self.s
+        return self.tensor(x, 2)
 
     def tensor(self, x, order):
-        if order == 2:
-            return self.hessian(x)
         return (
             self.boundary.tensor(x, order)
             + self.phi.tensor(x, order)
@@ -391,21 +347,11 @@ def _check_pd(G, X):
         raise NotPositiveDefinite(f"G_s at {x} has eigenvalue ratio below {PD_RATIO_TOL}")
 
 
-def family_hessian(spec: PotentialSpec, s, x):
-    """HessianData of G_s = Hess(v_P + phi + psi/s) at an interior point."""
-    fam = PotentialFamily.of_spec(spec, s)
-    x = np.asarray(x, dtype=float)
-    G = fam.hessian(x)
-    _check_pd(G, x)
-    G_inv = np.linalg.inv(G)
-    dG = fam.tensor(x, 3)
-    return HessianData(point=x, s=float(s), G=G, G_inv=G_inv, det_G=float(np.linalg.det(G)), dG=dG)
-
-
 def family_hessian_batch(spec: PotentialSpec, s, X):
-    """G_s and G_s^-1 at a batch of interior points, shape (Q, n, n).
+    """G_s = Hess(v_P + phi + psi/s) and G_s^-1 at interior points X (Q, n).
 
-    Raises NotPositiveDefinite on the same eigenvalue-ratio test as family_hessian.
+    Both have shape (Q, n, n).  Raises NotPositiveDefinite where the
+    eigenvalue ratio of G_s falls below PD_RATIO_TOL.
     """
     fam = PotentialFamily.of_spec(spec, s)
     X = np.asarray(X, dtype=float)
@@ -476,7 +422,7 @@ def chart_hessian(spec: PotentialSpec, s, chart: LocalChart, x):
     """G_s in chart coordinates, evaluated from the pulled-back potential."""
     normals_new, offsets_new, phi_new, psi_new = _pullback_data(spec, chart)
     v_new = GuilleminPotential(normals_new, offsets_new, weights=spec.boundary.weights)
-    return v_new.hessian(np.asarray(x, dtype=float)) + phi_new.hessian(x) + psi_new.hessian(x) / s
+    return PotentialFamily(v_new, phi_new, psi_new, s).hessian(np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,6 @@ hand-rolled line plotter with no timestamps or generated ids.
 from __future__ import annotations
 
 import json
-import os
-
-from .errors import IoFailure
 
 
 def format_float(v):
@@ -18,38 +15,30 @@ def format_float(v):
 
 
 def write_csv(path, header, rows):
-    try:
-        with open(path, "w", encoding="ascii") as f:
-            f.write(",".join(header) + "\n")
-            for row in rows:
-                f.write(
-                    ",".join(
-                        format_float(v) if isinstance(v, float) else str(v) for v in row
-                    )
-                    + "\n"
-                )
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    with open(path, "w", encoding="ascii") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(
+                ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
+                + "\n"
+            )
 
 
 def write_json(path, obj):
-    try:
-        with open(path, "w", encoding="ascii") as f:
-            json.dump(obj, f, sort_keys=True, indent=1)
-            f.write("\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    with open(path, "w", encoding="ascii") as f:
+        json.dump(obj, f, sort_keys=True, indent=1)
+        f.write("\n")
 
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def svg_line_plot(path, title, xlabel, ylabel, series, hlines=(), size=(640, 420)):
-    """Minimal deterministic SVG line plot.
+def svg_line_plot(path, title, xlabel, ylabel, series, hlines=()):
+    """Minimal deterministic 640 x 420 SVG line plot.
 
     series: list of (label, xs, ys); hlines: horizontal reference values.
     """
-    W, H = size
+    W, H = 640, 420
     ml, mr, mt, mb = 64, 16, 36, 48
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys] + list(hlines)
@@ -122,15 +111,5 @@ def svg_line_plot(path, title, xlabel, ylabel, series, hlines=(), size=(640, 420
             f'font-size="10" font-family="monospace" fill="{color}">{label}</text>'
         )
     out.append("</svg>")
-    try:
-        with open(path, "w", encoding="ascii") as f:
-            f.write("\n".join(out) + "\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-
-
-def ensure_dir(path):
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    with open(path, "w", encoding="ascii") as f:
+        f.write("\n".join(out) + "\n")

@@ -8,6 +8,7 @@ import pytest
 
 from toricspec import cli, harness
 from toricspec.harness import (
+    C_GRID,
     LOCALIZATION_MASS,
     ConvergenceReport,
     SweepConfig,
@@ -90,6 +91,28 @@ class TestConfig:
         cfg = SweepConfig(spec=spec, k_list=(1,), s_list=(0.1,), h_factor=40,
                           eig_count=np.int64(3), h_floor=np.float64(1e-3))
         assert cfg.h_of(0.1) == max(np.sqrt(0.1) / 40, 1e-3)
+
+    def test_rejects_bad_list_entries(self, tmp_path):
+        # JSON lists can hold fractions, booleans and strings; none may become a level or an s
+        spec = make_potential_spec(segment())
+        bad = ({"k_list": [1.5]}, {"k_list": [True]}, {"k_list": [0]}, {"k_list": ["1"]},
+               {"s_list": [True, 0.1]}, {"s_list": ["0.1"]}, {"h_list": [False]})
+        for kwargs in bad:
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                SweepConfig(**{"spec": spec, "k_list": (1,), "s_list": (0.1,), **kwargs})
+        poly = tmp_path / "p.json"
+        poly.write_text(polytope_to_json(segment()))
+        for kwargs in bad:
+            data = {"polytope": "p.json", "k_list": [1], "s_list": [0.1], **kwargs}
+            cfg = tmp_path / "sweep.json"
+            cfg.write_text(json.dumps(data))
+            assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        # integer s and numpy entries are accepted and stored as Python scalars
+        cfg = SweepConfig(spec=spec, k_list=(np.int64(2),), s_list=(1, np.float64(0.5)),
+                          h_list=(np.float64(0.01), 1))
+        assert cfg.k_list == (2,) and type(cfg.k_list[0]) is int
+        assert cfg.s_list == (1.0, 0.5) and all(type(s) is float for s in cfg.s_list)
+        assert cfg.h_of(0.5) == 1.0
 
     def test_h_rule(self):
         spec = make_potential_spec(segment())
@@ -202,7 +225,7 @@ class TestStandaloneChecks:
         factory = OperatorFactory(spec, s, 2, build_mesh(spec.polytope, config.h_of(s)))
         points = bs_points(spec.polytope, 2)
         spectra = {b.mode: solve_eigs(factory.operator(b.mode), 1) for b in points}
-        masses = _localization_masses(factory, points, points, spectra, s, config.c_grid)
+        masses = _localization_masses(factory, points, points, spectra, s)
 
         mesh = factory.mesh
         qw, bary, q = mesh.qweights, mesh.bary, mesh.qpoints
@@ -212,10 +235,10 @@ class TestStandaloneChecks:
             vals = np.einsum("qi,ci->cq", bary, spectra[b.mode].vectors[:, 0][mesh.cells])
             total = float(np.sum(qw * vals * vals))
             fracs = {}
-            for c in config.c_grid:
+            for c in C_GRID:
                 mask = (dmin <= c * np.sqrt(s)).astype(float)
                 fracs[c] = float(np.sum(qw * mask * vals * vals)) / total
-            c_min = next(c for c in config.c_grid if fracs[c] >= LOCALIZATION_MASS)
+            c_min = next(c for c in C_GRID if fracs[c] >= LOCALIZATION_MASS)
             assert masses[b.mode] == c_min
             assert masses[(b.mode, "mass5")] == fracs[5.0]
 
@@ -342,6 +365,23 @@ class TestCli:
         ) == 0
         for f in ("report.json", "eigs_k1.csv", "kernel_counts.csv"):
             assert (out1 / f).read_bytes() == (out2 / f).read_bytes()
+
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # an output path under a regular file cannot be created: exit 2 before any solve
+        poly = self._write_inputs(tmp_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        bad_out = str(blocker / "out")
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda config: calls.append(config) or run_sweep(config))
+        code = cli.main(["sweep", "--polytope", poly, "--k-list", "1",
+                         "--s-list", "0.2,0.1", "--out", bad_out])
+        assert code == 2 and calls == []
+        assert "input error" in capsys.readouterr().err
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(ConvergenceReport(meta={}).to_json()))
+        assert cli.main(["report", "--report", str(report), "--out", bad_out]) == 2
+        assert "input error" in capsys.readouterr().err
 
     def test_ricci_scan_verb(self, capsys):
         code = cli.main(

@@ -12,7 +12,6 @@ from toricspec.potential import (
     PotentialSpec,
     boundary_decomposition,
     chart_hessian,
-    family_hessian,
     family_hessian_batch,
     ground_state,
     guillemin_derivatives,
@@ -72,13 +71,13 @@ class TestGuillemin:
 class TestFamilyHessian:
     def test_segment_values(self):
         spec = make_potential_spec(segment())
-        assert np.isclose(family_hessian(spec, 1.0, [0.5]).G[0, 0], 5.0)
-        assert np.isclose(family_hessian(spec, 0.1, [0.5]).G[0, 0], 14.0)
+        assert np.isclose(family_hessian_batch(spec, 1.0, [[0.5]])[0][0, 0, 0], 5.0)
+        assert np.isclose(family_hessian_batch(spec, 0.1, [[0.5]])[0][0, 0, 0], 14.0)
 
     def test_simplex_value(self):
         spec = make_potential_spec(simplex2())
-        hd = family_hessian(spec, 0.5, [1 / 3, 1 / 3])
-        assert np.allclose(hd.G, [[8, 3], [3, 8]])
+        G, _ = family_hessian_batch(spec, 0.5, [[1 / 3, 1 / 3]])
+        assert np.allclose(G[0], [[8, 3], [3, 8]])
 
     def test_invariants(self, rng):
         spec = make_potential_spec(simplex2())
@@ -86,26 +85,27 @@ class TestFamilyHessian:
         psi_min = np.linalg.eigvalsh(spec.psi.hessian(np.zeros(2)))[0]
         for _ in range(10):
             x = rng.uniform(0.05, 0.3, size=2)
-            hd = family_hessian(spec, 0.1, x)
-            w = np.linalg.eigvalsh(hd.G)
+            (G,), (G_inv,) = family_hessian_batch(spec, 0.1, [x])
+            dG = fam01.tensor(x, 3)
+            w = np.linalg.eigvalsh(G)
             assert w[0] > 0
             assert w[0] >= psi_min / 0.1 - 1e-9
-            assert np.allclose(hd.G @ hd.G_inv, np.eye(2), atol=1e-12)
+            assert np.allclose(G @ G_inv, np.eye(2), atol=1e-12)
             # total symmetry of dG against finite differences of G
             h = 1e-6
             for idx in range(2):
                 e = np.zeros(2)
                 e[idx] = h
                 fd = (fam01.hessian(x + e) - fam01.hessian(x - e)) / (2 * h)
-                assert np.max(np.abs(hd.dG[idx] - fd)) < 1e-4
-            assert np.max(np.abs(hd.dG - np.transpose(hd.dG, (1, 0, 2)))) < 1e-10
-            assert np.max(np.abs(hd.dG - np.transpose(hd.dG, (2, 1, 0)))) < 1e-10
+                assert np.max(np.abs(dG[idx] - fd)) < 1e-4
+            assert np.max(np.abs(dG - np.transpose(dG, (1, 0, 2)))) < 1e-10
+            assert np.max(np.abs(dG - np.transpose(dG, (2, 1, 0)))) < 1e-10
 
     def test_degeneration_rate(self):
         spec = make_potential_spec(segment())
         x = [0.37]
         s_list = (1.0, 0.1, 0.01)
-        vals = [np.abs(family_hessian(spec, s, x).G_inv).max() for s in s_list]
+        vals = [np.abs(family_hessian_batch(spec, s, [x])[1]).max() for s in s_list]
         # G_s^-1 <= s (Hess psi)^-1 exactly, and the decay is O(s) on the tail
         for s, v in zip(s_list, vals):
             assert v <= s + 1e-15
@@ -119,10 +119,14 @@ class TestFamilyHessian:
 
     def test_batch_guard_matches_scalar(self):
         # psi = -x^2/2 gives G_s(1/2) = 4 - 1/s < 0 at s = 0.1
+        P = segment()
         psi = PolynomialFn.quadratic_form([[-1.0]])
-        spec = make_potential_spec(segment(), psi=psi, validate=False)
+        spec = PotentialSpec(
+            polytope=P, phi=PolynomialFn.zero(1), psi=psi,
+            boundary=GuilleminPotential.of_polytope(P),
+        )
         with pytest.raises(errors.NotPositiveDefinite):
-            family_hessian(spec, 0.1, [0.5])
+            family_hessian_batch(spec, 0.1, [[0.5]])
         with pytest.raises(errors.NotPositiveDefinite):
             family_hessian_batch(spec, 0.1, np.array([[0.01], [0.5], [0.99]]))
 
