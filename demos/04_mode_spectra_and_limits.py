@@ -8,6 +8,7 @@
 import numpy as np
 
 from toricspec import (
+    SweepConfig,
     bs_points,
     build_mesh,
     cone_at,
@@ -28,16 +29,18 @@ k = 1
 
 print("== one vertex mode of the interval, k = 1 ==")
 print("  predicted limit values: 0, 2, 4, ... (half of 4k Z_{>=0})")
-for s in (0.2, 0.05, 0.02):
-    mesh = build_mesh(P, np.sqrt(s) / 40)
-    vals, _, _ = dbar_spectrum(spec, s, k, (0,), mesh, 4)
+# the sweep's mesh-size rule h(s)
+config = SweepConfig(spec=spec, k_list=(k,), s_list=(0.2, 0.05, 0.02))
+for s in config.s_list:
+    mesh = build_mesh(P, config.h_of(s))
+    vals, _ = dbar_spectrum(spec, s, k, (0,), mesh, 4)
     print(f"  s={s:5.2f}: holomorphic-sector eigenvalues {np.round(vals[:3], 4)}")
 
 print()
 print("== a mode outside the polytope stiffens instead ==")
 mesh = build_mesh(P, 1 / 200)
 for s in (0.5, 0.1, 0.02):
-    vals, _, _ = dbar_spectrum(spec, s, k, (2,), mesh, 1)
+    vals, _ = dbar_spectrum(spec, s, k, (2,), mesh, 1)
     print(f"  s={s:5.2f}: lowest eigenvalue of mode m=2: {vals[0]:.3f}")
 
 print()
@@ -66,6 +69,6 @@ for kk in (1, 2):
     mesh = build_mesh(P, 1 / 300)
     zeros = 0
     for m in mode_set(P, kk, 1):
-        vals, _, _ = dbar_spectrum(spec, 0.5, kk, m, mesh, 1)
+        vals, _ = dbar_spectrum(spec, 0.5, kk, m, mesh, 1)
         zeros += int(vals[0] < 1e-3)
     print(f"  k={kk}: {zeros} zero modes vs {len(bs_points(P, kk))} lattice points")

@@ -23,7 +23,6 @@ from .harness import (
     SweepConfig,
     emit_reports,
     fiber_diameter_check,
-    localization_check,
     run_sweep,
     sweep_config_from_json,
 )
@@ -109,7 +108,7 @@ __all__ = [
     "rescale_from_limit", "rescale_to_limit",
     # harness
     "ConvergenceReport", "SweepConfig", "emit_reports", "fiber_diameter_check",
-    "localization_check", "run_sweep", "sweep_config_from_json",
+    "run_sweep", "sweep_config_from_json",
 ]
 
 __version__ = "0.1.0"

@@ -15,13 +15,7 @@ import numpy as np
 
 from . import errors
 from .curvature import ricci_lower_bound_scan
-from .harness import (
-    ConvergenceReport,
-    SweepConfig,
-    emit_reports,
-    run_sweep,
-    sweep_config_from_json,
-)
+from .harness import ConvergenceReport, emit_reports, run_sweep, sweep_config_from_json
 from .limit import limit_spectrum_record, predicted_limit
 from .mesh import build_mesh
 from .operator import dbar_spectrum, spectrum_record
@@ -110,7 +104,7 @@ def cmd_spectrum(args):
     spec = _load_spec(P, args.potential)
     mode = tuple(int(v) for v in json.loads(args.mode))
     mesh = build_mesh(P, args.h)
-    dbar, _, spectrum = dbar_spectrum(spec, args.s, args.level, mode, mesh, args.count)
+    dbar, spectrum = dbar_spectrum(spec, args.s, args.level, mode, mesh, args.count)
     record = spectrum_record(args.s, args.level, mode, mesh, dbar, spectrum)
     print(json.dumps(record, sort_keys=True))
     return EXIT_PASS
@@ -129,20 +123,21 @@ def cmd_sweep(args):
         with open(args.config, encoding="ascii") as f:
             data = json.load(f)
         base = os.path.dirname(os.path.abspath(args.config))
-        config = sweep_config_from_json(data, base_dir=base)
-        out_dir = data.get("out", args.out)
+    elif args.polytope:
+        # the flags become the config-file dict, so both paths share one loader
+        data = {
+            "polytope": args.polytope,
+            "k_list": json.loads(f"[{args.k_list}]"),
+            "s_list": json.loads(f"[{args.s_list}]"),
+        }
+        if args.potential:
+            data["potential"] = args.potential
+        base = "."
     else:
-        if not args.polytope:
-            print("sweep needs --config or --polytope", file=sys.stderr)
-            return EXIT_INPUT
-        P = _load_polytope(args.polytope)
-        spec = _load_spec(P, args.potential)
-        config = SweepConfig(
-            spec=spec,
-            k_list=tuple(int(k) for k in args.k_list.split(",")),
-            s_list=tuple(float(s) for s in args.s_list.split(",")),
-        )
-        out_dir = args.out
+        print("sweep needs --config or --polytope", file=sys.stderr)
+        return EXIT_INPUT
+    config = sweep_config_from_json(data, base_dir=base)
+    out_dir = data.get("out", args.out)
     if out_dir:
         # an unwritable output path is an input error, found before the solves
         os.makedirs(out_dir, exist_ok=True)
@@ -159,19 +154,7 @@ def cmd_sweep(args):
 
 def cmd_report(args):
     with open(args.report, encoding="ascii") as f:
-        data = json.load(f)
-    report = ConvergenceReport(meta=data["meta"])
-    report.eig_rows = data["eigenvalues"]
-    report.kernel_rows = data["kernel_counts"]
-    report.localization_rows = data["localization"]
-    report.verdicts = data["verdicts"]
-    report.failures = data["failures"]
-    report.notes = data["notes"]
-    for key, rows in data["trajectories"].items():
-        kpart, bpart = key.split(" b=")
-        k = int(kpart.split("=")[1])
-        bkey = tuple(c.strip() for c in bpart.strip("()").split(","))
-        report.trajectories[(k, bkey)] = rows
+        report = ConvergenceReport.from_json(json.load(f))
     emit_reports(report, args.out)
     return EXIT_PASS
 
@@ -235,18 +218,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (
-        errors.Unbounded,
-        errors.EmptyInterior,
-        errors.RedundantFacet,
-        errors.NotDelzant,
-        errors.NonPrimitiveNormal,
-        errors.PointOutside,
-        errors.ModeOutsidePolytope,
-    ) as exc:
+    except (OSError, KeyError, ValueError, errors.InputError) as exc:
+        # json.JSONDecodeError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except errors.ToricSpecError as exc:

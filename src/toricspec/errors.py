@@ -5,35 +5,39 @@ class ToricSpecError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(ToricSpecError):
+    """An input that names no valid problem; the CLI exits 2 on it."""
+
+
 # -- polytope -----------------------------------------------------------------
 
-class Unbounded(ToricSpecError):
+class Unbounded(InputError):
     pass
 
 
-class EmptyInterior(ToricSpecError):
+class EmptyInterior(InputError):
     pass
 
 
-class RedundantFacet(ToricSpecError):
+class RedundantFacet(InputError):
     def __init__(self, facet_index, msg=None):
         self.facet_index = facet_index
         super().__init__(msg or f"facet {facet_index} is redundant")
 
 
-class NonPrimitiveNormal(ToricSpecError):
+class NonPrimitiveNormal(InputError):
     def __init__(self, facet_index, msg=None):
         self.facet_index = facet_index
         super().__init__(msg or f"facet normal {facet_index} is not primitive")
 
 
-class NotDelzant(ToricSpecError):
+class NotDelzant(InputError):
     def __init__(self, vertex, msg=None):
         self.vertex = vertex
         super().__init__(msg or f"vertex {vertex} has a non-unimodular cone")
 
 
-class PointOutside(ToricSpecError):
+class PointOutside(InputError):
     pass
 
 
@@ -59,7 +63,7 @@ class ChartMismatch(ToricSpecError):
     pass
 
 
-class ModeOutsidePolytope(ToricSpecError):
+class ModeOutsidePolytope(InputError):
     pass
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import numbers
 import os
+import time
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .errors import ToricSpecError
@@ -34,6 +36,7 @@ TAIL_NOISE = 1.10
 TAIL_ABS = 1e-3
 LOCALIZATION_MASS = 0.99
 C_GRID = tuple(np.arange(0.5, 10.01, 0.25))     # radii c of the balls B(b, c sqrt(s))
+H_FACTOR = 40.0                                 # mesh size sqrt(s) / H_FACTOR above the floor
 
 VERDICT_NOTES = {
     "kernel_tol": "mode counts as holomorphic when its lowest dbar eigenvalue < 1e-3",
@@ -49,29 +52,23 @@ VERDICT_NOTES = {
 
 @dataclass
 class SweepConfig:
-    """Inputs of one sweep; h(s) defaults to sqrt(s)/h_factor with a floor.
-
-    An explicit h_list (one mesh target per s, same order) overrides the rule.
-    """
+    """Inputs of one sweep; the mesh size at each s is h_of(s)."""
 
     spec: PotentialSpec
     k_list: tuple
     s_list: tuple            # strictly descending, positive
-    h_factor: float = 40.0
-    h_floor: float = None
-    h_list: tuple = None
     eig_count: int = 4
     mode_margin: int = 1
 
     def __post_init__(self):
-        if self.h_floor is None:
-            self.h_floor = 1.0 / 800.0 if self.spec.polytope.dim == 1 else 1.0 / 80.0
-        # JSON gives strings and booleans too; bool is an int subclass
+        # JSON gives scalars, strings and booleans too; bool is an int subclass
         real, integer = (numbers.Real, "a number"), (numbers.Integral, "an integer")
-        checks = [("h_factor", self.h_factor, real), ("h_floor", self.h_floor, real),
-                  ("eig_count", self.eig_count, integer), ("mode_margin", self.mode_margin, integer)]
-        for name, kind in (("k_list", integer), ("s_list", real), ("h_list", real)):
-            checks += [(f"{name} entry", v, kind) for v in getattr(self, name) or ()]
+        checks = [("eig_count", self.eig_count, integer), ("mode_margin", self.mode_margin, integer)]
+        for name, kind in (("k_list", integer), ("s_list", real)):
+            entries = getattr(self, name)
+            if not isinstance(entries, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {entries!r}")
+            checks += [(f"{name} entry", v, kind) for v in entries]
         for name, value, (kind, what) in checks:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
@@ -86,23 +83,16 @@ class SweepConfig:
             raise ValueError(f"k_list must name at least one level, each >= 1, got {self.k_list}")
         if self.eig_count < 1:
             raise ValueError("eig_count must be >= 1")
-        for name in ("h_factor", "h_floor"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.h_list is not None:
-            if len(self.h_list) != len(self.s_list) or any(h <= 0 for h in self.h_list):
-                raise ValueError("h_list must give one positive target per s")
 
     def h_of(self, s):
-        if self.h_list is not None:
-            return float(self.h_list[list(self.s_list).index(s)])
-        return max(float(np.sqrt(s)) / self.h_factor, self.h_floor)
+        """Mesh size sqrt(s)/H_FACTOR, floored at 1/800 in 1-D and 1/80 otherwise."""
+        floor = 1.0 / 800.0 if self.spec.polytope.dim == 1 else 1.0 / 80.0
+        return max(float(np.sqrt(s)) / H_FACTOR, floor)
 
 
-_SCALAR_KEYS = ("h_factor", "h_floor", "eig_count", "mode_margin")
+_SCALAR_KEYS = ("eig_count", "mode_margin")
 # "out" is the CLI's output directory
-_CONFIG_KEYS = {"polytope", "potential", "k_list", "s_list", "h_list", "out", *_SCALAR_KEYS}
+_CONFIG_KEYS = {"polytope", "potential", "k_list", "s_list", "out", *_SCALAR_KEYS}
 
 
 def sweep_config_from_json(data, base_dir="."):
@@ -129,13 +119,13 @@ def sweep_config_from_json(data, base_dir="."):
     spec = load("potential", lambda t: potential_spec_from_json(P, t), lambda v: potential_spec_from_json(P, v))
     if spec is None:
         spec = make_potential_spec(P)
-    kwargs = {}
-    for key in _SCALAR_KEYS:
-        if key in data:
-            kwargs[key] = data[key]
-    if "h_list" in data:
-        kwargs["h_list"] = tuple(data["h_list"])
-    return SweepConfig(spec=spec, k_list=tuple(data["k_list"]), s_list=tuple(data["s_list"]), **kwargs)
+    kwargs = {key: data[key] for key in _SCALAR_KEYS if key in data}
+    return SweepConfig(spec=spec, k_list=data["k_list"], s_list=data["s_list"], **kwargs)
+
+
+def _b_label(bkey):
+    """'b=(c1, c2, ...)' for a quantized point given as coordinate strings."""
+    return f"b=({', '.join(bkey)})"
 
 
 @dataclass
@@ -166,25 +156,34 @@ class ConvergenceReport:
             "eigenvalues": self.eig_rows,
             "kernel_counts": self.kernel_rows,
             "trajectories": {
-                f"k={k} b=({', '.join(str(c) for c in b)})": rows
-                for (k, b), rows in sorted(self.trajectories.items())
+                f"k={k} {_b_label(b)}": rows for (k, b), rows in sorted(self.trajectories.items())
             },
             "localization": self.localization_rows,
             "verdicts": self.verdicts,
             "failures": self.failures,
         }
 
-
-def _solve_mode(factory, mode, count):
-    op = factory.operator(mode)
-    spectrum = solve_eigs(op, count)
-    return map_dbar(spectrum, factory.k, factory.mesh.dim), spectrum
+    @classmethod
+    def from_json(cls, data):
+        """Inverse of to_json."""
+        trajectories = {}
+        for key, rows in data["trajectories"].items():
+            kpart, bpart = key.split(" b=(")
+            trajectories[(int(kpart.removeprefix("k=")), tuple(bpart[:-1].split(", ")))] = rows
+        return cls(
+            meta=data["meta"],
+            eig_rows=data["eigenvalues"],
+            kernel_rows=data["kernel_counts"],
+            trajectories=trajectories,
+            localization_rows=data["localization"],
+            verdicts=data["verdicts"],
+            failures=data["failures"],
+            notes=data["notes"],
+        )
 
 
 def run_sweep(config: SweepConfig):
     """Solve every (k, s, mode), compare quantized modes to their limits."""
-    import time
-
     t_start = time.time()
     spec = config.spec
     P = spec.polytope
@@ -216,7 +215,8 @@ def run_sweep(config: SweepConfig):
             results = {}
             for mode in modes:
                 try:
-                    dbar, spectrum = _solve_mode(factory, mode, config.eig_count)
+                    spectrum = solve_eigs(factory.operator(mode), config.eig_count)
+                    dbar = map_dbar(spectrum, k, n)
                 except ToricSpecError as exc:
                     report.failures.append(
                         {"k": k, "s": float(s), "mode": list(mode), "error": str(exc)}
@@ -247,11 +247,9 @@ def run_sweep(config: SweepConfig):
                     non_bs_lowest[m].append(float(results[m][0][0]))
 
             # trajectories and localization for quantized modes
-            mass_cache = _localization_masses(
-                factory, points, [by_mode[m] for m in results if m in by_mode],
-                {m: results[m][1] for m in results if m in by_mode}, s
-            )
-            for mode, (dbar, spectrum) in results.items():
+            ground = {m: sp.vectors[:, 0] for m, (_, sp) in results.items() if m in by_mode}
+            masses = _localization_masses(factory, points, ground, s)
+            for mode, (dbar, _) in results.items():
                 if mode not in by_mode:
                     continue
                 b = by_mode[mode]
@@ -268,27 +266,29 @@ def run_sweep(config: SweepConfig):
                         "gaps": [float(g) for g in gaps],
                     }
                 )
-                c_min = mass_cache[mode]
+                c_min, mass5 = masses[mode]
                 report.localization_rows.append(
                     {
                         "k": int(k),
                         "s": float(s),
                         "mode": list(mode),
                         "c_min": c_min,
-                        "mass_at_c5": mass_cache[(mode, "mass5")],
+                        "mass_at_c5": mass5,
                     }
                 )
 
-        _judge_level(report, config, k, predictions, by_mode, non_bs_lowest)
+        _judge_level(report, k, non_bs_lowest)
     report.elapsed_s = time.time() - t_start
     return report
 
 
-def _localization_masses(factory, all_points, bs_list, spectra, s):
-    """Smallest c with 99% mass in union of B(b, c sqrt(s)), per quantized mode.
+def _localization_masses(factory, all_points, vectors, s):
+    """{mode: (c_min, mass_at_c5)} for {mode: ground vector} of quantized modes.
 
-    Each mode's quadrature density and each ball mask are formed once; a mask
-    holds 0 or 1, so a masked sum is exactly the masked quadrature.
+    c_min is the smallest c with 99% mass in the union of B(b, c sqrt(s)), and
+    mass_at_c5 the mass fraction at c = 5.  Each mode's quadrature density and
+    each ball mask are formed once; a mask holds 0 or 1, so a masked sum is
+    exactly the masked quadrature.
     """
     q = factory.mesh.qpoints
     centers = np.array([[float(c) for c in b.point] for b in all_points])
@@ -296,7 +296,7 @@ def _localization_masses(factory, all_points, bs_list, spectra, s):
         np.sum((q[:, :, None, :] - centers[None, None, :, :]) ** 2, axis=-1), axis=-1
     )
     dmin = np.sqrt(d2)
-    density = {b.mode: factory.l2_density(spectra[b.mode].vectors[:, 0]) for b in bs_list}
+    density = {m: factory.l2_density(v) for m, v in vectors.items()}
     total = {m: float(np.sum(w)) for m, w in density.items()}
     c_min = dict.fromkeys(density, np.inf)
     for c in C_GRID:
@@ -305,11 +305,7 @@ def _localization_masses(factory, all_points, bs_list, spectra, s):
             if c_min[m] == np.inf and float(np.sum(w * mask)) / total[m] >= LOCALIZATION_MASS:
                 c_min[m] = float(c)
     mask5 = dmin <= 5.0 * np.sqrt(s)
-    out = {}
-    for m, w in density.items():
-        out[m] = c_min[m]
-        out[(m, "mass5")] = float(np.sum(w * mask5)) / total[m]
-    return out
+    return {m: (c_min[m], float(np.sum(w * mask5)) / total[m]) for m, w in density.items()}
 
 
 def _richardson_gap(rows, pred, j, k):
@@ -323,7 +319,7 @@ def _richardson_gap(rows, pred, j, k):
     return abs(lam - pred[j]) / max(pred[j], float(k))
 
 
-def _judge_level(report, config, k, predictions, by_mode, non_bs_lowest):
+def _judge_level(report, k, non_bs_lowest):
     kernel_ok = all(
         row["zero_modes"] == row["lattice_count"]
         for row in report.kernel_rows
@@ -341,7 +337,6 @@ def _judge_level(report, config, k, predictions, by_mode, non_bs_lowest):
     for (kk, bkey), rows in report.trajectories.items():
         if kk != k:
             continue
-        rows = sorted(rows, key=lambda r: -r["s"])
         lowest = [r["dbar"][0] for r in rows]
         if max(lowest) >= BS_ZERO_TOL:
             bs_zero_ok = False
@@ -363,7 +358,7 @@ def _judge_level(report, config, k, predictions, by_mode, non_bs_lowest):
                 g_last = rows[-1]["gaps"][j]
                 if g_last > TAIL_NOISE * g_prev + TAIL_ABS:
                     tail_ok = False
-        limit_detail[f"b=({bkey[0] if len(bkey) == 1 else ', '.join(bkey)})"] = {
+        limit_detail[_b_label(bkey)] = {
             "raw_gaps_at_smallest_s": [float(g) for g in gaps_last[:n_check]],
             "richardson_gaps": [None if g is None else float(g) for g in rich[:n_check]],
         }
@@ -384,35 +379,6 @@ def _judge_level(report, config, k, predictions, by_mode, non_bs_lowest):
 # ---------------------------------------------------------------------------
 # standalone checks
 # ---------------------------------------------------------------------------
-
-def localization_check(spec: PotentialSpec, s_list, k):
-    """Mass concentration of quantized ground modes near their base points.
-
-    Meshes follow SweepConfig's h rule and the radii run over C_GRID.
-    """
-    config = SweepConfig(spec=spec, k_list=(k,), s_list=tuple(sorted(s_list, reverse=True)))
-    P = spec.polytope
-    points = bs_points(P, k)
-    rows = []
-    for s in config.s_list:
-        mesh = build_mesh(P, config.h_of(s))
-        factory = OperatorFactory(spec, s, k, mesh)
-        spectra = {}
-        for b in points:
-            spectra[b.mode] = solve_eigs(factory.operator(b.mode), 1)
-        masses = _localization_masses(factory, points, points, spectra, s)
-        for b in points:
-            rows.append(
-                {
-                    "k": int(k),
-                    "s": float(s),
-                    "mode": list(b.mode),
-                    "c_min": masses[b.mode],
-                    "mass_at_c5": masses[(b.mode, "mass5")],
-                }
-            )
-    return rows
-
 
 def fiber_diameter_check(spec: PotentialSpec, s_list, grid_per_dim=9):
     """Proxy for the sqrt(s) fiber-diameter law: sup lambda_max(G_s^-1) <= C s.
@@ -460,7 +426,7 @@ def emit_reports(report: ConvergenceReport, out_dir):
     write_json(os.path.join(out_dir, "report.json"), report.to_json())
     files = ["report.json"]
 
-    for k in sorted({row["k"] for row in report.eig_rows}) if report.eig_rows else []:
+    for k in sorted({row["k"] for row in report.eig_rows}):
         rows = [r for r in report.eig_rows if r["k"] == k]
         count = max(len(r["dbar"]) for r in rows)
         header = ["s"] + [f"m{i}" for i in range(len(rows[0]["mode"]))] + [
@@ -510,7 +476,7 @@ def emit_reports(report: ConvergenceReport, out_dir):
         name = f"plot_b{i}.svg"
         svg_line_plot(
             os.path.join(out_dir, name),
-            title=f"k={k} b=({', '.join(bkey)})",
+            title=f"k={k} {_b_label(bkey)}",
             xlabel="s",
             ylabel="dbar eigenvalue",
             series=series,

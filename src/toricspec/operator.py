@@ -254,9 +254,8 @@ def solve_eigs(op: ReducedOperator, count):
 
 def dbar_spectrum(spec: PotentialSpec, s, k, mode, mesh: Mesh, count):
     """Holomorphic-sector eigenvalues (lambda - k^2 - nk)/2 of one mode."""
-    op = OperatorFactory(spec, s, k, mesh).operator(mode)
-    spec_out = solve_eigs(op, count)
-    return map_dbar(spec_out, k, spec.polytope.dim), op, spec_out
+    spectrum = solve_eigs(OperatorFactory(spec, s, k, mesh).operator(mode), count)
+    return map_dbar(spectrum, k, spec.polytope.dim), spectrum
 
 
 def map_dbar(spectrum: Spectrum, k, n):

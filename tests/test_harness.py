@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from toricspec import cli, harness
+from toricspec import cli, errors, harness
 from toricspec.harness import (
     C_GRID,
     LOCALIZATION_MASS,
@@ -15,7 +15,6 @@ from toricspec.harness import (
     _localization_masses,
     emit_reports,
     fiber_diameter_check,
-    localization_check,
     run_sweep,
     sweep_config_from_json,
 )
@@ -57,26 +56,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             SweepConfig(spec=spec, k_list=(1,), s_list=(0.1,), eig_count=0)
 
-    def test_rejects_bad_levels_and_h(self, tmp_path):
+    def test_rejects_bad_levels_and_h(self, tmp_path, capsys):
         spec = make_potential_spec(segment())
-        bad = ({"k_list": ()}, {"h_factor": 0.0}, {"h_factor": -40.0},
-               {"h_factor": float("inf")}, {"h_floor": 0.0}, {"h_floor": -1e-3},
-               {"h_floor": float("nan")})
-        for kwargs in bad:
-            with pytest.raises(ValueError, match=next(iter(kwargs))):
-                SweepConfig(**{"spec": spec, "k_list": (1,), "s_list": (0.1,), **kwargs})
+        with pytest.raises(ValueError, match="k_list"):
+            SweepConfig(spec=spec, k_list=(), s_list=(0.1,))
         poly = tmp_path / "p.json"
         poly.write_text(polytope_to_json(segment()))
+        # h_factor, h_floor and h_list are not config keys: the mesh size follows h_of alone
+        bad = ({"k_list": []}, {"h_factor": 0.0}, {"h_factor": -40.0},
+               {"h_factor": float("inf")}, {"h_floor": 0.0}, {"h_floor": -1e-3},
+               {"h_floor": float("nan")}, {"h_list": [0.01]})
         for kwargs in bad:
             data = {"polytope": "p.json", "k_list": [1], "s_list": [0.1], **kwargs}
             cfg = tmp_path / "sweep.json"
             cfg.write_text(json.dumps(data))
             assert cli.main(["sweep", "--config", str(cfg)]) == 2
+            assert next(iter(kwargs)) in capsys.readouterr().err
 
     def test_rejects_bad_scalar_types(self, tmp_path):
         spec = make_potential_spec(segment())
-        bad = ({"h_factor": "40"}, {"eig_count": "4"}, {"eig_count": 2.5},
-               {"eig_count": True}, {"h_floor": False}, {"mode_margin": 1.0})
+        # a scalar level or s list is an input error, not a TypeError
+        bad = ({"eig_count": "4"}, {"eig_count": 2.5}, {"eig_count": True},
+               {"mode_margin": 1.0}, {"k_list": 1}, {"s_list": 0.1})
         for kwargs in bad:
             with pytest.raises(ValueError, match=next(iter(kwargs))):
                 SweepConfig(**{"spec": spec, "k_list": (1,), "s_list": (0.1,), **kwargs})
@@ -87,16 +88,15 @@ class TestConfig:
             cfg = tmp_path / "sweep.json"
             cfg.write_text(json.dumps(data))
             assert cli.main(["sweep", "--config", str(cfg)]) == 2
-        # integers are numbers, and numpy scalars pass like Python ones
-        cfg = SweepConfig(spec=spec, k_list=(1,), s_list=(0.1,), h_factor=40,
-                          eig_count=np.int64(3), h_floor=np.float64(1e-3))
-        assert cfg.h_of(0.1) == max(np.sqrt(0.1) / 40, 1e-3)
+        # numpy scalars pass like Python ones
+        cfg = SweepConfig(spec=spec, k_list=(1,), s_list=(0.1,), eig_count=np.int64(3))
+        assert cfg.eig_count == 3
 
     def test_rejects_bad_list_entries(self, tmp_path):
         # JSON lists can hold fractions, booleans and strings; none may become a level or an s
         spec = make_potential_spec(segment())
         bad = ({"k_list": [1.5]}, {"k_list": [True]}, {"k_list": [0]}, {"k_list": ["1"]},
-               {"s_list": [True, 0.1]}, {"s_list": ["0.1"]}, {"h_list": [False]})
+               {"s_list": [True, 0.1]}, {"s_list": ["0.1"]})
         for kwargs in bad:
             with pytest.raises(ValueError, match=next(iter(kwargs))):
                 SweepConfig(**{"spec": spec, "k_list": (1,), "s_list": (0.1,), **kwargs})
@@ -108,17 +108,17 @@ class TestConfig:
             cfg.write_text(json.dumps(data))
             assert cli.main(["sweep", "--config", str(cfg)]) == 2
         # integer s and numpy entries are accepted and stored as Python scalars
-        cfg = SweepConfig(spec=spec, k_list=(np.int64(2),), s_list=(1, np.float64(0.5)),
-                          h_list=(np.float64(0.01), 1))
+        cfg = SweepConfig(spec=spec, k_list=(np.int64(2),), s_list=(1, np.float64(0.5)))
         assert cfg.k_list == (2,) and type(cfg.k_list[0]) is int
         assert cfg.s_list == (1.0, 0.5) and all(type(s) is float for s in cfg.s_list)
-        assert cfg.h_of(0.5) == 1.0
 
     def test_h_rule(self):
         spec = make_potential_spec(segment())
         cfg = SweepConfig(spec=spec, k_list=(1,), s_list=(0.04,))
         assert np.isclose(cfg.h_of(0.04), 0.2 / 40)
         assert cfg.h_of(1e-9) == 1.0 / 800.0
+        cfg2 = SweepConfig(spec=make_potential_spec(simplex2()), k_list=(1,), s_list=(0.04,))
+        assert cfg2.h_of(0.04) == 1.0 / 80.0 and np.isclose(cfg2.h_of(16.0), 0.1)
 
     def test_from_json(self, tmp_path):
         poly = tmp_path / "p.json"
@@ -210,13 +210,6 @@ class TestEmission:
 
 
 class TestStandaloneChecks:
-    def test_localization_rows(self):
-        spec = make_potential_spec(segment())
-        rows = localization_check(spec, [0.1, 0.05], 1)
-        assert {r["s"] for r in rows} == {0.1, 0.05}
-        for r in rows:
-            assert r["mass_at_c5"] >= 0.99
-
     def test_localization_masses_match_masked_quadrature(self):
         # reference: one masked quadrature of the interpolated mode per c
         spec = make_potential_spec(segment())
@@ -225,7 +218,9 @@ class TestStandaloneChecks:
         factory = OperatorFactory(spec, s, 2, build_mesh(spec.polytope, config.h_of(s)))
         points = bs_points(spec.polytope, 2)
         spectra = {b.mode: solve_eigs(factory.operator(b.mode), 1) for b in points}
-        masses = _localization_masses(factory, points, points, spectra, s)
+        masses = _localization_masses(
+            factory, points, {m: sp.vectors[:, 0] for m, sp in spectra.items()}, s
+        )
 
         mesh = factory.mesh
         qw, bary, q = mesh.qweights, mesh.bary, mesh.qpoints
@@ -239,8 +234,7 @@ class TestStandaloneChecks:
                 mask = (dmin <= c * np.sqrt(s)).astype(float)
                 fracs[c] = float(np.sum(qw * mask * vals * vals)) / total
             c_min = next(c for c in C_GRID if fracs[c] >= LOCALIZATION_MASS)
-            assert masses[b.mode] == c_min
-            assert masses[(b.mode, "mass5")] == fracs[5.0]
+            assert masses[b.mode] == (c_min, fracs[5.0])
 
     def test_fiber_diameter_bound_and_scaling(self):
         spec = make_potential_spec(segment())
@@ -363,8 +357,14 @@ class TestCli:
         assert cli.main(
             ["report", "--report", str(out1 / "report.json"), "--out", str(out2)]
         ) == 0
-        for f in ("report.json", "eigs_k1.csv", "kernel_counts.csv"):
+        # every emitted file: report.json, three CSVs and two trajectory SVGs
+        files = sorted(p.name for p in out1.iterdir())
+        assert len(files) == 6
+        assert sorted(p.name for p in out2.iterdir()) == files
+        for f in files:
             assert (out1 / f).read_bytes() == (out2 / f).read_bytes()
+        report = json.loads((out1 / "report.json").read_text())
+        assert ConvergenceReport.from_json(report).to_json() == report
 
     def test_unwritable_out_is_input_error(self, tmp_path, capsys, monkeypatch):
         # an output path under a regular file cannot be created: exit 2 before any solve
@@ -382,6 +382,23 @@ class TestCli:
         report.write_text(json.dumps(ConvergenceReport(meta={}).to_json()))
         assert cli.main(["report", "--report", str(report), "--out", bad_out]) == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_exit_codes_by_error_class(self, tmp_path, capsys, monkeypatch):
+        # polytope errors are input errors (2); solver errors are exit 3
+        unbounded = tmp_path / "open.json"
+        unbounded.write_text(json.dumps(
+            {"dim": 2, "facets": [{"normal": [1, 0], "offset": 0}, {"normal": [0, 1], "offset": 0}]}
+        ))
+        assert cli.main(["bs", "--polytope", str(unbounded), "--level", "1"]) == 2
+        assert "input error" in capsys.readouterr().err
+
+        def failing_sweep(config):
+            raise errors.ConvergenceFailure("no convergence")
+
+        monkeypatch.setattr(cli, "run_sweep", failing_sweep)
+        poly = self._write_inputs(tmp_path)
+        assert cli.main(["sweep", "--polytope", poly, "--k-list", "1", "--s-list", "0.1"]) == 3
+        assert "solver error: no convergence" in capsys.readouterr().err
 
     def test_ricci_scan_verb(self, capsys):
         code = cli.main(

@@ -284,7 +284,7 @@ class TestDbar:
         mesh = build_mesh(segment(), 1 / 400)
         for s in (1.0, 0.3):
             for m in ((0,), (1,)):
-                vals, _, _ = dbar_spectrum(spec, s, 1, m, mesh, 2)
+                vals, _ = dbar_spectrum(spec, s, 1, m, mesh, 2)
                 assert vals[0] < 1e-4
 
     def test_outside_mode_positive_and_stiffening(self):
@@ -292,7 +292,7 @@ class TestDbar:
         mesh = build_mesh(segment(), 1 / 200)
         lows = []
         for s in (0.5, 0.1, 0.02):
-            vals, _, _ = dbar_spectrum(spec, s, 1, (2,), mesh, 1)
+            vals, _ = dbar_spectrum(spec, s, 1, (2,), mesh, 1)
             lows.append(vals[0])
         assert lows[0] > 0.05
         assert lows[2] > lows[1] > lows[0]
