@@ -50,12 +50,13 @@ for b in bs_points(simplex2(), 1):
     cone = cone_at(spec2, b)
     tag = "right-angled" if is_separable(cone) else "skew (45-degree wedge)"
     print(f"  corner ({', '.join(str(c) for c in b.point)}): {tag}")
-    if is_separable(cone):
-        ls = exact_cone_spectrum(cone, 1, n_max=6)
-        print("    exact spectrum:", list(ls.values[:4]), "mult", list(ls.multiplicities[:4]))
-    else:
-        ls, _, _ = numeric_cone_spectrum(cone, 1, 5)
-        print("    numeric spectrum:", np.round(ls.flat(5), 3))
+    ls = exact_cone_spectrum(cone, 1, n_max=6)
+    print("    closed form:", list(ls.values[:4]), "mult", list(ls.multiplicities[:4]))
+    if not is_separable(cone):
+        # the sector formula k (2 j + l pi / alpha) against the weighted FEM
+        num, _, _ = numeric_cone_spectrum(cone, 1, 5)
+        print("    closed form, listed:", np.round(ls.flat(5), 3))
+        print("    FEM check:          ", np.round(num.flat(5), 3))
 
 print()
 print("== direct-sum prediction across all quantized points, k = 2 ==")

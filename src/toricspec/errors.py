@@ -41,7 +41,7 @@ class PointOutside(InputError):
     pass
 
 
-class DimensionUnsupported(ToricSpecError):
+class DimensionUnsupported(InputError):
     pass
 
 
@@ -104,10 +104,6 @@ class NegativeEigenvalue(ToricSpecError):
 
 
 # -- limit --------------------------------------------------------------------
-
-class NotSeparable(ToricSpecError):
-    pass
-
 
 class TruncationTooSmall(ToricSpecError):
     pass

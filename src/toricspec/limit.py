@@ -3,10 +3,11 @@
 At a quantized point b the polytope is normalized by a unimodular chart and
 rescaled by xi = s^(-1/2) A0^(1/2) x with A0 the Hessian of the regulator psi
 at b.  The limit operator sum_i(-d^2/dxi_i^2 + 2 k xi_i d/dxi_i) acts on
-L^2(cone, e^{-k ||xi||^2} dxi) with the Neumann condition on the cone faces;
-its spectrum is combinatorial for right-angled cones and is computed by a
-weighted finite element solve otherwise.  Reported eigenvalues carry the
-factor 1/2 used in the degeneration dictionary.
+L^2(cone, e^{-k ||xi||^2} dxi) with the Neumann condition on the cone faces.
+Its spectrum has a closed form on every right-angled cone and on every 2-D
+cone, a sector, whose oscillator separates in polar coordinates; a weighted
+finite element solve serves as the independent check of those forms.
+Reported eigenvalues carry the factor 1/2 used in the degeneration dictionary.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from .errors import (
     ChartFailure,
     DimensionUnsupported,
-    NotSeparable,
     TruncationTooSmall,
 )
 from .mesh import interval_mesh, polygon_mesh
@@ -27,7 +27,7 @@ from .polytope import BSPoint, bs_points, local_chart
 from .potential import PotentialSpec
 
 SEPARABLE_TOL = 1e-12
-GAP_FRACTION = 0.1
+SECTOR_MERGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -102,17 +102,48 @@ def is_separable(cone: ConeModel):
 
 
 def exact_cone_spectrum(cone: ConeModel, k, n_max=12):
-    """Combinatorial spectrum of a right-angled cone: value k N with
-    multiplicity #{kappa in Z_{>=0}^n : 2 sum_{i<=m} kappa_i + sum_{i>m} kappa_i = N}."""
-    if not is_separable(cone):
-        raise NotSeparable("no closed form for a skew cone")
+    """Closed-form spectrum of half the cone operator, every value <= k n_max.
+
+    A right-angled cone has value k N with multiplicity
+    #{kappa in Z_{>=0}^n : 2 sum_{i<=m} kappa_i + sum_{i>m} kappa_i = N}.
+    A skew 2-D cone is a sector of opening alpha; its eigenfunctions
+    r^nu cos(nu theta) L_j^(nu)(k r^2), nu = l pi / alpha, give the values
+    k (2 j + nu) for j, l >= 0.  A skew cone with n >= 3 has no closed form.
+    """
     n, m = cone.dim, cone.codim
+    if not is_separable(cone):
+        if n != 2:
+            raise DimensionUnsupported(f"a skew cone with n >= 3 has no closed form (n = {n})")
+        return _sector_spectrum(k, _opening_angle(cone), n_max)
     values, mults = [], []
     for N in range(n_max + 1):
         count = _weighted_compositions(N, m, n - m)
         if count > 0:
             values.append(float(k * N))
             mults.append(int(count))
+    return LimitSpectrum(values=tuple(values), multiplicities=tuple(mults), exact=True)
+
+
+def _opening_angle(cone: ConeModel):
+    """Opening angle of a cone with two faces, pi minus the angle of its normals."""
+    n1, n2 = cone.facet_normals()
+    return float(np.pi - np.arccos(np.clip(n1 @ n2, -1.0, 1.0)))
+
+
+def _sector_spectrum(k, alpha, n_max):
+    """Values k (2 j + l pi / alpha) <= k n_max of a sector of opening alpha.
+
+    Values that coincide because pi / alpha is rational are merged within
+    SECTOR_MERGE_TOL relative, each group keeping its smallest member.
+    """
+    nu = np.pi / alpha
+    top = n_max * (1.0 + SECTOR_MERGE_TOL)
+    reduced = [
+        2 * j + l * nu
+        for l in range(int(top / nu) + 1)
+        for j in range(int((top - l * nu) / 2) + 1)
+    ]
+    values, mults = _cluster(sorted(k * v for v in reduced), tol=SECTOR_MERGE_TOL)
     return LimitSpectrum(values=tuple(values), multiplicities=tuple(mults), exact=True)
 
 
@@ -184,11 +215,13 @@ def truncated_cone_mesh(cone: ConeModel, R, target_h):
 
 
 def numeric_cone_spectrum(cone: ConeModel, k, count, R=None, target_h=None):
-    """Weighted P1 solve of the cone operator; returns half its eigenvalues.
+    """Weighted P1 solve of the cone operator, the FEM oracle of the closed forms.
 
-    Stiffness and mass both carry the Gaussian weight e^{-k ||xi||^2}; the
-    natural boundary condition realizes Neumann on the cone faces, and the
-    truncation at radius R contributes only exponentially small error.
+    Returns (LimitSpectrum of half the lowest count eigenvalues, the pencil's
+    Spectrum, the truncated cone Mesh).  Stiffness and mass both carry the
+    Gaussian weight e^{-k ||xi||^2}; the natural boundary condition realizes
+    Neumann on the cone faces, and the truncation at radius R contributes only
+    exponentially small error.  predicted_limit never calls it.
     """
     if R is None:
         R = default_truncation_radius(k)
@@ -244,25 +277,17 @@ def rescale_from_limit(A0, s, xi):
 
 
 def predicted_limit(spec: PotentialSpec, k, count=8):
-    """Per quantized point, the limit spectrum: exact when separable, numeric else.
+    """Per quantized point, the closed-form limit spectrum of its cone.
 
-    The cone, hence its spectrum, depends only on the face codimension and on
-    A0 in the unimodular chart, which cone_at computes from the exact integer
-    chart inverse; lattice-congruent points therefore give byte-identical A0.
-    One spectrum is computed per distinct (codim, A0) within this call and
-    shared by all points with that cone; nothing is kept across calls.
+    Every cone of dimension n <= 2 has one (right-angled or a sector), so no
+    finite element solve runs; a skew cone with n >= 3 has none and raises
+    DimensionUnsupported.  Each spectrum lists the values up to
+    k (count + 2 n + 4).
     """
-    out, by_cone = {}, {}
+    out = {}
     for b in bs_points(spec.polytope, k):
         cone = cone_at(spec, b)
-        key = (cone.codim, cone.A0.shape, cone.A0.tobytes())
-        if key not in by_cone:
-            if is_separable(cone):
-                n_max = count + 2 * cone.dim + 4
-                by_cone[key] = exact_cone_spectrum(cone, k, n_max=n_max)
-            else:
-                by_cone[key], _, _ = numeric_cone_spectrum(cone, k, count)
-        out[b] = by_cone[key]
+        out[b] = exact_cone_spectrum(cone, k, n_max=count + 2 * cone.dim + 4)
     return out
 
 

@@ -23,7 +23,13 @@ from toricspec.curvature import (
     ricci_of_potential,
 )
 from toricspec.harness import SweepConfig, run_sweep
-from toricspec.limit import ConeModel, exact_cone_spectrum, numeric_cone_spectrum
+from toricspec.limit import (
+    ConeModel,
+    cone_at,
+    default_truncation_radius,
+    exact_cone_spectrum,
+    numeric_cone_spectrum,
+)
 from toricspec.mesh import build_mesh
 from toricspec.operator import (
     OperatorFactory,
@@ -165,17 +171,26 @@ def test_criterion_4_limit_operator_consistency():
     worst_rel = 0.0
     worst_bottom = 0.0
     min_gap_ratio = np.inf
-    for n in (1, 2):
-        for m in range(0, n + 1):
-            for k in (1, 2):
-                cone = ConeModel(bs_point=None, codim=m, A0=np.eye(n), level=k)
-                num, _, _ = numeric_cone_spectrum(cone, k, 6)
-                exact = exact_cone_spectrum(cone, k, n_max=24).flat(6)
-                flat = num.flat(6)
-                worst_bottom = max(worst_bottom, abs(flat[0]))
-                rel = np.max(np.abs(flat[1:] - exact[1:]) / exact[1:])
-                worst_rel = max(worst_rel, float(rel))
-                min_gap_ratio = min(min_gap_ratio, (flat[1] - flat[0]) / k)
+    # right-angled cones at the default mesh, then the 60-, 45- and 120-degree
+    # sectors at h = R/80 (33,025 dofs; the default R/56 is 1.25% off in the
+    # sixth value at 45 degrees); the 45-degree sector is a slanted corner of
+    # simplex2 under the default psi
+    cp2 = make_potential_spec(simplex2())
+    slanted = cone_at(cp2, [b for b in bs_points(simplex2(), 1) if b.point[0] == 1][0])
+    shapes = [(m, np.eye(n), None) for n in (1, 2) for m in range(0, n + 1)]
+    shapes += [(2, A0, 80.0) for A0 in ([[2.0, 1.0], [1.0, 2.0]], slanted.A0,
+                                        [[2.0, -1.0], [-1.0, 2.0]])]
+    for m, A0, h_div in shapes:
+        for k in (1, 2):
+            cone = ConeModel(bs_point=None, codim=m, A0=np.asarray(A0), level=k)
+            h = None if h_div is None else default_truncation_radius(k) / h_div
+            num, _, _ = numeric_cone_spectrum(cone, k, 6, target_h=h)
+            exact = exact_cone_spectrum(cone, k, n_max=24).flat(6)
+            flat = num.flat(6)
+            worst_bottom = max(worst_bottom, abs(flat[0]))
+            rel = np.max(np.abs(flat[1:] - exact[1:]) / exact[1:])
+            worst_rel = max(worst_rel, float(rel))
+            min_gap_ratio = min(min_gap_ratio, (flat[1] - flat[0]) / k)
     elapsed = time.time() - t0
     ok = (
         worst_rel <= 0.01

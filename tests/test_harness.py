@@ -400,6 +400,23 @@ class TestCli:
         assert cli.main(["sweep", "--polytope", poly, "--k-list", "1", "--s-list", "0.1"]) == 3
         assert "solver error: no convergence" in capsys.readouterr().err
 
+    def test_unsupported_dimension_is_input_error(self, tmp_path, capsys):
+        # the 3-simplex has skew 3-D vertex cones and no 3-D mesh: nothing is
+        # solved, so both verbs exit 2, not the solver-failure 3
+        poly = tmp_path / "cp3.json"
+        poly.write_text(json.dumps({"dim": 3, "facets": [
+            {"normal": [1, 0, 0], "offset": 0},
+            {"normal": [0, 1, 0], "offset": 0},
+            {"normal": [0, 0, 1], "offset": 0},
+            {"normal": [-1, -1, -1], "offset": -1},
+        ]}))
+        assert cli.main(["limit", "--polytope", str(poly), "--level", "1"]) == 2
+        assert "no closed form" in capsys.readouterr().err
+        code = cli.main(["spectrum", "--polytope", str(poly), "--s", "0.1", "--level", "1",
+                         "--mode", "[0, 0, 0]", "--h", "0.1"])
+        assert code == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_ricci_scan_verb(self, capsys):
         code = cli.main(
             ["ricci-scan", "--matrix", "[[1.0, 0.0], [0.0, 1.0]]",

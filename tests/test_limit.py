@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import random_unimodular, transform_polytope
+from conftest import random_delzant, random_unimodular, transform_polytope
 from toricspec import errors, limit
 from toricspec.limit import (
     ConeModel,
@@ -18,7 +18,15 @@ from toricspec.limit import (
     rescale_from_limit,
     rescale_to_limit,
 )
-from toricspec.polytope import LocalChart, bs_points, local_chart, segment, simplex2
+from toricspec.polytope import (
+    LocalChart,
+    bs_points,
+    hirzebruch,
+    local_chart,
+    segment,
+    simplex2,
+    validate_delzant,
+)
 from toricspec.potential import PolynomialFn, make_potential_spec
 
 
@@ -102,8 +110,36 @@ class TestExactSpectra:
         assert total == brute
 
     def test_skew_raises(self):
-        with pytest.raises(errors.NotSeparable):
-            exact_cone_spectrum(synthetic_cone(2, 2, A0=[[2, 1], [1, 2]]), 1)
+        # every 2-D cone has a closed form; a skew 3-D corner has none
+        A0 = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+        for m in (2, 3):
+            with pytest.raises(errors.DimensionUnsupported, match="no closed form"):
+                exact_cone_spectrum(synthetic_cone(3, m, A0=A0), 1)
+
+    def test_sector_at_right_angle_is_the_product_formula(self):
+        for k in (1, 2, 3):
+            for n_max in (0, 1, 2, 7, 12, 24):
+                sector = limit._sector_spectrum(k, np.pi / 2, n_max)
+                square = exact_cone_spectrum(synthetic_cone(2, 2), k, n_max=n_max)
+                assert sector.values == square.values
+                assert sector.multiplicities == square.multiplicities
+
+    def test_skew_sectors(self):
+        # half the Neumann oscillator on a sector of opening alpha has the
+        # values k (2 j + l pi / alpha); pi / alpha = 3, 3/2, 4 at 60, 120, 45 degrees
+        cases = (
+            ([[2, 1], [1, 2]], (0, 2, 3, 4, 5, 6, 7, 8), (1, 1, 1, 1, 1, 2, 1, 2)),
+            ([[2, -1], [-1, 2]], (0, 1.5, 2, 3, 3.5, 4, 4.5, 5), (1, 1, 1, 1, 1, 1, 1, 1)),
+            ([[2, 1], [1, 1]], (0, 2, 4, 6, 8, 10), (1, 1, 2, 2, 3, 3)),
+        )
+        for A0, values, mults in cases:
+            for k in (1, 2):
+                ls = exact_cone_spectrum(synthetic_cone(2, 2, A0=A0), k, n_max=10)
+                assert ls.exact and ls.values[0] == 0.0
+                n = len(values)
+                assert np.allclose(ls.values[:n], k * np.array(values), rtol=1e-12, atol=0)
+                assert ls.multiplicities[:n] == mults
+                assert max(ls.values) <= 10 * k
 
 
 class TestNumericSpectra:
@@ -179,20 +215,27 @@ def _count_numeric_solves(monkeypatch):
     return calls
 
 
+def _sector_values(k, alpha, count):
+    """Lowest count values k (2 j + l pi / alpha), listed with multiplicity."""
+    nu = np.pi / alpha
+    return np.array(sorted(k * (2 * j + l * nu) for j in range(count) for l in range(count))[:count])
+
+
 class TestOneSolvePerCone:
+    # the limit spectra are closed forms: no cone needs a finite element solve
+
     def test_congruent_corners_share_one_solve(self, monkeypatch):
         # the three corners of simplex2 under psi = x^T A x / 2, A = [[2,1],[1,2]],
-        # are lattice-congruent: one numeric solve per call, none kept across calls
+        # are lattice-congruent 60-degree sectors
         calls = _count_numeric_solves(monkeypatch)
         spec = _skew_spec()
         for k in (1, 2):
-            for _ in range(2):
-                del calls[:]
-                pred = predicted_limit(spec, k, count=4)
-                assert len(calls) == 1
-                corners = [ls for b, ls in pred.items() if b.face_codim == 2]
-                assert len(corners) == 3 and not corners[0].exact
-                assert all(ls is corners[0] for ls in corners)
+            pred = predicted_limit(spec, k, count=4)
+            corners = [ls for b, ls in pred.items() if b.face_codim == 2]
+            assert len(corners) == 3 and all(ls.exact for ls in corners)
+            assert all(ls == corners[0] for ls in corners)
+            assert np.allclose(corners[0].flat(8), _sector_values(k, np.pi / 3, 8), rtol=1e-12)
+        assert calls == []
 
     def test_lattice_image_is_bit_identical(self, monkeypatch):
         calls = _count_numeric_solves(monkeypatch)
@@ -206,23 +249,27 @@ class TestOneSolvePerCone:
         floats = [np.linalg.inv(np.array(local_chart(Q, v).lattice_map, dtype=float)) for v in Q.vertices]
         assert any(np.any(F != np.round(F)) for F in floats)
         pred_Q = predicted_limit(spec_Q, 1, count=4)
-        assert len(calls) == 1
-        raw = {ls.raw for ls in predicted_limit(spec, 1, count=4).values()}
-        assert len(raw) == 1
-        assert all(ls.raw == next(iter(raw)) for ls in pred_Q.values())
+        pred = predicted_limit(spec, 1, count=4)
+        assert calls == []
+        assert len(set(pred.values())) == 1
+        assert all(ls == next(iter(pred.values())) for ls in pred_Q.values())
 
     def test_distinct_cones_solved_once_each(self, monkeypatch):
         # A = [[3,1],[1,3]]: the corners (1,0) and (0,1) share A0 = [[4,2],[2,3]],
-        # the origin keeps A0 = A, so three corners give two solves
+        # a sector of opening arccos(1/sqrt(3)); the origin keeps A0 = A, of
+        # opening arccos(1/3)
         calls = _count_numeric_solves(monkeypatch)
         spec = _skew_spec(((3.0, 1.0), (1.0, 3.0)))
         pred = predicted_limit(spec, 1, count=4)
-        cones = [cone_at(spec, b) for b in pred]
-        keys = {(c.codim, c.A0.shape, c.A0.tobytes()) for c in cones if not is_separable(c)}
-        assert len(calls) == len(keys) == 2 < len(pred)
+        assert calls == []
+        by_point = {tuple(int(c) for c in b.point): ls for b, ls in pred.items()}
+        assert by_point[(1, 0)] == by_point[(0, 1)] != by_point[(0, 0)]
+        angles = {(0, 0): np.arccos(1 / 3), (1, 0): np.arccos(1 / np.sqrt(3)), (0, 1): np.arccos(1 / np.sqrt(3))}
         for b, ls in pred.items():
-            direct, _, _ = numeric_cone_spectrum(cone_at(spec, b), 1, 4)
-            assert ls == direct
+            point = tuple(int(c) for c in b.point)
+            assert ls.exact
+            assert np.allclose(ls.flat(8), _sector_values(1, angles[point], 8), rtol=1e-12)
+            assert ls == exact_cone_spectrum(cone_at(spec, b), 1, n_max=12)
 
 
 class TestChartInverse:
@@ -279,23 +326,46 @@ class TestPredictions:
         pred = predicted_limit(spec, 1, count=6)
         assert len(pred) == 3
         for b, ls in pred.items():
+            assert ls.exact
             if all(c == 0 for c in b.point):
-                assert ls.exact
                 assert ls.values[:3] == (0.0, 2.0, 4.0)
                 assert ls.multiplicities[:3] == (1, 2, 3)
             else:
-                assert not ls.exact
-                wedge = np.array([0.0, 2.0, 4.0, 4.0])
-                assert np.all(np.abs(ls.flat(4) - wedge) <= 0.02 * np.maximum(wedge, 1))
+                assert ls.values[:5] == (0.0, 2.0, 4.0, 6.0, 8.0)
+                assert ls.multiplicities[:5] == (1, 1, 2, 2, 3)
 
-    def test_nonseparable_prediction_is_numeric(self):
+    def test_nonseparable_prediction_is_exact(self):
         psi = PolynomialFn(
             dim=2, terms=(((2, 0), 1.0), ((1, 1), 1.0), ((0, 2), 1.0))
         )   # Hess = [[2, 1], [1, 2]]
         spec = make_potential_spec(simplex2(), psi=psi)
         pred = predicted_limit(spec, 1, count=4)
-        kinds = {b.face_codim: ls.exact for b, ls in pred.items()}
-        assert kinds[2] is False
+        for b, ls in pred.items():
+            assert ls.exact and b.face_codim == 2
+            assert np.allclose(ls.values[:7], [0, 2, 3, 4, 5, 6, 7], rtol=1e-12)
+            assert ls.multiplicities[:7] == (1, 1, 1, 1, 1, 2, 1)
+
+    def test_every_point_exact(self):
+        # 2-D inputs: default and skew psi on simplex2, hirzebruch(a), and
+        # random Delzant polygons under a skew psi
+        H = np.array([[2.0, 1.0], [1.0, 2.0]])
+        specs = [make_potential_spec(simplex2()), _skew_spec()]
+        specs += [make_potential_spec(hirzebruch(a)) for a in range(4)]
+        rng = np.random.default_rng(9)
+        specs += [
+            make_potential_spec(random_delzant(rng, 2), psi=PolynomialFn.quadratic_form(H))
+            for _ in range(4)
+        ]
+        for spec in specs:
+            for k in (1, 2):
+                pred = predicted_limit(spec, k, count=6)
+                assert len(pred) == len(bs_points(spec.polytope, k))
+                assert all(ls.exact and len(ls.flat(6)) == 6 for ls in pred.values())
+
+    def test_skew_3d_cone_unsupported(self):
+        P = validate_delzant([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -1)])
+        with pytest.raises(errors.DimensionUnsupported, match="no closed form"):
+            predicted_limit(make_potential_spec(P), 1)
 
     def test_record_schema(self):
         spec = make_potential_spec(segment())

@@ -30,7 +30,7 @@ from toricspec.operator import (
     solve_pencil,
     Spectrum,
 )
-from toricspec.polytope import segment, simplex2
+from toricspec.polytope import hirzebruch, segment, simplex2
 from toricspec.potential import ground_state, make_potential_spec
 
 
@@ -310,6 +310,24 @@ class TestDbar:
             eigenvalues=np.array([2.0 - 1e-7]), residuals=np.array([0.0]), vectors=np.zeros((1, 1))
         )
         assert map_dbar(fake, 1, 1)[0] == 0.0
+
+
+class TestProductOracle:
+    def test_square_is_sum_of_segments(self):
+        # on hirzebruch(0), the unit square, u_s and psi split into one summand
+        # per coordinate, so G_s is diagonal and the mode-(m1, m2) operator is a
+        # sum of two segment operators: its dbar spectrum is {a + b}, with a and
+        # b from the modes m1 and m2 of the segment
+        s, k, count = 0.1, 1, 4
+        square = make_potential_spec(hirzebruch(0))
+        line = make_potential_spec(segment())
+        mesh2 = build_mesh(square.polytope, 1 / 30)
+        mesh1 = build_mesh(line.polytope, 1 / 800)
+        one_d = {m: dbar_spectrum(line, s, k, (m,), mesh1, count)[0] for m in (-1, 0, 1, 2)}
+        for mode in ((0, 0), (1, 0), (-1, 0), (2, 1)):
+            ref = np.sort(np.add.outer(one_d[mode[0]], one_d[mode[1]]).ravel())[:count]
+            vals, _ = dbar_spectrum(square, s, k, mode, mesh2, count)
+            assert np.max(np.abs(vals - ref) / np.maximum(ref, 1.0)) <= 5e-3
 
 
 class TestModeSet:

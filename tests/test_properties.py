@@ -2,8 +2,8 @@
 
 Each example draws a base polytope, a GL_n(Z) map and an integer shift, and
 checks the lattice statements the spectral claims rest on: the count of
-quantized points, the agreement of the mode set with them, and the local
-charts at every quantized point.
+quantized points, the agreement of the mode set with them, the local charts
+at every quantized point, and the limit cone spectra there.
 """
 
 from fractions import Fraction
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_bs_count, random_delzant, random_unimodular, transform_polytope
+from toricspec.limit import predicted_limit
 from toricspec.operator import mode_set
 from toricspec.polytope import (
     _det_fraction,
@@ -21,6 +22,7 @@ from toricspec.polytope import (
     local_chart,
     validate_delzant,
 )
+from toricspec.potential import PolynomialFn, make_potential_spec
 
 # small and derandomized: a fixed handful of examples per property
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -81,6 +83,33 @@ def test_hirzebruch_images(seed, a):
 def test_simplex3_images(seed):
     P = _simplex3()
     _check_lattice_layer(P, _image(P, seed), (1, 2))
+
+
+@PROPERTY
+@given(seed=seeds)
+def test_cone_spectra_lattice_invariant(seed):
+    # x -> A x + c with A in GL_2(Z) maps the quantized points of P onto those
+    # of its image, and psi pulled back by the inverse map gives congruent cones
+    rng = np.random.default_rng(seed)
+    P = random_delzant(rng, 2)
+    a, d = rng.integers(2, 5, size=2)
+    e = rng.choice([-1, 1])
+    H = np.array([[a, e], [e, d]], dtype=float)     # positive definite, skew
+    A = random_unimodular(rng, 2)
+    c = rng.integers(-3, 4, size=2)
+    A_inv = np.round(np.linalg.inv(A.astype(float)))
+    spec = make_potential_spec(P, psi=PolynomialFn.quadratic_form(H))
+    spec_Q = make_potential_spec(
+        transform_polytope(P, A, c), psi=spec.psi.affine_pullback(A_inv, -A_inv @ c)
+    )
+    for k in (1, 2):
+        pred = predicted_limit(spec, k)
+        pred_Q = {b.point: ls for b, ls in predicted_limit(spec_Q, k).items()}
+        assert len(pred_Q) == len(pred)
+        for b, ls in pred.items():
+            image = tuple(sum(int(A[i, j]) * b.point[j] for j in range(2)) + int(c[i]) for i in range(2))
+            assert pred_Q[image].multiplicities == ls.multiplicities
+            np.testing.assert_allclose(pred_Q[image].values, ls.values, rtol=1e-12, atol=0)
 
 
 def test_chart_completion_rows_come_from_a_vertex():
