@@ -255,8 +255,7 @@ def run_sweep(config: SweepConfig):
                 b = by_mode[mode]
                 pred = predictions[b].flat(config.eig_count)
                 gaps = [
-                    abs(dbar[j] - pred[j]) / max(pred[j], float(k))
-                    for j in range(min(len(pred), len(dbar)))
+                    abs(d - p) / max(p, float(k)) for d, p in zip(dbar, pred, strict=True)
                 ]
                 report.trajectories.setdefault((k, tuple(str(c) for c in b.point)), []).append(
                     {

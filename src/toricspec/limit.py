@@ -227,10 +227,7 @@ def numeric_cone_spectrum(cone: ConeModel, k, count, R=None, target_h=None):
         R = default_truncation_radius(k)
     if target_h is None:
         target_h = R / 400.0 if cone.dim == 1 else R / 56.0
-    mesh = truncated_cone_mesh(cone, R, target_h)
-    q = mesh.qpoints.reshape(-1, mesh.dim)
-    weight = np.exp(-k * np.sum(q * q, axis=1)).reshape(mesh.qweights.shape)
-    K, M = assemble_p1(mesh, diffusion_q=weight, mass_weight_q=weight)
+    K, M, mesh = _cone_pencil(cone, k, R, target_h)
     spectrum = solve_pencil(K, M, count, sigma=-1.0)
     vals = spectrum.eigenvalues
     if abs(vals[0]) > 1e-6:
@@ -244,6 +241,15 @@ def numeric_cone_spectrum(cone: ConeModel, k, count, R=None, target_h=None):
         truncation_radius=float(R),
         raw=tuple(float(v) for v in half),
     ), spectrum, mesh
+
+
+def _cone_pencil(cone: ConeModel, k, R, target_h):
+    """Stiffness, mass and mesh of the cone truncated at R, both weighted by e^{-k ||xi||^2}."""
+    mesh = truncated_cone_mesh(cone, R, target_h)
+    q = mesh.qpoints.reshape(-1, mesh.dim)
+    weight = np.exp(-k * np.sum(q * q, axis=1)).reshape(mesh.qweights.shape)
+    K, M = assemble_p1(mesh, diffusion_q=weight, mass_weight_q=weight)
+    return K, M, mesh
 
 
 def _cluster(vals, tol):
@@ -282,12 +288,14 @@ def predicted_limit(spec: PotentialSpec, k, count=8):
     Every cone of dimension n <= 2 has one (right-angled or a sector), so no
     finite element solve runs; a skew cone with n >= 3 has none and raises
     DimensionUnsupported.  Each spectrum lists the values up to
-    k (count + 2 n + 4).
+    k max(count + 2 n + 4, 2 (count - 1)); every cone has the values 2 k j,
+    j >= 0, so ``flat(count)`` always holds ``count`` values.
     """
     out = {}
     for b in bs_points(spec.polytope, k):
         cone = cone_at(spec, b)
-        out[b] = exact_cone_spectrum(cone, k, n_max=count + 2 * cone.dim + 4)
+        n_max = max(count + 2 * cone.dim + 4, 2 * (count - 1))
+        out[b] = exact_cone_spectrum(cone, k, n_max=n_max)
     return out
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 
@@ -219,22 +220,54 @@ def ground_state_rayleigh_batch(spec: PotentialSpec, s, k, modes, mesh: Mesh):
 def solve_pencil(K, M, count, sigma):
     """Lowest ``count`` pairs of K v = lambda M v, residuals checked.
 
-    ARPACK shift-invert Lanczos about ``sigma``, which must sit below the
-    lowest eigenvalue; ``count`` must be below the number of dofs.  The start
-    vector is random from a fixed seed: fixed so that a pencil solved twice
-    gives the same bits, random because a symmetric start on a symmetric mesh
-    keeps the Krylov space symmetric and can miss antisymmetric eigenvectors.
+    ``sigma`` must sit below the lowest eigenvalue, and ``count`` below
+    N - 1 for N dofs, the bound of ARPACK's nonsymmetric solver (dnaupd).
+
+    Shift-invert in standard mode: ARPACK's generalized mode works in the M
+    inner product and calls back for about three M products per Krylov step,
+    which on small pencils costs more than the solves.  Here the operator
+    x -> d * (K - sigma M)^-1 M (x / d), d = sqrt(diag M), is similar to
+    (K - sigma M)^-1 M, with the values 1 / (lambda - sigma), and costs one
+    callback per step.  It is not symmetric, so ARPACK's Arnoldi iteration
+    runs it; the scaling by d makes it nearly symmetric, without which the
+    Ritz vectors of a mass matrix with a Gaussian weight of many orders of
+    magnitude miss the residual tolerance.  A Rayleigh-Ritz step on the real
+    span of the Ritz vectors then returns values of the symmetric pencil,
+    ascending, with M-orthonormal vectors, even where Arnoldi splits a
+    near-double value into a conjugate pair.
+
+    The start vector is random from a fixed seed: fixed so that a pencil
+    solved twice gives the same bits, random because a symmetric start on a
+    symmetric mesh keeps the Krylov space symmetric and can miss
+    antisymmetric eigenvectors.
     """
     N = K.shape[0]
-    if count >= N:
-        raise ValueError(f"count {count} must be below the number of dofs {N}")
+    if count >= N - 1:
+        raise ValueError(f"count {count} must be below N - 1 for N = {N} dofs")
+    lu = splinalg.splu(sparse.csc_matrix(K - sigma * M))
+    d = np.sqrt(M.diagonal())
+    op = splinalg.LinearOperator(
+        (N, N), matvec=lambda x: d * lu.solve(M @ (x / d)), dtype=float
+    )
     v0 = np.random.default_rng(0).standard_normal(N)
     try:
-        vals, vecs = splinalg.eigsh(K, k=count, M=M, sigma=sigma, which="LM", v0=v0)
+        thetas, ritz = splinalg.eigs(op, k=count, which="LM", v0=v0)
     except splinalg.ArpackNoConvergence as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
+    # real basis of the Ritz span: a conjugate pair contributes Re and Im once
+    columns, seen = [], set()
+    for theta, v in zip(thetas, ritz.T):
+        if theta.imag == 0.0:
+            columns.append(v.real)
+        elif theta.conjugate() not in seen:
+            columns += [v.real, v.imag]
+        seen.add(theta)
+    W = np.column_stack(columns) / d[:, None]
+    try:
+        vals, C = scipy.linalg.eigh(W.T @ (K @ W), W.T @ (M @ W))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"Ritz basis Gram matrix: {exc}") from exc
+    vals, vecs = vals[:count], W @ C[:, :count]
     residuals = np.empty(count)
     for i in range(count):
         v = vecs[:, i]

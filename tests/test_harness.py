@@ -154,6 +154,14 @@ class TestSweep:
             for r in rows:
                 assert len(r["gaps"]) >= 3
 
+    def test_one_gap_per_solved_value(self):
+        # eig_count = 12 needs predicted values up to 2 k (eig_count - 1)
+        spec = make_potential_spec(segment())
+        report = run_sweep(SweepConfig(spec=spec, k_list=(1,), s_list=(0.1,), eig_count=12))
+        rows = [r for rows in report.trajectories.values() for r in rows]
+        assert len(rows) == 2
+        assert all(len(r["predicted"]) == len(r["gaps"]) == 12 for r in rows)
+
     def test_one_mesh_per_h(self, monkeypatch):
         # s = 0.002 and 0.001 both sit at the 1-D floor h = 1/800
         built = []

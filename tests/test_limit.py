@@ -362,6 +362,25 @@ class TestPredictions:
                 assert len(pred) == len(bs_points(spec.polytope, k))
                 assert all(ls.exact and len(ls.flat(6)) == 6 for ls in pred.values())
 
+    def test_half_line_lists_count_values(self):
+        # a half-line has the values 2 j of multiplicity 1, so count values
+        # reach 2 (count - 1), beyond count + 2 n + 4 from count = 11 on
+        spec = make_potential_spec(segment())
+        for count in (10, 13):
+            for ls in predicted_limit(spec, 1, count=count).values():
+                assert len(ls.flat(count)) == count
+                assert np.array_equal(ls.flat(count), 2.0 * np.arange(count))
+
+    def test_narrow_sector_lists_count_values(self):
+        # psi = [[1, 0.99], [0.99, 1]] makes a corner of simplex2 a sector so
+        # narrow that its values 2 j + l pi / alpha are nearly all from l = 0
+        spec = _skew_spec(((1.0, 0.99), (0.99, 1.0)))
+        for b, ls in predicted_limit(spec, 1, count=13).items():
+            assert len(ls.flat(13)) == 13
+            if b.face_codim == 2:
+                alpha = limit._opening_angle(cone_at(spec, b))
+                assert np.allclose(ls.flat(13), _sector_values(1, alpha, 13), rtol=1e-12)
+
     def test_skew_3d_cone_unsupported(self):
         P = validate_delzant([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -1)])
         with pytest.raises(errors.DimensionUnsupported, match="no closed form"):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as splinalg
 
 from conftest import transform_polytope
 from toricspec import errors
+from toricspec.limit import ConeModel, _cone_pencil, default_truncation_radius
 from toricspec.mesh import (
     Mesh,
     _cell_edges,
@@ -273,9 +275,71 @@ class TestSolvers:
 
     def test_count_guard(self):
         op = assemble(make_potential_spec(segment()), 1.0, 1, (0,), build_mesh(segment(), 0.1))
-        for count in (op.K.shape[0], op.K.shape[0] + 1):
+        N = op.K.shape[0]
+        for count in (N - 1, N, N + 1):
             with pytest.raises(ValueError):
                 solve_eigs(op, count)
+
+    def test_conjugate_ritz_pair(self, monkeypatch):
+        # Arnoldi may return a near-double value as a conjugate pair; its
+        # vectors u1 +- i u2 span the same real plane, so Rayleigh-Ritz must
+        # recover both values from Re and Im of one member
+        op = assemble(make_potential_spec(segment()), 0.5, 1, (0,), build_mesh(segment(), 0.02))
+        eigs = splinalg.eigs
+
+        def paired(*args, **kwargs):
+            thetas, vecs = eigs(*args, **kwargs)
+            mean = 0.5 * (thetas[1].real + thetas[2].real)
+            thetas[1:3] = [mean + 1e-9j, mean - 1e-9j]
+            u = vecs[:, 1].real + 1j * vecs[:, 2].real
+            vecs[:, 1], vecs[:, 2] = u, u.conj()
+            return thetas, vecs
+
+        ref = solve_eigs(op, 4)
+        monkeypatch.setattr(splinalg, "eigs", paired)
+        sp = solve_eigs(op, 4)
+        assert np.allclose(sp.eigenvalues, ref.eigenvalues, rtol=1e-12)
+
+    def test_dependent_ritz_basis(self, monkeypatch):
+        # two equal Ritz vectors make the Gram matrix singular
+        op = assemble(make_potential_spec(segment()), 0.5, 1, (0,), build_mesh(segment(), 0.02))
+        eigs = splinalg.eigs
+
+        def repeated(*args, **kwargs):
+            thetas, vecs = eigs(*args, **kwargs)
+            vecs[:, 1] = vecs[:, 0]
+            return thetas, vecs
+
+        monkeypatch.setattr(splinalg, "eigs", repeated)
+        with pytest.raises(errors.ConvergenceFailure, match="Gram"):
+            solve_eigs(op, 3)
+
+    @pytest.mark.parametrize("case", ["sweep_1d", "weighted_sector", "near_double"])
+    def test_dense_reference(self, case):
+        # a sweep pencil, a 60-degree cone pencil whose Gaussian mass weight
+        # spans many orders of magnitude, and a pencil with a near-double
+        # value (6.544146 / 6.544862) on the square
+        if case == "sweep_1d":
+            spec = make_potential_spec(segment())
+            op = assemble(spec, 0.005, 3, (1,), build_mesh(segment(), np.sqrt(0.005) / 40))
+            K, M, count, sigma = op.K, op.M, 4, op.k**2 - 1.0
+        elif case == "weighted_sector":
+            cone = ConeModel(bs_point=None, codim=2, A0=np.array([[2.0, 1.0], [1.0, 2.0]]), level=1)
+            R = default_truncation_radius(1)
+            K, M, _ = _cone_pencil(cone, 1, R, R / 14.0)
+            count, sigma = 6, -1.0
+        else:
+            spec = make_potential_spec(hirzebruch(0))
+            op = assemble(spec, 0.1, 1, (0, 0), build_mesh(hirzebruch(0), 1 / 16))
+            K, M, count, sigma = op.K, op.M, 4, op.k**2 - 1.0
+        assert K.shape[0] <= 1500
+        ref = scipy.linalg.eigh(
+            K.toarray(), M.toarray(), subset_by_index=(0, count - 1), eigvals_only=True
+        )
+        sp = solve_pencil(K, M, count, sigma)
+        assert np.all(np.abs(sp.eigenvalues - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+        V = sp.vectors
+        assert np.max(np.abs(V.T @ (M @ V) - np.eye(count))) <= 1e-12
 
 
 class TestDbar:
