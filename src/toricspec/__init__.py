@@ -34,8 +34,6 @@ from .limit import (
     is_separable,
     numeric_cone_spectrum,
     predicted_limit,
-    rescale_from_limit,
-    rescale_to_limit,
 )
 from .mesh import Mesh, build_mesh, interval_mesh, polygon_mesh
 from .operator import (
@@ -105,7 +103,6 @@ __all__ = [
     # limit
     "ConeModel", "LimitSpectrum", "cone_at", "exact_cone_spectrum",
     "is_separable", "numeric_cone_spectrum", "predicted_limit",
-    "rescale_from_limit", "rescale_to_limit",
     # harness
     "ConvergenceReport", "SweepConfig", "emit_reports", "fiber_diameter_check",
     "run_sweep", "sweep_config_from_json",

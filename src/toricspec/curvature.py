@@ -8,8 +8,8 @@ Two independent routes are kept deliberately separate:
   metric dx G dx + dtheta G^-1 dtheta from finite differences of the metric
   alone, arbitrating sign and factor conventions empirically.
 
-``model_T`` and ``model_T_prime`` are the closed-form cofactor expressions for
-the constant-coefficient model G_s = (Y_m + A)/s, valid in corner charts.
+``model_T`` and ``model_T_prime`` are the closed-form expressions for the
+constant-coefficient model G_s = (Y_m + A)/s, valid in corner charts.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import RegionTouchesCodimTwo, SingularA, SingularG, StepTooLarge
 from .potential import GuilleminPotential, PolynomialFn, PotentialFamily, PotentialSpec
@@ -50,13 +49,9 @@ class ModelSpec:
     y: np.ndarray           # positive entries, length m
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
+        A, y = _check_model(self.A, self.n, self.m, self.y)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        if np.linalg.eigvalsh(A)[0] <= 0:
-            raise SingularA("model matrix A must be positive definite")
-        if np.any(self.y <= 0):
-            raise ValueError("model variables y_j must be positive")
+        object.__setattr__(self, "y", y)
 
     def Y(self):
         Y = np.zeros((self.n, self.n))
@@ -77,6 +72,41 @@ class ModelSpec:
         return x
 
 
+def _check_model(A, n, m, y):
+    """The corner-model inputs as float arrays, or the input error they make.
+
+    A must be a symmetric (relative tolerance 1e-12) positive definite
+    n x n matrix, 0 <= m <= n, and y an array of shape (..., m) of positive
+    entries.  Every model evaluated here, one point or a stacked grid, passes
+    through this check.
+    """
+    A = np.asarray(A, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if A.shape != (n, n):
+        raise ValueError(f"model matrix A must be {n} x {n}, got shape {A.shape}")
+    if not 0 <= m <= n:
+        raise ValueError(f"corner codimension m = {m} must lie in [0, n = {n}]")
+    if np.max(np.abs(A - A.T)) > 1e-12 * np.max(np.abs(A)):
+        raise ValueError("model matrix A must be symmetric")
+    if np.linalg.eigvalsh(A)[0] <= 0:
+        raise SingularA("model matrix A must be positive definite")
+    if y.shape[-1:] != (m,):
+        raise ValueError(f"expected {m} model variables y_j, got shape {y.shape}")
+    if not np.all(y > 0):
+        raise ValueError("model variables y_j must be positive")
+    return A, y
+
+
+def _min_ratio(T, G):
+    """Smallest kappa with sym(T) v = kappa G v, over stacked (..., n, n) pairs.
+
+    With G = L L^T this is the smallest eigenvalue of L^-1 sym(T) L^-T.
+    """
+    L_inv = np.linalg.inv(np.linalg.cholesky(G))
+    T_sym = 0.5 * (T + np.swapaxes(T, -1, -2))
+    return np.linalg.eigvalsh(L_inv @ T_sym @ np.swapaxes(L_inv, -1, -2))[..., 0]
+
+
 # ---------------------------------------------------------------------------
 # general route: exact derivative tensors
 # ---------------------------------------------------------------------------
@@ -84,33 +114,34 @@ class ModelSpec:
 def ricci_from_tensors(G, dG, d2G, point=None, s=None):
     """R, T, rho and min_ratio from G and its first two derivative arrays.
 
-    dG[k, i, j] = d_k G_ij and d2G[k, l, i, j] = d_k d_l G_ij.  Uses
-    d(G^-1) = -G^-1 (dG) G^-1 and d log det(G^-1) = -tr(G^-1 dG).
+    dG[k, i, j] = d_k G_ij and d2G[k, l, i, j] = d_k d_l G_ij.  The curvature
+    is evaluated in the coordinates xi = L^T x, G = L L^T, where the metric is
+    the identity; there d(G^-1) = -dG, d log det(G^-1) = -tr(dG) and T = R.
+    Working in that frame keeps the digits a chart with large cond(G) would
+    otherwise cost through G^-1.  T is (0,2), R = T G^-1, rho = G^-1 R / 4.
     """
-    n = G.shape[0]
     w = np.linalg.eigvalsh(G)
     if w[0] <= 0 or w[0] <= 1e-14 * w[-1]:
         raise SingularG("G is numerically singular")
-    Ginv = np.linalg.inv(G)
-    # v_h = d_h log det G^-1
-    v = -np.einsum("ij,hji->h", Ginv, dG)
-    dGinv = -np.einsum("il,klm,mj->kij", Ginv, dG, Ginv)
-    # dv[j, h] = d_j d_h log det G^-1
-    dv = np.einsum("ij,kjl,lm,hmi->kh", Ginv, dG, Ginv, dG) - np.einsum(
-        "ij,khji->kh", Ginv, d2G
-    )
-    R = -(np.einsum("jlh,h->jl", dGinv, v) + np.einsum("lh,jh->jl", Ginv, dv))
-    T = R @ G
-    rho = Ginv @ R / 4.0
-    T_sym = 0.5 * (T + T.T)
-    kappa = scipy.linalg.eigh(T_sym, G, eigvals_only=True)[0]
+    L = np.linalg.cholesky(G)
+    L_inv = np.linalg.inv(L)
+    # derivatives in the xi frame: d/dxi_k = sum_a L_inv[k, a] d/dx_a
+    dGw = L_inv @ np.einsum("ka,abc->kbc", L_inv, dG) @ L_inv.T
+    d2Gw = L_inv @ np.einsum("ka,lb,abcd->klcd", L_inv, L_inv, d2G) @ L_inv.T
+    # v_h = d_h log det G^-1 and dv[j, h] = d_j d_h log det G^-1
+    v = -np.einsum("hii->h", dGw)
+    dv = np.einsum("kij,hji->kh", dGw, dGw) - np.einsum("khii->kh", d2Gw)
+    T_xi = np.einsum("jlh,h->jl", dGw, v) - dv
+    T = L @ T_xi @ L.T
+    R = L @ T_xi @ L_inv
+    rho = L_inv.T @ T_xi @ L_inv / 4.0
     return RicciData(
         point=None if point is None else np.asarray(point, dtype=float),
         s=float(s) if s is not None else float("nan"),
         R=R,
         T=T,
         rho=rho,
-        min_ratio=float(kappa),
+        min_ratio=float(_min_ratio(T, G)),
     )
 
 
@@ -150,43 +181,39 @@ def model_potential_parts(model: ModelSpec, s):
 # closed-form model matrices
 # ---------------------------------------------------------------------------
 
-def _cofactor(M, p, q):
-    sub = np.delete(np.delete(M, p, axis=0), q, axis=1)
-    if sub.size == 0:
-        return 1.0
-    return (-1.0) ** (p + q) * np.linalg.det(sub)
+def _model_T(A, y, s):
+    """T and M = Y_m + A of the corner model at stacked y of shape (..., m).
+
+    With y_j = s/(2 x_j) the chain rule is d/dx_j = -(2 y_j^2 / s) d/dy_j, so
+    with B = M^-1 = cof/det (M is symmetric) and i, j, h <= m,
+    T_ji = -(4/s^2) y_j^2 y_i^2 B_ij^2 off the diagonal and
+    T_jj = -(4/s^2) sum_{h != j} y_j^2 y_h^2 B_jh B_hh
+           + (8/s^2) (y_j^3 B_jj - y_j^4 B_jj^2);
+    T vanishes outside the m-block.  The inputs are not checked here.
+    """
+    n, m = A.shape[0], y.shape[-1]
+    M = np.broadcast_to(A, y.shape[:-1] + (n, n)).copy()
+    idx = np.arange(m)
+    M[..., idx, idx] += y
+    B = np.linalg.inv(M)[..., :m, :m]
+    d = y * B[..., idx, idx]                        # d_j = y_j B_jj
+    W = y[..., :, None] * B * y[..., None, :]       # W_jh = y_j y_h B_jh
+    W[..., idx, idx] = 0.0
+    T = np.zeros(M.shape)
+    T[..., :m, :m] = -(W**2)
+    # sum_{h != j} y_j^2 y_h^2 B_jh B_hh = y_j sum_{h != j} W_jh d_h
+    T[..., idx, idx] = -y * np.einsum("...jh,...h->...j", W, d) + 2.0 * y**2 * d * (1.0 - d)
+    return 4.0 / (s * s) * T, M
 
 
 def model_T(model: ModelSpec, s):
-    """Cofactor closed form of T for the corner model; zero outside the m-block.
+    """Closed form of T for the corner model; zero outside the m-block.
 
-    With y_j = s/(2 x_j) the chain rule is d/dx_j = -(2 y_j^2 / s) d/dy_j, so
-    T_ji = -(4/s^2) y_j^2 y_i^2 cof_ij^2 / det^2 off the diagonal and
-    T_jj = -(4/s^2) sum_h y_j^2 y_h^2 cof_jh cof_hh / det^2
-           + (8/s^2) (y_j^3 cof_jj / det - y_j^4 cof_jj^2 / det^2).
-    The normalization is pinned by the finite-difference curvature oracle.
+    The formulas are those of ``_model_T``, evaluated at the one point
+    ``model.y``.  The normalization is pinned by the finite-difference
+    curvature oracle.
     """
-    n, m = model.n, model.m
-    M = model.Y() + model.A
-    delta = np.linalg.det(M)
-    cof = np.array([[_cofactor(M, p, q) for q in range(n)] for p in range(n)])
-    y = model.y
-    T = np.zeros((n, n))
-    s2 = s * s
-    for j in range(m):
-        for i in range(m):
-            if i != j:
-                T[j, i] = -4.0 * (y[j] ** 2 * y[i] ** 2 * cof[i, j] ** 2) / (s2 * delta**2)
-        acc = 0.0
-        for h in range(m):
-            if h != j:
-                acc += y[j] ** 2 * y[h] ** 2 * cof[j, h] * cof[h, h] / delta**2
-        T[j, j] = (
-            -4.0 * acc / s2
-            + 8.0 * y[j] ** 3 * cof[j, j] / (s2 * delta)
-            - 8.0 * y[j] ** 4 * cof[j, j] ** 2 / (s2 * delta**2)
-        )
-    return T
+    return _model_T(model.A, model.y, s)[0]
 
 
 def model_T_prime(y, x_rest, s, n, m):
@@ -237,9 +264,8 @@ def minor_identity_check(A, index_set, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 def model_min_ratio(model: ModelSpec, s):
-    T = model_T(model, s)
-    G = model.G(s)
-    return float(scipy.linalg.eigh(0.5 * (T + T.T), G, eigvals_only=True)[0])
+    T, M = _model_T(model.A, model.y, s)
+    return float(_min_ratio(T, M / s))
 
 
 def ricci_lower_bound_scan(
@@ -269,19 +295,18 @@ def ricci_lower_bound_scan(
     axes = [np.geomspace(SCAN_Z_MIN, zm, grid_points) for zm in z_max]
     mesh = np.meshgrid(*axes, indexing="ij")
     zs = np.stack([g.ravel() for g in mesh], axis=-1)
+    s_arr = np.array([float(s) for s in s_list])
+    root_s = np.sqrt(s_arr)[:, None, None]
+    A, ys = _check_model(A, n, m, root_s * zs)
+    xs = np.full((len(s_arr), len(zs), n), np.nan)
+    xs[..., :m] = root_s / (2.0 * zs)
     rows = []
     infimum = {}
-    for s in s_list:
-        best = np.inf
-        for z in zs:
-            y = np.sqrt(s) * z
-            model = ModelSpec(n=n, m=m, A=A, y=y)
-            ratio = model_min_ratio(model, s)
-            x = np.full(n, np.nan)
-            x[:m] = np.sqrt(s) / (2.0 * z)
-            rows.append((float(s), tuple(float(v) for v in x), ratio))
-            best = min(best, ratio)
-        infimum[float(s)] = float(best)
+    for s, y, x_grid in zip(s_arr.tolist(), ys, xs.tolist()):
+        T, M = _model_T(A, y, s)
+        ratios = _min_ratio(T, M / s).tolist()
+        rows.extend((s, tuple(x), r) for x, r in zip(x_grid, ratios))
+        infimum[s] = float(min(ratios))
     return rows, infimum
 
 
@@ -289,17 +314,37 @@ def ricci_lower_bound_scan(
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-_FD1_OFFSETS = np.array([-2, -1, 1, 2])
-_FD1_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+_FD_STEPS = np.array([-2, -1, 1, 2])
+_FD_D1 = np.array([1, -8, 8, -1])          # times 1 / (12 h)
+_FD_D2 = np.array([-1, 16, 16, -1])        # times 1 / (12 h^2), centre -30
 
 
-def _metric_blocks(hess_fn, x):
-    G = hess_fn(x)
-    n = G.shape[0]
-    g = np.zeros((2 * n, 2 * n))
-    g[:n, :n] = G
-    g[n:, n:] = np.linalg.inv(G)
-    return g
+def _fd_stencil(n):
+    """Stencil offsets and 4th-order centered coefficient tables in n dimensions.
+
+    Returns (offsets, c1, c2): offsets is (S, n) with the centre first, then
+    4 points per axis and 16 per pair of axes, all distinct.  For metric
+    samples g[S] at x + h offsets[S], d_k g = sum_S c1[k, S] g[S] / (12 h) and
+    d_k d_l g = sum_S c2[k, l, S] g[S] / (144 h^2).  The tables hold
+    integers, so a constant metric has derivatives exactly zero.
+    """
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    size = 1 + 4 * n + 16 * len(pairs)
+    offsets = np.zeros((size, n))
+    c1 = np.zeros((n, size))
+    c2 = np.zeros((n, n, size))
+    for k in range(n):
+        cols = 1 + 4 * k + np.arange(4)
+        offsets[cols, k] = _FD_STEPS
+        c1[k, cols] = _FD_D1
+        c2[k, k, cols] = 12 * _FD_D2
+        c2[k, k, 0] = -12 * 30
+    for p, (k, l) in enumerate(pairs):
+        cols = 1 + 4 * n + 16 * p + np.arange(16)
+        offsets[cols, k] = np.repeat(_FD_STEPS, 4)
+        offsets[cols, l] = np.tile(_FD_STEPS, 4)
+        c2[k, l, cols] = c2[l, k, cols] = np.outer(_FD_D1, _FD_D1).ravel()
+    return offsets, c1, c2
 
 
 def christoffel_ricci_oracle(spec_or_hess, s, x, step=None):
@@ -309,7 +354,9 @@ def christoffel_ricci_oracle(spec_or_hess, s, x, step=None):
     in the action coordinates (the angle coordinates are Killing directions).
     Under the Kahler dictionary this block equals T/2, which is what callers
     compare against.  ``spec_or_hess`` is a PotentialSpec or a bare Hessian
-    callable; the step defaults to 1e-4 times the distance to the boundary.
+    callable; a callable must accept stacked points of shape (..., n) and
+    return (..., n, n).  The step defaults to 1e-4 times the distance to the
+    boundary.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -330,48 +377,20 @@ def christoffel_ricci_oracle(spec_or_hess, s, x, step=None):
         h = step
 
     N = 2 * n
-    g0 = _metric_blocks(hess_fn, x)
-    dg = np.zeros((n, N, N))
-    d2g = np.zeros((n, n, N, N))
-    cache = {}
-
-    def g_at(offset):
-        key = tuple(offset)
-        if key not in cache:
-            cache[key] = _metric_blocks(hess_fn, x + h * np.asarray(offset, dtype=float))
-        return cache[key]
-
-    for k in range(n):
-        for off, wgt in zip(_FD1_OFFSETS, _FD1_WEIGHTS):
-            e = np.zeros(n)
-            e[k] = off
-            dg[k] += wgt * g_at(e)
-        dg[k] /= h
-    for k in range(n):
-        acc = -30.0 * g0
-        for off, wgt in zip([-2, -1, 1, 2], [-1.0, 16.0, 16.0, -1.0]):
-            e = np.zeros(n)
-            e[k] = off
-            acc += wgt * g_at(e)
-        d2g[k, k] = acc / (12.0 * h * h)
-    for k in range(n):
-        for l in range(k + 1, n):
-            acc = np.zeros((N, N))
-            for off_k, w_k in zip(_FD1_OFFSETS, _FD1_WEIGHTS):
-                for off_l, w_l in zip(_FD1_OFFSETS, _FD1_WEIGHTS):
-                    e = np.zeros(n)
-                    e[k] = off_k
-                    e[l] = off_l
-                    acc += w_k * w_l * g_at(e)
-            d2g[k, l] = acc / (h * h)
-            d2g[l, k] = d2g[k, l]
-
-    g_inv = np.linalg.inv(g0)
+    offsets, c1, c2 = _fd_stencil(n)
+    G = hess_fn(x + h * offsets)
+    # metric samples g = diag(G, G^-1) at every stencil point, centre first
+    g = np.zeros((len(offsets), N, N))
+    g[:, :n, :n] = G
+    g[:, n:, n:] = np.linalg.inv(G)
+    g_inv = np.zeros((N, N))
+    g_inv[:n, :n] = g[0, n:, n:]
+    g_inv[n:, n:] = G[0]
     # partial derivatives indexed over all 2n slots; theta slots vanish
     dg_full = np.zeros((N, N, N))
-    dg_full[:n] = dg
+    dg_full[:n] = np.einsum("kS,Sab->kab", c1, g) / (12.0 * h)
     d2g_full = np.zeros((N, N, N, N))
-    d2g_full[:n, :n] = d2g
+    d2g_full[:n, :n] = np.einsum("klS,Sab->klab", c2, g) / (144.0 * h * h)
 
     gamma = 0.5 * np.einsum(
         "ad,bdc->abc", g_inv, dg_full + np.transpose(dg_full, (2, 1, 0)) - np.transpose(dg_full, (1, 0, 2))

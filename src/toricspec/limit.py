@@ -38,14 +38,15 @@ class ConeModel:
     codim: int               # number of cone faces m
     A0: np.ndarray           # Hess(psi) at the base point, chart coordinates
     level: int               # weight exponent k
-    chart: object = None
 
     @property
     def dim(self):
         return self.A0.shape[0]
 
     def inv_sqrt_A0(self):
-        return _sqrt_A0(self.A0, inverse=True)
+        """A0^(-1/2) by the eigendecomposition of A0."""
+        w, U = np.linalg.eigh(self.A0)
+        return (U / np.sqrt(w)) @ U.T
 
     def facet_normals(self):
         """Unit inward normals of the cone faces, rows A0^(-1/2) e_i normalized."""
@@ -83,7 +84,7 @@ def cone_at(spec: PotentialSpec, b: BSPoint):
     A_inv = np.array(chart.lattice_inverse(), dtype=float)
     x0 = np.array([float(c) for c in b.point])
     A0 = A_inv.T @ spec.psi.hessian(x0) @ A_inv
-    return ConeModel(bs_point=b, codim=b.face_codim, A0=A0, level=b.level, chart=chart)
+    return ConeModel(bs_point=b, codim=b.face_codim, A0=A0, level=b.level)
 
 
 def is_separable(cone: ConeModel):
@@ -261,25 +262,6 @@ def _cluster(vals, tol):
             values.append(float(v))
             mults.append(1)
     return values, mults
-
-
-def _sqrt_A0(A0, inverse=False):
-    """A0^(1/2), or A0^(-1/2) when inverse, by the eigendecomposition of A0."""
-    w, U = np.linalg.eigh(np.asarray(A0, dtype=float))
-    root = np.sqrt(w)
-    return ((U / root) if inverse else (U * root)) @ U.T
-
-
-def rescale_to_limit(A0, s, x):
-    """xi = s^(-1/2) A0^(1/2) x for x in chart coordinates."""
-    x = np.asarray(x, dtype=float)
-    return (x @ _sqrt_A0(A0).T) / np.sqrt(s)
-
-
-def rescale_from_limit(A0, s, xi):
-    """x = s^(1/2) A0^(-1/2) xi, the inverse of rescale_to_limit."""
-    xi = np.asarray(xi, dtype=float)
-    return np.sqrt(s) * (xi @ _sqrt_A0(A0, inverse=True).T)
 
 
 def predicted_limit(spec: PotentialSpec, k, count=8):

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_unimodular
 from toricspec import errors
 from toricspec.curvature import (
     ModelSpec,
+    _min_ratio,
     christoffel_ricci_oracle,
     minor_identity_check,
+    model_min_ratio,
     model_T,
     model_T_prime,
     model_potential_parts,
@@ -31,6 +34,35 @@ def random_model(rng, n=None, m=None):
     A = B @ B.T + (0.5 + rng.random()) * np.eye(n)
     y = rng.uniform(0.08, 3.0, size=m)
     return ModelSpec(n=n, m=m, A=A, y=y)
+
+
+def cofactor_model_T(A, y, s):
+    """Reference: the closed form of T written with explicit cofactors."""
+    n, m = A.shape[0], len(y)
+    M = A.copy()
+    M[np.arange(m), np.arange(m)] += y
+    delta = np.linalg.det(M)
+
+    def cof(p, q):
+        sub = np.delete(np.delete(M, p, axis=0), q, axis=1)
+        return (-1.0) ** (p + q) * (np.linalg.det(sub) if sub.size else 1.0)
+
+    T = np.zeros((n, n))
+    for j in range(m):
+        for i in range(m):
+            if i != j:
+                T[j, i] = -4.0 * y[j] ** 2 * y[i] ** 2 * cof(i, j) ** 2 / (s * s * delta**2)
+        acc = sum(y[j] ** 2 * y[h] ** 2 * cof(j, h) * cof(h, h) for h in range(m) if h != j)
+        T[j, j] = (
+            -4.0 * acc / (s * s * delta**2)
+            + 8.0 * y[j] ** 3 * cof(j, j) / (s * s * delta)
+            - 8.0 * y[j] ** 4 * cof(j, j) ** 2 / (s * s * delta**2)
+        )
+    return T
+
+
+SKEW = np.array([[2.0, 1.0], [1.0, 2.0]])
+A3 = np.array([[3.0, 1.0, 0.5], [1.0, 2.0, 0.2], [0.5, 0.2, 1.5]])
 
 
 class TestGeneralRoute:
@@ -103,6 +135,17 @@ class TestModelClosedForms:
             scale = max(np.abs(T_general).max(), 1e-30)
             assert np.max(np.abs(T_closed - T_general)) < 1e-8 * scale
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_cofactor_reference(self, rng, n):
+        for m in range(n + 1):
+            for _ in range(10):
+                mod = random_model(rng, n=n, m=m)
+                s = 10.0 ** rng.uniform(-2, 0)
+                T_ref = cofactor_model_T(mod.A, mod.y, s)
+                T = model_T(mod, s)
+                assert T.shape == (n, n)
+                assert np.max(np.abs(T - T_ref)) <= 1e-12 * max(np.abs(T_ref).max(), 1e-300)
+
     def test_outside_block_vanishes(self, rng):
         mod = random_model(rng, n=2, m=1)
         T = model_T(mod, 0.2)
@@ -119,6 +162,59 @@ class TestModelClosedForms:
             if base is None:
                 base = val
             assert np.allclose(val, base, rtol=1e-9)
+
+
+class TestModelInputs:
+    def test_non_symmetric_A_rejected(self):
+        # eigvalsh of [[1, 5], [0, 1]] reads 1, 1; its symmetric part has -1.5
+        A = np.array([[1.0, 5.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            ModelSpec(n=2, m=2, A=A, y=np.ones(2))
+        with pytest.raises(ValueError, match="symmetric"):
+            ricci_lower_bound_scan(A, 2, 2, [1.0], [5.0, 5.0], grid_points=3)
+
+    def test_symmetry_tolerance_is_relative(self):
+        A = SKEW * 1e6
+        A[0, 1] += 1e-7                 # 1e-13 of the largest entry
+        ModelSpec(n=2, m=2, A=A, y=np.ones(2))
+        A[0, 1] += 1e-5
+        with pytest.raises(ValueError, match="symmetric"):
+            ModelSpec(n=2, m=2, A=A, y=np.ones(2))
+
+    def test_m_above_n_rejected(self):
+        with pytest.raises(ValueError, match="m = 2"):
+            ModelSpec(n=1, m=2, A=np.eye(1), y=np.ones(2))
+        with pytest.raises(ValueError, match="m = 2"):
+            ricci_lower_bound_scan(np.eye(1), 1, 2, [1.0], [5.0, 5.0], grid_points=3)
+
+    def test_indefinite_A_and_bad_y_rejected(self):
+        with pytest.raises(errors.SingularA):
+            ModelSpec(n=2, m=1, A=np.diag([1.0, -1.0]), y=np.ones(1))
+        with pytest.raises(errors.SingularA):
+            ricci_lower_bound_scan(np.diag([1.0, -1.0]), 2, 1, [1.0], [5.0], grid_points=3)
+        with pytest.raises(ValueError, match="positive"):
+            ModelSpec(n=2, m=1, A=np.eye(2), y=np.array([0.0]))
+        with pytest.raises(ValueError, match="positive"):
+            ricci_lower_bound_scan(np.eye(2), 2, 1, [0.0], [5.0], grid_points=3)
+
+
+class TestMinRatio:
+    def test_smallest_pencil_value(self, rng):
+        T = rng.normal(size=(6, 3, 3))
+        B = rng.normal(size=(6, 3, 3))
+        G = B @ np.swapaxes(B, -1, -2) + 0.5 * np.eye(3)
+        kappa = _min_ratio(T, G)
+        assert kappa.shape == (6,)
+        for k, t, g in zip(kappa, T, G):
+            ref = scipy.linalg.eigh(0.5 * (t + t.T), g, eigvals_only=True)[0]
+            assert abs(k - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+    def test_general_route_uses_it(self, rng):
+        spec = make_potential_spec(simplex2())
+        x = np.array([0.2, 0.3])
+        data = ricci_general(spec, 0.4, x)
+        G = spec.boundary.hessian(x) + spec.phi.hessian(x) + spec.psi.hessian(x) / 0.4
+        assert abs(data.min_ratio - float(_min_ratio(data.T, G))) <= 1e-12 * abs(data.min_ratio)
 
 
 class TestModelTPrime:
@@ -224,6 +320,29 @@ class TestScans:
         )
         vals = [infimum[s] for s in (1.0, 0.1, 0.01)]
         assert vals[1] < 0.7 * vals[0] and vals[2] < 0.7 * vals[1]
+
+    @pytest.mark.parametrize("A, n, m, z_max, allow_corner", [
+        (np.eye(2), 2, 2, [50.0, 5.0], False),
+        (SKEW, 2, 2, [50.0, 50.0], True),
+        (A3, 3, 2, [5.0, 50.0], False),
+    ])
+    def test_rows_match_per_point_model(self, A, n, m, z_max, allow_corner):
+        s_list, grid = [1.0, 0.1, 0.01], 6
+        rows, infimum = ricci_lower_bound_scan(
+            A, n, m, s_list, z_max, grid_points=grid, allow_corner=allow_corner
+        )
+        axes = [np.geomspace(1e-2, zm, grid) for zm in z_max]
+        zs = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        assert len(rows) == len(s_list) * grid**m
+        for i, (s, x, ratio) in enumerate(rows):
+            z = zs[i % len(zs)]
+            assert s == s_list[i // len(zs)]
+            assert np.array_equal(x[:m], np.sqrt(s) / (2.0 * z))
+            assert np.all(np.isnan(x[m:])) and len(x) == n
+            ref = model_min_ratio(ModelSpec(n=n, m=m, A=A, y=np.sqrt(s) * z), s)
+            assert abs(ratio - ref) <= 1e-12 * abs(ref)
+        for s in s_list:
+            assert infimum[s] == min(r for t, _, r in rows if t == s)
 
     def test_rows_carry_coordinates(self):
         rows, _ = ricci_lower_bound_scan(

@@ -433,3 +433,13 @@ class TestCli:
         )
         assert code == 0
         assert "inf(min_ratio)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("matrix, z_max, message", [
+        ("[[1, 5], [0, 1]]", "[5, 5]", "symmetric"),     # symmetric part is indefinite
+        ("[[2]]", "[5, 5]", "m = 2"),                     # two corner directions in n = 1
+    ])
+    def test_ricci_scan_rejects_bad_model(self, capsys, matrix, z_max, message):
+        code = cli.main(["ricci-scan", "--matrix", matrix, "--s-list", "1", "--z-max", z_max])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and message in err

@@ -15,8 +15,6 @@ from toricspec.limit import (
     limit_spectrum_record,
     numeric_cone_spectrum,
     predicted_limit,
-    rescale_from_limit,
-    rescale_to_limit,
 )
 from toricspec.polytope import (
     LocalChart,
@@ -282,23 +280,6 @@ class TestChartInverse:
         assert np.array_equal(A_inv, [[1.0, -2.0], [-1.0, 3.0]])
         assert np.array_equal(A @ A_inv, np.eye(2))
         assert np.array_equal(A_inv @ A, np.eye(2))
-
-
-class TestRescaling:
-    def test_origin_fixed(self):
-        assert np.allclose(rescale_to_limit(np.eye(2), 0.01, np.zeros(2)), 0.0)
-
-    def test_reference_point(self):
-        xi = rescale_to_limit(np.eye(2), 0.01, np.array([0.1, 0.0]))
-        assert np.allclose(xi, [1.0, 0.0])
-
-    def test_roundtrip(self, rng):
-        A0 = np.array([[2.0, 0.3], [0.3, 1.0]])
-        for _ in range(5):
-            x = rng.normal(size=2)
-            xi = rescale_to_limit(A0, 0.05, x)
-            back = rescale_from_limit(A0, 0.05, xi)
-            assert np.allclose(back, x, atol=1e-12)
 
 
 class TestPredictions:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_bs_count, random_delzant, random_unimodular, transform_polytope
+from toricspec.curvature import ricci_general
 from toricspec.limit import predicted_limit
 from toricspec.operator import mode_set
 from toricspec.polytope import (
@@ -22,7 +23,7 @@ from toricspec.polytope import (
     local_chart,
     validate_delzant,
 )
-from toricspec.potential import PolynomialFn, make_potential_spec
+from toricspec.potential import PolynomialFn, PotentialFamily, make_potential_spec
 
 # small and derandomized: a fixed handful of examples per property
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -40,6 +41,26 @@ def _simplex3():
     return validate_delzant(
         [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -1)]
     )
+
+
+def _skew_image_specs(rng):
+    """A random Delzant polygon P with a skew quadratic psi, and its image.
+
+    The image under x -> A x + c carries psi pulled back by the inverse map,
+    so the two metric families are isometric.  Returns (spec, spec_Q, A, c).
+    """
+    P = random_delzant(rng, 2)
+    a, d = rng.integers(2, 5, size=2)
+    e = rng.choice([-1, 1])
+    H = np.array([[a, e], [e, d]], dtype=float)     # positive definite, skew
+    A = random_unimodular(rng, 2)
+    c = rng.integers(-3, 4, size=2)
+    A_inv = np.round(np.linalg.inv(A.astype(float)))
+    spec = make_potential_spec(P, psi=PolynomialFn.quadratic_form(H))
+    spec_Q = make_potential_spec(
+        transform_polytope(P, A, c), psi=spec.psi.affine_pullback(A_inv, -A_inv @ c)
+    )
+    return spec, spec_Q, A, c
 
 
 def _check_lattice_layer(P, Q, levels):
@@ -90,18 +111,7 @@ def test_simplex3_images(seed):
 def test_cone_spectra_lattice_invariant(seed):
     # x -> A x + c with A in GL_2(Z) maps the quantized points of P onto those
     # of its image, and psi pulled back by the inverse map gives congruent cones
-    rng = np.random.default_rng(seed)
-    P = random_delzant(rng, 2)
-    a, d = rng.integers(2, 5, size=2)
-    e = rng.choice([-1, 1])
-    H = np.array([[a, e], [e, d]], dtype=float)     # positive definite, skew
-    A = random_unimodular(rng, 2)
-    c = rng.integers(-3, 4, size=2)
-    A_inv = np.round(np.linalg.inv(A.astype(float)))
-    spec = make_potential_spec(P, psi=PolynomialFn.quadratic_form(H))
-    spec_Q = make_potential_spec(
-        transform_polytope(P, A, c), psi=spec.psi.affine_pullback(A_inv, -A_inv @ c)
-    )
+    spec, spec_Q, A, c = _skew_image_specs(np.random.default_rng(seed))
     for k in (1, 2):
         pred = predicted_limit(spec, k)
         pred_Q = {b.point: ls for b, ls in predicted_limit(spec_Q, k).items()}
@@ -110,6 +120,29 @@ def test_cone_spectra_lattice_invariant(seed):
             image = tuple(sum(int(A[i, j]) * b.point[j] for j in range(2)) + int(c[i]) for i in range(2))
             assert pred_Q[image].multiplicities == ls.multiplicities
             np.testing.assert_allclose(pred_Q[image].values, ls.values, rtol=1e-12, atol=0)
+
+
+@PROPERTY
+@given(seed=seeds)
+def test_ricci_min_ratio_lattice_invariant(seed):
+    # the image metric is the pullback of the original one, and min_ratio, the
+    # smallest value of the pencil (T, G), does not see the change of chart.
+    # The image-chart tensors carry the facet normals to the fourth power, so
+    # their own rounding moves min_ratio by up to ~eps cond(G_Q)^2 times the
+    # pencil's largest value; at the mild charts 1e-9 relative is what is left
+    spec, spec_Q, A, c = _skew_image_specs(np.random.default_rng(seed))
+    verts = np.array(spec.polytope.vertices, dtype=float)
+    centre = verts.mean(axis=0)
+    for x in [centre] + [0.5 * (centre + v) for v in verts]:
+        for s in (1.0, 0.1):
+            data = ricci_general(spec, s, x)
+            r = data.min_ratio
+            r_Q = ricci_general(spec_Q, s, A @ x + c).min_ratio
+            G = PotentialFamily.of_spec(spec, s).hessian(x)
+            G_Q = PotentialFamily.of_spec(spec_Q, s).hessian(A @ x + c)
+            scale = np.abs(np.linalg.eigvals(np.linalg.solve(G, data.T))).max()
+            floor = 10 * np.finfo(float).eps * np.linalg.cond(G_Q) ** 2 * scale
+            assert abs(r_Q - r) <= 1e-9 * abs(r) + floor
 
 
 def test_chart_completion_rows_come_from_a_vertex():
