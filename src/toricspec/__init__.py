@@ -40,12 +40,9 @@ from .operator import (
     OperatorFactory,
     ReducedOperator,
     Spectrum,
-    assemble,
     dbar_spectrum,
-    ground_state_rayleigh,
     map_dbar,
     mode_set,
-    reduced_coefficients,
     solve_eigs,
 )
 from .polytope import (
@@ -76,7 +73,6 @@ from .potential import (
     guillemin_derivatives,
     make_potential_spec,
     potential_spec_from_json,
-    potential_spec_to_json,
 )
 
 __all__ = [
@@ -90,15 +86,13 @@ __all__ = [
     "GuilleminPotential", "PolynomialFn", "PotentialFamily", "PotentialSpec",
     "boundary_decomposition", "family_hessian_batch", "ground_state",
     "guillemin_derivatives", "make_potential_spec", "potential_spec_from_json",
-    "potential_spec_to_json",
     # curvature
     "ModelSpec", "RicciData", "christoffel_ricci_oracle", "minor_identity_check",
     "model_T", "model_T_prime", "ricci_general", "ricci_lower_bound_scan",
     "ricci_of_potential",
     # mesh and operator
     "Mesh", "build_mesh", "interval_mesh", "polygon_mesh", "OperatorFactory",
-    "ReducedOperator", "Spectrum", "assemble", "dbar_spectrum",
-    "ground_state_rayleigh", "map_dbar", "mode_set", "reduced_coefficients",
+    "ReducedOperator", "Spectrum", "dbar_spectrum", "map_dbar", "mode_set",
     "solve_eigs",
     # limit
     "ConeModel", "LimitSpectrum", "cone_at", "exact_cone_spectrum",

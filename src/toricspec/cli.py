@@ -16,9 +16,9 @@ import numpy as np
 from . import errors
 from .curvature import ricci_lower_bound_scan
 from .harness import ConvergenceReport, emit_reports, run_sweep, sweep_config_from_json
-from .limit import limit_spectrum_record, predicted_limit
+from .limit import predicted_limit
 from .mesh import build_mesh
-from .operator import dbar_spectrum, spectrum_record
+from .operator import dbar_spectrum
 from .polytope import bs_points, delzant_violations, polytope_from_json
 from .potential import make_potential_spec, potential_spec_from_json
 from .reports import write_csv, write_json
@@ -102,10 +102,18 @@ def cmd_ricci_scan(args):
 def cmd_spectrum(args):
     P = _load_polytope(args.polytope)
     spec = _load_spec(P, args.potential)
-    mode = tuple(int(v) for v in json.loads(args.mode))
+    mode = json.loads(args.mode)
     mesh = build_mesh(P, args.h)
     dbar, spectrum = dbar_spectrum(spec, args.s, args.level, mode, mesh, args.count)
-    record = spectrum_record(args.s, args.level, mode, mesh, dbar, spectrum)
+    record = {
+        "s": float(args.s),
+        "k": int(args.level),
+        "mode": mode,
+        "dbar_eigenvalues": [float(v) for v in dbar],
+        "residuals": [float(r) for r in spectrum.residuals],
+        "dofs": int(mesh.num_nodes),
+        "h": float(mesh.max_diameter()),
+    }
     print(json.dumps(record, sort_keys=True))
     return EXIT_PASS
 
@@ -114,7 +122,14 @@ def cmd_limit(args):
     P = _load_polytope(args.polytope)
     spec = _load_spec(P, args.potential)
     for b, ls in sorted(predicted_limit(spec, args.level, args.count).items(), key=lambda kv: kv[0].point):
-        print(json.dumps(limit_spectrum_record(b, args.level, ls), sort_keys=True))
+        record = {
+            "b": [str(c) for c in b.point],
+            "k": int(args.level),
+            "exact": bool(ls.exact),
+            "eigenvalues": [float(v) for v in ls.values],
+            "multiplicities": [int(m) for m in ls.multiplicities],
+        }
+        print(json.dumps(record, sort_keys=True))
     return EXIT_PASS
 
 

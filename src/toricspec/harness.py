@@ -56,7 +56,7 @@ class SweepConfig:
 
     spec: PotentialSpec
     k_list: tuple
-    s_list: tuple            # strictly descending, positive
+    s_list: tuple            # strictly descending, finite, positive
     eig_count: int = 4
     mode_margin: int = 1
 
@@ -77,8 +77,8 @@ class SweepConfig:
         self.s_list = tuple(float(s) for s in self.s_list)
         s = self.s_list
         # a repeated s would make the Richardson step divide by zero
-        if any(v <= 0 for v in s) or any(a <= b for a, b in zip(s, s[1:])):
-            raise ValueError("s_list must be positive and strictly descending")
+        if not all(np.isfinite(v) and v > 0 for v in s) or any(a <= b for a, b in zip(s, s[1:])):
+            raise ValueError(f"s_list must be finite, positive and strictly descending, got {s}")
         if not self.k_list or min(self.k_list) < 1:
             raise ValueError(f"k_list must name at least one level, each >= 1, got {self.k_list}")
         if self.eig_count < 1:
@@ -211,7 +211,8 @@ def run_sweep(config: SweepConfig):
         non_bs_lowest = {m: [] for m in modes if m not in by_mode}
 
         for s in config.s_list:
-            factory = OperatorFactory(spec, s, k, meshes[config.h_of(s)])
+            mesh = meshes[config.h_of(s)]
+            factory = OperatorFactory(spec, s, k, mesh)
             results = {}
             for mode in modes:
                 try:
@@ -248,7 +249,7 @@ def run_sweep(config: SweepConfig):
 
             # trajectories and localization for quantized modes
             ground = {m: sp.vectors[:, 0] for m, (_, sp) in results.items() if m in by_mode}
-            masses = _localization_masses(factory, points, ground, s)
+            masses = _localization_masses(mesh, points, ground, s)
             for mode, (dbar, _) in results.items():
                 if mode not in by_mode:
                     continue
@@ -281,21 +282,23 @@ def run_sweep(config: SweepConfig):
     return report
 
 
-def _localization_masses(factory, all_points, vectors, s):
+def _localization_masses(mesh, all_points, vectors, s):
     """{mode: (c_min, mass_at_c5)} for {mode: ground vector} of quantized modes.
 
     c_min is the smallest c with 99% mass in the union of B(b, c sqrt(s)), and
-    mass_at_c5 the mass fraction at c = 5.  Each mode's quadrature density and
-    each ball mask are formed once; a mask holds 0 or 1, so a masked sum is
-    exactly the masked quadrature.
+    mass_at_c5 the mass fraction at c = 5.  Each mode's quadrature density
+    (weight times the squared P1 interpolant, summing to ||v||^2) and each
+    ball mask are formed once; a mask holds 0 or 1, so a masked sum is exactly
+    the masked quadrature.
     """
-    q = factory.mesh.qpoints
+    q = mesh.qpoints
     centers = np.array([[float(c) for c in b.point] for b in all_points])
     d2 = np.min(
         np.sum((q[:, :, None, :] - centers[None, None, :, :]) ** 2, axis=-1), axis=-1
     )
     dmin = np.sqrt(d2)
-    density = {m: factory.l2_density(v) for m, v in vectors.items()}
+    vals = {m: np.einsum("qi,ci->cq", mesh.bary, v[mesh.cells]) for m, v in vectors.items()}
+    density = {m: mesh.qweights * u * u for m, u in vals.items()}
     total = {m: float(np.sum(w)) for m, w in density.items()}
     c_min = dict.fromkeys(density, np.inf)
     for c in C_GRID:

@@ -280,13 +280,3 @@ def predicted_limit(spec: PotentialSpec, k, count=8):
         out[b] = exact_cone_spectrum(cone, k, n_max=n_max)
     return out
 
-
-def limit_spectrum_record(b: BSPoint, k, spectrum: LimitSpectrum):
-    return {
-        "b": [str(c) for c in b.point],
-        "k": int(k),
-        "exact": bool(spectrum.exact),
-        "eigenvalues": [float(v) for v in spectrum.values],
-        "multiplicities": [int(m) for m in spectrum.multiplicities],
-    }
-

@@ -9,22 +9,25 @@ A Mesh owns its P1 geometry.  Each cell is the image of the reference simplex
 under one affine map x = v_0 + J^T xi, whose rows of J are the edges from
 vertex 0 (Ciarlet, The Finite Element Method for Elliptic Problems, 1978);
 the P1 gradients, quadrature points and weights follow from J in any
-dimension, and |det J| makes them independent of the vertex order.
+dimension, and |det J| makes them independent of the vertex order.  It also
+owns the CSR pattern of its P1 matrices, built on the first assembly, so
+every matrix on the mesh is one bincount of local arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import atan2, ceil, factorial, log2
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .errors import DimensionUnsupported
 
 GRADING_RATIO = 0.7      # width ratio of consecutive 1d end-layer cells
 GRADING_DEPTH = 12       # number of 1d end-layer cells
-SHAPE_LIMIT = 10.0       # largest admitted longest edge / (2 inradius)
 
 _GAUSS_X = np.array([0.5 - np.sqrt(3.0 / 5.0) / 2.0, 0.5, 0.5 + np.sqrt(3.0 / 5.0) / 2.0])
 _A1 = 0.445948490915965
@@ -76,6 +79,28 @@ class Mesh:
         self.grads = ref @ np.linalg.inv(J).transpose(0, 2, 1)
         self.qpoints = self.bary @ coords
         self.qweights = np.outer(np.abs(np.linalg.det(J)) / factorial(self.dim), w)
+
+    @cached_property
+    def _pattern(self):
+        """CSR indices and indptr of the node pairs sharing a cell, and slot.
+
+        The pairs are sorted and unique; slot sends entry (c, i, j) of a local
+        array (M, n + 1, n + 1) to its place in the CSR data.
+        """
+        cells = self.cells.astype(np.int64)
+        N = self.num_nodes
+        keys = cells[:, :, None] * N + cells[:, None, :]
+        pairs, slot = np.unique(keys.reshape(-1), return_inverse=True)
+        indptr = np.zeros(N + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pairs // N, minlength=N), out=indptr[1:])
+        return pairs % N, indptr, slot
+
+    def csr(self, local):
+        """CSR matrix of the symmetric part of local arrays (M, n + 1, n + 1)."""
+        indices, indptr, slot = self._pattern
+        sym = 0.5 * (local + local.transpose(0, 2, 1))
+        data = np.bincount(slot, weights=sym.reshape(-1), minlength=len(indices))
+        return sparse.csr_matrix((data, indices, indptr), shape=(self.num_nodes, self.num_nodes))
 
     @property
     def num_nodes(self):
@@ -244,19 +269,3 @@ def build_mesh(P, target_h):
         return polygon_mesh(verts, target_h)
     raise DimensionUnsupported("meshes are built for n <= 2 only")
 
-
-def check_mesh(mesh: Mesh, P=None):
-    """Raise AssertionError if the mesh violates its contract."""
-    assert mesh.shape_regularity() <= SHAPE_LIMIT, "shape regularity exceeded"
-    if P is not None:
-        normals = P.normals_array()
-        offsets = P.offsets_array()
-        node_vals = mesh.nodes @ normals.T - offsets
-        assert node_vals.min() > -1e-9, "node outside the closed polytope"
-        q = mesh.qpoints.reshape(-1, mesh.dim)
-        q_vals = q @ normals.T - offsets
-        assert q_vals.min() > 0.0, "quadrature point not strictly interior"
-    # conforming: every edge shared by at most two cells
-    if mesh.dim == 2:
-        _, cell_edges = _cell_edges(mesh.cells)
-        assert np.bincount(cell_edges.ravel()).max() <= 2, "non-conforming edge"

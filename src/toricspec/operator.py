@@ -13,8 +13,9 @@ bottom eigenvalue must reproduce the lattice point count of k P.
 
 Every P1 matrix goes through one kernel: weight fields at the mesh's
 quadrature points become local (M, nb, nb) arrays by einsum with the mesh's
-P1 gradients and barycentric values, and one fixed CSR pattern of the mesh
-turns their symmetric part into a matrix with a single bincount.
+P1 gradients and barycentric values, and Mesh.csr turns their symmetric part
+into a matrix with a single bincount on the one fixed CSR pattern of the
+mesh, built once however many operators share the mesh.
 A mode's stiffness is the shared diffusion part plus its potential part,
 summed locally and scattered once; mode_potential is the one source of V_m.
 """
@@ -35,8 +36,8 @@ from .errors import (
     NotPositiveDefiniteMass,
 )
 from .mesh import Mesh
-from .polytope import _lattice_points
-from .potential import PotentialFamily, PotentialSpec, family_hessian_batch
+from .polytope import _check_level, _check_mode, _lattice_points
+from .potential import PotentialSpec, family_hessian_batch
 
 V_OVERFLOW = 1e14
 RESIDUAL_TOL = 1e-8
@@ -67,19 +68,13 @@ def mode_potential(G, x, k, mode):
     return np.einsum("...i,...ij,...j->...", w, G, w) + float(k) ** 2
 
 
-def reduced_coefficients(spec: PotentialSpec, s, k, m, x):
-    """Diffusion matrix G_s^-1(x) and potential V(x) of the mode-m operator."""
-    x = np.asarray(x, dtype=float)
-    G = PotentialFamily.of_spec(spec, s).hessian(x)
-    return np.linalg.inv(G), float(mode_potential(G, x, k, m))
-
-
 def mode_set(P, k, margin=0):
     """Integer vectors of k P inflated by ``margin`` lattice units per facet.
 
     The inflated region is {m : nu_r . m >= k lambda_r - margin}; the modes
     with m/k in P are exactly the quantized ones, the rest probe divergence.
     """
+    k = _check_level(k)
     if margin < 0:
         raise ValueError("margin must be >= 0")
     return _lattice_points(P, [k * lam - margin for lam in P.offsets])
@@ -99,41 +94,15 @@ def _mass_local(w_q, bary):
     return (w_q @ outer).reshape(-1, nb, nb)
 
 
-class _CSRPattern:
-    """Fixed CSR pattern of P1 matrices on one mesh.
-
-    indptr/indices hold the sorted unique (row, col) node pairs that share a
-    cell; slot sends entry (c, i, j) of a local array (M, nb, nb) to its place
-    in the CSR data, so every matrix on the mesh is one bincount.
-    """
-
-    def __init__(self, mesh: Mesh):
-        cells = mesh.cells.astype(np.int64)
-        N = mesh.num_nodes
-        keys = cells[:, :, None] * N + cells[:, None, :]
-        pairs, self.slot = np.unique(keys.reshape(-1), return_inverse=True)
-        self.indices = pairs % N
-        self.indptr = np.zeros(N + 1, dtype=np.int64)
-        np.cumsum(np.bincount(pairs // N, minlength=N), out=self.indptr[1:])
-        self.shape = (N, N)
-
-    def matrix(self, local):
-        """CSR matrix of the symmetric part of the local arrays."""
-        sym = 0.5 * (local + local.transpose(0, 2, 1))
-        data = np.bincount(self.slot, weights=sym.reshape(-1), minlength=len(self.indices))
-        return sparse.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-
-
-def assemble_p1(mesh: Mesh, diffusion_q, mass_weight_q=None):
+def assemble_p1(mesh: Mesh, diffusion_q, mass_weight_q):
     """Weighted P1 pair K = int w_D grad phi . grad phi, M = int w phi phi.
 
     diffusion_q and mass_weight_q are scalar fields (M, Q) at the quadrature
-    points; an omitted mass weight is 1.
+    points.
     """
     qw = mesh.qweights
-    pattern = _CSRPattern(mesh)
-    K = pattern.matrix(_stiffness_local(qw * diffusion_q, mesh.grads))
-    M = pattern.matrix(_mass_local(qw if mass_weight_q is None else qw * mass_weight_q, mesh.bary))
+    K = mesh.csr(_stiffness_local(qw * diffusion_q, mesh.grads))
+    M = mesh.csr(_mass_local(qw * mass_weight_q, mesh.bary))
     return K, M
 
 
@@ -141,52 +110,28 @@ class OperatorFactory:
     """Shares G_s quadrature data and the mass matrix across modes of one (s, k)."""
 
     def __init__(self, spec: PotentialSpec, s, k, mesh: Mesh):
-        self.k = int(k)
+        self.k = _check_level(k)
         self.mesh = mesh
         n = mesh.dim
         G_q, Ginv_q = family_hessian_batch(spec, s, mesh.qpoints.reshape(-1, n))
         self._G_q = G_q.reshape(mesh.qweights.shape + (n, n))
-        self._pattern = _CSRPattern(mesh)
         self._K_diff_local = _stiffness_local(
             mesh.qweights, mesh.grads, Ginv_q.reshape(self._G_q.shape)
         )
-        self._M = self._pattern.matrix(_mass_local(mesh.qweights, mesh.bary))
+        self._M = mesh.csr(_mass_local(mesh.qweights, mesh.bary))
         if np.any(self._M.diagonal() <= 0.0):
             raise NotPositiveDefiniteMass("mass matrix has a nonpositive diagonal")
 
     def operator(self, mode):
         mesh = self.mesh
+        mode = _check_mode(mode, mesh.dim)
         V = mode_potential(self._G_q, mesh.qpoints, self.k, mode)
         if np.max(V) > V_OVERFLOW:
             raise CoefficientOverflow(
                 f"potential reaches {np.max(V):.3e} at a quadrature point"
             )
-        K = self._pattern.matrix(self._K_diff_local + _mass_local(mesh.qweights * V, mesh.bary))
+        K = mesh.csr(self._K_diff_local + _mass_local(mesh.qweights * V, mesh.bary))
         return ReducedOperator(K=K, M=self._M, k=self.k)
-
-    def l2_density(self, nodal):
-        """Quadrature weight times the squared P1 interpolant (M, Q); sums to ||v||^2."""
-        mesh = self.mesh
-        vals = np.einsum("qi,ci->cq", mesh.bary, nodal[mesh.cells])
-        return mesh.qweights * vals * vals
-
-
-def assemble(spec: PotentialSpec, s, k, mode, mesh: Mesh):
-    """ReducedOperator for one mode; use OperatorFactory for mode sweeps."""
-    return OperatorFactory(spec, s, k, mesh).operator(mode)
-
-
-def rayleigh_quotient(op: ReducedOperator, nodal):
-    """q(v)/||v||^2 for a nodal coefficient vector."""
-    num = float(nodal @ (op.K @ nodal))
-    den = float(nodal @ (op.M @ nodal))
-    return num / den
-
-
-def ground_state_rayleigh(spec: PotentialSpec, s, k, mode, mesh: Mesh):
-    """Rayleigh quotient of the interpolated exact bound state; tends to k^2 + nk."""
-    mode = tuple(mode)
-    return ground_state_rayleigh_batch(spec, s, k, [mode], mesh)[mode]
 
 
 def ground_state_rayleigh_batch(spec: PotentialSpec, s, k, modes, mesh: Mesh):
@@ -220,8 +165,9 @@ def ground_state_rayleigh_batch(spec: PotentialSpec, s, k, modes, mesh: Mesh):
 def solve_pencil(K, M, count, sigma):
     """Lowest ``count`` pairs of K v = lambda M v, residuals checked.
 
-    ``sigma`` must sit below the lowest eigenvalue, and ``count`` below
-    N - 1 for N dofs, the bound of ARPACK's nonsymmetric solver (dnaupd).
+    ``sigma`` must sit below the lowest eigenvalue, and ``count`` must be at
+    least 1 and below N - 1 for N dofs, the bound of ARPACK's nonsymmetric
+    solver (dnaupd).
 
     Shift-invert in standard mode: ARPACK's generalized mode works in the M
     inner product and calls back for about three M products per Krylov step,
@@ -242,8 +188,8 @@ def solve_pencil(K, M, count, sigma):
     antisymmetric eigenvectors.
     """
     N = K.shape[0]
-    if count >= N - 1:
-        raise ValueError(f"count {count} must be below N - 1 for N = {N} dofs")
+    if not 1 <= count < N - 1:
+        raise ValueError(f"count {count} must be >= 1 and below N - 1 for N = {N} dofs")
     lu = splinalg.splu(sparse.csc_matrix(K - sigma * M))
     d = np.sqrt(M.diagonal())
     op = splinalg.LinearOperator(
@@ -298,16 +244,3 @@ def map_dbar(spectrum: Spectrum, k, n):
             f"holomorphic-sector eigenvalue {shifted.min():.3e} below -1e-6"
         )
     return np.maximum(shifted, 0.0)
-
-
-def spectrum_record(s, k, mode, mesh, dbar_vals, spectrum: Spectrum):
-    """JSON-ready record of one mode solve."""
-    return {
-        "s": float(s),
-        "k": int(k),
-        "mode": [int(v) for v in mode],
-        "dbar_eigenvalues": [float(v) for v in dbar_vals],
-        "residuals": [float(r) for r in spectrum.residuals],
-        "dofs": int(mesh.num_nodes),
-        "h": float(mesh.max_diameter()),
-    }

@@ -19,6 +19,7 @@ lattice modes of the reduced operators are its two uses.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -368,10 +369,29 @@ def _lattice_points(P, offsets):
     ]
 
 
+def _check_level(k):
+    """The level k as an int; it must be an integer >= 1 (numpy integers count)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"level k must be an integer >= 1, got {k!r}")
+    return int(k)
+
+
+def _check_mode(mode, n):
+    """A lattice mode as a tuple of n ints; each entry must be an integer."""
+    try:
+        entries = tuple(mode)
+    except TypeError:
+        entries = ()
+    if len(entries) != n or any(
+        isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in entries
+    ):
+        raise ValueError(f"mode must have {n} integer entries, got {mode!r}")
+    return tuple(int(v) for v in entries)
+
+
 def bs_points(P, k):
     """All points of P cap (1/k) Z^n with strict levels and face codimensions."""
-    if k < 1:
-        raise ValueError("level k must be >= 1")
+    k = _check_level(k)
     offsets = [k * lam for lam in P.offsets]
     points = []
     for m in _lattice_points(P, offsets):

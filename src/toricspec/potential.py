@@ -23,7 +23,7 @@ from .errors import (
     ModeOutsidePolytope,
     NotPositiveDefinite,
 )
-from .polytope import DelzantPolytope, LocalChart, vertices_and_faces
+from .polytope import DelzantPolytope, LocalChart, _check_level, _check_mode, vertices_and_faces
 
 INTERIOR_TOL = 1e-14
 PD_RATIO_TOL = 1e-10
@@ -285,22 +285,12 @@ def potential_spec_from_json(P: DelzantPolytope, text):
     return make_potential_spec(P, phi=phi, psi=psi)
 
 
-def potential_spec_to_json(spec: PotentialSpec):
-    return json.dumps(
-        {
-            "phi": [{"alpha": list(a), "c": c} for a, c in spec.phi.terms],
-            "psi": [{"alpha": list(a), "c": c} for a, c in spec.psi.terms],
-        },
-        sort_keys=True,
-    )
-
-
 class PotentialFamily:
     """u_s = v_P + phi + psi/s at fixed s; ``tensor`` sums the summands' tensors."""
 
     def __init__(self, boundary: GuilleminPotential, phi: PolynomialFn, psi: PolynomialFn, s: float):
-        if s <= 0:
-            raise ValueError("s must be positive")
+        if not (np.isfinite(s) and s > 0):
+            raise ValueError(f"s must be finite and positive, got {s}")
         self.boundary = boundary
         self.phi = phi
         self.psi = psi
@@ -442,8 +432,10 @@ def ground_state(spec: PotentialSpec, s, k, mode):
     w_r of v_P, so the returned callable extends continuously to the closed
     polytope.
     """
-    mode = np.asarray(mode, dtype=float)
-    b = tuple(Fraction(int(mi), int(k)) for mi in np.rint(mode).astype(int))
+    k = _check_level(k)
+    m = _check_mode(mode, spec.polytope.dim)
+    b = tuple(Fraction(mi, k) for mi in m)
+    mode = np.asarray(m, dtype=float)
     if not spec.polytope.contains(b):
         raise ModeOutsidePolytope(f"mode {mode} has m/k outside the polytope")
     P = spec.polytope

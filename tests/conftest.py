@@ -1,4 +1,5 @@
-"""Shared helpers: random Delzant polytopes and brute-force lattice oracles."""
+"""Shared helpers: random Delzant polytopes, brute-force lattice oracles, mesh
+and operator helpers."""
 
 from fractions import Fraction
 from itertools import product
@@ -6,7 +7,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+from toricspec.mesh import Mesh, _cell_edges
+from toricspec.operator import OperatorFactory
 from toricspec.polytope import DelzantPolytope, validate_delzant
+
+SHAPE_LIMIT = 10.0       # largest admitted longest edge / (2 inradius)
 
 
 def random_unimodular(rng, n):
@@ -73,6 +78,28 @@ def brute_force_bs_count(P: DelzantPolytope, k):
         if P.contains(tuple(Fraction(v, k) for v in m)):
             count += 1
     return count
+
+
+def check_mesh(mesh: Mesh, P=None):
+    """Raise AssertionError if the mesh violates its contract."""
+    assert mesh.shape_regularity() <= SHAPE_LIMIT, "shape regularity exceeded"
+    if P is not None:
+        normals = P.normals_array()
+        offsets = P.offsets_array()
+        node_vals = mesh.nodes @ normals.T - offsets
+        assert node_vals.min() > -1e-9, "node outside the closed polytope"
+        q = mesh.qpoints.reshape(-1, mesh.dim)
+        q_vals = q @ normals.T - offsets
+        assert q_vals.min() > 0.0, "quadrature point not strictly interior"
+    # conforming: every edge shared by at most two cells
+    if mesh.dim == 2:
+        _, cell_edges = _cell_edges(mesh.cells)
+        assert np.bincount(cell_edges.ravel()).max() <= 2, "non-conforming edge"
+
+
+def mode_operator(spec, s, k, mode, mesh):
+    """ReducedOperator of one mode, from a factory built for it alone."""
+    return OperatorFactory(spec, s, k, mesh).operator(mode)
 
 
 @pytest.fixture

@@ -37,6 +37,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SweepConfig(spec=spec, k_list=(1,), s_list=(0.1, 0.2))
 
+    def test_rejects_non_finite_s(self):
+        spec = make_potential_spec(segment())
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="s_list must be finite"):
+                SweepConfig(spec=spec, k_list=(1,), s_list=(bad, 0.1))
+
     def test_rejects_repeated_s(self, tmp_path):
         # a repeated s would divide the Richardson step by zero
         spec = make_potential_spec(segment())
@@ -226,11 +232,11 @@ class TestStandaloneChecks:
         factory = OperatorFactory(spec, s, 2, build_mesh(spec.polytope, config.h_of(s)))
         points = bs_points(spec.polytope, 2)
         spectra = {b.mode: solve_eigs(factory.operator(b.mode), 1) for b in points}
+        mesh = factory.mesh
         masses = _localization_masses(
-            factory, points, {m: sp.vectors[:, 0] for m, sp in spectra.items()}, s
+            mesh, points, {m: sp.vectors[:, 0] for m, sp in spectra.items()}, s
         )
 
-        mesh = factory.mesh
         qw, bary, q = mesh.qweights, mesh.bary, mesh.qpoints
         centers = np.array([[float(c) for c in b.point] for b in points])
         dmin = np.sqrt(np.min(np.sum((q[:, :, None, :] - centers) ** 2, axis=-1), axis=-1))
@@ -342,6 +348,34 @@ class TestCli:
             )
             assert code == 2
             assert "target_h" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("polytope, flag, value, message", [
+        ("cp1", "--mode", "[1,2]", "mode must have 1 integer entries"),
+        ("cp2", "--mode", "[1]", "mode must have 2 integer entries"),
+        ("cp1", "--mode", "[1.5]", "mode must have 1 integer entries"),
+        ("cp1", "--mode", "5", "mode must have 1 integer entries"),
+        ("cp1", "--level", "0", "level k must be"),
+        ("cp1", "--level", "-1", "level k must be"),
+        ("cp1", "--s", "nan", "s must be finite"),
+        ("cp1", "--s", "inf", "s must be finite"),
+        ("cp1", "--count", "0", "count 0 must be >= 1"),
+    ])
+    def test_spectrum_rejects_bad_input(self, tmp_path, capsys, polytope, flag, value, message):
+        # each bad input is an input error (exit 2) whose message names it
+        path = tmp_path / f"{polytope}.json"
+        path.write_text(polytope_to_json(segment() if polytope == "cp1" else simplex2()))
+        flags = {"--s": "0.1", "--level": "1", "--mode": "[0]" if polytope == "cp1" else "[0, 0]",
+                 "--h": "0.25", "--count": "2", flag: value}
+        code = cli.main(["spectrum", "--polytope", str(path)] + [f"{f}={v}" for f, v in flags.items()])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and message in err
+
+    def test_sweep_rejects_non_finite_s(self, tmp_path, capsys):
+        poly = self._write_inputs(tmp_path)
+        for s_list in ("NaN,0.1", "Infinity,0.1"):
+            assert cli.main(["sweep", "--polytope", poly, "--k-list", "1", "--s-list", s_list]) == 2
+            assert "s_list must be finite" in capsys.readouterr().err
 
     def test_sweep_and_report_roundtrip(self, tmp_path, capsys):
         poly = self._write_inputs(tmp_path)

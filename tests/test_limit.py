@@ -1,18 +1,18 @@
 """Limit oscillators on cones: exact combinatorics vs weighted FEM."""
 
+import json
 from itertools import product
 
 import numpy as np
 import pytest
 
 from conftest import random_delzant, random_unimodular, transform_polytope
-from toricspec import errors, limit
+from toricspec import cli, errors, limit
 from toricspec.limit import (
     ConeModel,
     cone_at,
     exact_cone_spectrum,
     is_separable,
-    limit_spectrum_record,
     numeric_cone_spectrum,
     predicted_limit,
 )
@@ -21,6 +21,7 @@ from toricspec.polytope import (
     bs_points,
     hirzebruch,
     local_chart,
+    polytope_to_json,
     segment,
     simplex2,
     validate_delzant,
@@ -367,9 +368,9 @@ class TestPredictions:
         with pytest.raises(errors.DimensionUnsupported, match="no closed form"):
             predicted_limit(make_potential_spec(P), 1)
 
-    def test_record_schema(self):
-        spec = make_potential_spec(segment())
-        b = bs_points(segment(), 1)[0]
-        ls = predicted_limit(spec, 1, count=3)[b]
-        rec = limit_spectrum_record(b, 1, ls)
+    def test_record_schema(self, tmp_path, capsys):
+        poly = tmp_path / "cp1.json"
+        poly.write_text(polytope_to_json(segment()))
+        assert cli.main(["limit", "--polytope", str(poly), "--level", "1", "--count", "3"]) == 0
+        rec = json.loads(capsys.readouterr().out.splitlines()[0])
         assert set(rec) == {"b", "k", "exact", "eigenvalues", "multiplicities"}

@@ -3,37 +3,40 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 
-from conftest import transform_polytope
+from conftest import check_mesh, mode_operator, transform_polytope
 from toricspec import errors
-from toricspec.limit import ConeModel, _cone_pencil, default_truncation_radius
+from toricspec.limit import (
+    ConeModel,
+    _cone_pencil,
+    default_truncation_radius,
+    truncated_cone_mesh,
+)
 from toricspec.mesh import (
     Mesh,
     _cell_edges,
     _fan,
     _red_green,
     build_mesh,
-    check_mesh,
     interval_mesh,
     polygon_mesh,
 )
 from toricspec.operator import (
     OperatorFactory,
-    assemble,
     assemble_p1,
     dbar_spectrum,
-    ground_state_rayleigh,
+    ground_state_rayleigh_batch,
     map_dbar,
+    mode_potential,
     mode_set,
-    rayleigh_quotient,
-    reduced_coefficients,
     solve_eigs,
     solve_pencil,
     Spectrum,
 )
 from toricspec.polytope import hirzebruch, segment, simplex2
-from toricspec.potential import ground_state, make_potential_spec
+from toricspec.potential import PotentialFamily, ground_state, make_potential_spec
 
 
 class TestMesh:
@@ -152,36 +155,67 @@ class TestMesh:
 
 class TestCoefficients:
     def test_reference_values(self):
-        spec = make_potential_spec(segment())
-        Ginv, V = reduced_coefficients(spec, 0.1, 1, [0], [0.5])
-        assert np.isclose(Ginv[0, 0], 1 / 14)
-        assert np.isclose(V, 4.5)
+        x = np.array([0.5])
+        G = PotentialFamily.of_spec(make_potential_spec(segment()), 0.1).hessian(x)
+        assert np.isclose(np.linalg.inv(G)[0, 0], 1 / 14)
+        assert np.isclose(mode_potential(G, x, 1, [0]), 4.5)
 
     def test_bs_point_floor(self):
         # at x = m/k the quadratic form vanishes and V collapses to k^2
-        spec = make_potential_spec(simplex2())
-        _, V = reduced_coefficients(spec, 0.3, 2, [1, 0], [0.5, 1e-12])
-        assert V >= 4.0
-        spec1 = make_potential_spec(segment())
-        _, V_mid = reduced_coefficients(spec1, 0.3, 2, [1], [0.5])
-        assert np.isclose(V_mid, 4.0)
+        x = np.array([0.5, 1e-12])
+        G = PotentialFamily.of_spec(make_potential_spec(simplex2()), 0.3).hessian(x)
+        assert mode_potential(G, x, 2, [1, 0]) >= 4.0
+        x1 = np.array([0.5])
+        G1 = PotentialFamily.of_spec(make_potential_spec(segment()), 0.3).hessian(x1)
+        assert np.isclose(mode_potential(G1, x1, 2, [1]), 4.0)
 
     def test_lower_bound(self, rng):
         spec = make_potential_spec(simplex2())
         s, k, m = 0.2, 2, np.array([1, 0])
+        family = PotentialFamily.of_spec(spec, s)
         for _ in range(10):
             x = rng.uniform(0.05, 0.3, size=2)
-            _, V = reduced_coefficients(spec, s, k, m, x)
+            V = mode_potential(family.hessian(x), x, k, m)
             dist2 = float(np.sum((x - m / k) ** 2))
             assert V >= k * k + dist2 * k * k / s - 1e-9
 
 
 class TestAssembly:
+    def test_pattern_built_once_per_mesh(self):
+        # two factories and an assemble_p1 call scatter through one cached
+        # pattern; the matrix-free Rayleigh quotients never build it
+        spec = make_potential_spec(segment())
+        mesh = build_mesh(segment(), 0.05)
+        ground_state_rayleigh_batch(spec, 1.0, 1, [(0,)], mesh)
+        assert "_pattern" not in vars(mesh)
+        OperatorFactory(spec, 1.0, 1, mesh)
+        pattern = vars(mesh)["_pattern"]
+        OperatorFactory(spec, 0.5, 2, mesh).operator((1,))
+        ones = np.ones_like(mesh.qweights)
+        assemble_p1(mesh, diffusion_q=ones, mass_weight_q=ones)
+        assert vars(mesh)["_pattern"] is pattern
+
+    def test_csr_matches_coo_summation(self, rng):
+        # reference: scipy sums the duplicate (row, col) entries of the
+        # symmetrized local arrays; on the cp2 mesh and a skew cone mesh
+        cone = ConeModel(bs_point=None, codim=2, A0=np.array([[2.0, 1.0], [1.0, 2.0]]), level=1)
+        R = np.sqrt(30.0)
+        for mesh in (build_mesh(simplex2(), 1 / 30), truncated_cone_mesh(cone, R, R / 56.0)):
+            local = rng.standard_normal((mesh.num_cells, 3, 3))
+            sym = 0.5 * (local + local.transpose(0, 2, 1))
+            rows = np.broadcast_to(mesh.cells[:, :, None], sym.shape)
+            cols = np.broadcast_to(mesh.cells[:, None, :], sym.shape)
+            N = mesh.num_nodes
+            ref = sparse.coo_matrix((sym.ravel(), (rows.ravel(), cols.ravel())), shape=(N, N)).tocsr()
+            A = mesh.csr(local)
+            assert A.shape == (N, N) and A.nnz == ref.nnz
+            assert abs(A - ref).max() <= 1e-12 * abs(ref).max()
+
     def test_symmetry(self):
         pairs = []
         for P, h, mode in ((simplex2(), 0.15, (0, 0)), (segment(), 0.02, (1,))):
             mesh = build_mesh(P, h)
-            op = assemble(make_potential_spec(P), 0.5, 1, mode, mesh)
+            op = mode_operator(make_potential_spec(P), 0.5, 1, mode, mesh)
             weight = np.exp(-np.sum(mesh.qpoints**2, axis=-1))
             pairs += [(op.K, op.M), assemble_p1(mesh, diffusion_q=weight, mass_weight_q=weight)]
         for K, M in pairs:
@@ -206,7 +240,7 @@ class TestAssembly:
     def test_coercivity_floor(self):
         spec = make_potential_spec(segment())
         for k in (1, 2):
-            op = assemble(spec, 0.5, k, (0,), build_mesh(segment(), 0.02))
+            op = mode_operator(spec, 0.5, k, (0,), build_mesh(segment(), 0.02))
             val = solve_eigs(op, 1).eigenvalues[0]
             assert val >= k * k - 1e-6
 
@@ -221,7 +255,7 @@ class TestAssembly:
         errs = []
         for h in (1 / 100, 1 / 200, 1 / 400):
             mesh = build_mesh(segment(), h)
-            errs.append(ground_state_rayleigh(spec, 1.0, 1, (0,), mesh) - 2.0)
+            errs.append(ground_state_rayleigh_batch(spec, 1.0, 1, [(0,)], mesh)[(0,)] - 2.0)
         p1 = np.log2(errs[0] / errs[1])
         p2 = np.log2(errs[1] / errs[2])
         assert 1.7 <= p1 <= 2.3 and 1.7 <= p2 <= 2.3
@@ -229,11 +263,11 @@ class TestAssembly:
     def test_rayleigh_matches_matrices(self):
         spec = make_potential_spec(segment())
         mesh = build_mesh(segment(), 0.01)
-        op = assemble(spec, 1.0, 1, (0,), mesh)
+        op = mode_operator(spec, 1.0, 1, (0,), mesh)
         nodal = ground_state(spec, 1.0, 1, (0,))(mesh.nodes)
         assert np.isclose(
-            rayleigh_quotient(op, nodal),
-            ground_state_rayleigh(spec, 1.0, 1, (0,), mesh),
+            float(nodal @ (op.K @ nodal)) / float(nodal @ (op.M @ nodal)),
+            ground_state_rayleigh_batch(spec, 1.0, 1, [(0,)], mesh)[(0,)],
             rtol=1e-11,
         )
 
@@ -241,7 +275,7 @@ class TestAssembly:
 class TestSolvers:
     def test_identity_pencil(self):
         spec = make_potential_spec(segment())
-        op = assemble(spec, 1.0, 1, (0,), build_mesh(segment(), 0.05))
+        op = mode_operator(spec, 1.0, 1, (0,), build_mesh(segment(), 0.05))
         sp = solve_pencil(op.M.copy(), op.M.copy(), 3, sigma=0.0)
         assert np.allclose(sp.eigenvalues, 1.0, atol=1e-10)
 
@@ -249,14 +283,14 @@ class TestSolvers:
         # unit diffusion, no potential: eigenvalues (pi j)^2 on [0, 1]
         mesh = interval_mesh(0, 1, 1 / 200, graded=False)
         ones = np.ones_like(mesh.qweights)
-        K, M = assemble_p1(mesh, diffusion_q=ones)
+        K, M = assemble_p1(mesh, diffusion_q=ones, mass_weight_q=ones)
         sp = solve_pencil(K, M, 4, sigma=-1.0)
         expect = np.array([0.0, np.pi**2, 4 * np.pi**2, 9 * np.pi**2])
         assert np.max(np.abs(sp.eigenvalues - expect)) < 2e-2
 
     def test_residual_contract(self):
         spec = make_potential_spec(segment())
-        op = assemble(spec, 0.3, 1, (1,), build_mesh(segment(), 0.01))
+        op = mode_operator(spec, 0.3, 1, (1,), build_mesh(segment(), 0.01))
         sp = solve_eigs(op, 5)
         assert np.all(sp.residuals <= 1e-8 * np.maximum(1.0, np.abs(sp.eigenvalues)))
 
@@ -267,24 +301,24 @@ class TestSolvers:
             (simplex2(), 0.1, (1, 0), 4),
         )
         for P, h, mode, count in cases:
-            op = assemble(make_potential_spec(P), 0.5, 1, mode, build_mesh(P, h))
+            op = mode_operator(make_potential_spec(P), 0.5, 1, mode, build_mesh(P, h))
             ref = scipy.linalg.eigh(
                 op.K.toarray(), op.M.toarray(), subset_by_index=(0, count - 1), eigvals_only=True
             )
             assert np.allclose(solve_eigs(op, count).eigenvalues, ref, rtol=1e-9)
 
     def test_count_guard(self):
-        op = assemble(make_potential_spec(segment()), 1.0, 1, (0,), build_mesh(segment(), 0.1))
+        op = mode_operator(make_potential_spec(segment()), 1.0, 1, (0,), build_mesh(segment(), 0.1))
         N = op.K.shape[0]
-        for count in (N - 1, N, N + 1):
-            with pytest.raises(ValueError):
+        for count in (0, -1, N - 1, N, N + 1):
+            with pytest.raises(ValueError, match="count"):
                 solve_eigs(op, count)
 
     def test_conjugate_ritz_pair(self, monkeypatch):
         # Arnoldi may return a near-double value as a conjugate pair; its
         # vectors u1 +- i u2 span the same real plane, so Rayleigh-Ritz must
         # recover both values from Re and Im of one member
-        op = assemble(make_potential_spec(segment()), 0.5, 1, (0,), build_mesh(segment(), 0.02))
+        op = mode_operator(make_potential_spec(segment()), 0.5, 1, (0,), build_mesh(segment(), 0.02))
         eigs = splinalg.eigs
 
         def paired(*args, **kwargs):
@@ -302,7 +336,7 @@ class TestSolvers:
 
     def test_dependent_ritz_basis(self, monkeypatch):
         # two equal Ritz vectors make the Gram matrix singular
-        op = assemble(make_potential_spec(segment()), 0.5, 1, (0,), build_mesh(segment(), 0.02))
+        op = mode_operator(make_potential_spec(segment()), 0.5, 1, (0,), build_mesh(segment(), 0.02))
         eigs = splinalg.eigs
 
         def repeated(*args, **kwargs):
@@ -321,7 +355,7 @@ class TestSolvers:
         # value (6.544146 / 6.544862) on the square
         if case == "sweep_1d":
             spec = make_potential_spec(segment())
-            op = assemble(spec, 0.005, 3, (1,), build_mesh(segment(), np.sqrt(0.005) / 40))
+            op = mode_operator(spec, 0.005, 3, (1,), build_mesh(segment(), np.sqrt(0.005) / 40))
             K, M, count, sigma = op.K, op.M, 4, op.k**2 - 1.0
         elif case == "weighted_sector":
             cone = ConeModel(bs_point=None, codim=2, A0=np.array([[2.0, 1.0], [1.0, 2.0]]), level=1)
@@ -330,7 +364,7 @@ class TestSolvers:
             count, sigma = 6, -1.0
         else:
             spec = make_potential_spec(hirzebruch(0))
-            op = assemble(spec, 0.1, 1, (0, 0), build_mesh(hirzebruch(0), 1 / 16))
+            op = mode_operator(spec, 0.1, 1, (0, 0), build_mesh(hirzebruch(0), 1 / 16))
             K, M, count, sigma = op.K, op.M, 4, op.k**2 - 1.0
         assert K.shape[0] <= 1500
         ref = scipy.linalg.eigh(
@@ -419,6 +453,48 @@ class TestModeSet:
             assert quantized == inside
 
 
+class TestGuards:
+    """A level is an integer >= 1 and a mode has n integer entries, on every path."""
+
+    @pytest.mark.parametrize("k", [0, -1, 1.7, True])
+    def test_factory_rejects_bad_level(self, k):
+        with pytest.raises(ValueError, match="level k"):
+            OperatorFactory(make_potential_spec(segment()), 1.0, k, build_mesh(segment(), 0.1))
+
+    @pytest.mark.parametrize("P, mode", [
+        (segment(), (1, 2)),      # too long: broadcast to a 2-vector operator
+        (simplex2(), (1,)),       # too short
+        (segment(), (0.5,)),      # fractional
+        (segment(), (1.0,)),      # a float, however integral
+    ])
+    def test_operator_rejects_bad_mode(self, P, mode):
+        factory = OperatorFactory(make_potential_spec(P), 1.0, 1, build_mesh(P, 0.25))
+        with pytest.raises(ValueError, match="mode"):
+            factory.operator(mode)
+
+    def test_numpy_integers_accepted(self):
+        P = simplex2()
+        spec = make_potential_spec(P)
+        mesh = build_mesh(P, 0.25)
+        ref = OperatorFactory(spec, 1.0, 2, mesh).operator((1, 0))
+        op = OperatorFactory(spec, 1.0, np.int64(2), mesh).operator(np.array([1, 0]))
+        assert type(op.k) is int and op.k == 2
+        assert (op.K != ref.K).nnz == 0
+        assert mode_set(P, np.int64(2), 1) == mode_set(P, 2, 1)
+
+    def test_mode_set_and_ground_state_reject_bad_level(self):
+        spec = make_potential_spec(segment())
+        for k in (0, 1.5):
+            with pytest.raises(ValueError, match="level k"):
+                mode_set(segment(), k)
+            with pytest.raises(ValueError, match="level k"):
+                ground_state(spec, 1.0, k, (0,))
+        with pytest.raises(ValueError, match="level k"):
+            ground_state_rayleigh_batch(spec, 1.0, 0, [(0,)], build_mesh(segment(), 0.1))
+        with pytest.raises(ValueError, match="mode"):
+            ground_state(spec, 1.0, 1, (0.5,))
+
+
 class TestInvariance:
     def test_chart_invariance_1d(self):
         # x -> 1 - x with the mapped mesh gives identical spectra; the mode
@@ -436,8 +512,8 @@ class TestInvariance:
         k = 1
         for m in (0, 1):
             m_new = -m + k * 1
-            v1 = solve_eigs(assemble(spec, 0.4, k, (m,), mesh), 3).eigenvalues
-            v2 = solve_eigs(assemble(spec_Q, 0.4, k, (m_new,), mesh_Q), 3).eigenvalues
+            v1 = solve_eigs(mode_operator(spec, 0.4, k, (m,), mesh), 3).eigenvalues
+            v2 = solve_eigs(mode_operator(spec_Q, 0.4, k, (m_new,), mesh_Q), 3).eigenvalues
             assert np.max(np.abs(v1 - v2)) < 1e-8 * max(1, np.abs(v1).max())
 
     def test_chart_invariance_2d(self, rng):
@@ -460,8 +536,8 @@ class TestInvariance:
         k = 1
         m = (1, 0)
         m_new = tuple(int(v) for v in np.array(A) @ np.array(m) + k * c)
-        v1 = solve_eigs(assemble(spec, 0.5, k, m, mesh), 3).eigenvalues
-        v2 = solve_eigs(assemble(spec_Q, 0.5, k, m_new, mesh_Q), 3).eigenvalues
+        v1 = solve_eigs(mode_operator(spec, 0.5, k, m, mesh), 3).eigenvalues
+        v2 = solve_eigs(mode_operator(spec_Q, 0.5, k, m_new, mesh_Q), 3).eigenvalues
         assert np.max(np.abs(v1 - v2)) < 1e-8 * max(1, np.abs(v1).max())
 
     def test_refinement_stabilization(self):
@@ -469,7 +545,7 @@ class TestInvariance:
         vals = []
         for h in (0.04, 0.02, 0.01, 0.005):
             mesh = interval_mesh(0, 1, h, graded=False)
-            vals.append(solve_eigs(assemble(spec, 0.5, 1, (0,), mesh), 3).eigenvalues)
+            vals.append(solve_eigs(mode_operator(spec, 0.5, 1, (0,), mesh), 3).eigenvalues)
         change1 = np.abs(vals[1] - vals[0])
         change2 = np.abs(vals[2] - vals[1])
         change3 = np.abs(vals[3] - vals[2])
@@ -481,7 +557,7 @@ class TestInvariance:
         spec = make_potential_spec(segment())
         gaps = []
         for h in (1 / 50, 1 / 100, 1 / 200):
-            op = assemble(spec, 1.0, 1, (0,), build_mesh(segment(), h))
+            op = mode_operator(spec, 1.0, 1, (0,), build_mesh(segment(), h))
             gaps.append(solve_eigs(op, 1).eigenvalues[0] - 2.0)
         p1 = np.log2(gaps[0] / gaps[1])
         p2 = np.log2(gaps[1] / gaps[2])

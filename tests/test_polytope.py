@@ -196,6 +196,12 @@ class TestBSPoints:
                 big = {p.point for p in bs_points(P, j * k)}
                 assert small <= big
 
+    def test_level_guard(self):
+        for k in (0, -1, 1.5, True):
+            with pytest.raises(ValueError, match="level k"):
+                bs_points(segment(), k)
+        assert bs_points(simplex2(), np.int64(2)) == bs_points(simplex2(), 2)
+
     def test_mode_labels(self):
         for p in bs_points(simplex2(), 3):
             assert all(

@@ -1,5 +1,7 @@
 """Potential family: closed-form derivatives, splits, exact bound states."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from toricspec.potential import (
     guillemin_derivatives,
     make_potential_spec,
     potential_spec_from_json,
-    potential_spec_to_json,
 )
 
 
@@ -69,6 +70,12 @@ class TestGuillemin:
 
 
 class TestFamilyHessian:
+    def test_s_must_be_finite_and_positive(self):
+        spec = make_potential_spec(segment())
+        for s in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="s must be finite and positive"):
+                family_hessian_batch(spec, s, [[0.5]])
+
     def test_segment_values(self):
         spec = make_potential_spec(segment())
         assert np.isclose(family_hessian_batch(spec, 1.0, [[0.5]])[0][0, 0, 0], 5.0)
@@ -196,7 +203,7 @@ class TestGroundState:
         # flux F = phi (m - kx) has divergence phi ((m-kx) G (m-kx) - kn);
         # a 4th-order FD divergence of F checks gradient/Hessian consistency
         spec = make_potential_spec(simplex2())
-        s, k, mode = 0.5, 2, np.array([1.0, 1.0])
+        s, k, mode = 0.5, 2, np.array([1, 1])
         state = ground_state(spec, s, k, mode)
         fam = PotentialFamily.of_spec(spec, s)
 
@@ -242,6 +249,7 @@ class TestPolynomialsAndJson:
         spec = potential_spec_from_json(P, "{}")
         assert spec.phi.terms == ()
         assert np.allclose(spec.psi.hessian(np.zeros(2)), np.eye(2))
-        text = potential_spec_to_json(spec)
+        # the file format read back: the default psi written out as terms
+        text = json.dumps({"psi": [{"alpha": list(a), "c": c} for a, c in spec.psi.terms]})
         spec2 = potential_spec_from_json(P, text)
         assert spec2.psi.terms == spec.psi.terms
