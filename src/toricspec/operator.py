@@ -16,8 +16,20 @@ quadrature points become local (M, nb, nb) arrays by einsum with the mesh's
 P1 gradients and barycentric values, and Mesh.csr turns their symmetric part
 into a matrix with a single bincount on the one fixed CSR pattern of the
 mesh, built once however many operators share the mesh.
-A mode's stiffness is the shared diffusion part plus its potential part,
-summed locally and scattered once; mode_potential is the one source of V_m.
+mode_potential defines V_m.  Expanded in the mode,
+
+    V_m = k^2 (x . G x + 1) + sum_{i<=j} c_ij m_i m_j G_ij - 2k sum_i m_i (G x)_i
+
+(c_ii = 1, c_ij = 2 for i < j), it is linear in 1 + n(n+1)/2 + n weight
+fields.  An OperatorFactory scatters each field once, the diffusion part
+riding with the first, so a mode's stiffness is a fixed combination of CSR
+data vectors and the same coefficients give V_m at the quadrature points.
+
+The discrete diffusion form is nonnegative, and V_m and the mass use the
+same positive quadrature, so every Rayleigh quotient of a mode's pencil is
+at least min_q V_m(x_q).  The operator's shift sigma = min_q V_m - 1 is
+therefore certified below its spectrum, and it follows the spectrum of a
+non-quantized mode, whose bottom grows like dist(m, kP)^2 / s.
 """
 
 from __future__ import annotations
@@ -46,11 +58,14 @@ RAYLEIGH_CHUNK = 200000      # cells per block of the matrix-free Rayleigh quoti
 
 @dataclass
 class ReducedOperator:
-    """Stiffness/mass pair of one (s, k, m) reduced operator; k sets the default shift."""
+    """Stiffness/mass pair of one (s, k, m) reduced operator on one CSR pattern.
+
+    sigma = min_q V_m(x_q) - 1 lies below every eigenvalue of the pencil.
+    """
 
     K: sparse.csr_matrix
     M: sparse.csr_matrix
-    k: int
+    sigma: float
 
 
 @dataclass
@@ -107,31 +122,48 @@ def assemble_p1(mesh: Mesh, diffusion_q, mass_weight_q):
 
 
 class OperatorFactory:
-    """Shares G_s quadrature data and the mass matrix across modes of one (s, k)."""
+    """Shares G_s quadrature data and the mass matrix across modes of one (s, k).
+
+    Each mode's stiffness data and quadrature values of V_m are one
+    combination of the weight fields (see the module docstring).
+    """
 
     def __init__(self, spec: PotentialSpec, s, k, mesh: Mesh):
         self.k = _check_level(k)
         self.mesh = mesh
         n = mesh.dim
-        G_q, Ginv_q = family_hessian_batch(spec, s, mesh.qpoints.reshape(-1, n))
-        self._G_q = G_q.reshape(mesh.qweights.shape + (n, n))
-        self._K_diff_local = _stiffness_local(
-            mesh.qweights, mesh.grads, Ginv_q.reshape(self._G_q.shape)
-        )
-        self._M = mesh.csr(_mass_local(mesh.qweights, mesh.bary))
+        qw, x = mesh.qweights, mesh.qpoints
+        G_q, Ginv_q = family_hessian_batch(spec, s, x.reshape(-1, n))
+        G_q = G_q.reshape(qw.shape + (n, n))
+        Gx = np.einsum("cqij,cqj->cqi", G_q, x)
+        rows, cols = np.triu_indices(n)
+        self._fields = np.concatenate([
+            [self.k**2 * (np.einsum("cqi,cqi->cq", x, Gx) + 1.0)],
+            np.moveaxis(G_q[..., rows, cols], -1, 0),
+            np.moveaxis(Gx, -1, 0),
+        ])
+        self._data = np.stack([mesh.csr(_mass_local(qw * w, mesh.bary)).data for w in self._fields])
+        self._data[0] += mesh.csr(_stiffness_local(qw, mesh.grads, Ginv_q.reshape(G_q.shape))).data
+        self._pairs = np.where(rows == cols, 1.0, 2.0), rows, cols
+        self._M = mesh.csr(_mass_local(qw, mesh.bary))
         if np.any(self._M.diagonal() <= 0.0):
             raise NotPositiveDefiniteMass("mass matrix has a nonpositive diagonal")
 
     def operator(self, mode):
-        mesh = self.mesh
-        mode = _check_mode(mode, mesh.dim)
-        V = mode_potential(self._G_q, mesh.qpoints, self.k, mode)
+        m = np.array(_check_mode(mode, self.mesh.dim), dtype=float)
+        c, rows, cols = self._pairs
+        coef = np.concatenate([[1.0], c * m[rows] * m[cols], -2.0 * self.k * m])
+        # einsum, not a BLAS product: BLAS threads woken here keep spinning
+        # through the factorization that follows and slow it on small hosts
+        V = np.einsum("f,fcq->cq", coef, self._fields)
         if np.max(V) > V_OVERFLOW:
             raise CoefficientOverflow(
                 f"potential reaches {np.max(V):.3e} at a quadrature point"
             )
-        K = mesh.csr(self._K_diff_local + _mass_local(mesh.qweights * V, mesh.bary))
-        return ReducedOperator(K=K, M=self._M, k=self.k)
+        M = self._M
+        data = np.einsum("f,fj->j", coef, self._data)
+        K = sparse.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
+        return ReducedOperator(K=K, M=M, sigma=float(np.min(V)) - 1.0)
 
 
 def ground_state_rayleigh_batch(spec: PotentialSpec, s, k, modes, mesh: Mesh):
@@ -165,10 +197,13 @@ def ground_state_rayleigh_batch(spec: PotentialSpec, s, k, modes, mesh: Mesh):
 def solve_pencil(K, M, count, sigma):
     """Lowest ``count`` pairs of K v = lambda M v, residuals checked.
 
-    ``sigma`` must sit below the lowest eigenvalue, and ``count`` must be at
-    least 1 and below N - 1 for N dofs, the bound of ARPACK's nonsymmetric
-    solver (dnaupd).
+    K and M are symmetric CSR matrices on one sparsity pattern (ValueError
+    otherwise).  ``sigma`` must sit below the lowest eigenvalue, and
+    ``count`` must be at least 1 and below N - 1 for N dofs, the bound of
+    ARPACK's nonsymmetric solver (dnaupd).
 
+    K - sigma M is formed on the shared pattern and factored as it stands:
+    it is symmetric, so its CSR arrays read as CSC give the same matrix.
     Shift-invert in standard mode: ARPACK's generalized mode works in the M
     inner product and calls back for about three M products per Krylov step,
     which on small pencils costs more than the solves.  Here the operator
@@ -178,9 +213,12 @@ def solve_pencil(K, M, count, sigma):
     runs it; the scaling by d makes it nearly symmetric, without which the
     Ritz vectors of a mass matrix with a Gaussian weight of many orders of
     magnitude miss the residual tolerance.  A Rayleigh-Ritz step on the real
-    span of the Ritz vectors then returns values of the symmetric pencil,
+    span W of the Ritz vectors then returns values of the symmetric pencil,
     ascending, with M-orthonormal vectors, even where Arnoldi splits a
-    near-double value into a conjugate pair.
+    near-double value into a conjugate pair.  K W and M W are formed once and
+    serve the projection and every residual.  A Gram matrix W^T M W whose
+    smallest eigenvalue is not above RESIDUAL_TOL times its largest means a
+    dependent basis and raises ConvergenceFailure.
 
     The start vector is random from a fixed seed: fixed so that a pencil
     solved twice gives the same bits, random because a symmetric start on a
@@ -190,7 +228,14 @@ def solve_pencil(K, M, count, sigma):
     N = K.shape[0]
     if not 1 <= count < N - 1:
         raise ValueError(f"count {count} must be >= 1 and below N - 1 for N = {N} dofs")
-    lu = splinalg.splu(sparse.csc_matrix(K - sigma * M))
+    if not (
+        K.format == M.format == "csr"
+        and np.array_equal(K.indptr, M.indptr)
+        and np.array_equal(K.indices, M.indices)
+    ):
+        raise ValueError("K and M must be CSR matrices on one sparsity pattern")
+    shifted = sparse.csc_matrix((K.data - sigma * M.data, K.indices, K.indptr), shape=K.shape)
+    lu = splinalg.splu(shifted)
     d = np.sqrt(M.diagonal())
     op = splinalg.LinearOperator(
         (N, N), matvec=lambda x: d * lu.solve(M @ (x / d)), dtype=float
@@ -209,26 +254,28 @@ def solve_pencil(K, M, count, sigma):
             columns += [v.real, v.imag]
         seen.add(theta)
     W = np.column_stack(columns) / d[:, None]
-    try:
-        vals, C = scipy.linalg.eigh(W.T @ (K @ W), W.T @ (M @ W))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"Ritz basis Gram matrix: {exc}") from exc
-    vals, vecs = vals[:count], W @ C[:, :count]
-    residuals = np.empty(count)
-    for i in range(count):
-        v = vecs[:, i]
-        r = K @ v - vals[i] * (M @ v)
-        residuals[i] = np.linalg.norm(r) / np.linalg.norm(M @ v)
+    KW, MW = K @ W, M @ W
+    gram = W.T @ MW
+    gram_eigs = np.linalg.eigvalsh(gram)
+    if not gram_eigs[0] > RESIDUAL_TOL * gram_eigs[-1]:
+        raise ConvergenceFailure(
+            f"Ritz basis Gram matrix is rank-deficient: eigenvalues "
+            f"{gram_eigs[0]:.3e} to {gram_eigs[-1]:.3e}"
+        )
+    vals, C = scipy.linalg.eigh(W.T @ KW, gram)
+    vals, C = vals[:count], C[:, :count]
+    MV = MW @ C
+    residuals = np.linalg.norm(KW @ C - MV * vals, axis=0) / np.linalg.norm(MV, axis=0)
     if np.any(residuals > RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))):
         raise ConvergenceFailure(
             f"residuals {residuals} exceed {RESIDUAL_TOL} x max(1, |lambda|)"
         )
-    return Spectrum(eigenvalues=vals, residuals=residuals, vectors=vecs)
+    return Spectrum(eigenvalues=vals, residuals=residuals, vectors=W @ C)
 
 
 def solve_eigs(op: ReducedOperator, count):
-    """Lowest ``count`` eigenpairs of a reduced operator, shifted below k^2."""
-    return solve_pencil(op.K, op.M, count, op.k**2 - 1.0)
+    """Lowest ``count`` eigenpairs of a reduced operator, shifted to its certified op.sigma."""
+    return solve_pencil(op.K, op.M, count, op.sigma)
 
 
 def dbar_spectrum(spec: PotentialSpec, s, k, mode, mesh: Mesh, count):

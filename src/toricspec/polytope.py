@@ -410,6 +410,7 @@ def fiber_holonomy(P, b, k):
     the connection is d - i x . dtheta; all generators equal one exactly when
     b is a quantized point of level k.
     """
+    k = _check_level(k)
     b = tuple(Fraction(c) for c in b)
     chart = local_chart(P, _face_vertex(P, P.active_facets(b)))
     b_chart = chart.apply(b)

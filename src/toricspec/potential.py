@@ -285,16 +285,21 @@ def potential_spec_from_json(P: DelzantPolytope, text):
     return make_potential_spec(P, phi=phi, psi=psi)
 
 
+def _check_s(s):
+    """The degeneration parameter s as a float; it must be finite and positive."""
+    if not (np.isfinite(s) and s > 0):
+        raise ValueError(f"s must be finite and positive, got {s}")
+    return float(s)
+
+
 class PotentialFamily:
     """u_s = v_P + phi + psi/s at fixed s; ``tensor`` sums the summands' tensors."""
 
     def __init__(self, boundary: GuilleminPotential, phi: PolynomialFn, psi: PolynomialFn, s: float):
-        if not (np.isfinite(s) and s > 0):
-            raise ValueError(f"s must be finite and positive, got {s}")
         self.boundary = boundary
         self.phi = phi
         self.psi = psi
-        self.s = float(s)
+        self.s = _check_s(s)
         self.dim = boundary.dim
 
     @staticmethod
@@ -433,6 +438,7 @@ def ground_state(spec: PotentialSpec, s, k, mode):
     polytope.
     """
     k = _check_level(k)
+    s = _check_s(s)
     m = _check_mode(mode, spec.polytope.dim)
     b = tuple(Fraction(mi, k) for mi in m)
     mode = np.asarray(m, dtype=float)

@@ -25,6 +25,8 @@ from toricspec.mesh import (
 )
 from toricspec.operator import (
     OperatorFactory,
+    _mass_local,
+    _stiffness_local,
     assemble_p1,
     dbar_spectrum,
     ground_state_rayleigh_batch,
@@ -36,7 +38,12 @@ from toricspec.operator import (
     Spectrum,
 )
 from toricspec.polytope import hirzebruch, segment, simplex2
-from toricspec.potential import PotentialFamily, ground_state, make_potential_spec
+from toricspec.potential import (
+    PotentialFamily,
+    family_hessian_batch,
+    ground_state,
+    make_potential_spec,
+)
 
 
 class TestMesh:
@@ -272,6 +279,66 @@ class TestAssembly:
         )
 
 
+class TestCertifiedShift:
+    """sigma = min_q V_m - 1 and the stiffness as a combination of weight fields."""
+
+    CASES = (
+        # (polytope, s, level, h)
+        (segment(), 0.005, 2, np.sqrt(0.005) / 40),
+        (simplex2(), 0.1, 1, 1 / 8),
+        (hirzebruch(1), 0.1, 1, 1 / 8),
+    )
+
+    @pytest.mark.parametrize("P, s, k, h", CASES)
+    def test_sigma_below_dense_spectrum(self, P, s, k, h):
+        # quantized or not, every mode's shift sits below its lowest
+        # eigenvalue and never below the level's floor k^2 - 1
+        spec = make_potential_spec(P)
+        factory = OperatorFactory(spec, s, k, build_mesh(P, h))
+        for mode in mode_set(P, k, 1):
+            op = factory.operator(mode)
+            assert op.K.shape[0] <= 1500
+            lowest = scipy.linalg.eigh(
+                op.K.toarray(), op.M.toarray(), subset_by_index=(0, 0), eigvals_only=True
+            )[0]
+            assert k * k - 1.0 <= op.sigma < lowest, mode
+
+    @pytest.mark.parametrize("P, k, modes", [
+        (segment(), 3, ((0,), (2,), (-7,), (40,))),
+        (simplex2(), 2, ((0, 0), (1, 1), (-5, 3), (30, -45))),
+        (hirzebruch(1), 1, ((1, 0), (-4, -6), (25, 17))),
+    ])
+    def test_combination_matches_direct_assembly(self, P, k, modes):
+        spec = make_potential_spec(P)
+        s = 0.2
+        mesh = build_mesh(P, 0.05 if P.dim == 1 else 1 / 8)
+        factory = OperatorFactory(spec, s, k, mesh)
+        G_q, Ginv_q = family_hessian_batch(spec, s, mesh.qpoints.reshape(-1, P.dim))
+        G_q = G_q.reshape(mesh.qweights.shape + (P.dim, P.dim))
+        K_diff_local = _stiffness_local(mesh.qweights, mesh.grads, Ginv_q.reshape(G_q.shape))
+        for mode in modes:
+            V = mode_potential(G_q, mesh.qpoints, k, mode)
+            ref = mesh.csr(K_diff_local + _mass_local(mesh.qweights * V, mesh.bary))
+            op = factory.operator(mode)
+            assert np.array_equal(op.K.indptr, ref.indptr)
+            assert np.array_equal(op.K.indices, ref.indices)
+            assert np.max(np.abs(op.K.data - ref.data)) <= 1e-13 * np.max(np.abs(ref.data))
+            assert abs(op.sigma - (V.min() - 1.0)) <= 1e-13 * np.max(np.abs(V))
+
+    def test_overflow_guard_2d(self):
+        factory = OperatorFactory(make_potential_spec(simplex2()), 1.0, 1, build_mesh(simplex2(), 0.25))
+        with pytest.raises(errors.CoefficientOverflow):
+            factory.operator((10**7, -10**7))
+
+    def test_pencil_must_share_pattern(self):
+        op = mode_operator(make_potential_spec(segment()), 0.5, 1, (0,), build_mesh(segment(), 0.02))
+        N = op.M.shape[0]
+        wider = (op.M + 1e-3 * sparse.eye(N, k=2, format="csr")).tocsr()
+        for K, M in ((op.K, wider), (op.K.tocsc(), op.M.tocsc()), (op.K, op.M.tocoo())):
+            with pytest.raises(ValueError, match="one sparsity pattern"):
+                solve_pencil(K, M, 3, op.sigma)
+
+
 class TestSolvers:
     def test_identity_pencil(self):
         spec = make_potential_spec(segment())
@@ -356,7 +423,7 @@ class TestSolvers:
         if case == "sweep_1d":
             spec = make_potential_spec(segment())
             op = mode_operator(spec, 0.005, 3, (1,), build_mesh(segment(), np.sqrt(0.005) / 40))
-            K, M, count, sigma = op.K, op.M, 4, op.k**2 - 1.0
+            K, M, count, sigma = op.K, op.M, 4, op.sigma
         elif case == "weighted_sector":
             cone = ConeModel(bs_point=None, codim=2, A0=np.array([[2.0, 1.0], [1.0, 2.0]]), level=1)
             R = default_truncation_radius(1)
@@ -365,7 +432,7 @@ class TestSolvers:
         else:
             spec = make_potential_spec(hirzebruch(0))
             op = mode_operator(spec, 0.1, 1, (0, 0), build_mesh(hirzebruch(0), 1 / 16))
-            K, M, count, sigma = op.K, op.M, 4, op.k**2 - 1.0
+            K, M, count, sigma = op.K, op.M, 4, op.sigma
         assert K.shape[0] <= 1500
         ref = scipy.linalg.eigh(
             K.toarray(), M.toarray(), subset_by_index=(0, count - 1), eigvals_only=True
@@ -477,8 +544,9 @@ class TestGuards:
         spec = make_potential_spec(P)
         mesh = build_mesh(P, 0.25)
         ref = OperatorFactory(spec, 1.0, 2, mesh).operator((1, 0))
-        op = OperatorFactory(spec, 1.0, np.int64(2), mesh).operator(np.array([1, 0]))
-        assert type(op.k) is int and op.k == 2
+        factory = OperatorFactory(spec, 1.0, np.int64(2), mesh)
+        op = factory.operator(np.array([1, 0]))
+        assert type(factory.k) is int and factory.k == 2
         assert (op.K != ref.K).nnz == 0
         assert mode_set(P, np.int64(2), 1) == mode_set(P, 2, 1)
 
@@ -493,6 +561,14 @@ class TestGuards:
             ground_state_rayleigh_batch(spec, 1.0, 0, [(0,)], build_mesh(segment(), 0.1))
         with pytest.raises(ValueError, match="mode"):
             ground_state(spec, 1.0, 1, (0.5,))
+
+    def test_ground_state_rejects_bad_s(self):
+        spec = make_potential_spec(segment())
+        for s in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="s must be finite and positive"):
+                ground_state(spec, s, 1, (0,))
+        with pytest.raises(ValueError, match="s must be finite and positive"):
+            ground_state_rayleigh_batch(spec, np.nan, 1, [(0,)], build_mesh(segment(), 0.1))
 
 
 class TestInvariance:

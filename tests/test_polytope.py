@@ -232,6 +232,11 @@ class TestHolonomy:
             _, trivial = fiber_holonomy(P, b, 2)
             assert trivial == (b in quantized)
 
+    @pytest.mark.parametrize("k", [0, 1.5, True])
+    def test_level_guard(self, k):
+        with pytest.raises(ValueError, match="level k"):
+            fiber_holonomy(segment(), (0,), k)
+
 
 class TestJson:
     def test_roundtrip_canonical(self):
