@@ -113,6 +113,8 @@ def cmd_spectrum(args):
         "residuals": [float(r) for r in spectrum.residuals],
         "dofs": int(mesh.num_nodes),
         "h": float(mesh.max_diameter()),
+        "steps": int(spectrum.steps),
+        "factor_nnz": int(spectrum.factor_nnz),
     }
     print(json.dumps(record, sort_keys=True))
     return EXIT_PASS

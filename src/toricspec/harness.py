@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ToricSpecError
 from .limit import predicted_limit
 from .mesh import build_mesh
-from .operator import OperatorFactory, map_dbar, mode_set, solve_eigs
+from .operator import OperatorFactory, map_dbar, mode_set, solve_pencils
 from .polytope import bs_points, polytope_from_json, validate_delzant
 from .potential import (
     PotentialSpec,
@@ -213,17 +213,33 @@ def run_sweep(config: SweepConfig):
         for s in config.s_list:
             mesh = meshes[config.h_of(s)]
             factory = OperatorFactory(spec, s, k, mesh)
+            # assemble every mode, then solve them in lock-step batches;
+            # rows and failure rows keep the mode order
+            outcome = {}
+            for mode in modes:
+                try:
+                    outcome[mode] = factory.operator(mode)
+                except ToricSpecError as exc:
+                    outcome[mode] = exc
+            solvable = [m for m in modes if not isinstance(outcome[m], ToricSpecError)]
+            if solvable:
+                ops = [outcome[m] for m in solvable]
+                solved = solve_pencils(
+                    [op.K for op in ops], ops[0].M, config.eig_count, [op.sigma for op in ops]
+                )
+                outcome.update(zip(solvable, solved))
             results = {}
             for mode in modes:
                 try:
-                    spectrum = solve_eigs(factory.operator(mode), config.eig_count)
-                    dbar = map_dbar(spectrum, k, n)
+                    if isinstance(outcome[mode], ToricSpecError):
+                        raise outcome[mode]
+                    dbar = map_dbar(outcome[mode], k, n)
                 except ToricSpecError as exc:
                     report.failures.append(
                         {"k": k, "s": float(s), "mode": list(mode), "error": str(exc)}
                     )
                     continue
-                results[mode] = (dbar, spectrum)
+                results[mode] = (dbar, outcome[mode])
                 report.eig_rows.append(
                     {
                         "k": int(k),

@@ -30,6 +30,14 @@ same positive quadrature, so every Rayleigh quotient of a mode's pencil is
 at least min_q V_m(x_q).  The operator's shift sigma = min_q V_m - 1 is
 therefore certified below its spectrum, and it follows the spectrum of a
 non-quantized mode, whose bottom grows like dist(m, kP)^2 / s.
+
+Every pencil, a sweep mode's or a cone's, is solved on one path:
+shift-invert Lanczos in the M inner product (solve_pencils), run in
+lock-step on the modes of a factory, which share M, with one sparse
+factorization of their shifted matrices per batch.  The certified shift
+makes each shifted matrix positive definite, which the factorization's
+pivots confirm (Sylvester's law of inertia); solve_pencil is the batch of
+one.
 """
 
 from __future__ import annotations
@@ -54,6 +62,11 @@ from .potential import PotentialSpec, family_hessian_batch
 V_OVERFLOW = 1e14
 RESIDUAL_TOL = 1e-8
 RAYLEIGH_CHUNK = 200000      # cells per block of the matrix-free Rayleigh quotient
+BATCH_DOFS = 2048            # dofs per lock-step Lanczos batch: bounds its basis memory
+LANCZOS_TOL = 1e-12          # Ritz residual estimate, relative to its value 1 / (lambda - sigma)
+LANCZOS_BREAKDOWN = 1e-10    # a new vector this small, relative to the values seen, restarts
+LANCZOS_CHECK = 2            # steps between convergence tests, from step 2 count + 8 on
+LANCZOS_MAX_STEPS = 300      # a pencil not converged by then fails
 
 
 @dataclass
@@ -75,6 +88,8 @@ class Spectrum:
     eigenvalues: np.ndarray
     residuals: np.ndarray
     vectors: np.ndarray      # (n_dofs, count), M-orthonormal
+    steps: int = 0           # Lanczos steps of the solve's batch
+    factor_nnz: int = 0      # entries SuperLU stores for the batch's factor
 
 
 def mode_potential(G, x, k, mode):
@@ -197,80 +212,187 @@ def ground_state_rayleigh_batch(spec: PotentialSpec, s, k, modes, mesh: Mesh):
 def solve_pencil(K, M, count, sigma):
     """Lowest ``count`` pairs of K v = lambda M v, residuals checked.
 
-    K and M are symmetric CSR matrices on one sparsity pattern (ValueError
-    otherwise).  ``sigma`` must sit below the lowest eigenvalue, and
-    ``count`` must be at least 1 and below N - 1 for N dofs, the bound of
-    ARPACK's nonsymmetric solver (dnaupd).
+    The batch of one of solve_pencils, which states the contract; its
+    ConvergenceFailure is raised here.
+    """
+    result = solve_pencils([K], M, count, [sigma])[0]
+    if isinstance(result, ConvergenceFailure):
+        raise result
+    return result
 
-    K - sigma M is formed on the shared pattern and factored as it stands:
-    it is symmetric, so its CSR arrays read as CSC give the same matrix.
-    Shift-invert in standard mode: ARPACK's generalized mode works in the M
-    inner product and calls back for about three M products per Krylov step,
-    which on small pencils costs more than the solves.  Here the operator
-    x -> d * (K - sigma M)^-1 M (x / d), d = sqrt(diag M), is similar to
-    (K - sigma M)^-1 M, with the values 1 / (lambda - sigma), and costs one
-    callback per step.  It is not symmetric, so ARPACK's Arnoldi iteration
-    runs it; the scaling by d makes it nearly symmetric, without which the
-    Ritz vectors of a mass matrix with a Gaussian weight of many orders of
-    magnitude miss the residual tolerance.  A Rayleigh-Ritz step on the real
-    span W of the Ritz vectors then returns values of the symmetric pencil,
-    ascending, with M-orthonormal vectors, even where Arnoldi splits a
-    near-double value into a conjugate pair.  K W and M W are formed once and
-    serve the projection and every residual.  A Gram matrix W^T M W whose
-    smallest eigenvalue is not above RESIDUAL_TOL times its largest means a
-    dependent basis and raises ConvergenceFailure.
+
+def solve_pencils(Ks, M, count, sigmas):
+    """Lowest ``count`` pairs of every pencil K_p v = lambda M v on one mass matrix.
+
+    Each K_p and M are symmetric CSR matrices on one sparsity pattern
+    (ValueError otherwise), ``sigmas[p]`` must sit below the lowest
+    eigenvalue of pencil p, and ``count`` must be at least 1 and below N - 1
+    for N dofs.  Returns, in order, one Spectrum per pencil, or the
+    ConvergenceFailure of that pencil alone.
+
+    Spectral-transformation Lanczos (Ericsson & Ruhe 1980): the operator
+    (K - sigma M)^-1 M is self-adjoint in the M inner product, with the
+    values 1 / (lambda - sigma), so the lowest lambda are its largest values.
+    Pencils run in lock-step, in batches of at most BATCH_DOFS dofs in all:
+    one SuperLU factorization of the block-diagonal matrix of the
+    K_p - sigma_p M, formed on the shared pattern and read as CSC (it is
+    symmetric), serves the batch, so a Lanczos step is one triangular solve
+    and one sparse product for every pencil at once.  Below its spectrum the
+    matrix is SPD, so it is factored with diagonal pivots in symmetric mode;
+    by Sylvester's law of inertia a negative pivot means sigma_p lies above
+    an eigenvalue, which Lanczos would silently miss, and fails pencil p.
+    The basis Q and M Q are kept and every new vector is M-orthogonalized
+    against them twice, so a step needs no other M product.  From step
+    2 count + 8 on, every LANCZOS_CHECK steps, each pencil's tridiagonal
+    matrix gives Ritz values and residual estimates; a pencil whose ``count``
+    lowest estimates are below LANCZOS_TOL keeps the basis it had then, while
+    the batch steps on for the others.  A step whose new vector vanishes (an
+    invariant subspace, as for K = M) restarts from a fresh seeded random
+    vector.  Each pencil finishes with a Rayleigh-Ritz step on its Ritz
+    vectors (_rayleigh_ritz), whose rank and residual checks are its own.
 
     The start vector is random from a fixed seed: fixed so that a pencil
     solved twice gives the same bits, random because a symmetric start on a
     symmetric mesh keeps the Krylov space symmetric and can miss
-    antisymmetric eigenvectors.
+    antisymmetric eigenvectors.  Each Spectrum records the Lanczos steps of
+    its batch and the entries SuperLU stores for the batch's factor.
     """
-    N = K.shape[0]
+    N = M.shape[0]
     if not 1 <= count < N - 1:
         raise ValueError(f"count {count} must be >= 1 and below N - 1 for N = {N} dofs")
-    if not (
-        K.format == M.format == "csr"
+    if not M.format == "csr" or not all(
+        K.format == "csr"
         and np.array_equal(K.indptr, M.indptr)
         and np.array_equal(K.indices, M.indices)
+        for K in Ks
     ):
         raise ValueError("K and M must be CSR matrices on one sparsity pattern")
-    shifted = sparse.csc_matrix((K.data - sigma * M.data, K.indices, K.indptr), shape=K.shape)
-    lu = splinalg.splu(shifted)
-    d = np.sqrt(M.diagonal())
-    op = splinalg.LinearOperator(
-        (N, N), matvec=lambda x: d * lu.solve(M @ (x / d)), dtype=float
-    )
-    v0 = np.random.default_rng(0).standard_normal(N)
+    size = max(1, BATCH_DOFS // N)
+    out = []
+    for start in range(0, len(Ks), size):
+        out += _lanczos_batch(Ks[start:start + size], M, count, sigmas[start:start + size])
+    return out
+
+
+def _lanczos_batch(Ks, M, count, sigmas):
+    """solve_pencils on one batch, with one factorization."""
+    B, N, nnz = len(Ks), M.shape[0], M.nnz
+    blocks = np.arange(B, dtype=M.indices.dtype)[:, None]    # keeps SuperLU's int32 indices
+    indices = (M.indices + N * blocks).ravel()
+    indptr = np.append((M.indptr[:-1] + nnz * blocks).ravel(), B * nnz)
+    data = np.concatenate([K.data - sigma * M.data for K, sigma in zip(Ks, sigmas)])
+    shifted = sparse.csc_matrix((data, indices, indptr), shape=(B * N, B * N))
+    mass = sparse.csr_matrix((np.tile(M.data, B), indices, indptr), shape=shifted.shape)
     try:
-        thetas, ritz = splinalg.eigs(op, k=count, which="LM", v0=v0)
-    except splinalg.ArpackNoConvergence as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    # real basis of the Ritz span: a conjugate pair contributes Re and Im once
-    columns, seen = [], set()
-    for theta, v in zip(thetas, ritz.T):
-        if theta.imag == 0.0:
-            columns.append(v.real)
-        elif theta.conjugate() not in seen:
-            columns += [v.real, v.imag]
-        seen.add(theta)
-    W = np.column_stack(columns) / d[:, None]
+        lu = splinalg.splu(shifted, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:          # exactly singular: find the pencil alone
+        if B > 1:
+            return [
+                r for p in range(B) for r in _lanczos_batch(Ks[p:p + 1], M, count, sigmas[p:p + 1])
+            ]
+        return [ConvergenceFailure(f"K - sigma M at sigma = {float(sigmas[0])!r}: {exc}")]
+    # with perm_r = perm_c the factorization is L D L^T of P A P^T, and dof
+    # i's pivot is U[perm_c[i], perm_c[i]]; SuperLU leaves the diagonal only
+    # at a zero pivot, which an SPD block never has
+    off = (lu.U.diagonal()[lu.perm_c] < 0.0) | (lu.perm_r != lu.perm_c)
+    negative = np.bincount(np.flatnonzero(off) // N, minlength=B)
+
+    max_steps = min(N, LANCZOS_MAX_STEPS)
+    Q = np.empty((32, B, N))           # step-major, so a step's vectors are contiguous
+    MQ = np.empty_like(Q)
+    alpha = np.zeros((max_steps, B))
+    beta = np.zeros((max_steps, B))
+    scale = np.zeros(B)                # largest |alpha| so far, the operator's scale
+    v = np.tile(np.random.default_rng(0).standard_normal(N), (B, 1))
+    Mv = (mass @ v.ravel()).reshape(B, N)
+    norm = np.sqrt(np.einsum("bn,bn->b", v, Mv))[:, None]
+    Q[0], MQ[0] = v / norm, Mv / norm
+    restarts = np.zeros(B, dtype=int)
+    done = {b: None for b in np.flatnonzero(negative)}    # pencil -> (steps, Ritz coefficients)
+    for j in range(max_steps):
+        m = j + 1
+        w = lu.solve(MQ[j].ravel()).reshape(B, N)
+        for _ in range(2):
+            h = np.einsum("ibn,bn->bi", MQ[:m], w)
+            w -= np.einsum("ibn,bi->bn", Q[:m], h)
+            alpha[j] += h[:, j]
+        Mw = (mass @ w.ravel()).reshape(B, N)
+        norm = np.sqrt(np.einsum("bn,bn->b", w, Mw))
+        beta[j] = norm
+        if m == max_steps or (m >= 2 * count + 8 and m % LANCZOS_CHECK == 0):
+            for b in range(B):
+                if b in done:
+                    continue
+                theta, S = scipy.linalg.eigh_tridiagonal(alpha[:m, b], beta[:m - 1, b])
+                theta, S = theta[-count:], S[:, -count:]
+                if np.all(beta[j, b] * np.abs(S[-1]) <= LANCZOS_TOL * theta):
+                    done[b] = (m, S)
+            if len(done) == B or m == max_steps:
+                break
+        scale = np.maximum(scale, np.abs(alpha[j]))
+        for b in np.flatnonzero(norm <= LANCZOS_BREAKDOWN * scale):
+            restarts[b] += 1
+            r = np.random.default_rng(restarts[b]).standard_normal(N)
+            for _ in range(2):
+                r -= np.einsum("in,i->n", Q[:m, b], np.einsum("in,n->i", MQ[:m, b], r))
+            Mr = M @ r
+            beta[j, b], norm[b] = 0.0, np.sqrt(r @ Mr)
+            w[b], Mw[b] = r, Mr
+        if m == len(Q):
+            Q, MQ = np.concatenate([Q, np.empty_like(Q)]), np.concatenate([MQ, np.empty_like(MQ)])
+        np.divide(w, norm[:, None], out=Q[m])
+        np.divide(Mw, norm[:, None], out=MQ[m])
+
+    out = []
+    for b, (K, sigma) in enumerate(zip(Ks, sigmas)):
+        if negative[b]:
+            out.append(ConvergenceFailure(
+                f"sigma = {float(sigma)!r} is not below the spectrum: "
+                f"K - sigma M has {negative[b]} negative pivots"
+            ))
+        elif b not in done:
+            out.append(ConvergenceFailure(f"Lanczos did not converge in {m} steps"))
+        else:
+            steps_b, S = done[b]
+            W = np.einsum("in,ic->nc", Q[:steps_b, b], S)
+            try:
+                vals, residuals, vectors = _rayleigh_ritz(K, M, W, count)
+            except ConvergenceFailure as exc:
+                out.append(exc)
+                continue
+            out.append(Spectrum(vals, residuals, vectors, steps=m, factor_nnz=int(lu.nnz)))
+    return out
+
+
+def _rayleigh_ritz(K, M, W, count):
+    """Lowest ``count`` Ritz pairs of (K, M) on the span of W, ascending, checked.
+
+    K W and M W are formed once and serve the projection and every residual.
+    A Gram matrix W^T M W whose smallest eigenvalue is not above
+    RESIDUAL_TOL times its largest means a dependent basis.  Returns the
+    values, their residuals and the M-orthonormal vectors.  The dense
+    products are einsums: OpenBLAS threads an (N, c) @ (c, c) product at
+    tens of thousands of dofs, and on a 2-core host that ran it ten times
+    slower than one thread.
+    """
     KW, MW = K @ W, M @ W
-    gram = W.T @ MW
+    gram = np.einsum("nc,nd->cd", W, MW)
     gram_eigs = np.linalg.eigvalsh(gram)
     if not gram_eigs[0] > RESIDUAL_TOL * gram_eigs[-1]:
         raise ConvergenceFailure(
             f"Ritz basis Gram matrix is rank-deficient: eigenvalues "
             f"{gram_eigs[0]:.3e} to {gram_eigs[-1]:.3e}"
         )
-    vals, C = scipy.linalg.eigh(W.T @ KW, gram)
+    vals, C = scipy.linalg.eigh(np.einsum("nc,nd->cd", W, KW), gram)
     vals, C = vals[:count], C[:, :count]
-    MV = MW @ C
-    residuals = np.linalg.norm(KW @ C - MV * vals, axis=0) / np.linalg.norm(MV, axis=0)
+    MV = np.einsum("nc,cd->nd", MW, C)
+    R = np.einsum("nc,cd->nd", KW, C) - MV * vals
+    residuals = np.linalg.norm(R, axis=0) / np.linalg.norm(MV, axis=0)
     if np.any(residuals > RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))):
         raise ConvergenceFailure(
             f"residuals {residuals} exceed {RESIDUAL_TOL} x max(1, |lambda|)"
         )
-    return Spectrum(eigenvalues=vals, residuals=residuals, vectors=W @ C)
+    return vals, residuals, np.einsum("nc,cd->nd", W, C)
 
 
 def solve_eigs(op: ReducedOperator, count):

@@ -1,10 +1,12 @@
 """Sweep orchestration, report emission, standalone checks and the CLI."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from toricspec import cli, errors, harness
 from toricspec.harness import (
@@ -181,6 +183,41 @@ class TestSweep:
         run_sweep(SweepConfig(spec=spec, k_list=(1, 2), s_list=(0.1, 0.002, 0.001), eig_count=2))
         assert sorted(built) == [1 / 800, np.sqrt(0.1) / 40]
 
+    @pytest.mark.parametrize("failure", ["overflow", "shift"])
+    def test_one_failed_mode(self, cp1_report, monkeypatch, failure):
+        # one mode at one s fails, at assembly or in its batch's solve: it
+        # gets one failure row, and every other row matches an unbroken sweep
+        class Failing(OperatorFactory):
+            def __init__(self, spec, s, k, mesh):
+                super().__init__(spec, s, k, mesh)
+                self.s = s
+
+            def operator(self, mode):
+                op = super().operator(mode)
+                if self.s != 0.05 or tuple(mode) != (2,):
+                    return op
+                if failure == "overflow":
+                    raise errors.CoefficientOverflow("injected overflow")
+                low = scipy.linalg.eigh(
+                    op.K.toarray(), op.M.toarray(), subset_by_index=(0, 1), eigvals_only=True
+                )
+                return dataclasses.replace(op, sigma=0.5 * (low[0] + low[1]))
+
+        monkeypatch.setattr(harness, "OperatorFactory", Failing)
+        spec = make_potential_spec(segment())
+        report = run_sweep(SweepConfig(spec=spec, k_list=(1,), s_list=(0.2, 0.1, 0.05, 0.02), eig_count=4))
+        assert [(f["k"], f["s"], f["mode"]) for f in report.failures] == [(1, 0.05, [2])]
+        assert ("injected" if failure == "overflow" else "negative pivots") in report.failures[0]["error"]
+        expect = [r for r in cp1_report.eig_rows if (r["s"], r["mode"]) != (0.05, [2])]
+        assert len(report.eig_rows) == len(expect) == len(cp1_report.eig_rows) - 1
+        for got, want in zip(report.eig_rows, expect):
+            assert {**got, "dbar": None} == {**want, "dbar": None}
+            assert np.allclose(got["dbar"], want["dbar"], rtol=0, atol=1e-12 * 2)
+        assert report.kernel_rows == cp1_report.kernel_rows
+        assert [r["c_min"] for r in report.localization_rows] == [
+            r["c_min"] for r in cp1_report.localization_rows
+        ]
+
     def test_non_bs_modes_reported(self, cp1_report):
         flag = cp1_report.verdicts["non_bs_divergence_k1"]
         assert flag["increasing"]     # at least one margin mode tracked
@@ -334,6 +371,8 @@ class TestCli:
         assert code == 0
         rec = json.loads(capsys.readouterr().out)
         assert rec["dbar_eigenvalues"][0] < 1e-3
+        # the solver record: Lanczos steps and the factor's stored entries
+        assert rec["steps"] >= 2 and rec["factor_nnz"] >= rec["dofs"]
 
     def test_spectrum_rejects_bad_h(self, tmp_path, capsys):
         # a zero, negative, infinite or nan mesh size is an input error

@@ -1,13 +1,14 @@
 """Meshes and the reduced operator family: assembly, spectra, oracles."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sparse
-import scipy.sparse.linalg as splinalg
 
 from conftest import check_mesh, mode_operator, transform_polytope
-from toricspec import errors
+from toricspec import errors, operator
 from toricspec.limit import (
     ConeModel,
     _cone_pencil,
@@ -24,6 +25,7 @@ from toricspec.mesh import (
     polygon_mesh,
 )
 from toricspec.operator import (
+    BATCH_DOFS,
     OperatorFactory,
     _mass_local,
     _stiffness_local,
@@ -35,6 +37,7 @@ from toricspec.operator import (
     mode_set,
     solve_eigs,
     solve_pencil,
+    solve_pencils,
     Spectrum,
 )
 from toricspec.polytope import hirzebruch, segment, simplex2
@@ -381,39 +384,63 @@ class TestSolvers:
             with pytest.raises(ValueError, match="count"):
                 solve_eigs(op, count)
 
-    def test_conjugate_ritz_pair(self, monkeypatch):
-        # Arnoldi may return a near-double value as a conjugate pair; its
-        # vectors u1 +- i u2 span the same real plane, so Rayleigh-Ritz must
-        # recover both values from Re and Im of one member
-        op = mode_operator(make_potential_spec(segment()), 0.5, 1, (0,), build_mesh(segment(), 0.02))
-        eigs = splinalg.eigs
-
-        def paired(*args, **kwargs):
-            thetas, vecs = eigs(*args, **kwargs)
-            mean = 0.5 * (thetas[1].real + thetas[2].real)
-            thetas[1:3] = [mean + 1e-9j, mean - 1e-9j]
-            u = vecs[:, 1].real + 1j * vecs[:, 2].real
-            vecs[:, 1], vecs[:, 2] = u, u.conj()
-            return thetas, vecs
-
-        ref = solve_eigs(op, 4)
-        monkeypatch.setattr(splinalg, "eigs", paired)
-        sp = solve_eigs(op, 4)
-        assert np.allclose(sp.eigenvalues, ref.eigenvalues, rtol=1e-12)
-
     def test_dependent_ritz_basis(self, monkeypatch):
         # two equal Ritz vectors make the Gram matrix singular
         op = mode_operator(make_potential_spec(segment()), 0.5, 1, (0,), build_mesh(segment(), 0.02))
-        eigs = splinalg.eigs
+        rayleigh_ritz = operator._rayleigh_ritz
 
-        def repeated(*args, **kwargs):
-            thetas, vecs = eigs(*args, **kwargs)
-            vecs[:, 1] = vecs[:, 0]
-            return thetas, vecs
+        def repeated(K, M, W, count):
+            W = W.copy()
+            W[:, 1] = W[:, 0]
+            return rayleigh_ritz(K, M, W, count)
 
-        monkeypatch.setattr(splinalg, "eigs", repeated)
+        monkeypatch.setattr(operator, "_rayleigh_ritz", repeated)
         with pytest.raises(errors.ConvergenceFailure, match="Gram"):
             solve_eigs(op, 3)
+
+    def test_shift_above_lowest_value_raises(self):
+        # Lanczos seeks the largest 1 / (lambda - sigma), so a shift between
+        # the two lowest values would drop the lowest one without the
+        # inertia guard
+        spec = make_potential_spec(segment())
+        op = mode_operator(spec, 0.005, 3, (1,), build_mesh(segment(), np.sqrt(0.005) / 40))
+        low = scipy.linalg.eigh(
+            op.K.toarray(), op.M.toarray(), subset_by_index=(0, 1), eigvals_only=True
+        )
+        mid = 0.5 * (low[0] + low[1])
+        with pytest.raises(errors.ConvergenceFailure, match=re.escape(f"sigma = {float(mid)!r}")):
+            solve_pencil(op.K, op.M, 4, mid)
+        assert np.allclose(solve_pencil(op.K, op.M, 1, op.sigma).eigenvalues, low[:1], rtol=1e-12)
+        cone = ConeModel(bs_point=None, codim=2, A0=np.eye(2), level=1)
+        R = default_truncation_radius(1)
+        K, M, _ = _cone_pencil(cone, 1, R, R / 14.0)
+        assert abs(solve_pencil(K, M, 1, -1.0).eigenvalues[0]) < 1e-6
+
+    def test_batch_matches_batch_of_one(self):
+        # every pencil of a batch, including one with a shift above its
+        # lowest value, gets its own result
+        spec = make_potential_spec(segment())
+        factory = OperatorFactory(spec, 0.02, 2, build_mesh(segment(), np.sqrt(0.02) / 40))
+        ops = [factory.operator(m) for m in mode_set(segment(), 2, 1)]
+        assert 1 < len(ops) <= BATCH_DOFS // ops[0].M.shape[0]
+        sigmas = [op.sigma for op in ops]
+        sigmas[2] = 10.0 * ops[2].sigma + 100.0
+        batch = solve_pencils([op.K for op in ops], ops[0].M, 4, sigmas)
+        assert isinstance(batch[2], errors.ConvergenceFailure)
+        for i, (op, sp) in enumerate(zip(ops, batch)):
+            if i == 2:
+                continue
+            alone = solve_pencil(op.K, op.M, 4, op.sigma)
+            tol = 1e-12 * np.maximum(1.0, np.abs(alone.eigenvalues))
+            assert np.all(np.abs(sp.eigenvalues - alone.eigenvalues) <= tol)
+            assert sp.steps >= alone.steps
+
+    def test_solver_record_repeats(self):
+        op = mode_operator(make_potential_spec(simplex2()), 0.5, 1, (1, 0), build_mesh(simplex2(), 1 / 16))
+        first, second = solve_eigs(op, 3), solve_eigs(op, 3)
+        assert first.steps == second.steps >= 3
+        assert first.factor_nnz == second.factor_nnz >= op.K.nnz
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
 
     @pytest.mark.parametrize("case", ["sweep_1d", "weighted_sector", "near_double"])
     def test_dense_reference(self, case):
