@@ -9,10 +9,10 @@
 import numpy as np
 
 from toricspec import (
+    GuilleminPotential,
     boundary_decomposition,
     family_hessian_batch,
     ground_state,
-    guillemin_derivatives,
     local_chart,
     make_potential_spec,
     segment,
@@ -20,7 +20,8 @@ from toricspec import (
 )
 
 print("== boundary potential of [0, 1] ==")
-val, grad, hess, third = guillemin_derivatives(segment(), [0.25], order=3)
+v, x = GuilleminPotential.of_polytope(segment()), [0.25]
+val, grad, hess, third = v(x), v.gradient(x), v.tensor(x, 2), v.tensor(x, 3)
 print(f"  v(0.25) = {val:.6f}, v' = {grad[0]:.6f}, v'' = {hess[0,0]:.6f}, "
       f"v''' = {third[0,0,0]:.6f}")
 

@@ -56,7 +56,7 @@ for b in bs_points(simplex2(), 1):
         # the sector formula k (2 j + l pi / alpha) against the weighted FEM
         num, _, _ = numeric_cone_spectrum(cone, 1, 5)
         print("    closed form, listed:", np.round(ls.flat(5), 3))
-        print("    FEM check:          ", np.round(num.flat(5), 3))
+        print("    FEM check:          ", np.round(num, 3))
 
 print()
 print("== direct-sum prediction across all quantized points, k = 2 ==")

@@ -70,7 +70,6 @@ from .potential import (
     boundary_decomposition,
     family_hessian_batch,
     ground_state,
-    guillemin_derivatives,
     make_potential_spec,
     potential_spec_from_json,
 )
@@ -85,7 +84,7 @@ __all__ = [
     # potential
     "GuilleminPotential", "PolynomialFn", "PotentialFamily", "PotentialSpec",
     "boundary_decomposition", "family_hessian_batch", "ground_state",
-    "guillemin_derivatives", "make_potential_spec", "potential_spec_from_json",
+    "make_potential_spec", "potential_spec_from_json",
     # curvature
     "ModelSpec", "RicciData", "christoffel_ricci_oracle", "minor_identity_check",
     "model_T", "model_T_prime", "ricci_general", "ricci_lower_bound_scan",

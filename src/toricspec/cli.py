@@ -19,7 +19,7 @@ from .harness import ConvergenceReport, emit_reports, run_sweep, sweep_config_fr
 from .limit import predicted_limit
 from .mesh import build_mesh
 from .operator import dbar_spectrum
-from .polytope import bs_points, delzant_violations, polytope_from_json
+from .polytope import _facets_from_json, bs_points, delzant_violations, polytope_from_json
 from .potential import make_potential_spec, potential_spec_from_json
 from .reports import write_csv, write_json
 
@@ -43,9 +43,8 @@ def _load_spec(polytope, path):
 
 def cmd_check(args):
     with open(args.polytope, encoding="ascii") as f:
-        data = json.loads(f.read())
-    raw = [(fct["normal"], fct["offset"]) for fct in data["facets"]]
-    problems = delzant_violations(raw, dim=data["dim"])
+        raw, dim = _facets_from_json(f.read())
+    problems = delzant_violations(raw, dim=dim)
     if problems:
         for p in problems:
             print(f"violation: {type(p).__name__}: {p}")
@@ -71,8 +70,11 @@ def cmd_bs(args):
 
 
 def cmd_ricci_scan(args):
-    A = np.array(json.loads(args.matrix), dtype=float)
-    n = A.shape[0]
+    A = json.loads(args.matrix)
+    if not (isinstance(A, list) and all(isinstance(row, list) and len(row) == len(A) for row in A)
+            and all(type(v) in (int, float) for row in A for v in row)):
+        raise ValueError(f"--matrix must be a JSON n x n matrix of numbers, got {args.matrix}")
+    A, n = np.array(A, dtype=float), len(A)
     z_max = [float(v) for v in json.loads(args.z_max)]
     rows, infimum = ricci_lower_bound_scan(
         A,

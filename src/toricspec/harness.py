@@ -20,7 +20,7 @@ from .errors import ToricSpecError
 from .limit import predicted_limit
 from .mesh import build_mesh
 from .operator import OperatorFactory, map_dbar, mode_set, solve_pencils
-from .polytope import bs_points, polytope_from_json, validate_delzant
+from .polytope import bs_points, polytope_from_json
 from .potential import (
     PotentialSpec,
     family_hessian_batch,
@@ -97,26 +97,22 @@ _CONFIG_KEYS = {"polytope", "potential", "k_list", "s_list", "out", *_SCALAR_KEY
 
 def sweep_config_from_json(data, base_dir="."):
     """SweepConfig from the sweep JSON schema (file paths or inline objects)."""
-    def load(key, parser, inline_parser):
+    def load(key, parser):
         val = data.get(key)
-        if val is None:
-            return None
         if isinstance(val, str):
             with open(os.path.join(base_dir, val), encoding="ascii") as f:
-                return parser(f.read())
-        return inline_parser(val)
+                val = f.read()
+        return None if val is None else parser(val)
 
+    if not isinstance(data, dict):
+        raise ValueError(f"sweep config must be a JSON object, got {data!r}")
     unknown = sorted(set(data) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown sweep config keys: {', '.join(unknown)}")
-    P = load(
-        "polytope",
-        polytope_from_json,
-        lambda v: validate_delzant([(f["normal"], f["offset"]) for f in v["facets"]], dim=v["dim"]),
-    )
+    P = load("polytope", polytope_from_json)
     if P is None:
         raise ValueError("sweep config needs a polytope")
-    spec = load("potential", lambda t: potential_spec_from_json(P, t), lambda v: potential_spec_from_json(P, v))
+    spec = load("potential", lambda v: potential_spec_from_json(P, v))
     if spec is None:
         spec = make_potential_spec(P)
     kwargs = {key: data[key] for key in _SCALAR_KEYS if key in data}

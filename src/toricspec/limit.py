@@ -13,6 +13,7 @@ Reported eigenvalues carry the factor 1/2 used in the degeneration dictionary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -32,12 +33,10 @@ SECTOR_MERGE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ConeModel:
-    """Local cone A0^(1/2) (R_{>=0}^m x R^(n-m)) with its Gaussian weight level."""
+    """Local cone A0^(1/2) (R_{>=0}^m x R^(n-m)) of a quantized point."""
 
-    bs_point: BSPoint
     codim: int               # number of cone faces m
     A0: np.ndarray           # Hess(psi) at the base point, chart coordinates
-    level: int               # weight exponent k
 
     @property
     def dim(self):
@@ -63,17 +62,10 @@ class LimitSpectrum:
     values: tuple            # distinct eigenvalues, ascending
     multiplicities: tuple
     exact: bool
-    truncation_radius: float = float("nan")
-    raw: tuple = None        # unclustered solver output (numeric case)
 
-    def flat(self, count=None):
-        if self.raw is not None:
-            out = list(self.raw)
-        else:
-            out = []
-            for v, m in zip(self.values, self.multiplicities):
-                out.extend([v] * m)
-        return np.array(out if count is None else out[:count])
+    def flat(self, count):
+        """The lowest ``count`` values, each repeated by its multiplicity."""
+        return np.array([v for v, m in zip(self.values, self.multiplicities) for _ in range(m)][:count])
 
 
 def cone_at(spec: PotentialSpec, b: BSPoint):
@@ -84,7 +76,7 @@ def cone_at(spec: PotentialSpec, b: BSPoint):
     A_inv = np.array(chart.lattice_inverse(), dtype=float)
     x0 = np.array([float(c) for c in b.point])
     A0 = A_inv.T @ spec.psi.hessian(x0) @ A_inv
-    return ConeModel(bs_point=b, codim=b.face_codim, A0=A0, level=b.level)
+    return ConeModel(codim=b.face_codim, A0=A0)
 
 
 def is_separable(cone: ConeModel):
@@ -150,20 +142,12 @@ def _sector_spectrum(k, alpha, n_max):
 
 def _weighted_compositions(N, m, rest):
     """#{kappa : 2(kappa_1 + .. + kappa_m) + kappa_{m+1} + .. + kappa_{m+rest} = N}."""
-    total = 0
-    for even_part in range(0, N // 2 + 1):
-        ways_even = _compositions(even_part, m)
-        ways_rest = _compositions(N - 2 * even_part, rest)
-        total += ways_even * ways_rest
-    return total
+    return sum(_compositions(e, m) * _compositions(N - 2 * e, rest) for e in range(N // 2 + 1))
 
 
 def _compositions(N, slots):
-    if slots == 0:
-        return 1 if N == 0 else 0
-    from math import comb
-
-    return comb(N + slots - 1, slots - 1)
+    """#{kappa in Z_{>=0}^slots : kappa_1 + .. + kappa_slots = N}."""
+    return comb(N + slots - 1, slots - 1) if slots else int(N == 0)
 
 
 def default_truncation_radius(k):
@@ -199,13 +183,7 @@ def truncated_cone_mesh(cone: ConeModel, R, target_h):
         lo = 0.0 if m >= 1 else -R
         return interval_mesh(lo, R, target_h, graded=False)
     if n == 2:
-        box = [
-            np.array([-R, -R]),
-            np.array([R, -R]),
-            np.array([R, R]),
-            np.array([-R, R]),
-        ]
-        poly = box
+        poly = [np.array(corner) for corner in ((-R, -R), (R, -R), (R, R), (-R, R))]
         S = cone.inv_sqrt_A0()
         for i in range(m):
             poly = _clip_polygon(poly, S[i], 0.0)
@@ -218,11 +196,11 @@ def truncated_cone_mesh(cone: ConeModel, R, target_h):
 def numeric_cone_spectrum(cone: ConeModel, k, count, R=None, target_h=None):
     """Weighted P1 solve of the cone operator, the FEM oracle of the closed forms.
 
-    Returns (LimitSpectrum of half the lowest count eigenvalues, the pencil's
-    Spectrum, the truncated cone Mesh).  Stiffness and mass both carry the
-    Gaussian weight e^{-k ||xi||^2}; the natural boundary condition realizes
-    Neumann on the cone faces, and the truncation at radius R contributes only
-    exponentially small error.  predicted_limit never calls it.
+    Returns (half the lowest count eigenvalues, the pencil's Spectrum, the
+    truncated cone Mesh).  Stiffness and mass both carry the Gaussian weight
+    e^{-k ||xi||^2}; the natural boundary condition realizes Neumann on the
+    cone faces, and the truncation at radius R contributes only exponentially
+    small error.  predicted_limit never calls it.
     """
     if R is None:
         R = default_truncation_radius(k)
@@ -233,15 +211,7 @@ def numeric_cone_spectrum(cone: ConeModel, k, count, R=None, target_h=None):
     vals = spectrum.eigenvalues
     if abs(vals[0]) > 1e-6:
         raise TruncationTooSmall(f"bottom eigenvalue {vals[0]:.3e} off zero")
-    half = 0.5 * vals
-    values, mults = _cluster(half, tol=max(1e-6, 0.02 * k))
-    return LimitSpectrum(
-        values=tuple(values),
-        multiplicities=tuple(mults),
-        exact=False,
-        truncation_radius=float(R),
-        raw=tuple(float(v) for v in half),
-    ), spectrum, mesh
+    return 0.5 * vals, spectrum, mesh
 
 
 def _cone_pencil(cone: ConeModel, k, R, target_h):

@@ -431,10 +431,24 @@ def polytope_to_json(P):
     return json.dumps({"dim": P.dim, "facets": facets}, sort_keys=True)
 
 
-def polytope_from_json(text):
-    data = json.loads(text)
-    raw = [(f["normal"], f["offset"]) for f in data["facets"]]
-    return validate_delzant(raw, dim=data["dim"])
+def polytope_from_json(data):
+    """DelzantPolytope from {"dim": n, "facets": [{"normal": [...], "offset": c}, ..]}, as text or parsed."""
+    return validate_delzant(*_facets_from_json(data))
+
+
+def _facets_from_json(data):
+    """(facets, dim) of polytope JSON text or object; another shape raises ValueError."""
+    data = json.loads(data) if isinstance(data, str) else data
+    if not (
+        isinstance(data, dict) and set(data) == {"dim", "facets"} and type(data["dim"]) is int
+        and data["dim"] >= 1 and isinstance(data["facets"], list)
+        and all(isinstance(f, dict) and set(f) == {"normal", "offset"} and isinstance(f["normal"], list)
+                and all(type(v) is int for v in f["normal"] + [f["offset"]]) for f in data["facets"])
+    ):
+        raise ValueError(
+            f"polytope must be {{dim, facets: [{{normal, offset}}, ..]}} of integers, got {data!r}"
+        )
+    return [(f["normal"], f["offset"]) for f in data["facets"]], data["dim"]
 
 
 # -- stock examples used throughout tests and demos --------------------------

@@ -102,36 +102,6 @@ class PolynomialFn:
                 out[(...,) + perm] = val
         return out
 
-    def affine_pullback(self, B, d):
-        """Polynomial q(y) = p(B y + d), expanded in y."""
-        B = [[float(v) for v in row] for row in B]
-        d = [float(v) for v in d]
-        n = self.dim
-        acc = {}
-        for alpha, c in self.terms:
-            poly = {tuple([0] * n): c}
-            for i, a in enumerate(alpha):
-                lin = {tuple([0] * n): d[i]}
-                for j in range(n):
-                    if B[i][j] != 0.0:
-                        key = tuple(1 if t == j else 0 for t in range(n))
-                        lin[key] = lin.get(key, 0.0) + B[i][j]
-                for _ in range(a):
-                    poly = _poly_mul(poly, lin)
-            for key, val in poly.items():
-                acc[key] = acc.get(key, 0.0) + val
-        terms = tuple((k, v) for k, v in sorted(acc.items()) if v != 0.0)
-        return PolynomialFn(dim=n, terms=terms)
-
-
-def _poly_mul(p, q):
-    out = {}
-    for a, ca in p.items():
-        for b, cb in q.items():
-            key = tuple(x + y for x, y in zip(a, b))
-            out[key] = out.get(key, 0.0) + ca * cb
-    return out
-
 
 # ---------------------------------------------------------------------------
 # Guillemin boundary potential
@@ -198,20 +168,6 @@ class GuilleminPotential:
         return np.einsum(subscripts, coef, *[self.normals] * order)
 
 
-def guillemin_derivatives(P: DelzantPolytope, x, order=3):
-    """Value, gradient and derivative tensors of v_P at an interior point x.
-
-    Returns the tuple (value, gradient, hessian, ...) through the requested
-    order.  Raises BoundaryPoint when some ell_r(x) <= 1e-14.
-    """
-    v = GuilleminPotential.of_polytope(P)
-    x = np.asarray(x, dtype=float)
-    out = [v(x), v.gradient(x)]
-    for k in range(2, order + 1):
-        out.append(v.tensor(x, k))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # the potential family
 # ---------------------------------------------------------------------------
@@ -271,18 +227,34 @@ def make_potential_spec(P: DelzantPolytope, phi=None, psi=None):
 
 
 def potential_spec_from_json(P: DelzantPolytope, text):
-    """PotentialSpec from {"phi": [{"alpha": [...], "c": ...}], "psi": [...]}."""
-    data = json.loads(text) if isinstance(text, str) else dict(text)
+    """PotentialSpec from {"phi": [{"alpha": [...], "c": ...}], "psi": [...]}, as text or parsed.
+
+    A missing or null key takes its default; other keys and malformed terms raise ValueError.
+    """
+    data = json.loads(text) if isinstance(text, str) else text
+    if not isinstance(data, dict) or set(data) - {"phi", "psi"}:
+        raise ValueError(f"potential must be an object with the keys phi and psi only, got {data!r}")
 
     def parse(key, default):
-        if key not in data or data[key] is None:
+        terms = data.get(key)
+        if terms is None:
             return default
-        terms = tuple((tuple(int(a) for a in t["alpha"]), float(t["c"])) for t in data[key])
-        return PolynomialFn(dim=P.dim, terms=terms)
+        if not isinstance(terms, list) or not all(_is_term(t, P.dim) for t in terms):
+            raise ValueError(f"potential {key} must list terms {{alpha: {P.dim} integers >= 0, c: number}}")
+        return PolynomialFn(dim=P.dim, terms=tuple((tuple(t["alpha"]), float(t["c"])) for t in terms))
 
     phi = parse("phi", PolynomialFn.zero(P.dim))
     psi = parse("psi", PolynomialFn.quadratic_form(np.eye(P.dim)))
     return make_potential_spec(P, phi=phi, psi=psi)
+
+
+def _is_term(t, n):
+    """True for a term {"alpha": n integers >= 0, "c": a finite number} and nothing else."""
+    alpha, c = (t.get("alpha"), t.get("c")) if isinstance(t, dict) and len(t) == 2 else (None, None)
+    return (
+        isinstance(alpha, list) and len(alpha) == n and all(type(a) is int and a >= 0 for a in alpha)
+        and type(c) in (int, float) and math.isfinite(c)
+    )
 
 
 def _check_s(s):
@@ -359,65 +331,40 @@ def family_hessian_batch(spec: PotentialSpec, s, X):
 # boundary splitting of G_s in a chart
 # ---------------------------------------------------------------------------
 
-def _pullback_data(spec: PotentialSpec, chart: LocalChart):
-    """Facet data and polynomial parts of the potential in chart coordinates."""
-    P = spec.polytope
-    A_inv = np.array(chart.lattice_inverse(), dtype=float)
-    c = np.array([float(v) for v in chart.shift])
-    # ell_r(x) = nu_r . x - lam_r = nu'_r . x' - lam'_r with nu' = A^-T nu
-    normals_new = (A_inv.T @ np.array(P.normals, dtype=float).T).T
-    offsets_new = np.array(P.offsets, dtype=float) + normals_new @ c
-    d_shift = -A_inv @ c
-    phi_new = spec.phi.affine_pullback(A_inv, d_shift)
-    psi_new = spec.psi.affine_pullback(A_inv, d_shift)
-    return normals_new, offsets_new, phi_new, psi_new
-
-
 def boundary_decomposition(spec: PotentialSpec, s, chart: LocalChart, x):
     """Split G_s (chart coordinates) as X_sing + A/s + B with B bounded.
 
-    x is given in chart coordinates with x_i > 0 for i <= local_codim.
+    x is given in chart coordinates with x_i > 0 for i <= local_codim, and the
+    first local_codim rows of the chart matrix must be the normals of the
+    facets active at its base, in order (ChartMismatch otherwise).
     X_sing = diag(w_1/x_1, .., w_m/x_m, 0, ..) carries the active-facet
     singular part of Hess(v_P), A = Hess(psi), and B collects the inactive
-    facets plus Hess(phi); B extends continuously to the face.  The three
-    matrices sum to G_s exactly.
+    facets plus Hess(phi); B extends continuously to the face.  A and B are
+    original-coordinate Hessians H at the exact preimage x0 of x, pulled back
+    through the chart matrix L by the chain rule, L^-T H(x0) L^-1, so the
+    three matrices sum to G_s in the chart.
     """
     m = chart.local_codim
     x = np.asarray(x, dtype=float)
-    n = spec.polytope.dim
-    if x.shape != (n,):
+    P = spec.polytope
+    if x.shape != (P.dim,):
         raise ChartMismatch("point dimension does not match the chart")
     if np.any(x[:m] <= 0):
         raise ChartMismatch("chart coordinates must have x_i > 0 for active facets")
-    normals_new, offsets_new, phi_new, psi_new = _pullback_data(spec, chart)
-    active = [i for i in range(len(offsets_new)) if _is_active_row(normals_new[i], offsets_new[i], m)]
-    if len(active) != m:
+    active = P.active_facets(chart.base)
+    if len(active) != m or any(tuple(chart.lattice_map[i]) != P.normals[r] for i, r in enumerate(active)):
         raise ChartMismatch("chart does not normalize the active facets")
 
-    X_sing = np.zeros((n, n))
-    for i, r in enumerate(active):
-        X_sing[i, i] = spec.boundary.weights[r] / x[i]
-    A_mat = psi_new.hessian(x)
-    inactive = [r for r in range(len(offsets_new)) if r not in active]
-    v_rest = GuilleminPotential(
-        normals_new[inactive], offsets_new[inactive], weights=spec.boundary.weights[inactive]
-    )
-    B_mat = v_rest.hessian(x) + phi_new.hessian(x)
+    w = spec.boundary.weights
+    X_sing = np.zeros((P.dim, P.dim))
+    X_sing[range(m), range(m)] = w[list(active)] / x[:m]
+    x0 = np.array([float(c) for c in chart.inverse(x)])
+    A_inv = np.array(chart.lattice_inverse(), dtype=float)
+    inactive = [r for r in range(P.num_facets) if r not in active]
+    v_rest = GuilleminPotential(spec.boundary.normals[inactive], spec.boundary.offsets[inactive], w[inactive])
+    A_mat = A_inv.T @ spec.psi.hessian(x0) @ A_inv
+    B_mat = A_inv.T @ (v_rest.hessian(x0) + spec.phi.hessian(x0)) @ A_inv
     return X_sing, A_mat, B_mat
-
-
-def _is_active_row(nu, lam, m):
-    if abs(lam) > 1e-12:
-        return False
-    idx = np.nonzero(np.abs(nu) > 1e-12)[0]
-    return len(idx) == 1 and idx[0] < m and abs(nu[idx[0]] - 1.0) < 1e-12
-
-
-def chart_hessian(spec: PotentialSpec, s, chart: LocalChart, x):
-    """G_s in chart coordinates, evaluated from the pulled-back potential."""
-    normals_new, offsets_new, phi_new, psi_new = _pullback_data(spec, chart)
-    v_new = GuilleminPotential(normals_new, offsets_new, weights=spec.boundary.weights)
-    return PotentialFamily(v_new, phi_new, psi_new, s).hessian(np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Shared helpers: random Delzant polytopes, brute-force lattice oracles, mesh
-and operator helpers."""
+"""Shared helpers: random Delzant polytopes and their potentials, brute-force
+lattice oracles, mesh and operator helpers."""
 
 from fractions import Fraction
 from itertools import product
@@ -10,6 +10,7 @@ import pytest
 from toricspec.mesh import Mesh, _cell_edges
 from toricspec.operator import OperatorFactory
 from toricspec.polytope import DelzantPolytope, validate_delzant
+from toricspec.potential import PolynomialFn
 
 SHAPE_LIMIT = 10.0       # largest admitted longest edge / (2 inradius)
 
@@ -40,6 +41,37 @@ def transform_polytope(P: DelzantPolytope, A, c):
         lam_new = lam + int(nu_new @ c)
         raw.append((tuple(int(v) for v in nu_new), lam_new))
     return validate_delzant(raw, dim=P.dim)
+
+
+def _poly_mul(p, q):
+    out = {}
+    for a, ca in p.items():
+        for b, cb in q.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            out[key] = out.get(key, 0.0) + ca * cb
+    return out
+
+
+def affine_pullback(p: PolynomialFn, B, d):
+    """Polynomial q(y) = p(B y + d), expanded in y: the potential of an image polytope."""
+    B = [[float(v) for v in row] for row in B]
+    d = [float(v) for v in d]
+    n = p.dim
+    acc = {}
+    for alpha, c in p.terms:
+        poly = {tuple([0] * n): c}
+        for i, a in enumerate(alpha):
+            lin = {tuple([0] * n): d[i]}
+            for j in range(n):
+                if B[i][j] != 0.0:
+                    key = tuple(1 if t == j else 0 for t in range(n))
+                    lin[key] = lin.get(key, 0.0) + B[i][j]
+            for _ in range(a):
+                poly = _poly_mul(poly, lin)
+        for key, val in poly.items():
+            acc[key] = acc.get(key, 0.0) + val
+    terms = tuple((k, v) for k, v in sorted(acc.items()) if v != 0.0)
+    return PolynomialFn(dim=n, terms=terms)
 
 
 def random_delzant(rng, n):

@@ -182,11 +182,10 @@ def test_criterion_4_limit_operator_consistency():
                                         [[2.0, -1.0], [-1.0, 2.0]])]
     for m, A0, h_div in shapes:
         for k in (1, 2):
-            cone = ConeModel(bs_point=None, codim=m, A0=np.asarray(A0), level=k)
+            cone = ConeModel(codim=m, A0=np.asarray(A0))
             h = None if h_div is None else default_truncation_radius(k) / h_div
-            num, _, _ = numeric_cone_spectrum(cone, k, 6, target_h=h)
+            flat, _, _ = numeric_cone_spectrum(cone, k, 6, target_h=h)
             exact = exact_cone_spectrum(cone, k, n_max=24).flat(6)
-            flat = num.flat(6)
             worst_bottom = max(worst_bottom, abs(flat[0]))
             rel = np.max(np.abs(flat[1:] - exact[1:]) / exact[1:])
             worst_rel = max(worst_rel, float(rel))

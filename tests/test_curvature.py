@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_unimodular
+from conftest import affine_pullback, random_unimodular
 from toricspec import errors
 from toricspec.curvature import (
     ModelSpec,
@@ -94,8 +94,8 @@ class TestGeneralRoute:
         Q = transform_polytope(P, A, c)
         A_f = np.array(A, dtype=float)
         A_inv = np.linalg.inv(A_f)
-        phi_new = spec.phi.affine_pullback(A_inv, -A_inv @ c)
-        psi_new = spec.psi.affine_pullback(A_inv, -A_inv @ c)
+        phi_new = affine_pullback(spec.phi, A_inv, -A_inv @ c)
+        psi_new = affine_pullback(spec.psi, A_inv, -A_inv @ c)
         spec_Q = make_potential_spec(Q, phi=phi_new, psi=psi_new)
         for x in ([0.2, 0.3], [0.4, 0.15]):
             x = np.array(x)

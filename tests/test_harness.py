@@ -516,3 +516,44 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "input error" in err and message in err
+
+    # each malformed input file or flag: (verb, the bad file's name and
+    # content, or None for a flag, the extra flags, the words naming the input)
+    MALFORMED = {
+        "potential_unknown_key": ("limit", ("pot.json", {"psii": [{"alpha": [2], "c": 1.0}]}), [],
+                                  "potential must be an object"),
+        "potential_not_object": ("limit", ("pot.json", [3]), [], "potential must be an object"),
+        "potential_alpha_length": ("limit", ("pot.json", {"phi": [{"alpha": [2, 0], "c": 1.0}]}), [],
+                                   "potential phi must list terms {alpha: 1 integers"),
+        "potential_alpha_negative": ("limit", ("pot.json", {"psi": [{"alpha": [-1], "c": 1.0}]}), [],
+                                     "potential psi must list terms"),
+        "polytope_facets_check": ("check", ("poly.json", {"dim": 1, "facets": 3}), [], "polytope must be"),
+        "polytope_facets_bs": ("bs", ("poly.json", {"dim": 1, "facets": 3}), ["--level", "1"],
+                               "polytope must be"),
+        "sweep_not_object": ("sweep", ("sweep.json", [1]), [], "sweep config must be a JSON object"),
+        "sweep_polytope_number": ("sweep", ("sweep.json", {"polytope": 5, "k_list": [1], "s_list": [0.1]}),
+                                  [], "polytope must be"),
+        "sweep_potential_number": ("sweep", ("sweep.json", {"polytope": "cp1.json", "potential": 7,
+                                                            "k_list": [1], "s_list": [0.1]}),
+                                   [], "potential must be an object"),
+        "ricci_matrix_scalar": ("ricci-scan", None, ["--matrix", "5", "--s-list", "1", "--z-max", "[5]"],
+                                "--matrix must be a JSON n x n matrix"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_file_is_input_error(self, tmp_path, capsys, monkeypatch, case):
+        verb, bad, flags, message = self.MALFORMED[case]
+        poly = self._write_inputs(tmp_path)
+        solves = []
+        monkeypatch.setattr(cli, "run_sweep", solves.append)
+        if bad is not None:
+            name, content = bad
+            (tmp_path / name).write_text(json.dumps(content))
+            flag = {"pot.json": "--potential", "poly.json": "--polytope", "sweep.json": "--config"}[name]
+            flags = flags + [flag, str(tmp_path / name)]
+            if verb == "limit":
+                flags += ["--polytope", poly, "--level", "1"]
+        assert cli.main([verb] + flags) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and message in err
+        assert solves == []

@@ -7,8 +7,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 
-from conftest import check_mesh, mode_operator, transform_polytope
+from conftest import affine_pullback, brute_force_bs_count, check_mesh, mode_operator, transform_polytope
 from toricspec import errors, operator
+from toricspec.harness import KERNEL_TOL
 from toricspec.limit import (
     ConeModel,
     _cone_pencil,
@@ -136,7 +137,7 @@ class TestMesh:
     def test_cell_edges_match_row_unique(self):
         from toricspec.limit import ConeModel, truncated_cone_mesh
 
-        cone = ConeModel(bs_point=None, codim=2, A0=np.array([[2.0, 1.0], [1.0, 2.0]]), level=1)
+        cone = ConeModel(codim=2, A0=np.array([[2.0, 1.0], [1.0, 2.0]]))
         R = np.sqrt(30.0)
         for cells in (build_mesh(simplex2(), 1 / 30).cells,
                       truncated_cone_mesh(cone, R, R / 56.0).cells):
@@ -208,7 +209,7 @@ class TestAssembly:
     def test_csr_matches_coo_summation(self, rng):
         # reference: scipy sums the duplicate (row, col) entries of the
         # symmetrized local arrays; on the cp2 mesh and a skew cone mesh
-        cone = ConeModel(bs_point=None, codim=2, A0=np.array([[2.0, 1.0], [1.0, 2.0]]), level=1)
+        cone = ConeModel(codim=2, A0=np.array([[2.0, 1.0], [1.0, 2.0]]))
         R = np.sqrt(30.0)
         for mesh in (build_mesh(simplex2(), 1 / 30), truncated_cone_mesh(cone, R, R / 56.0)):
             local = rng.standard_normal((mesh.num_cells, 3, 3))
@@ -411,7 +412,7 @@ class TestSolvers:
         with pytest.raises(errors.ConvergenceFailure, match=re.escape(f"sigma = {float(mid)!r}")):
             solve_pencil(op.K, op.M, 4, mid)
         assert np.allclose(solve_pencil(op.K, op.M, 1, op.sigma).eigenvalues, low[:1], rtol=1e-12)
-        cone = ConeModel(bs_point=None, codim=2, A0=np.eye(2), level=1)
+        cone = ConeModel(codim=2, A0=np.eye(2))
         R = default_truncation_radius(1)
         K, M, _ = _cone_pencil(cone, 1, R, R / 14.0)
         assert abs(solve_pencil(K, M, 1, -1.0).eigenvalues[0]) < 1e-6
@@ -452,7 +453,7 @@ class TestSolvers:
             op = mode_operator(spec, 0.005, 3, (1,), build_mesh(segment(), np.sqrt(0.005) / 40))
             K, M, count, sigma = op.K, op.M, 4, op.sigma
         elif case == "weighted_sector":
-            cone = ConeModel(bs_point=None, codim=2, A0=np.array([[2.0, 1.0], [1.0, 2.0]]), level=1)
+            cone = ConeModel(codim=2, A0=np.array([[2.0, 1.0], [1.0, 2.0]]))
             R = default_truncation_radius(1)
             K, M, _ = _cone_pencil(cone, 1, R, R / 14.0)
             count, sigma = 6, -1.0
@@ -520,6 +521,24 @@ class TestProductOracle:
             ref = np.sort(np.add.outer(one_d[mode[0]], one_d[mode[1]]).ravel())[:count]
             vals, _ = dbar_spectrum(square, s, k, mode, mesh2, count)
             assert np.max(np.abs(vals - ref) / np.maximum(ref, 1.0)) <= 5e-3
+
+
+class TestKernelIdentity:
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_hirzebruch(self, a):
+        # the zero modes of F_a at k = 1, s = 1 are its lattice points, one
+        # factory solving every mode of the inflated set in one lock-step call;
+        # h = 1/8 is too coarse here and misses two zero modes at a = 1 and 3
+        P = hirzebruch(a)
+        modes = mode_set(P, 1, 1)
+        factory = OperatorFactory(make_potential_spec(P), 1.0, 1, build_mesh(P, 1 / 12))
+        ops = [factory.operator(m) for m in modes]
+        spectra = solve_pencils([op.K for op in ops], ops[0].M, 1, [op.sigma for op in ops])
+        lowest = {m: map_dbar(sp, 1, 2)[0] for m, sp in zip(modes, spectra)}
+        zero = {m for m, d in lowest.items() if d < KERNEL_TOL}
+        assert zero == set(mode_set(P, 1, 0))
+        assert len(zero) == brute_force_bs_count(P, 1) == a + 4
+        assert min(d for m, d in lowest.items() if m not in zero) > 1.0
 
 
 class TestModeSet:
@@ -605,8 +624,8 @@ class TestInvariance:
         P = segment()
         spec = make_potential_spec(P)
         Q = transform_polytope(P, np.array([[-1]]), np.array([1]))
-        phi_new = spec.phi.affine_pullback([[-1.0]], [1.0])
-        psi_new = spec.psi.affine_pullback([[-1.0]], [1.0])
+        phi_new = affine_pullback(spec.phi, [[-1.0]], [1.0])
+        psi_new = affine_pullback(spec.psi, [[-1.0]], [1.0])
         spec_Q = make_potential_spec(Q, phi=phi_new, psi=psi_new)
         mesh = build_mesh(P, 0.02)
         nodes_Q = 1.0 - mesh.nodes
@@ -631,8 +650,8 @@ class TestInvariance:
         A_inv = np.linalg.inv(A_f)
         spec_Q = make_potential_spec(
             Q,
-            phi=spec.phi.affine_pullback(A_inv, -A_inv @ c),
-            psi=spec.psi.affine_pullback(A_inv, -A_inv @ c),
+            phi=affine_pullback(spec.phi, A_inv, -A_inv @ c),
+            psi=affine_pullback(spec.psi, A_inv, -A_inv @ c),
         )
         mesh = build_mesh(P, 0.15)
         mesh_Q = Mesh(dim=2, nodes=mesh.nodes @ A_f.T + c, cells=mesh.cells.copy())

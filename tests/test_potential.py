@@ -5,18 +5,17 @@ import json
 import numpy as np
 import pytest
 
+from conftest import affine_pullback, transform_polytope
 from toricspec import errors
-from toricspec.polytope import local_chart, segment, simplex2
+from toricspec.polytope import LocalChart, bs_points, hirzebruch, local_chart, segment, simplex2
 from toricspec.potential import (
     GuilleminPotential,
     PolynomialFn,
     PotentialFamily,
     PotentialSpec,
     boundary_decomposition,
-    chart_hessian,
     family_hessian_batch,
     ground_state,
-    guillemin_derivatives,
     make_potential_spec,
     potential_spec_from_json,
 )
@@ -34,18 +33,18 @@ def fd_gradient(f, x, h=1e-6):
 
 class TestGuillemin:
     def test_midpoint_values(self):
-        val, grad, hess = guillemin_derivatives(segment(), [0.5], order=2)
-        assert np.isclose(val, -np.log(2))
-        assert np.isclose(hess[0, 0], 4.0)
+        v = GuilleminPotential.of_polytope(segment())
+        assert np.isclose(v([0.5]), -np.log(2))
+        assert np.isclose(v.tensor([0.5], 2)[0, 0], 4.0)
 
     def test_quarter_point(self):
-        _, _, hess, third = guillemin_derivatives(segment(), [0.25], order=3)
-        assert np.isclose(hess[0, 0], 4 + 4 / 3)
-        assert np.isclose(third[0, 0, 0], -16 + 16 / 9)
+        v = GuilleminPotential.of_polytope(segment())
+        assert np.isclose(v.tensor([0.25], 2)[0, 0], 4 + 4 / 3)
+        assert np.isclose(v.tensor([0.25], 3)[0, 0, 0], -16 + 16 / 9)
 
     def test_simplex_hessian(self):
-        _, _, hess = guillemin_derivatives(simplex2(), [1 / 3, 1 / 3], order=2)
-        assert np.allclose(hess, [[6, 3], [3, 6]])
+        v = GuilleminPotential.of_polytope(simplex2())
+        assert np.allclose(v.tensor([1 / 3, 1 / 3], 2), [[6, 3], [3, 6]])
 
     def test_derivatives_vs_finite_differences(self):
         P = simplex2()
@@ -65,8 +64,10 @@ class TestGuillemin:
                 assert np.allclose(tensor[..., i], fd, atol=1e-4), order
 
     def test_boundary_point_raises(self):
-        with pytest.raises(errors.BoundaryPoint):
-            guillemin_derivatives(segment(), [0.0])
+        v = GuilleminPotential.of_polytope(segment())
+        for evaluate in (v, lambda x: v.tensor(x, 2)):
+            with pytest.raises(errors.BoundaryPoint):
+                evaluate([0.0])
 
 
 class TestFamilyHessian:
@@ -138,6 +139,14 @@ class TestFamilyHessian:
             family_hessian_batch(spec, 0.1, np.array([[0.01], [0.5], [0.99]]))
 
 
+def chart_reference(spec, s, chart, x):
+    """A^-T G_s(x0) A^-1 from family_hessian_batch at the exact preimage x0 of x."""
+    A_inv = np.array(chart.lattice_inverse(), dtype=float)
+    x0 = np.array([float(c) for c in chart.inverse(x)])
+    (G,), _ = family_hessian_batch(spec, s, [x0])
+    return A_inv.T @ G @ A_inv
+
+
 class TestBoundarySplit:
     def test_reconstruction_and_boundedness(self):
         spec = make_potential_spec(segment())
@@ -146,7 +155,7 @@ class TestBoundarySplit:
             for xv in (0.1, 1e-2, 1e-3, 1e-4):
                 x = np.array([xv])
                 X_sing, A, B = boundary_decomposition(spec, s, ch, x)
-                G = chart_hessian(spec, s, ch, x)
+                G = chart_reference(spec, s, ch, x)
                 assert np.max(np.abs(X_sing + A / s + B - G)) <= 1e-12 * np.abs(G).max()
                 assert np.abs(B).max() < 2.0
         # B approaches the inactive facet curvature
@@ -162,14 +171,55 @@ class TestBoundarySplit:
         assert ch.local_codim == 0
         X_sing, A, B = boundary_decomposition(spec, 0.5, ch, np.array([0.01, -0.02]))
         assert np.all(X_sing == 0)
-        G = chart_hessian(spec, 0.5, ch, np.array([0.01, -0.02]))
+        G = chart_reference(spec, 0.5, ch, np.array([0.01, -0.02]))
         assert np.allclose(A / 0.5 + B, G, rtol=1e-12)
+
+    @pytest.mark.parametrize("polytope", ["hirzebruch(1)", "image of simplex2"])
+    def test_skewed_charts(self, polytope):
+        # every quantized-point chart at k = 1, 2; the image's charts have
+        # non-diagonal inverses, and psi and phi couple the coordinates
+        if polytope == "hirzebruch(1)":
+            P = hirzebruch(1)
+        else:
+            P = transform_polytope(simplex2(), [[2, 1], [1, 1]], [1, -1])
+        spec = make_potential_spec(
+            P,
+            phi=PolynomialFn(dim=2, terms=(((2, 1), 0.02), ((0, 3), -0.01))),
+            psi=PolynomialFn.quadratic_form([[2.0, 1.0], [1.0, 2.0]]),
+        )
+        charts = {b.point: local_chart(P, b.point) for k in (1, 2) for b in bs_points(P, k)}
+        assert any(np.any(np.array(ch.lattice_inverse()) != np.eye(2)) for ch in charts.values())
+        direction = np.array([1.0, 0.7])
+        for ch in charts.values():
+            m = ch.local_codim
+            for t in (0.05, 0.01):
+                x = t * np.where(np.arange(2) < m, direction, 0.3 * direction - 0.5)
+                for s in (1.0, 0.1):
+                    X_sing, A, B = boundary_decomposition(spec, s, ch, x)
+                    G = chart_reference(spec, s, ch, x)
+                    assert np.max(np.abs(X_sing + A / s + B - G)) <= 1e-12 * np.abs(G).max()
+            if m:
+                # B extends continuously to the face: it settles as x_i -> 0
+                B_near = [boundary_decomposition(spec, 1.0, ch, t * direction * (np.arange(2) < m))[2]
+                          for t in (1e-6, 1e-9)]
+                assert np.abs(B_near[0]).max() < 10.0
+                assert np.max(np.abs(B_near[0] - B_near[1])) <= 1e-4 * np.abs(B_near[0]).max()
 
     def test_chart_mismatch(self):
         spec = make_potential_spec(segment())
         ch = local_chart(segment(), (0,))
         with pytest.raises(errors.ChartMismatch):
             boundary_decomposition(spec, 1.0, ch, np.array([-0.1]))
+        # the origin of simplex2 lies on two facets: a chart claiming one
+        # would leave the unbounded 1/x_2 term in B
+        spec2 = make_potential_spec(simplex2())
+        one_facet = LocalChart(base=(0, 0), lattice_map=((1, 0), (0, 1)), shift=(0, 0), local_codim=1)
+        with pytest.raises(errors.ChartMismatch, match="active facets"):
+            boundary_decomposition(spec2, 1.0, one_facet, np.array([0.1, 0.1]))
+        # the right number of facets, but a row that is not their normal
+        flipped = LocalChart(base=(0,), lattice_map=((-1,),), shift=(0,), local_codim=1)
+        with pytest.raises(errors.ChartMismatch, match="active facets"):
+            boundary_decomposition(spec, 1.0, flipped, np.array([0.1]))
 
 
 class TestGroundState:
@@ -239,7 +289,7 @@ class TestPolynomialsAndJson:
         p = PolynomialFn(dim=2, terms=(((2, 1), 1.5), ((0, 3), -0.5), ((1, 0), 2.0)))
         B = rng.normal(size=(2, 2))
         d = rng.normal(size=2)
-        q = p.affine_pullback(B, d)
+        q = affine_pullback(p, B, d)
         for _ in range(5):
             y = rng.normal(size=2)
             assert np.isclose(q(y), p(B @ y + d), rtol=1e-12)

@@ -12,7 +12,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_bs_count, random_delzant, random_unimodular, transform_polytope
+from conftest import (
+    affine_pullback,
+    brute_force_bs_count,
+    random_delzant,
+    random_unimodular,
+    transform_polytope,
+)
 from toricspec.curvature import ricci_general
 from toricspec.limit import predicted_limit
 from toricspec.operator import mode_set
@@ -58,7 +64,7 @@ def _skew_image_specs(rng):
     A_inv = np.round(np.linalg.inv(A.astype(float)))
     spec = make_potential_spec(P, psi=PolynomialFn.quadratic_form(H))
     spec_Q = make_potential_spec(
-        transform_polytope(P, A, c), psi=spec.psi.affine_pullback(A_inv, -A_inv @ c)
+        transform_polytope(P, A, c), psi=affine_pullback(spec.psi, A_inv, -A_inv @ c)
     )
     return spec, spec_Q, A, c
 
