@@ -36,7 +36,7 @@ print()
 print("== split near a facet: singular + psi/s + bounded ==")
 chart = local_chart(segment(), (0,))
 for xv in (0.1, 0.01, 0.001):
-    X_sing, A, B = boundary_decomposition(spec, 0.5, chart, np.array([xv]))
+    X_sing, A, B = boundary_decomposition(spec, chart, np.array([xv]))
     print(f"  x={xv:6.3f}: X_sing = {X_sing[0,0]:9.1f}  A = {A[0,0]:.1f}  "
           f"B = {B[0,0]:.4f}  (B stays bounded)")
 

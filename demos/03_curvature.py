@@ -20,13 +20,13 @@ from toricspec import (
     segment,
     simplex2,
 )
-from toricspec.curvature import model_potential_parts
+from toricspec.curvature import model_potential
 from toricspec.potential import GuilleminPotential
 
 print("== the bare interval metric is a round sphere ==")
 vp = GuilleminPotential.of_polytope(segment())
 for x in (0.3, 0.5, 0.7):
-    data = ricci_of_potential([vp], np.array([x]))
+    data = ricci_of_potential(vp, np.array([x]))
     print(f"  x={x}: min generalized eigenvalue of (T, G) = {data.min_ratio:.12f}")
 print("  constant in x, as it must be on a homogeneous space")
 
@@ -37,7 +37,7 @@ B = rng.normal(size=(2, 2))
 mod = ModelSpec(n=2, m=2, A=B @ B.T + 2 * np.eye(2), y=np.array([0.3, 0.7]))
 s = 0.05
 T_closed = model_T(mod, s)
-T_general = ricci_of_potential(model_potential_parts(mod, s), mod.x_coords(s), s=s).T
+T_general = ricci_of_potential(model_potential(mod, s), mod.x_coords(s)).T
 print("  closed form:\n", np.array_str(T_closed, precision=4))
 print("  max relative difference:",
       f"{np.abs(T_closed - T_general).max() / np.abs(T_general).max():.2e}")

@@ -75,7 +75,10 @@ def cmd_ricci_scan(args):
             and all(type(v) in (int, float) for row in A for v in row)):
         raise ValueError(f"--matrix must be a JSON n x n matrix of numbers, got {args.matrix}")
     A, n = np.array(A, dtype=float), len(A)
-    z_max = [float(v) for v in json.loads(args.z_max)]
+    z_max = json.loads(args.z_max)
+    if not (isinstance(z_max, list) and z_max
+            and all(type(v) in (int, float) and np.isfinite(v) and v > 0 for v in z_max)):
+        raise ValueError(f"--z-max must be a non-empty JSON list of finite positive numbers, got {args.z_max}")
     rows, infimum = ricci_lower_bound_scan(
         A,
         n,

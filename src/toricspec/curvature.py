@@ -2,14 +2,17 @@
 
 Two independent routes are kept deliberately separate:
 
-* ``ricci_general`` evaluates the matrices R, T = R G and rho = G^-1 R / 4
-  from exact derivative tensors of the symplectic potential, and
+* ``ricci_general`` evaluates T = R G, rho = G^-1 R / 4 and the smallest
+  value of the pencil (T, G) from exact derivative tensors of the symplectic
+  potential, and
 * ``christoffel_ricci_oracle`` recomputes the Ricci tensor of the real 2n
   metric dx G dx + dtheta G^-1 dtheta from finite differences of the metric
   alone, arbitrating sign and factor conventions empirically.
 
 ``model_T`` and ``model_T_prime`` are the closed-form expressions for the
-constant-coefficient model G_s = (Y_m + A)/s, valid in corner charts.
+constant-coefficient model G_s = (Y_m + A)/s, valid in corner charts;
+``model_potential`` is the same model as a PotentialFamily, for the general
+route.
 """
 
 from __future__ import annotations
@@ -19,19 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegionTouchesCodimTwo, SingularA, SingularG, StepTooLarge
-from .potential import GuilleminPotential, PolynomialFn, PotentialFamily, PotentialSpec
+from .potential import GuilleminPotential, PolynomialFn, PotentialFamily, PotentialSpec, _check_s
 
 CORNER_Z_CUT = 5.0
 SCAN_Z_MIN = 1e-2
+MINOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class RicciData:
     """Curvature matrices at one interior point of the polytope."""
 
-    point: np.ndarray
-    s: float
-    R: np.ndarray           # R[j, l], first index is the derivative direction
     T: np.ndarray           # T = R G, symmetric
     rho: np.ndarray         # rho = G^-1 R / 4, symmetric
     min_ratio: float        # smallest kappa with T v = kappa G v
@@ -52,14 +53,6 @@ class ModelSpec:
         A, y = _check_model(self.A, self.n, self.m, self.y)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
-
-    def Y(self):
-        Y = np.zeros((self.n, self.n))
-        Y[: self.m, : self.m] = np.diag(self.y)
-        return Y
-
-    def G(self, s):
-        return (self.Y() + self.A) / s
 
     def x_coords(self, s):
         """Action coordinates realizing the y variables, x_j = s / (2 y_j).
@@ -111,14 +104,15 @@ def _min_ratio(T, G):
 # general route: exact derivative tensors
 # ---------------------------------------------------------------------------
 
-def ricci_from_tensors(G, dG, d2G, point=None, s=None):
-    """R, T, rho and min_ratio from G and its first two derivative arrays.
+def ricci_from_tensors(G, dG, d2G):
+    """T, rho and min_ratio from G and its first two derivative arrays.
 
     dG[k, i, j] = d_k G_ij and d2G[k, l, i, j] = d_k d_l G_ij.  The curvature
     is evaluated in the coordinates xi = L^T x, G = L L^T, where the metric is
     the identity; there d(G^-1) = -dG, d log det(G^-1) = -tr(dG) and T = R.
     Working in that frame keeps the digits a chart with large cond(G) would
-    otherwise cost through G^-1.  T is (0,2), R = T G^-1, rho = G^-1 R / 4.
+    otherwise cost through G^-1.  T is (0,2), and with R = T G^-1 (first
+    index the derivative direction) rho = G^-1 R / 4.
     """
     w = np.linalg.eigvalsh(G)
     if w[0] <= 0 or w[0] <= 1e-14 * w[-1]:
@@ -133,48 +127,28 @@ def ricci_from_tensors(G, dG, d2G, point=None, s=None):
     dv = np.einsum("kij,hji->kh", dGw, dGw) - np.einsum("khii->kh", d2Gw)
     T_xi = np.einsum("jlh,h->jl", dGw, v) - dv
     T = L @ T_xi @ L.T
-    R = L @ T_xi @ L_inv
     rho = L_inv.T @ T_xi @ L_inv / 4.0
-    return RicciData(
-        point=None if point is None else np.asarray(point, dtype=float),
-        s=float(s) if s is not None else float("nan"),
-        R=R,
-        T=T,
-        rho=rho,
-        min_ratio=float(_min_ratio(T, G)),
-    )
+    return RicciData(T=T, rho=rho, min_ratio=float(_min_ratio(T, G)))
 
 
-def ricci_of_potential(parts, x, s=None):
-    """Curvature data for a potential given as a list of summands.
+def ricci_of_potential(potential, x):
+    """RicciData of the metric Hess(potential) at x.
 
-    Each part must provide hessian(x) and tensor(x, order); this is how the
-    corner model is cross-checked against the general route.
+    ``potential`` is anything with ``tensor(x, order)``: a PotentialFamily, or
+    one of its summands.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    G = np.zeros((n, n))
-    dG = np.zeros((n, n, n))
-    d2G = np.zeros((n, n, n, n))
-    for p in parts:
-        G = G + p.hessian(x)
-        dG = dG + p.tensor(x, 3)
-        d2G = d2G + p.tensor(x, 4)
-    return ricci_from_tensors(G, dG, d2G, point=x, s=s)
+    return ricci_from_tensors(*(potential.tensor(x, order) for order in (2, 3, 4)))
 
 
 def ricci_general(spec: PotentialSpec, s, x):
     """RicciData of the family metric at an interior point x."""
-    return ricci_of_potential([PotentialFamily.of_spec(spec, s)], x, s=s)
+    return ricci_of_potential(PotentialFamily.of_spec(spec, s), x)
 
 
-def model_potential_parts(model: ModelSpec, s):
-    """Potential realizing the corner model: sum_j x_j log(x_j)/2 + x A x/(2s)."""
-    normals = np.eye(model.n)[: model.m]
-    offsets = np.zeros(model.m)
-    half_logs = GuilleminPotential(normals, offsets, weights=0.5 * np.ones(model.m))
-    quad = PolynomialFn.quadratic_form(model.A / s)
-    return [half_logs, quad]
+def model_potential(model: ModelSpec, s):
+    """The corner model as a family: sum_{j <= m} x_j log(x_j)/2 + x A x/(2s)."""
+    half_logs = GuilleminPotential(np.eye(model.n)[: model.m], np.zeros(model.m), weights=0.5)
+    return PotentialFamily(half_logs, PolynomialFn.zero(model.n), PolynomialFn.quadratic_form(model.A), s)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +217,8 @@ def model_T_prime(y, x_rest, s, n, m):
     return T_prime, ratios
 
 
-def minor_identity_check(A, index_set, tol=1e-10):
-    """Verify [A]_I = det(A) [A^-1]_I' to relative tolerance."""
+def minor_identity_check(A, index_set):
+    """Verify [A]_I = det(A) [A^-1]_I' to relative tolerance MINOR_TOL."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     det = np.linalg.det(A)
@@ -256,7 +230,7 @@ def minor_identity_check(A, index_set, tol=1e-10):
     Ainv = np.linalg.inv(A)
     rhs = det * (np.linalg.det(Ainv[np.ix_(Ic, Ic)]) if Ic else 1.0)
     scale = max(abs(lhs), abs(rhs), 1.0)
-    return abs(lhs - rhs) <= tol * scale
+    return abs(lhs - rhs) <= MINOR_TOL * scale
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +269,7 @@ def ricci_lower_bound_scan(
     axes = [np.geomspace(SCAN_Z_MIN, zm, grid_points) for zm in z_max]
     mesh = np.meshgrid(*axes, indexing="ij")
     zs = np.stack([g.ravel() for g in mesh], axis=-1)
-    s_arr = np.array([float(s) for s in s_list])
+    s_arr = np.array([_check_s(s) for s in s_list])
     root_s = np.sqrt(s_arr)[:, None, None]
     A, ys = _check_model(A, n, m, root_s * zs)
     xs = np.full((len(s_arr), len(zs), n), np.nan)
@@ -392,12 +366,11 @@ def christoffel_ricci_oracle(spec_or_hess, s, x, step=None):
     d2g_full = np.zeros((N, N, N, N))
     d2g_full[:n, :n] = np.einsum("klS,Sab->klab", c2, g) / (144.0 * h * h)
 
-    gamma = 0.5 * np.einsum(
-        "ad,bdc->abc", g_inv, dg_full + np.transpose(dg_full, (2, 1, 0)) - np.transpose(dg_full, (1, 0, 2))
-    )
+    # inner[b, d, c] = d_b g_dc + d_c g_bd - d_d g_bc
+    inner = dg_full + np.transpose(dg_full, (2, 1, 0)) - np.transpose(dg_full, (1, 0, 2))
+    gamma = 0.5 * np.einsum("ad,bdc->abc", g_inv, inner)
     # gamma[a, b, c] = Gamma^a_{bc}; symmetric in (b, c)
     dg_inv = -np.einsum("ai,ein,nd->ead", g_inv, dg_full, g_inv)
-    inner = dg_full + np.transpose(dg_full, (2, 1, 0)) - np.transpose(dg_full, (1, 0, 2))
     d_inner = (
         d2g_full
         + np.transpose(d2g_full, (0, 3, 2, 1))

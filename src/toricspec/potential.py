@@ -331,7 +331,7 @@ def family_hessian_batch(spec: PotentialSpec, s, X):
 # boundary splitting of G_s in a chart
 # ---------------------------------------------------------------------------
 
-def boundary_decomposition(spec: PotentialSpec, s, chart: LocalChart, x):
+def boundary_decomposition(spec: PotentialSpec, chart: LocalChart, x):
     """Split G_s (chart coordinates) as X_sing + A/s + B with B bounded.
 
     x is given in chart coordinates with x_i > 0 for i <= local_codim, and the

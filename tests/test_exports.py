@@ -26,3 +26,22 @@ def test_every_export_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(toricspec.__all__) - used) == []
+
+
+def test_every_parameter_is_read():
+    # a parameter that no path of the body reads is dead; self and cls are
+    # exempt, and a nested function's reads count for its enclosing one
+    unread = []
+    for path in sorted((ROOT / "src" / "toricspec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.name}:{node.lineno} {name}({p})" for p in params
+                       if p not in ("self", "cls") and p not in read]
+    assert unread == []

@@ -510,6 +510,8 @@ class TestCli:
     @pytest.mark.parametrize("matrix, z_max, message", [
         ("[[1, 5], [0, 1]]", "[5, 5]", "symmetric"),     # symmetric part is indefinite
         ("[[2]]", "[5, 5]", "m = 2"),                     # two corner directions in n = 1
+        ("[[2, 0], [0, 2]]", "[0, 1]", "--z-max must be"),  # a zero bound has no geometric grid
+        ("[[2]]", "[Infinity]", "--z-max must be"),
     ])
     def test_ricci_scan_rejects_bad_model(self, capsys, matrix, z_max, message):
         code = cli.main(["ricci-scan", "--matrix", matrix, "--s-list", "1", "--z-max", z_max])
@@ -538,6 +540,16 @@ class TestCli:
                                    [], "potential must be an object"),
         "ricci_matrix_scalar": ("ricci-scan", None, ["--matrix", "5", "--s-list", "1", "--z-max", "[5]"],
                                 "--matrix must be a JSON n x n matrix"),
+        "ricci_z_max_scalar": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "1", "--z-max", "5"],
+                               "--z-max must be a non-empty JSON list"),
+        "ricci_z_max_null": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "1", "--z-max", "[null]"],
+                             "--z-max must be a non-empty JSON list"),
+        "ricci_z_max_object": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "1", "--z-max", "{}"],
+                               "--z-max must be a non-empty JSON list"),
+        "ricci_s_zero": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "0", "--z-max", "[5]"],
+                         "s must be finite and positive"),
+        "ricci_s_negative": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "1,-1", "--z-max", "[5]"],
+                             "s must be finite and positive"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))

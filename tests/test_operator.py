@@ -436,6 +436,20 @@ class TestSolvers:
             assert np.all(np.abs(sp.eigenvalues - alone.eigenvalues) <= tol)
             assert sp.steps >= alone.steps
 
+    def test_singular_pencil_fails_alone(self):
+        # K = M at sigma = 1 makes an exactly zero block, which SuperLU
+        # refuses for the whole batch; each pencil is then solved alone
+        factory = OperatorFactory(make_potential_spec(segment()), 0.5, 1, build_mesh(segment(), 0.05))
+        ops = [factory.operator(m) for m in mode_set(segment(), 1, 1)]
+        M = ops[0].M
+        batch = solve_pencils([op.K for op in ops] + [M.copy()], M, 3, [op.sigma for op in ops] + [1.0])
+        assert isinstance(batch[4], errors.ConvergenceFailure)
+        assert "exactly singular" in str(batch[4])
+        for op, sp in zip(ops, batch):
+            alone = solve_pencil(op.K, op.M, 3, op.sigma)
+            tol = 1e-12 * np.maximum(1.0, np.abs(alone.eigenvalues))
+            assert np.all(np.abs(sp.eigenvalues - alone.eigenvalues) <= tol)
+
     def test_solver_record_repeats(self):
         op = mode_operator(make_potential_spec(simplex2()), 0.5, 1, (1, 0), build_mesh(simplex2(), 1 / 16))
         first, second = solve_eigs(op, 3), solve_eigs(op, 3)

@@ -154,12 +154,12 @@ class TestBoundarySplit:
         for s in (1.0, 0.1):
             for xv in (0.1, 1e-2, 1e-3, 1e-4):
                 x = np.array([xv])
-                X_sing, A, B = boundary_decomposition(spec, s, ch, x)
+                X_sing, A, B = boundary_decomposition(spec, ch, x)
                 G = chart_reference(spec, s, ch, x)
                 assert np.max(np.abs(X_sing + A / s + B - G)) <= 1e-12 * np.abs(G).max()
                 assert np.abs(B).max() < 2.0
         # B approaches the inactive facet curvature
-        _, _, B0 = boundary_decomposition(spec, 1.0, ch, np.array([1e-6]))
+        _, _, B0 = boundary_decomposition(spec, ch, np.array([1e-6]))
         assert np.isclose(B0[0, 0], 1.0, atol=1e-5)
 
     def test_interior_chart_has_no_singular_part(self):
@@ -169,7 +169,7 @@ class TestBoundarySplit:
 
         ch = local_chart(S, (Fraction(1, 3), Fraction(1, 3)))
         assert ch.local_codim == 0
-        X_sing, A, B = boundary_decomposition(spec, 0.5, ch, np.array([0.01, -0.02]))
+        X_sing, A, B = boundary_decomposition(spec, ch, np.array([0.01, -0.02]))
         assert np.all(X_sing == 0)
         G = chart_reference(spec, 0.5, ch, np.array([0.01, -0.02]))
         assert np.allclose(A / 0.5 + B, G, rtol=1e-12)
@@ -195,12 +195,12 @@ class TestBoundarySplit:
             for t in (0.05, 0.01):
                 x = t * np.where(np.arange(2) < m, direction, 0.3 * direction - 0.5)
                 for s in (1.0, 0.1):
-                    X_sing, A, B = boundary_decomposition(spec, s, ch, x)
+                    X_sing, A, B = boundary_decomposition(spec, ch, x)
                     G = chart_reference(spec, s, ch, x)
                     assert np.max(np.abs(X_sing + A / s + B - G)) <= 1e-12 * np.abs(G).max()
             if m:
                 # B extends continuously to the face: it settles as x_i -> 0
-                B_near = [boundary_decomposition(spec, 1.0, ch, t * direction * (np.arange(2) < m))[2]
+                B_near = [boundary_decomposition(spec, ch, t * direction * (np.arange(2) < m))[2]
                           for t in (1e-6, 1e-9)]
                 assert np.abs(B_near[0]).max() < 10.0
                 assert np.max(np.abs(B_near[0] - B_near[1])) <= 1e-4 * np.abs(B_near[0]).max()
@@ -209,17 +209,17 @@ class TestBoundarySplit:
         spec = make_potential_spec(segment())
         ch = local_chart(segment(), (0,))
         with pytest.raises(errors.ChartMismatch):
-            boundary_decomposition(spec, 1.0, ch, np.array([-0.1]))
+            boundary_decomposition(spec, ch, np.array([-0.1]))
         # the origin of simplex2 lies on two facets: a chart claiming one
         # would leave the unbounded 1/x_2 term in B
         spec2 = make_potential_spec(simplex2())
         one_facet = LocalChart(base=(0, 0), lattice_map=((1, 0), (0, 1)), shift=(0, 0), local_codim=1)
         with pytest.raises(errors.ChartMismatch, match="active facets"):
-            boundary_decomposition(spec2, 1.0, one_facet, np.array([0.1, 0.1]))
+            boundary_decomposition(spec2, one_facet, np.array([0.1, 0.1]))
         # the right number of facets, but a row that is not their normal
         flipped = LocalChart(base=(0,), lattice_map=((-1,),), shift=(0,), local_codim=1)
         with pytest.raises(errors.ChartMismatch, match="active facets"):
-            boundary_decomposition(spec, 1.0, flipped, np.array([0.1]))
+            boundary_decomposition(spec, flipped, np.array([0.1]))
 
 
 class TestGroundState:

@@ -49,18 +49,28 @@ def _simplex3():
     )
 
 
-def _skew_image_specs(rng):
-    """A random Delzant polygon P with a skew quadratic psi, and its image.
+def _skew_image_specs(rng, dim):
+    """A Delzant polytope P with a quadratic psi, skew for dim >= 2, and its image.
 
-    The image under x -> A x + c carries psi pulled back by the inverse map,
-    so the two metric families are isometric.  Returns (spec, spec_Q, A, c).
+    In 1-D and 2-D P is random; in 3-D it is the simplex, with psi's matrix
+    B B^T + 2 I for B with entries in [-1, 1].  The image under x -> A x + c
+    carries psi pulled back by the inverse map, so the two metric families
+    are isometric.  Returns (spec, spec_Q, A, c).
     """
-    P = random_delzant(rng, 2)
-    a, d = rng.integers(2, 5, size=2)
-    e = rng.choice([-1, 1])
-    H = np.array([[a, e], [e, d]], dtype=float)     # positive definite, skew
-    A = random_unimodular(rng, 2)
-    c = rng.integers(-3, 4, size=2)
+    if dim == 3:
+        P = _simplex3()
+        B = rng.integers(-1, 2, size=(3, 3))
+        H = B @ B.T + 2 * np.eye(3)
+    elif dim == 2:
+        P = random_delzant(rng, 2)
+        a, d = rng.integers(2, 5, size=2)
+        e = rng.choice([-1, 1])
+        H = np.array([[a, e], [e, d]], dtype=float)     # positive definite, skew
+    else:
+        P = random_delzant(rng, 1)
+        H = np.array([[rng.integers(2, 5)]], dtype=float)
+    A = random_unimodular(rng, dim)
+    c = rng.integers(-3, 4, size=dim)
     A_inv = np.round(np.linalg.inv(A.astype(float)))
     spec = make_potential_spec(P, psi=PolynomialFn.quadratic_form(H))
     spec_Q = make_potential_spec(
@@ -117,7 +127,7 @@ def test_simplex3_images(seed):
 def test_cone_spectra_lattice_invariant(seed):
     # x -> A x + c with A in GL_2(Z) maps the quantized points of P onto those
     # of its image, and psi pulled back by the inverse map gives congruent cones
-    spec, spec_Q, A, c = _skew_image_specs(np.random.default_rng(seed))
+    spec, spec_Q, A, c = _skew_image_specs(np.random.default_rng(seed), 2)
     for k in (1, 2):
         pred = predicted_limit(spec, k)
         pred_Q = {b.point: ls for b, ls in predicted_limit(spec_Q, k).items()}
@@ -135,20 +145,22 @@ def test_ricci_min_ratio_lattice_invariant(seed):
     # smallest value of the pencil (T, G), does not see the change of chart.
     # The image-chart tensors carry the facet normals to the fourth power, so
     # their own rounding moves min_ratio by up to ~eps cond(G_Q)^2 times the
-    # pencil's largest value; at the mild charts 1e-9 relative is what is left
-    spec, spec_Q, A, c = _skew_image_specs(np.random.default_rng(seed))
-    verts = np.array(spec.polytope.vertices, dtype=float)
-    centre = verts.mean(axis=0)
-    for x in [centre] + [0.5 * (centre + v) for v in verts]:
-        for s in (1.0, 0.1):
-            data = ricci_general(spec, s, x)
-            r = data.min_ratio
-            r_Q = ricci_general(spec_Q, s, A @ x + c).min_ratio
-            G = PotentialFamily.of_spec(spec, s).hessian(x)
-            G_Q = PotentialFamily.of_spec(spec_Q, s).hessian(A @ x + c)
-            scale = np.abs(np.linalg.eigvals(np.linalg.solve(G, data.T))).max()
-            floor = 10 * np.finfo(float).eps * np.linalg.cond(G_Q) ** 2 * scale
-            assert abs(r_Q - r) <= 1e-9 * abs(r) + floor
+    # pencil's largest value; at the mild charts 1e-9 relative is what is left.
+    # The lattice maps are those of GL_1(Z), GL_2(Z) and GL_3(Z) in turn
+    for dim in (1, 2, 3):
+        spec, spec_Q, A, c = _skew_image_specs(np.random.default_rng(seed), dim)
+        verts = np.array(spec.polytope.vertices, dtype=float)
+        centre = verts.mean(axis=0)
+        for x in [centre] + [0.5 * (centre + v) for v in verts]:
+            for s in (1.0, 0.1):
+                data = ricci_general(spec, s, x)
+                r = data.min_ratio
+                r_Q = ricci_general(spec_Q, s, A @ x + c).min_ratio
+                G = PotentialFamily.of_spec(spec, s).hessian(x)
+                G_Q = PotentialFamily.of_spec(spec_Q, s).hessian(A @ x + c)
+                scale = np.abs(np.linalg.eigvals(np.linalg.solve(G, data.T))).max()
+                floor = 10 * np.finfo(float).eps * np.linalg.cond(G_Q) ** 2 * scale
+                assert abs(r_Q - r) <= 1e-9 * abs(r) + floor
 
 
 def test_chart_completion_rows_come_from_a_vertex():
