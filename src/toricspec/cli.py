@@ -20,7 +20,7 @@ from .limit import predicted_limit
 from .mesh import build_mesh
 from .operator import dbar_spectrum
 from .polytope import _facets_from_json, bs_points, delzant_violations, polytope_from_json
-from .potential import make_potential_spec, potential_spec_from_json
+from .potential import _finite_float, make_potential_spec, potential_spec_from_json
 from .reports import write_csv, write_json
 
 EXIT_PASS = 0
@@ -71,14 +71,15 @@ def cmd_bs(args):
 
 def cmd_ricci_scan(args):
     A = json.loads(args.matrix)
-    if not (isinstance(A, list) and all(isinstance(row, list) and len(row) == len(A) for row in A)
-            and all(type(v) in (int, float) for row in A for v in row)):
-        raise ValueError(f"--matrix must be a JSON n x n matrix of numbers, got {args.matrix}")
-    A, n = np.array(A, dtype=float), len(A)
+    rule = "--matrix must be a JSON n x n matrix of finite numbers"
+    if not (isinstance(A, list) and all(isinstance(row, list) and len(row) == len(A) for row in A)):
+        raise ValueError(f"{rule}, got {args.matrix}")
+    A, n = np.array([[_finite_float(v, rule) for v in row] for row in A]), len(A)
     z_max = json.loads(args.z_max)
-    if not (isinstance(z_max, list) and z_max
-            and all(type(v) in (int, float) and np.isfinite(v) and v > 0 for v in z_max)):
-        raise ValueError(f"--z-max must be a non-empty JSON list of finite positive numbers, got {args.z_max}")
+    rule = "--z-max must be a non-empty JSON list of finite positive numbers"
+    z_max = [_finite_float(v, rule) for v in z_max] if isinstance(z_max, list) else []
+    if not (z_max and min(z_max) > 0):
+        raise ValueError(f"{rule}, got {args.z_max}")
     rows, infimum = ricci_lower_bound_scan(
         A,
         n,

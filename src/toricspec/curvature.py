@@ -17,6 +17,7 @@ route.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,11 +238,6 @@ def minor_identity_check(A, index_set):
 # lower-bound scans
 # ---------------------------------------------------------------------------
 
-def model_min_ratio(model: ModelSpec, s):
-    T, M = _model_T(model.A, model.y, s)
-    return float(_min_ratio(T, M / s))
-
-
 def ricci_lower_bound_scan(
     A,
     n,
@@ -257,8 +253,11 @@ def ricci_lower_bound_scan(
     geometrically from SCAN_Z_MIN; boxes where two or more of them reach past
     CORNER_Z_CUT touch a codimension-two face and are rejected unless
     ``allow_corner`` is set.  Returns (rows, per_s_infimum) where rows are
-    (s, x_1..x_n, min_ratio).
+    (s, x_1..x_n, min_ratio).  grid_points, the samples per axis, must be an
+    integer >= 1.
     """
+    if isinstance(grid_points, bool) or not isinstance(grid_points, numbers.Integral) or grid_points < 1:
+        raise ValueError(f"grid_points must be an integer >= 1, got {grid_points!r}")
     z_max = np.asarray(z_max, dtype=float)
     if len(z_max) != m:
         raise ValueError("one z bound per corner direction expected")

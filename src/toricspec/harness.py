@@ -23,6 +23,7 @@ from .operator import OperatorFactory, map_dbar, mode_set, solve_pencils
 from .polytope import bs_points, polytope_from_json
 from .potential import (
     PotentialSpec,
+    _finite_float,
     family_hessian_batch,
     make_potential_spec,
     potential_spec_from_json,
@@ -62,23 +63,23 @@ class SweepConfig:
 
     def __post_init__(self):
         # JSON gives scalars, strings and booleans too; bool is an int subclass
-        real, integer = (numbers.Real, "a number"), (numbers.Integral, "an integer")
-        checks = [("eig_count", self.eig_count, integer), ("mode_margin", self.mode_margin, integer)]
-        for name, kind in (("k_list", integer), ("s_list", real)):
+        for name in ("k_list", "s_list"):
             entries = getattr(self, name)
             if not isinstance(entries, (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {entries!r}")
-            checks += [(f"{name} entry", v, kind) for v in entries]
-        for name, value, (kind, what) in checks:
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be {what}, got {value!r}")
+        checks = [("eig_count", self.eig_count), ("mode_margin", self.mode_margin)]
+        checks += [("k_list entry", k) for k in self.k_list]
+        for name, value in checks:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         # validated entries are stored as Python scalars, so reports serialize alike
         self.k_list = tuple(int(k) for k in self.k_list)
-        self.s_list = tuple(float(s) for s in self.s_list)
+        rule = "s_list must be finite, positive and strictly descending"
+        self.s_list = tuple(_finite_float(s, rule) for s in self.s_list)
         s = self.s_list
         # a repeated s would make the Richardson step divide by zero
-        if not all(np.isfinite(v) and v > 0 for v in s) or any(a <= b for a, b in zip(s, s[1:])):
-            raise ValueError(f"s_list must be finite, positive and strictly descending, got {s}")
+        if not all(v > 0 for v in s) or any(a <= b for a, b in zip(s, s[1:])):
+            raise ValueError(f"{rule}, got {s}")
         if not self.k_list or min(self.k_list) < 1:
             raise ValueError(f"k_list must name at least one level, each >= 1, got {self.k_list}")
         if self.eig_count < 1:
@@ -201,7 +202,7 @@ def run_sweep(config: SweepConfig):
     for k in config.k_list:
         points = bs_points(P, k)
         by_mode = {b.mode: b for b in points}
-        predictions = predicted_limit(spec, k, count=config.eig_count + 2)
+        predictions = predicted_limit(spec, k, count=config.eig_count)
         modes = mode_set(P, k, config.mode_margin)
         lattice_count = len(points)
         non_bs_lowest = {m: [] for m in modes if m not in by_mode}
@@ -405,7 +406,7 @@ def fiber_diameter_check(spec: PotentialSpec, s_list, grid_per_dim=9):
     axes = [np.linspace(float(a), float(b), grid_per_dim + 2)[1:-1] for a, b in zip(lo, hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    inside = (pts @ P.normals_array().T - P.offsets_array()).min(axis=1) > 1e-9
+    inside = spec.boundary.facet_values(pts).min(axis=1) > 1e-9
     pts = pts[inside]
     # graded points toward facet midpoints catch the boundary behavior
     center = np.array([float(c) for c in P.interior_point()])
@@ -488,13 +489,6 @@ def emit_reports(report: ConvergenceReport, out_dir):
         ]
         hlines = rows[0]["predicted"][:count]
         name = f"plot_b{i}.svg"
-        svg_line_plot(
-            os.path.join(out_dir, name),
-            title=f"k={k} {_b_label(bkey)}",
-            xlabel="s",
-            ylabel="dbar eigenvalue",
-            series=series,
-            hlines=hlines,
-        )
+        svg_line_plot(os.path.join(out_dir, name), f"k={k} {_b_label(bkey)}", series, hlines)
         files.append(name)
     return files

@@ -71,12 +71,10 @@ class LimitSpectrum:
 def cone_at(spec: PotentialSpec, b: BSPoint):
     """Chart-normalized cone at a quantized point, A0 = Hess(psi) in the chart."""
     chart = local_chart(spec.polytope, b.point)
-    if chart.local_codim != b.face_codim:
-        raise ChartFailure("chart codimension disagrees with the point")
     A_inv = np.array(chart.lattice_inverse(), dtype=float)
     x0 = np.array([float(c) for c in b.point])
     A0 = A_inv.T @ spec.psi.hessian(x0) @ A_inv
-    return ConeModel(codim=b.face_codim, A0=A0)
+    return ConeModel(codim=chart.local_codim, A0=A0)
 
 
 def is_separable(cone: ConeModel):
@@ -193,17 +191,17 @@ def truncated_cone_mesh(cone: ConeModel, R, target_h):
     raise DimensionUnsupported("numeric cone spectra for n <= 2 only")
 
 
-def numeric_cone_spectrum(cone: ConeModel, k, count, R=None, target_h=None):
+def numeric_cone_spectrum(cone: ConeModel, k, count, target_h=None):
     """Weighted P1 solve of the cone operator, the FEM oracle of the closed forms.
 
     Returns (half the lowest count eigenvalues, the pencil's Spectrum, the
     truncated cone Mesh).  Stiffness and mass both carry the Gaussian weight
     e^{-k ||xi||^2}; the natural boundary condition realizes Neumann on the
-    cone faces, and the truncation at radius R contributes only exponentially
-    small error.  predicted_limit never calls it.
+    cone faces, and the truncation at radius R = default_truncation_radius(k)
+    contributes only exponentially small error.  target_h defaults to R/400
+    in 1-D and R/56 in 2-D.  predicted_limit never calls it.
     """
-    if R is None:
-        R = default_truncation_radius(k)
+    R = default_truncation_radius(k)
     if target_h is None:
         target_h = R / 400.0 if cone.dim == 1 else R / 56.0
     K, M, mesh = _cone_pencil(cone, k, R, target_h)

@@ -113,15 +113,6 @@ class Mesh:
     def max_diameter(self):
         return float(_edge_lengths(self.nodes, self.cells).max())
 
-    def shape_regularity(self):
-        """max over cells of longest edge / (2 inradius); 1d meshes return 1."""
-        if self.dim == 1:
-            return 1.0
-        lengths = _edge_lengths(self.nodes, self.cells)
-        s = 0.5 * lengths.sum(axis=1)
-        area = np.sqrt(np.maximum(s * np.prod(s[:, None] - lengths, axis=1), 0.0))
-        return float((lengths.max(axis=1) * s / (2.0 * area)).max())
-
 
 def _edge_lengths(nodes, cells):
     """(M, E) lengths of the edges of each cell."""

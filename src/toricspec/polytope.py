@@ -147,12 +147,6 @@ class DelzantPolytope:
         hi = tuple(max(v[i] for v in self.vertices) for i in range(self.dim))
         return lo, hi
 
-    def normals_array(self):
-        return np.array(self.normals, dtype=float)
-
-    def offsets_array(self):
-        return np.array(self.offsets, dtype=float)
-
 
 @dataclass(frozen=True)
 class Face:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -110,7 +112,8 @@ class PolynomialFn:
 class GuilleminPotential:
     """v(x) = sum_r w_r * ell_r(x) log ell_r(x) over a facet list.
 
-    The boundary potential of a Delzant polytope (``of_polytope``) carries
+    The boundary potential v_P of a Delzant polytope (``of_polytope``, and
+    ``PotentialSpec.boundary``, which is derived from the polytope) carries
     w_r = 1 on every facet.  With unit weight the exact bound states scale
     like integer powers of the facet functions, which keeps the P1
     interpolation of the bound-state oracle at clean second order; the corner
@@ -179,7 +182,11 @@ class PotentialSpec:
     polytope: DelzantPolytope
     phi: PolynomialFn
     psi: PolynomialFn
-    boundary: GuilleminPotential = field(compare=False, default=None)
+
+    @cached_property
+    def boundary(self):
+        """v_P, which the polytope fixes: unit weight on every facet."""
+        return GuilleminPotential.of_polytope(self.polytope)
 
 
 def _admissibility_sample(P: DelzantPolytope):
@@ -209,21 +216,21 @@ def make_potential_spec(P: DelzantPolytope, phi=None, psi=None):
     """
     phi = phi if phi is not None else PolynomialFn.zero(P.dim)
     psi = psi if psi is not None else PolynomialFn.quadratic_form(np.eye(P.dim))
-    boundary = GuilleminPotential.of_polytope(P)
+    spec = PotentialSpec(polytope=P, phi=phi, psi=psi)
     sample = _admissibility_sample(P)
     hess_psi = psi.hessian(sample)
     for q, H in zip(sample, hess_psi):
         if np.linalg.eigvalsh(H)[0] <= 0:
             raise NotPositiveDefinite(f"Hess(psi) fails at {q}")
-    ell = boundary.facet_values(sample)
-    hess_v = boundary.hessian(sample) + phi.hessian(sample)
+    ell = spec.boundary.facet_values(sample)
+    hess_v = spec.boundary.hessian(sample) + phi.hessian(sample)
     for q, H, lrow in zip(sample, hess_v, ell):
         w = np.linalg.eigvalsh(H)
         if w[0] <= 0:
             raise NotPositiveDefinite(f"Hess(v_P + phi) fails at {q}")
         if np.linalg.det(H) * np.prod(lrow) <= 0:
             raise NotPositiveDefinite(f"boundary determinant product fails at {q}")
-    return PotentialSpec(polytope=P, phi=phi, psi=psi, boundary=boundary)
+    return spec
 
 
 def potential_spec_from_json(P: DelzantPolytope, text):
@@ -239,9 +246,10 @@ def potential_spec_from_json(P: DelzantPolytope, text):
         terms = data.get(key)
         if terms is None:
             return default
+        rule = f"potential {key} must list terms {{alpha: {P.dim} integers >= 0, c: finite number}}"
         if not isinstance(terms, list) or not all(_is_term(t, P.dim) for t in terms):
-            raise ValueError(f"potential {key} must list terms {{alpha: {P.dim} integers >= 0, c: number}}")
-        return PolynomialFn(dim=P.dim, terms=tuple((tuple(t["alpha"]), float(t["c"])) for t in terms))
+            raise ValueError(rule)
+        return PolynomialFn(dim=P.dim, terms=tuple((tuple(t["alpha"]), _finite_float(t["c"], rule)) for t in terms))
 
     phi = parse("phi", PolynomialFn.zero(P.dim))
     psi = parse("psi", PolynomialFn.quadratic_form(np.eye(P.dim)))
@@ -249,12 +257,23 @@ def potential_spec_from_json(P: DelzantPolytope, text):
 
 
 def _is_term(t, n):
-    """True for a term {"alpha": n integers >= 0, "c": a finite number} and nothing else."""
-    alpha, c = (t.get("alpha"), t.get("c")) if isinstance(t, dict) and len(t) == 2 else (None, None)
-    return (
-        isinstance(alpha, list) and len(alpha) == n and all(type(a) is int and a >= 0 for a in alpha)
-        and type(c) in (int, float) and math.isfinite(c)
-    )
+    """True for a term {"alpha": n integers >= 0, "c": ...}; c is checked by _finite_float."""
+    alpha = t.get("alpha") if isinstance(t, dict) and set(t) == {"alpha", "c"} else None
+    return isinstance(alpha, list) and len(alpha) == n and all(type(a) is int and a >= 0 for a in alpha)
+
+
+def _finite_float(value, rule):
+    """A JSON number as a finite float, or ValueError(f"{rule}, got {value!r}").
+
+    A bool is not a number, and neither is an integer too large for a float.
+    """
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{rule}, got {value!r}")
+    return x
 
 
 def _check_s(s):
@@ -337,8 +356,8 @@ def boundary_decomposition(spec: PotentialSpec, chart: LocalChart, x):
     x is given in chart coordinates with x_i > 0 for i <= local_codim, and the
     first local_codim rows of the chart matrix must be the normals of the
     facets active at its base, in order (ChartMismatch otherwise).
-    X_sing = diag(w_1/x_1, .., w_m/x_m, 0, ..) carries the active-facet
-    singular part of Hess(v_P), A = Hess(psi), and B collects the inactive
+    X_sing = diag(1/x_1, .., 1/x_m, 0, ..) carries the active-facet singular
+    part of Hess(v_P) (unit weights), A = Hess(psi), and B collects the inactive
     facets plus Hess(phi); B extends continuously to the face.  A and B are
     original-coordinate Hessians H at the exact preimage x0 of x, pulled back
     through the chart matrix L by the chain rule, L^-T H(x0) L^-1, so the
@@ -355,13 +374,12 @@ def boundary_decomposition(spec: PotentialSpec, chart: LocalChart, x):
     if len(active) != m or any(tuple(chart.lattice_map[i]) != P.normals[r] for i, r in enumerate(active)):
         raise ChartMismatch("chart does not normalize the active facets")
 
-    w = spec.boundary.weights
     X_sing = np.zeros((P.dim, P.dim))
-    X_sing[range(m), range(m)] = w[list(active)] / x[:m]
+    X_sing[range(m), range(m)] = 1.0 / x[:m]
     x0 = np.array([float(c) for c in chart.inverse(x)])
     A_inv = np.array(chart.lattice_inverse(), dtype=float)
     inactive = [r for r in range(P.num_facets) if r not in active]
-    v_rest = GuilleminPotential(spec.boundary.normals[inactive], spec.boundary.offsets[inactive], w[inactive])
+    v_rest = GuilleminPotential(spec.boundary.normals[inactive], spec.boundary.offsets[inactive])
     A_mat = A_inv.T @ spec.psi.hessian(x0) @ A_inv
     B_mat = A_inv.T @ (v_rest.hessian(x0) + spec.phi.hessian(x0)) @ A_inv
     return X_sing, A_mat, B_mat
@@ -376,13 +394,13 @@ def ground_state(spec: PotentialSpec, s, k, mode):
 
     phi_m(x) = exp((m - k x) . grad u_s(x) + k u_s(x)) satisfies
     L_{s,k,m} phi_m = (k^2 + k n) phi_m for every admissible potential.
-    The boundary-facet log terms are resummed into the equivalent product
+    The boundary-facet log terms of v_P, whose weights are all 1, are
+    resummed into the equivalent product
 
-        phi_m = prod_r ell_r^{w_r e_r} * exp(sum_r w_r (e_r - k ell_r) + polynomial),
+        phi_m = prod_r ell_r^{e_r} * exp(sum_r (e_r - k ell_r) + polynomial),
 
-    with integer counts e_r = nu_r . m - k lambda_r >= 0 and the facet weights
-    w_r of v_P, so the returned callable extends continuously to the closed
-    polytope.
+    with integer counts e_r = nu_r . m - k lambda_r >= 0, so the returned
+    callable extends continuously to the closed polytope.
     """
     k = _check_level(k)
     s = _check_s(s)
@@ -391,21 +409,18 @@ def ground_state(spec: PotentialSpec, s, k, mode):
     mode = np.asarray(m, dtype=float)
     if not spec.polytope.contains(b):
         raise ModeOutsidePolytope(f"mode {mode} has m/k outside the polytope")
-    P = spec.polytope
-    normals = np.array(P.normals, dtype=float)
-    offsets = np.array(P.offsets, dtype=float)
-    weights = spec.boundary.weights
-    exponents = weights * (normals @ mode - k * offsets)
+    v = spec.boundary
+    exponents = v.normals @ mode - k * v.offsets
 
     def state(x):
         x = np.asarray(x, dtype=float)
-        ell = np.maximum(x @ normals.T - offsets, 0.0)
+        ell = np.maximum(v.facet_values(x), 0.0)
         smooth = np.einsum(
             "...i,...i->...",
             mode - k * x,
             spec.phi.gradient(x) + spec.psi.gradient(x) / s,
         ) + k * (spec.phi(x) + spec.psi(x) / s)
-        expo = smooth + np.sum(exponents - weights * k * ell, axis=-1)
+        expo = smooth + np.sum(exponents - k * ell, axis=-1)
         log_ell = np.log(np.where(ell > 0.0, ell, 1.0))
         powers = np.where((exponents > 0.0) & (ell <= 0.0), -np.inf, exponents * log_ell)
         return np.exp(expo + powers.sum(axis=-1))

@@ -33,17 +33,16 @@ def write_json(path, obj):
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def svg_line_plot(path, title, xlabel, ylabel, series, hlines=()):
-    """Minimal deterministic 640 x 420 SVG line plot.
+def svg_line_plot(path, title, series, hlines):
+    """Minimal deterministic 640 x 420 SVG plot of dbar eigenvalues against s.
 
-    series: list of (label, xs, ys); hlines: horizontal reference values.
+    series: non-empty list of (label, xs, ys), at least one point in all;
+    hlines: horizontal reference values.
     """
     W, H = 640, 420
     ml, mr, mt, mb = 64, 16, 36, 48
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys] + list(hlines)
-    if not xs_all:
-        xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     x0, x1 = min(xs_all), max(xs_all)
     y0, y1 = min(ys_all), max(ys_all)
     if x1 == x0:
@@ -85,11 +84,11 @@ def svg_line_plot(path, title, xlabel, ylabel, series, hlines=()):
         )
     out.append(
         f'<text x="{(ml + W - mr) // 2}" y="{H - 10}" text-anchor="middle" '
-        f'font-size="11" font-family="monospace">{xlabel}</text>'
+        'font-size="11" font-family="monospace">s</text>'
     )
     out.append(
         f'<text x="14" y="{(mt + H - mb) // 2}" text-anchor="middle" font-size="11" '
-        f'font-family="monospace" transform="rotate(-90 14 {(mt + H - mb) // 2})">{ylabel}</text>'
+        f'font-family="monospace" transform="rotate(-90 14 {(mt + H - mb) // 2})">dbar eigenvalue</text>'
     )
     for h in hlines:
         out.append(

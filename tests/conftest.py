@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from toricspec.mesh import Mesh, _cell_edges
+from toricspec.mesh import Mesh, _cell_edges, _edge_lengths
 from toricspec.operator import OperatorFactory
 from toricspec.polytope import DelzantPolytope, validate_delzant
 from toricspec.potential import PolynomialFn
@@ -112,12 +112,22 @@ def brute_force_bs_count(P: DelzantPolytope, k):
     return count
 
 
+def shape_regularity(mesh: Mesh):
+    """max over cells of longest edge / (2 inradius); 1d meshes return 1."""
+    if mesh.dim == 1:
+        return 1.0
+    lengths = _edge_lengths(mesh.nodes, mesh.cells)
+    s = 0.5 * lengths.sum(axis=1)
+    area = np.sqrt(np.maximum(s * np.prod(s[:, None] - lengths, axis=1), 0.0))
+    return float((lengths.max(axis=1) * s / (2.0 * area)).max())
+
+
 def check_mesh(mesh: Mesh, P=None):
     """Raise AssertionError if the mesh violates its contract."""
-    assert mesh.shape_regularity() <= SHAPE_LIMIT, "shape regularity exceeded"
+    assert shape_regularity(mesh) <= SHAPE_LIMIT, "shape regularity exceeded"
     if P is not None:
-        normals = P.normals_array()
-        offsets = P.offsets_array()
+        normals = np.array(P.normals, dtype=float)
+        offsets = np.array(P.offsets, dtype=float)
         node_vals = mesh.nodes @ normals.T - offsets
         assert node_vals.min() > -1e-9, "node outside the closed polytope"
         q = mesh.qpoints.reshape(-1, mesh.dim)

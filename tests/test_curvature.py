@@ -9,12 +9,13 @@ from toricspec import errors
 from toricspec.curvature import (
     ModelSpec,
     _min_ratio,
+    _model_T,
     christoffel_ricci_oracle,
     minor_identity_check,
-    model_min_ratio,
     model_T,
     model_T_prime,
     model_potential,
+    ricci_from_tensors,
     ricci_general,
     ricci_lower_bound_scan,
     ricci_of_potential,
@@ -25,6 +26,11 @@ from toricspec.potential import (
     PolynomialFn,
     make_potential_spec,
 )
+
+
+def model_min_ratio(model: ModelSpec, s):
+    T, M = _model_T(model.A, model.y, s)
+    return float(_min_ratio(T, M / s))
 
 
 def random_model(rng, n=None, m=None):
@@ -192,6 +198,16 @@ class TestModelInputs:
             ModelSpec(n=2, m=1, A=np.eye(2), y=np.array([0.0]))
         with pytest.raises(ValueError, match="positive"):
             ricci_lower_bound_scan(np.eye(2), 2, 1, [0.0], [5.0], grid_points=3)
+
+
+    def test_singular_metric_rejected(self):
+        with pytest.raises(errors.SingularG):
+            ricci_from_tensors(np.zeros((1, 1)), np.zeros((1, 1, 1)), np.zeros((1, 1, 1, 1)))
+
+    @pytest.mark.parametrize("grid_points", [0, -3, True, 2.0])
+    def test_grid_points_must_be_a_positive_integer(self, grid_points):
+        with pytest.raises(ValueError, match="grid_points must be an integer >= 1"):
+            ricci_lower_bound_scan(np.eye(1), 1, 1, [1.0], [5.0], grid_points=grid_points)
 
 
 class TestMinRatio:

@@ -13,11 +13,8 @@ def test_all_names_resolve():
     assert missing == []
 
 
-def test_every_export_has_a_caller():
-    # a caller is a name or attribute in the package's modules, the demos or
-    # the benchmark; docstrings, comments and the tests do not count
-    files = [p for p in (ROOT / "src" / "toricspec").glob("*.py") if p.name != "__init__.py"]
-    files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+def _names_used(files, strings=False):
+    """Every Name and Attribute in the files, and with strings=True every string constant."""
     used = set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -25,7 +22,34 @@ def test_every_export_has_a_caller():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    assert sorted(set(toricspec.__all__) - used) == []
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    return used
+
+
+def test_every_export_has_a_caller():
+    # a caller is a name or attribute in the package's modules, the demos or
+    # the benchmark; docstrings, comments and the tests do not count
+    files = [p for p in (ROOT / "src" / "toricspec").glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    assert sorted(set(toricspec.__all__) - _names_used(files)) == []
+
+
+def test_every_definition_has_a_caller():
+    # every function, method and class in the package is used by name in the
+    # package, the demos or the benchmark, whose tracer wraps functions named
+    # in strings; dunders are exempt, and a use from the tests does not count
+    sources = sorted((ROOT / "src" / "toricspec").glob("*.py"))
+    used = _names_used(sources + sorted((ROOT / "demos").glob("*.py")))
+    used |= _names_used(sorted((ROOT / "perfbench").glob("*.py")), strings=True)
+    unused = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in used):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == []
 
 
 def test_every_parameter_is_read():

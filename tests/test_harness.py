@@ -25,6 +25,8 @@ from toricspec.operator import OperatorFactory, solve_eigs
 from toricspec.polytope import bs_points, polytope_to_json, segment, simplex2
 from toricspec.potential import PolynomialFn, make_potential_spec
 
+HUGE = 10**400      # a JSON integer too large for a float
+
 
 @pytest.fixture(scope="module")
 def cp1_report():
@@ -550,6 +552,19 @@ class TestCli:
                          "s must be finite and positive"),
         "ricci_s_negative": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "1,-1", "--z-max", "[5]"],
                              "s must be finite and positive"),
+        # an integer too large for a float is not a finite number
+        "ricci_matrix_huge": ("ricci-scan", None, ["--matrix", f"[[{HUGE}]]", "--s-list", "1", "--z-max", "[5]"],
+                              "--matrix must be a JSON n x n matrix of finite numbers"),
+        "ricci_z_max_huge": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "1", "--z-max", f"[{HUGE}]"],
+                             "--z-max must be a non-empty JSON list of finite positive numbers"),
+        "potential_c_huge": ("limit", ("pot.json", {"psi": [{"alpha": [2], "c": HUGE}]}), [],
+                             "potential psi must list terms"),
+        "sweep_s_huge": ("sweep", ("sweep.json", {"polytope": "cp1.json", "k_list": [1], "s_list": [HUGE]}),
+                         [], "s_list must be finite"),
+        "ricci_grid_points_zero": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "1", "--z-max", "[5]",
+                                                        "--grid-points", "0"], "grid_points must be an integer >= 1"),
+        "ricci_grid_points_negative": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "1", "--z-max", "[5]",
+                                                            "--grid-points=-3"], "grid_points must be an integer >= 1"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -163,7 +163,7 @@ class TestNumericSpectra:
         cone = synthetic_cone(2, 2, A0=[[2.0, 1.0], [1.0, 2.0]])
         coarse, _, _ = numeric_cone_spectrum(cone, 1, 6)
         R = default_truncation_radius(1)
-        fine, _, _ = numeric_cone_spectrum(cone, 1, 6, R=R, target_h=R / 112.0)
+        fine, _, _ = numeric_cone_spectrum(cone, 1, 6, target_h=R / 112.0)
         assert abs(coarse[0]) < 1e-6
         assert np.all(np.abs(coarse[1:] - fine[1:]) <= 0.01 * fine[1:])
         golden = np.array([0.0, 2.0, 3.0, 4.0, 5.0, 6.0])

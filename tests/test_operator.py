@@ -7,7 +7,14 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 
-from conftest import affine_pullback, brute_force_bs_count, check_mesh, mode_operator, transform_polytope
+from conftest import (
+    affine_pullback,
+    brute_force_bs_count,
+    check_mesh,
+    mode_operator,
+    shape_regularity,
+    transform_polytope,
+)
 from toricspec import errors, operator
 from toricspec.harness import KERNEL_TOL
 from toricspec.limit import (
@@ -70,13 +77,13 @@ class TestMesh:
         mesh = build_mesh(S, 0.1)
         check_mesh(mesh, S)
         assert mesh.max_diameter() <= 0.1 + 1e-12
-        assert mesh.shape_regularity() <= 10.0
+        assert shape_regularity(mesh) <= 10.0
 
     def test_quadrature_interior(self):
         S = simplex2()
         mesh = build_mesh(S, 0.2)
         q = mesh.qpoints.reshape(-1, 2)
-        vals = q @ S.normals_array().T - S.offsets_array()
+        vals = q @ np.array(S.normals, dtype=float).T - np.array(S.offsets, dtype=float)
         assert vals.min() > 0
 
     def test_quadrature_exactness(self):
@@ -629,6 +636,12 @@ class TestGuards:
                 ground_state(spec, s, 1, (0,))
         with pytest.raises(ValueError, match="s must be finite and positive"):
             ground_state_rayleigh_batch(spec, np.nan, 1, [(0,)], build_mesh(segment(), 0.1))
+
+    def test_factory_rejects_a_node_in_no_cell(self):
+        # node 3 carries no mass, so the mass matrix is singular
+        mesh = Mesh(dim=1, nodes=np.array([[0.1], [0.5], [0.9], [0.95]]), cells=np.array([[0, 1], [1, 2]]))
+        with pytest.raises(errors.NotPositiveDefiniteMass):
+            OperatorFactory(make_potential_spec(segment()), 1.0, 1, mesh)
 
 
 class TestInvariance:

@@ -1,5 +1,6 @@
 """Potential family: closed-form derivatives, splits, exact bound states."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -131,7 +132,6 @@ class TestFamilyHessian:
         psi = PolynomialFn.quadratic_form([[-1.0]])
         spec = PotentialSpec(
             polytope=P, phi=PolynomialFn.zero(1), psi=psi,
-            boundary=GuilleminPotential.of_polytope(P),
         )
         with pytest.raises(errors.NotPositiveDefinite):
             family_hessian_batch(spec, 0.1, [[0.5]])
@@ -145,6 +145,31 @@ def chart_reference(spec, s, chart, x):
     x0 = np.array([float(c) for c in chart.inverse(x)])
     (G,), _ = family_hessian_batch(spec, s, [x0])
     return A_inv.T @ G @ A_inv
+
+
+class TestSpecDerivesBoundary:
+    def test_direct_spec_equals_made_spec(self):
+        # v_P is derived from the polytope, so (P, phi, psi) alone is a complete spec
+        P = simplex2()
+        phi, psi = PolynomialFn.zero(2), PolynomialFn.quadratic_form([[2.0, 1.0], [1.0, 2.0]])
+        spec = PotentialSpec(P, phi, psi)
+        made = make_potential_spec(P, phi, psi)
+        assert spec == made
+        v = spec.boundary
+        assert np.array_equal(v.normals, np.array(P.normals, dtype=float))
+        assert np.array_equal(v.offsets, np.array(P.offsets, dtype=float))
+        assert np.array_equal(v.weights, np.ones(P.num_facets))
+        X = np.array([[0.2, 0.3], [0.1, 0.05], [0.6, 0.3], [1e-6, 0.5]])
+        for a, b in zip(family_hessian_batch(spec, 0.1, X), family_hessian_batch(made, 0.1, X), strict=True):
+            assert np.array_equal(a, b)
+
+    def test_replaced_polytope_brings_its_boundary(self):
+        # (1/2, 1/2) lies on a facet of the simplex but inside the trapezoid F_1
+        spec = dataclasses.replace(make_potential_spec(simplex2()), polytope=hirzebruch(1))
+        x = [[0.5, 0.5]]
+        G, _ = family_hessian_batch(spec, 0.3, x)
+        G_ref, _ = family_hessian_batch(make_potential_spec(hirzebruch(1)), 0.3, x)
+        assert np.array_equal(G, G_ref)
 
 
 class TestBoundarySplit:
@@ -231,7 +256,6 @@ class TestGroundState:
             polytope=P,
             phi=PolynomialFn.zero(1),
             psi=PolynomialFn.zero(1),
-            boundary=GuilleminPotential.of_polytope(P),
         )
         xs = np.linspace(0.05, 0.95, 7)[:, None]
         phi0 = ground_state(spec, 1.0, 1, [0])
