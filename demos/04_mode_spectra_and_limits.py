@@ -54,7 +54,7 @@ for b in bs_points(simplex2(), 1):
     print("    closed form:", list(ls.values[:4]), "mult", list(ls.multiplicities[:4]))
     if not is_separable(cone):
         # the sector formula k (2 j + l pi / alpha) against the weighted FEM
-        num, _, _ = numeric_cone_spectrum(cone, 1, 5)
+        num = numeric_cone_spectrum(cone, 1, 5)
         print("    closed form, listed:", np.round(ls.flat(5), 3))
         print("    FEM check:          ", np.round(num, 3))
 

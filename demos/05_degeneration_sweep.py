@@ -56,11 +56,12 @@ for r in rows:
     print(f"  s={r['s']:5.2f}: sup lambda_max / s = {r['sup_lambda_max_over_s']:.4f}")
 print(f"  fitted C = {fitted:.4f} against the bound lambda_max(Hess psi^-1) = {bound:.4f}")
 
-out = pathlib.Path(tempfile.mkdtemp(prefix="toricspec_demo_"))
-files = emit_reports(report, out)
-print()
-print(f"== report files in {out} ==")
-for f in files:
-    print("  ", f)
-summary = json.loads((out / "report.json").read_text())
-print("  kernel counts:", summary["kernel_counts"][:2], "...")
+with tempfile.TemporaryDirectory(prefix="toricspec_demo_") as tmp:
+    out = pathlib.Path(tmp)
+    files = emit_reports(report, out)
+    print()
+    print(f"== report files in {out} ==")
+    for f in files:
+        print("  ", f)
+    summary = json.loads((out / "report.json").read_text())
+    print("  kernel counts:", summary["kernel_counts"][:2], "...")

@@ -2,9 +2,8 @@
 
 Two independent routes are kept deliberately separate:
 
-* ``ricci_general`` evaluates T = R G, rho = G^-1 R / 4 and the smallest
-  value of the pencil (T, G) from exact derivative tensors of the symplectic
-  potential, and
+* ``ricci_general`` evaluates T = R G and the smallest value of the pencil
+  (T, G) from exact derivative tensors of the symplectic potential, and
 * ``christoffel_ricci_oracle`` recomputes the Ricci tensor of the real 2n
   metric dx G dx + dtheta G^-1 dtheta from finite differences of the metric
   alone, arbitrating sign and factor conventions empirically.
@@ -35,7 +34,6 @@ class RicciData:
     """Curvature matrices at one interior point of the polytope."""
 
     T: np.ndarray           # T = R G, symmetric
-    rho: np.ndarray         # rho = G^-1 R / 4, symmetric
     min_ratio: float        # smallest kappa with T v = kappa G v
 
     # [Ric >= kappa g] in the T-normalization holds iff min_ratio >= kappa.
@@ -106,14 +104,14 @@ def _min_ratio(T, G):
 # ---------------------------------------------------------------------------
 
 def ricci_from_tensors(G, dG, d2G):
-    """T, rho and min_ratio from G and its first two derivative arrays.
+    """T and min_ratio from G and its first two derivative arrays.
 
     dG[k, i, j] = d_k G_ij and d2G[k, l, i, j] = d_k d_l G_ij.  The curvature
     is evaluated in the coordinates xi = L^T x, G = L L^T, where the metric is
     the identity; there d(G^-1) = -dG, d log det(G^-1) = -tr(dG) and T = R.
     Working in that frame keeps the digits a chart with large cond(G) would
-    otherwise cost through G^-1.  T is (0,2), and with R = T G^-1 (first
-    index the derivative direction) rho = G^-1 R / 4.
+    otherwise cost through G^-1.  T is (0,2), and R = T G^-1 with the first
+    index the derivative direction.
     """
     w = np.linalg.eigvalsh(G)
     if w[0] <= 0 or w[0] <= 1e-14 * w[-1]:
@@ -128,8 +126,7 @@ def ricci_from_tensors(G, dG, d2G):
     dv = np.einsum("kij,hji->kh", dGw, dGw) - np.einsum("khii->kh", d2Gw)
     T_xi = np.einsum("jlh,h->jl", dGw, v) - dv
     T = L @ T_xi @ L.T
-    rho = L_inv.T @ T_xi @ L_inv / 4.0
-    return RicciData(T=T, rho=rho, min_ratio=float(_min_ratio(T, G)))
+    return RicciData(T=T, min_ratio=float(_min_ratio(T, G)))
 
 
 def ricci_of_potential(potential, x):
@@ -320,38 +317,27 @@ def _fd_stencil(n):
     return offsets, c1, c2
 
 
-def christoffel_ricci_oracle(spec_or_hess, s, x, step=None):
+def christoffel_ricci_oracle(spec: PotentialSpec, s, x):
     """(dx, dx)-block of the Ricci tensor of dx G dx + dtheta G^-1 dtheta.
 
-    Computed purely from 4th-order centered finite differences of the metric
-    in the action coordinates (the angle coordinates are Killing directions).
+    Computed purely from 4th-order centered finite differences of the family
+    metric G_s of ``spec`` in the action coordinates (the angle coordinates
+    are Killing directions).  The step is h = 1e-4 min_r ell_r(x), so the
+    stencil, which reaches 2h along each axis, stays inside the polytope.
     Under the Kahler dictionary this block equals T/2, which is what callers
-    compare against.  ``spec_or_hess`` is a PotentialSpec or a bare Hessian
-    callable; a callable must accept stacked points of shape (..., n) and
-    return (..., n, n).  The step defaults to 1e-4 times the distance to the
-    boundary.
+    compare against.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    if isinstance(spec_or_hess, PotentialSpec):
-        fam = PotentialFamily.of_spec(spec_or_hess, s)
-        hess_fn = fam.hessian
-        ell = spec_or_hess.boundary.facet_values(x)
-        min_ell = float(np.min(ell))
-        if min_ell <= 0:
-            raise StepTooLarge("point is not interior")
-        h = step if step is not None else 1e-4 * min_ell
-        if 2 * h >= min_ell:
-            raise StepTooLarge("finite-difference stencil exits the polytope")
-    else:
-        hess_fn = spec_or_hess
-        if step is None:
-            raise StepTooLarge("a step must be given for bare Hessian callables")
-        h = step
+    fam = PotentialFamily.of_spec(spec, s)
+    min_ell = float(np.min(spec.boundary.facet_values(x)))
+    if min_ell <= 0:
+        raise StepTooLarge("point is not interior")
+    h = 1e-4 * min_ell
 
     N = 2 * n
     offsets, c1, c2 = _fd_stencil(n)
-    G = hess_fn(x + h * offsets)
+    G = fam.hessian(x + h * offsets)
     # metric samples g = diag(G, G^-1) at every stencil point, centre first
     g = np.zeros((len(offsets), N, N))
     g[:, :n, :n] = G

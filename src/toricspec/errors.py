@@ -20,21 +20,15 @@ class EmptyInterior(InputError):
 
 
 class RedundantFacet(InputError):
-    def __init__(self, facet_index, msg=None):
-        self.facet_index = facet_index
-        super().__init__(msg or f"facet {facet_index} is redundant")
+    pass
 
 
 class NonPrimitiveNormal(InputError):
-    def __init__(self, facet_index, msg=None):
-        self.facet_index = facet_index
-        super().__init__(msg or f"facet normal {facet_index} is not primitive")
+    pass
 
 
 class NotDelzant(InputError):
-    def __init__(self, vertex, msg=None):
-        self.vertex = vertex
-        super().__init__(msg or f"vertex {vertex} has a non-unimodular cone")
+    pass
 
 
 class PointOutside(InputError):

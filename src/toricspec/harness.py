@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numbers
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +136,6 @@ class ConvergenceReport:
     verdicts: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
     notes: dict = field(default_factory=lambda: dict(VERDICT_NOTES))
-    elapsed_s: float = 0.0      # wall time; kept out of the serialized report
 
     @property
     def partial(self):
@@ -181,7 +179,6 @@ class ConvergenceReport:
 
 def run_sweep(config: SweepConfig):
     """Solve every (k, s, mode), compare quantized modes to their limits."""
-    t_start = time.time()
     spec = config.spec
     P = spec.polytope
     n = P.dim
@@ -291,7 +288,6 @@ def run_sweep(config: SweepConfig):
                 )
 
         _judge_level(report, k, non_bs_lowest)
-    report.elapsed_s = time.time() - t_start
     return report
 
 

@@ -194,31 +194,28 @@ def truncated_cone_mesh(cone: ConeModel, R, target_h):
 def numeric_cone_spectrum(cone: ConeModel, k, count, target_h=None):
     """Weighted P1 solve of the cone operator, the FEM oracle of the closed forms.
 
-    Returns (half the lowest count eigenvalues, the pencil's Spectrum, the
-    truncated cone Mesh).  Stiffness and mass both carry the Gaussian weight
-    e^{-k ||xi||^2}; the natural boundary condition realizes Neumann on the
-    cone faces, and the truncation at radius R = default_truncation_radius(k)
-    contributes only exponentially small error.  target_h defaults to R/400
-    in 1-D and R/56 in 2-D.  predicted_limit never calls it.
+    Returns half the lowest count eigenvalues as an array.  Stiffness and
+    mass both carry the Gaussian weight e^{-k ||xi||^2}; the natural boundary
+    condition realizes Neumann on the cone faces, and the truncation at
+    radius R = default_truncation_radius(k) contributes only exponentially
+    small error.  target_h defaults to R/400 in 1-D and R/56 in 2-D.
+    predicted_limit never calls it.
     """
     R = default_truncation_radius(k)
     if target_h is None:
         target_h = R / 400.0 if cone.dim == 1 else R / 56.0
-    K, M, mesh = _cone_pencil(cone, k, R, target_h)
-    spectrum = solve_pencil(K, M, count, sigma=-1.0)
-    vals = spectrum.eigenvalues
+    vals = solve_pencil(*_cone_pencil(cone, k, R, target_h), count, sigma=-1.0).eigenvalues
     if abs(vals[0]) > 1e-6:
         raise TruncationTooSmall(f"bottom eigenvalue {vals[0]:.3e} off zero")
-    return 0.5 * vals, spectrum, mesh
+    return 0.5 * vals
 
 
 def _cone_pencil(cone: ConeModel, k, R, target_h):
-    """Stiffness, mass and mesh of the cone truncated at R, both weighted by e^{-k ||xi||^2}."""
+    """Stiffness and mass of the cone truncated at R, both weighted by e^{-k ||xi||^2}."""
     mesh = truncated_cone_mesh(cone, R, target_h)
     q = mesh.qpoints.reshape(-1, mesh.dim)
     weight = np.exp(-k * np.sum(q * q, axis=1)).reshape(mesh.qweights.shape)
-    K, M = assemble_p1(mesh, diffusion_q=weight, mass_weight_q=weight)
-    return K, M, mesh
+    return assemble_p1(mesh, diffusion_q=weight, mass_weight_q=weight)
 
 
 def _cluster(vals, tol):

@@ -163,17 +163,6 @@ def order_polygon(vertices):
     return pts[np.argsort(angles)]
 
 
-def _fan(vertices):
-    pts = order_polygon(vertices)
-    center = pts.mean(axis=0)
-    nodes = [center] + [p for p in pts]
-    cells = []
-    k = len(pts)
-    for i in range(k):
-        cells.append([0, 1 + i, 1 + (i + 1) % k])
-    return np.array(nodes), np.array(cells, dtype=int)
-
-
 def _cell_edges(cells):
     """Unique sorted edges and the (M, 3) map cell -> edge ids (ij, jk, ki)."""
     e = np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]])
@@ -229,23 +218,19 @@ def polygon_mesh(vertices, target_h, graded=True):
 
     Uniform quadrisection until the longest edge is below target_h, then,
     when graded, one red-green pass refining every triangle with an edge on
-    the polygon boundary.
+    the polygon boundary, that is, an edge of exactly one triangle.
     """
     _check_target_h(target_h)
     pts = order_polygon(vertices)
-    nodes, cells = _fan(pts)
+    ring = 1 + np.arange(len(pts))
+    nodes = np.vstack([pts.mean(axis=0), pts])
+    cells = np.stack([np.zeros_like(ring), ring, np.roll(ring, -1)], axis=1)
     levels = max(0, ceil(log2(_edge_lengths(nodes, cells).max() / target_h)))
     for _ in range(levels):
         nodes, cells = _red_green(nodes, cells, np.ones(len(cells), dtype=bool))
     if graded:
-        edges = np.roll(pts, -1, axis=0) - pts
-        normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1)
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        offsets = np.einsum("ij,ij->i", normals, pts)
-        tol = 1e-9 * max(float(np.abs(pts).max()), 1.0)
-        # on[c, v, f]: vertex v of cell c lies on polygon edge f
-        on = np.abs(nodes @ normals.T - offsets)[cells] <= tol
-        red = np.any(on & np.roll(on, -1, axis=1), axis=(1, 2))
+        _, cell_edges = _cell_edges(cells)
+        red = np.any(np.bincount(cell_edges.ravel())[cell_edges] == 1, axis=1)
         nodes, cells = _red_green(nodes, cells, red)
     return Mesh(dim=2, nodes=nodes, cells=cells)
 

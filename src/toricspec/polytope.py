@@ -250,7 +250,8 @@ def delzant_violations(raw_facets, dim=None):
         if len(nu) != n:
             raise ValueError(f"normal {r} has {len(nu)} entries in dimension {n}")
 
-    problems = [NonPrimitiveNormal(r) for r, nu in enumerate(normals) if gcd(*nu) != 1]
+    problems = [NonPrimitiveNormal(f"facet normal {r} is not primitive")
+                for r, nu in enumerate(normals) if gcd(*nu) != 1]
     if problems:
         return problems
 
@@ -268,21 +269,21 @@ def delzant_violations(raw_facets, dim=None):
     for r in range(len(normals)):
         fv = [v for v in verts if values[v][r] == 0]
         if not fv:
-            problems.append(RedundantFacet(r))
+            problems.append(RedundantFacet(f"facet {r} is redundant"))
             continue
         at_centroid = _facet_values(normals, offsets, _centroid(fv))
         if any(val == 0 for q, val in enumerate(at_centroid) if q != r):
-            problems.append(RedundantFacet(r))
+            problems.append(RedundantFacet(f"facet {r} is redundant"))
     if problems:
         return problems
 
     for v in verts:
         active = [r for r, val in enumerate(values[v]) if val == 0]
         if len(active) != n:
-            problems.append(NotDelzant(v, f"vertex {v} lies on {len(active)} facets"))
+            problems.append(NotDelzant(f"vertex {v} lies on {len(active)} facets"))
             continue
         if abs(_det_fraction([normals[r] for r in active])) != 1:
-            problems.append(NotDelzant(v))
+            problems.append(NotDelzant(f"vertex {v} has a non-unimodular cone"))
     return problems
 
 

@@ -399,8 +399,13 @@ def ground_state(spec: PotentialSpec, s, k, mode):
 
         phi_m = prod_r ell_r^{e_r} * exp(sum_r (e_r - k ell_r) + polynomial),
 
-    with integer counts e_r = nu_r . m - k lambda_r >= 0, so the returned
-    callable extends continuously to the closed polytope.
+    with integer counts e_r = nu_r . m - k lambda_r = k ell_r(b) >= 0, so
+    the returned callable extends continuously to the closed polytope.  It is
+    normalized to 1 at b = m/k: with f = phi + psi/s, log phi_m(x) -
+    log phi_m(b) is -k (f(b) - f(x) - grad f(x) . (b - x)), a Bregman
+    divergence, plus k ell_r(b) (1 - t + log t), t = ell_r(x)/ell_r(b), for
+    each facet with e_r > 0.  So the state is at most 1, and cannot
+    overflow, wherever phi and psi are convex.
     """
     k = _check_level(k)
     s = _check_s(s)
@@ -412,7 +417,7 @@ def ground_state(spec: PotentialSpec, s, k, mode):
     v = spec.boundary
     exponents = v.normals @ mode - k * v.offsets
 
-    def state(x):
+    def log_state(x):
         x = np.asarray(x, dtype=float)
         ell = np.maximum(v.facet_values(x), 0.0)
         smooth = np.einsum(
@@ -423,6 +428,7 @@ def ground_state(spec: PotentialSpec, s, k, mode):
         expo = smooth + np.sum(exponents - k * ell, axis=-1)
         log_ell = np.log(np.where(ell > 0.0, ell, 1.0))
         powers = np.where((exponents > 0.0) & (ell <= 0.0), -np.inf, exponents * log_ell)
-        return np.exp(expo + powers.sum(axis=-1))
+        return expo + powers.sum(axis=-1)
 
-    return state
+    log_top = log_state(mode / k)
+    return lambda x: np.exp(log_state(x) - log_top)

@@ -23,3 +23,5 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    # tmp_path is the demo's working directory and TMPDIR: nothing may stay
+    assert list(tmp_path.iterdir()) == []

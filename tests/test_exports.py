@@ -69,3 +69,40 @@ def test_every_parameter_is_read():
             unread += [f"{path.name}:{node.lineno} {name}({p})" for p in params
                        if p not in ("self", "cls") and p not in read]
     assert unread == []
+
+
+def _is_dataclass(node):
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_stored_attribute_is_read():
+    # every dataclass field and every self.<attr> an __init__ stores is read
+    # as an attribute in the package, the demos or the benchmark, whose
+    # strings count; a read from the tests does not
+    sources = sorted((ROOT / "src" / "toricspec").glob("*.py"))
+    read = set()
+    for path in sources + sorted((ROOT / "demos").glob("*.py")):
+        read |= {n.attr for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    read |= _names_used(sorted((ROOT / "perfbench").glob("*.py")), strings=True)
+    unread = []
+    for path in sources:
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            stored = []
+            if _is_dataclass(cls):
+                stored += [(n.lineno, n.target.id) for n in cls.body
+                           if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    stored += [(n.lineno, n.attr) for n in ast.walk(fn)
+                               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                               and isinstance(n.value, ast.Name) and n.value.id == "self"]
+            unread += [f"{path.name}:{line} {cls.name}.{attr}" for line, attr in stored
+                       if attr not in read]
+    assert unread == []

@@ -16,6 +16,7 @@ from toricspec.limit import (
     is_separable,
     numeric_cone_spectrum,
     predicted_limit,
+    truncated_cone_mesh,
 )
 from toricspec.polytope import (
     LocalChart,
@@ -145,14 +146,14 @@ class TestExactSpectra:
 class TestNumericSpectra:
     def test_half_line_within_percent(self):
         cone = synthetic_cone(1, 1)
-        num, _, _ = numeric_cone_spectrum(cone, 1, 6)
+        num = numeric_cone_spectrum(cone, 1, 6)
         exact = exact_cone_spectrum(cone, 1, n_max=12).flat(6)
         assert abs(num[0]) < 1e-6
         assert np.all(np.abs(num[1:] - exact[1:]) <= 0.01 * exact[1:])
 
     def test_plane_k1_multiplicities(self):
         cone = synthetic_cone(2, 0)
-        num, _, _ = numeric_cone_spectrum(cone, 1, 6)
+        num = numeric_cone_spectrum(cone, 1, 6)
         exact = exact_cone_spectrum(cone, 1, n_max=8).flat(6)
         assert np.all(np.abs(num[1:] - exact[1:]) <= 0.02 * exact[1:])
 
@@ -161,9 +162,9 @@ class TestNumericSpectra:
         # there keeps the dihedral-invariant plane modes (angular index in
         # 3Z), so half its spectrum is {0, 2, 3, 4, 5, 6, 6, ...}
         cone = synthetic_cone(2, 2, A0=[[2.0, 1.0], [1.0, 2.0]])
-        coarse, _, _ = numeric_cone_spectrum(cone, 1, 6)
+        coarse = numeric_cone_spectrum(cone, 1, 6)
         R = default_truncation_radius(1)
-        fine, _, _ = numeric_cone_spectrum(cone, 1, 6, target_h=R / 112.0)
+        fine = numeric_cone_spectrum(cone, 1, 6, target_h=R / 112.0)
         assert abs(coarse[0]) < 1e-6
         assert np.all(np.abs(coarse[1:] - fine[1:]) <= 0.01 * fine[1:])
         golden = np.array([0.0, 2.0, 3.0, 4.0, 5.0, 6.0])
@@ -171,7 +172,7 @@ class TestNumericSpectra:
 
     def test_bottom_gap_contract(self):
         for n, m, k in ((1, 1, 1), (1, 0, 2), (2, 2, 1)):
-            flat, _, _ = numeric_cone_spectrum(synthetic_cone(n, m), k, 4)
+            flat = numeric_cone_spectrum(synthetic_cone(n, m), k, 4)
             assert abs(flat[0]) < 1e-6
             assert flat[1] - flat[0] > 0.1 * k
 
@@ -181,9 +182,12 @@ class TestNumericSpectra:
         cone1 = synthetic_cone(2, 2, A0=np.eye(2))
         theta = 0.3
         O = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        half1, _, mesh1 = numeric_cone_spectrum(cone1, 1, 5)
+        half1 = numeric_cone_spectrum(cone1, 1, 5)
         from toricspec.mesh import Mesh
         from toricspec.operator import assemble_p1, solve_pencil
+
+        R = default_truncation_radius(1)
+        mesh1 = truncated_cone_mesh(cone1, R, R / 56.0)
 
         nodes2 = mesh1.nodes @ O.T
         mesh2 = Mesh(dim=2, nodes=nodes2, cells=mesh1.cells.copy())

@@ -26,7 +26,6 @@ from toricspec.limit import (
 from toricspec.mesh import (
     Mesh,
     _cell_edges,
-    _fan,
     _red_green,
     build_mesh,
     interval_mesh,
@@ -131,7 +130,8 @@ class TestMesh:
 
     def test_uniform_red_green(self):
         for vertices in ([[0, 0], [1, 0], [0, 1]], [[0, 0], [2, 0], [2, 1], [1, 2], [0, 1]]):
-            nodes, cells = _fan(vertices)
+            fan = polygon_mesh(vertices, 10.0, graded=False)
+            nodes, cells = fan.nodes, fan.cells
             edges, _ = _cell_edges(cells)
             fine_nodes, fine_cells = _red_green(nodes, cells, np.ones(len(cells), dtype=bool))
             assert len(fine_cells) == 4 * len(cells)
@@ -421,7 +421,7 @@ class TestSolvers:
         assert np.allclose(solve_pencil(op.K, op.M, 1, op.sigma).eigenvalues, low[:1], rtol=1e-12)
         cone = ConeModel(codim=2, A0=np.eye(2))
         R = default_truncation_radius(1)
-        K, M, _ = _cone_pencil(cone, 1, R, R / 14.0)
+        K, M = _cone_pencil(cone, 1, R, R / 14.0)
         assert abs(solve_pencil(K, M, 1, -1.0).eigenvalues[0]) < 1e-6
 
     def test_batch_matches_batch_of_one(self):
@@ -476,7 +476,7 @@ class TestSolvers:
         elif case == "weighted_sector":
             cone = ConeModel(codim=2, A0=np.array([[2.0, 1.0], [1.0, 2.0]]))
             R = default_truncation_radius(1)
-            K, M, _ = _cone_pencil(cone, 1, R, R / 14.0)
+            K, M = _cone_pencil(cone, 1, R, R / 14.0)
             count, sigma = 6, -1.0
         else:
             spec = make_potential_spec(hirzebruch(0))

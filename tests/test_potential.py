@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import affine_pullback, transform_polytope
 from toricspec import errors
+from toricspec.mesh import build_mesh
+from toricspec.operator import ground_state_rayleigh_batch
 from toricspec.polytope import LocalChart, bs_points, hirzebruch, local_chart, segment, simplex2
 from toricspec.potential import (
     GuilleminPotential,
@@ -306,6 +309,36 @@ class TestGroundState:
         spec = make_potential_spec(segment())
         with pytest.raises(errors.ModeOutsidePolytope):
             ground_state(spec, 1.0, 1, [2])
+
+    @pytest.mark.parametrize("P", [segment(), simplex2(), hirzebruch(1)],
+                             ids=["segment", "simplex2", "hirzebruch(1)"])
+    def test_normalized_at_base_point(self, P):
+        # with convex phi and psi the state peaks at b = m/k, where it is 1
+        spec = make_potential_spec(P)
+        nodes = build_mesh(P, 0.1).nodes
+        for k in (1, 2, 3):
+            for b in bs_points(P, k):
+                x_b = np.array([float(c) for c in b.point])
+                for s in (1.0, 0.01):
+                    state = ground_state(spec, s, k, [int(k * c) for c in b.point])
+                    assert state(x_b) == 1.0
+                    assert state(x_b[None, :])[0] == 1.0
+                    assert np.max(state(nodes)) <= 1.0 + 1e-12
+
+    def test_rayleigh_quotient_without_overflow(self):
+        # unnormalized, the states of these modes overflow a float at s = 0.01;
+        # each quotient approximates the bound-state eigenvalue k^2 + k n
+        P = hirzebruch(1)
+        spec = make_potential_spec(P)
+        mesh = build_mesh(P, 0.1)
+        for k, modes in ((2, [(4, 0), (0, 0)]), (3, [(5, 0), (5, 1), (6, 0)])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                quotients = ground_state_rayleigh_batch(spec, 0.01, k, modes, mesh)
+            target = k * k + 2 * k
+            for q in quotients.values():
+                assert np.isfinite(q) and q > 0
+                assert abs(q - target) <= 0.05 * target
 
 
 class TestPolynomialsAndJson:
