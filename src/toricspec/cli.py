@@ -15,12 +15,13 @@ import numpy as np
 
 from . import errors
 from .curvature import ricci_lower_bound_scan
+from .errors import _finite_float
 from .harness import ConvergenceReport, emit_reports, run_sweep, sweep_config_from_json
 from .limit import predicted_limit
 from .mesh import build_mesh
 from .operator import dbar_spectrum
 from .polytope import _facets_from_json, bs_points, delzant_violations, polytope_from_json
-from .potential import _finite_float, make_potential_spec, potential_spec_from_json
+from .potential import make_potential_spec, potential_spec_from_json
 from .reports import write_csv, write_json
 
 EXIT_PASS = 0

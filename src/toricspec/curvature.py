@@ -16,12 +16,11 @@ route.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegionTouchesCodimTwo, SingularA, SingularG, StepTooLarge
+from .errors import RegionTouchesCodimTwo, SingularA, SingularG, StepTooLarge, _is_integer
 from .potential import GuilleminPotential, PolynomialFn, PotentialFamily, PotentialSpec, _check_s
 
 CORNER_Z_CUT = 5.0
@@ -253,7 +252,7 @@ def ricci_lower_bound_scan(
     (s, x_1..x_n, min_ratio).  grid_points, the samples per axis, must be an
     integer >= 1.
     """
-    if isinstance(grid_points, bool) or not isinstance(grid_points, numbers.Integral) or grid_points < 1:
+    if not _is_integer(grid_points) or grid_points < 1:
         raise ValueError(f"grid_points must be an integer >= 1, got {grid_points!r}")
     z_max = np.asarray(z_max, dtype=float)
     if len(z_max) != m:

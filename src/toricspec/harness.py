@@ -9,20 +9,18 @@ choices; they are recorded in the report header and in VERDICT_NOTES.
 
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ToricSpecError
+from .errors import ToricSpecError, _finite_float, _is_integer
 from .limit import predicted_limit
 from .mesh import build_mesh
 from .operator import OperatorFactory, map_dbar, mode_set, solve_pencils
 from .polytope import bs_points, polytope_from_json
 from .potential import (
     PotentialSpec,
-    _finite_float,
     family_hessian_batch,
     make_potential_spec,
     potential_spec_from_json,
@@ -61,7 +59,7 @@ class SweepConfig:
     mode_margin: int = 1
 
     def __post_init__(self):
-        # JSON gives scalars, strings and booleans too; bool is an int subclass
+        # JSON gives scalars, strings and booleans too
         for name in ("k_list", "s_list"):
             entries = getattr(self, name)
             if not isinstance(entries, (list, tuple)):
@@ -69,10 +67,11 @@ class SweepConfig:
         checks = [("eig_count", self.eig_count), ("mode_margin", self.mode_margin)]
         checks += [("k_list entry", k) for k in self.k_list]
         for name, value in checks:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        # validated entries are stored as Python scalars, so reports serialize alike
+        # validated values are stored as Python scalars, so reports serialize alike
         self.k_list = tuple(int(k) for k in self.k_list)
+        self.eig_count, self.mode_margin = int(self.eig_count), int(self.mode_margin)
         rule = "s_list must be finite, positive and strictly descending"
         self.s_list = tuple(_finite_float(s, rule) for s in self.s_list)
         s = self.s_list
@@ -81,8 +80,13 @@ class SweepConfig:
             raise ValueError(f"{rule}, got {s}")
         if not self.k_list or min(self.k_list) < 1:
             raise ValueError(f"k_list must name at least one level, each >= 1, got {self.k_list}")
+        # each level is judged on its own rows
+        if len(set(self.k_list)) < len(self.k_list):
+            raise ValueError(f"k_list must not repeat a level, got {self.k_list}")
         if self.eig_count < 1:
             raise ValueError("eig_count must be >= 1")
+        if self.mode_margin < 0:
+            raise ValueError(f"mode_margin must be >= 0, got {self.mode_margin}")
 
     def h_of(self, s):
         """Mesh size sqrt(s)/H_FACTOR, floored at 1/800 in 1-D and 1/80 otherwise."""
@@ -112,9 +116,7 @@ def sweep_config_from_json(data, base_dir="."):
     P = load("polytope", polytope_from_json)
     if P is None:
         raise ValueError("sweep config needs a polytope")
-    spec = load("potential", lambda v: potential_spec_from_json(P, v))
-    if spec is None:
-        spec = make_potential_spec(P)
+    spec = load("potential", lambda v: potential_spec_from_json(P, v)) or make_potential_spec(P)
     kwargs = {key: data[key] for key in _SCALAR_KEYS if key in data}
     return SweepConfig(spec=spec, k_list=data["k_list"], s_list=data["s_list"], **kwargs)
 
@@ -178,16 +180,18 @@ class ConvergenceReport:
 
 
 def run_sweep(config: SweepConfig):
-    """Solve every (k, s, mode), compare quantized modes to their limits."""
+    """Solve every (k, s, mode), compare quantized modes to their limits.
+
+    Each level is solved, recorded and judged in one pass.
+    """
     spec = config.spec
     P = spec.polytope
-    n = P.dim
     report = ConvergenceReport(
         meta={
-            "dim": n,
+            "dim": P.dim,
             "k_list": list(config.k_list),
             "s_list": list(config.s_list),
-            "h": {repr(float(s)): config.h_of(s) for s in config.s_list},
+            "h": {repr(s): config.h_of(s) for s in config.s_list},
             "eig_count": config.eig_count,
             "mode_margin": config.mode_margin,
         }
@@ -201,94 +205,82 @@ def run_sweep(config: SweepConfig):
         by_mode = {b.mode: b for b in points}
         predictions = predicted_limit(spec, k, count=config.eig_count)
         modes = mode_set(P, k, config.mode_margin)
-        lattice_count = len(points)
+        kernel_rows = []
+        trajectories = {}
         non_bs_lowest = {m: [] for m in modes if m not in by_mode}
 
         for s in config.s_list:
             mesh = meshes[config.h_of(s)]
-            factory = OperatorFactory(spec, s, k, mesh)
-            # assemble every mode, then solve them in lock-step batches;
-            # rows and failure rows keep the mode order
-            outcome = {}
-            for mode in modes:
-                try:
-                    outcome[mode] = factory.operator(mode)
-                except ToricSpecError as exc:
-                    outcome[mode] = exc
-            solvable = [m for m in modes if not isinstance(outcome[m], ToricSpecError)]
-            if solvable:
-                ops = [outcome[m] for m in solvable]
-                solved = solve_pencils(
-                    [op.K for op in ops], ops[0].M, config.eig_count, [op.sigma for op in ops]
-                )
-                outcome.update(zip(solvable, solved))
-            results = {}
-            for mode in modes:
-                try:
-                    if isinstance(outcome[mode], ToricSpecError):
-                        raise outcome[mode]
-                    dbar = map_dbar(outcome[mode], k, n)
-                except ToricSpecError as exc:
-                    report.failures.append(
-                        {"k": k, "s": float(s), "mode": list(mode), "error": str(exc)}
-                    )
+            results = _solve_modes(OperatorFactory(spec, s, k, mesh), modes, config.eig_count)
+            dbars = {}
+            ground = {}
+            for mode, result in zip(modes, results):
+                row = {"k": k, "s": s, "mode": list(mode)}
+                if isinstance(result, ToricSpecError):
+                    report.failures.append({**row, "error": str(result)})
                     continue
-                results[mode] = (dbar, outcome[mode])
+                dbars[mode], vector = result
                 report.eig_rows.append(
-                    {
-                        "k": int(k),
-                        "s": float(s),
-                        "mode": list(mode),
-                        "is_bs": mode in by_mode,
-                        "dbar": [float(v) for v in dbar],
-                    }
+                    {**row, "is_bs": mode in by_mode, "dbar": dbars[mode].tolist()}
                 )
-
-            zero_modes = [m for m, (d, _) in results.items() if d[0] < KERNEL_TOL]
-            report.kernel_rows.append(
-                {
-                    "k": int(k),
-                    "s": float(s),
-                    "zero_modes": len(zero_modes),
-                    "lattice_count": lattice_count,
-                }
+                if mode in by_mode:
+                    ground[mode] = vector
+                else:
+                    non_bs_lowest[mode].append(float(dbars[mode][0]))
+            zero_modes = sum(1 for dbar in dbars.values() if dbar[0] < KERNEL_TOL)
+            kernel_rows.append(
+                {"k": k, "s": s, "zero_modes": zero_modes, "lattice_count": len(points)}
             )
-            for m in non_bs_lowest:
-                if m in results:
-                    non_bs_lowest[m].append(float(results[m][0][0]))
 
             # trajectories and localization for quantized modes
-            ground = {m: sp.vectors[:, 0] for m, (_, sp) in results.items() if m in by_mode}
-            masses = _localization_masses(mesh, points, ground, s)
-            for mode, (dbar, _) in results.items():
-                if mode not in by_mode:
-                    continue
+            for mode, (c_min, mass5) in _localization_masses(mesh, points, ground, s).items():
                 b = by_mode[mode]
                 pred = predictions[b].flat(config.eig_count)
-                gaps = [
-                    abs(d - p) / max(p, float(k)) for d, p in zip(dbar, pred, strict=True)
-                ]
-                report.trajectories.setdefault((k, tuple(str(c) for c in b.point)), []).append(
+                trajectories.setdefault(tuple(str(c) for c in b.point), []).append(
                     {
-                        "s": float(s),
-                        "dbar": [float(v) for v in dbar],
-                        "predicted": [float(v) for v in pred],
-                        "gaps": [float(g) for g in gaps],
+                        "s": s,
+                        "dbar": dbars[mode].tolist(),
+                        "predicted": pred.tolist(),
+                        "gaps": _gaps(dbars[mode], pred, k).tolist(),
                     }
                 )
-                c_min, mass5 = masses[mode]
                 report.localization_rows.append(
-                    {
-                        "k": int(k),
-                        "s": float(s),
-                        "mode": list(mode),
-                        "c_min": c_min,
-                        "mass_at_c5": mass5,
-                    }
+                    {"k": k, "s": s, "mode": list(mode), "c_min": c_min, "mass_at_c5": mass5}
                 )
 
-        _judge_level(report, k, non_bs_lowest)
+        report.kernel_rows += kernel_rows
+        report.trajectories.update({(k, bkey): rows for bkey, rows in trajectories.items()})
+        report.verdicts.update(_judge_level(k, kernel_rows, trajectories, non_bs_lowest))
     return report
+
+
+def _solve_modes(factory, modes, count):
+    """Per mode, in order: (dbar values, ground vector), or that mode's ToricSpecError.
+
+    Every mode is assembled first, and the assembled ones are solved together
+    in lock-step batches.
+    """
+    solved = [_attempt(factory.operator, mode) for mode in modes]
+    built = [op for op in solved if not isinstance(op, ToricSpecError)]
+    if built:
+        Ks, sigmas = [op.K for op in built], [op.sigma for op in built]
+        spectra = iter(solve_pencils(Ks, built[0].M, count, sigmas))
+        solved = [op if isinstance(op, ToricSpecError) else next(spectra) for op in solved]
+
+    def dbar_and_ground(spectrum):
+        return map_dbar(spectrum, factory.k, factory.mesh.dim), spectrum.vectors[:, 0]
+
+    return [_attempt(dbar_and_ground, spectrum) for spectrum in solved]
+
+
+def _attempt(step, arg):
+    """step(arg), or the ToricSpecError it raises; an arg that is one passes through."""
+    if isinstance(arg, ToricSpecError):
+        return arg
+    try:
+        return step(arg)
+    except ToricSpecError as exc:
+        return exc
 
 
 def _localization_masses(mesh, all_points, vectors, s):
@@ -319,71 +311,45 @@ def _localization_masses(mesh, all_points, vectors, s):
     return {m: (c_min[m], float(np.sum(w * mask5)) / total[m]) for m, w in density.items()}
 
 
-def _richardson_gap(rows, pred, j, k):
-    """sqrt(s)-rate extrapolation of eigenvalue j from the last two s values."""
-    if len(rows) < 2:
-        return None
-    s1, s2 = rows[-2]["s"], rows[-1]["s"]
-    l1, l2 = rows[-2]["dbar"][j], rows[-1]["dbar"][j]
-    w1, w2 = np.sqrt(s1), np.sqrt(s2)
-    lam = l2 + (l2 - l1) * w2 / (w1 - w2)
-    return abs(lam - pred[j]) / max(pred[j], float(k))
+def _gaps(values, predicted, k):
+    """gap_j = |lambda_j - predicted_j| / max(predicted_j, k), as VERDICT_NOTES states."""
+    predicted = np.asarray(predicted)
+    return np.abs(np.asarray(values) - predicted) / np.maximum(predicted, k)
 
 
-def _judge_level(report, k, non_bs_lowest):
-    kernel_ok = all(
-        row["zero_modes"] == row["lattice_count"]
-        for row in report.kernel_rows
-        if row["k"] == k
-    )
-    report.verdicts[f"kernel_identity_k{k}"] = {
-        "ok": bool(kernel_ok),
-        "detail": [r for r in report.kernel_rows if r["k"] == k],
-    }
-
-    bs_zero_ok = True
-    limit_ok = True
-    tail_ok = True
-    limit_detail = {}
-    for (kk, bkey), rows in report.trajectories.items():
-        if kk != k:
-            continue
-        lowest = [r["dbar"][0] for r in rows]
-        if max(lowest) >= BS_ZERO_TOL:
-            bs_zero_ok = False
-        pred = rows[-1]["predicted"]
-        gaps_last = rows[-1]["gaps"]
-        rich = [
-            _richardson_gap(rows, pred, j, k) for j in range(min(3, len(pred)))
-        ]
-        n_check = min(3, len(gaps_last))
-        raw_ok = all(g <= LIMIT_REL_TOL for g in gaps_last[:n_check])
-        rich_ok = all(g is None or g <= LIMIT_REL_TOL for g in rich[:n_check])
+def _judge_level(k, kernel_rows, trajectories, non_bs_lowest):
+    """The verdicts of level k from its kernel rows, its trajectories keyed by
+    quantized point, and the lowest values of its non-quantized modes."""
+    bs_zero, limit, tail, limit_detail = [], [], [], {}
+    for bkey, rows in trajectories.items():
+        bs_zero.append(max(r["dbar"][0] for r in rows) < BS_ZERO_TOL)
+        last = rows[-1]
+        n_check = min(3, len(last["gaps"]))
+        raw = last["gaps"][:n_check]
+        rich = [None] * n_check
+        if len(rows) >= 2:
+            prev = rows[-2]
+            # sqrt(s)-rate Richardson extrapolation from the last two s values
+            w1, w2 = np.sqrt(prev["s"]), np.sqrt(last["s"])
+            l1 = np.array(prev["dbar"][:n_check])
+            l2 = np.array(last["dbar"][:n_check])
+            rich = _gaps(l2 + (l2 - l1) * w2 / (w1 - w2), last["predicted"][:n_check], k).tolist()
+            rising = [g > TAIL_NOISE * g_prev + TAIL_ABS for g_prev, g in zip(prev["gaps"], raw)]
+            tail.append(not any(rising))
         # with three or more s values the verdict extrapolates (sqrt-s rate);
         # shorter sweeps are judged on the raw gap at the smallest s
-        if not (rich_ok if len(rows) >= 3 else raw_ok):
-            limit_ok = False
-        if len(rows) >= 2:
-            for j in range(n_check):
-                g_prev = rows[-2]["gaps"][j]
-                g_last = rows[-1]["gaps"][j]
-                if g_last > TAIL_NOISE * g_prev + TAIL_ABS:
-                    tail_ok = False
-        limit_detail[_b_label(bkey)] = {
-            "raw_gaps_at_smallest_s": [float(g) for g in gaps_last[:n_check]],
-            "richardson_gaps": [None if g is None else float(g) for g in rich[:n_check]],
-        }
-    report.verdicts[f"bs_zero_persistence_k{k}"] = {"ok": bool(bs_zero_ok)}
-    report.verdicts[f"limit_match_k{k}"] = {"ok": bool(limit_ok), "detail": limit_detail}
-    report.verdicts[f"gap_tail_monotone_k{k}"] = {"ok": bool(tail_ok)}
+        limit.append(all(g <= LIMIT_REL_TOL for g in (rich if len(rows) >= 3 else raw)))
+        limit_detail[_b_label(bkey)] = {"raw_gaps_at_smallest_s": raw, "richardson_gaps": rich}
 
-    divergent = {}
-    for m, vals in non_bs_lowest.items():
-        if len(vals) >= 2:
-            divergent[str(list(m))] = bool(vals[-1] > vals[0])
-    report.verdicts[f"non_bs_divergence_k{k}"] = {
-        "ok": True,                  # informational flag, not a pass criterion
-        "increasing": divergent,
+    kernel_ok = all(r["zero_modes"] == r["lattice_count"] for r in kernel_rows)
+    divergent = {str(list(m)): v[-1] > v[0] for m, v in non_bs_lowest.items() if len(v) >= 2}
+    return {
+        f"kernel_identity_k{k}": {"ok": kernel_ok, "detail": kernel_rows},
+        f"bs_zero_persistence_k{k}": {"ok": all(bs_zero)},
+        f"limit_match_k{k}": {"ok": all(limit), "detail": limit_detail},
+        f"gap_tail_monotone_k{k}": {"ok": all(tail)},
+        # informational flag, not a pass criterion
+        f"non_bs_divergence_k{k}": {"ok": True, "increasing": divergent},
     }
 
 
@@ -404,23 +370,18 @@ def fiber_diameter_check(spec: PotentialSpec, s_list, grid_per_dim=9):
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
     inside = spec.boundary.facet_values(pts).min(axis=1) > 1e-9
     pts = pts[inside]
-    # graded points toward facet midpoints catch the boundary behavior
+    # graded points toward the vertices catch the boundary behavior
     center = np.array([float(c) for c in P.interior_point()])
-    extra = []
-    for v in P.vertices:
-        vv = np.array([float(c) for c in v])
-        for eps in (1e-2, 1e-4):
-            extra.append(center + (1 - eps) * (vv - center))
-    pts = np.vstack([pts, np.array(extra)])
+    corners = np.array(P.vertices, dtype=float)
+    extra = [center + (1 - eps) * (v - center) for v in corners for eps in (1e-2, 1e-4)]
+    pts = np.vstack([pts, extra])
 
     rows = []
-    fitted = 0.0
     for s in s_list:
         _, G_inv = family_hessian_batch(spec, s, pts)
         lam_max = np.linalg.eigvalsh(G_inv)[:, -1]
-        sup = float(lam_max.max() / s)
-        rows.append({"s": float(s), "sup_lambda_max_over_s": sup})
-        fitted = max(fitted, sup)
+        rows.append({"s": float(s), "sup_lambda_max_over_s": float(lam_max.max() / s)})
+    fitted = max([0.0] + [r["sup_lambda_max_over_s"] for r in rows])
     hess_psi = spec.psi.hessian(pts)
     bound = float(np.linalg.eigvalsh(np.linalg.inv(hess_psi))[:, -1].max())
     return rows, fitted, bound
@@ -440,14 +401,12 @@ def emit_reports(report: ConvergenceReport, out_dir):
     for k in sorted({row["k"] for row in report.eig_rows}):
         rows = [r for r in report.eig_rows if r["k"] == k]
         count = max(len(r["dbar"]) for r in rows)
-        header = ["s"] + [f"m{i}" for i in range(len(rows[0]["mode"]))] + [
-            "is_bs"
-        ] + [f"dbar{j}" for j in range(count)]
-        csv_rows = []
-        for r in sorted(rows, key=lambda r: (-r["s"], r["mode"])):
-            csv_rows.append(
-                [r["s"]] + r["mode"] + [int(r["is_bs"])] + [float(v) for v in r["dbar"]]
-            )
+        mode_columns = [f"m{i}" for i in range(len(rows[0]["mode"]))]
+        header = ["s"] + mode_columns + ["is_bs"] + [f"dbar{j}" for j in range(count)]
+        csv_rows = [
+            [r["s"]] + r["mode"] + [int(r["is_bs"])] + [float(v) for v in r["dbar"]]
+            for r in sorted(rows, key=lambda r: (-r["s"], r["mode"]))
+        ]
         name = f"eigs_k{k}.csv"
         write_csv(os.path.join(out_dir, name), header, csv_rows)
         files.append(name)

@@ -21,6 +21,7 @@ from .errors import (
     ChartFailure,
     DimensionUnsupported,
     TruncationTooSmall,
+    _is_integer,
 )
 from .mesh import interval_mesh, polygon_mesh
 from .operator import assemble_p1, solve_pencil
@@ -236,8 +237,11 @@ def predicted_limit(spec: PotentialSpec, k, count=8):
     finite element solve runs; a skew cone with n >= 3 has none and raises
     DimensionUnsupported.  Each spectrum lists the values up to
     k max(count + 2 n + 4, 2 (count - 1)); every cone has the values 2 k j,
-    j >= 0, so ``flat(count)`` always holds ``count`` values.
+    j >= 0, so ``flat(count)`` always holds ``count`` values; ``count`` must be
+    an integer >= 1.
     """
+    if not _is_integer(count) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     out = {}
     for b in bs_points(spec.polytope, k):
         cone = cone_at(spec, b)

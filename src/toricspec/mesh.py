@@ -24,7 +24,7 @@ from math import atan2, ceil, factorial, log2
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import DimensionUnsupported
+from .errors import DimensionUnsupported, _finite_float
 
 GRADING_RATIO = 0.7      # width ratio of consecutive 1d end-layer cells
 GRADING_DEPTH = 12       # number of 1d end-layer cells
@@ -122,8 +122,9 @@ def _edge_lengths(nodes, cells):
 
 
 def _check_target_h(target_h):
-    if not (np.isfinite(target_h) and target_h > 0):
-        raise ValueError(f"mesh size target_h must be finite and positive, got {target_h}")
+    rule = "mesh size target_h must be finite and positive"
+    if _finite_float(target_h, rule) <= 0:
+        raise ValueError(f"{rule}, got {target_h!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ lattice modes of the reduced operators are its two uses.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -35,6 +34,7 @@ from .errors import (
     PointOutside,
     RedundantFacet,
     Unbounded,
+    _is_integer,
 )
 
 
@@ -366,7 +366,7 @@ def _lattice_points(P, offsets):
 
 def _check_level(k):
     """The level k as an int; it must be an integer >= 1 (numpy integers count)."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+    if not _is_integer(k) or k < 1:
         raise ValueError(f"level k must be an integer >= 1, got {k!r}")
     return int(k)
 
@@ -377,9 +377,7 @@ def _check_mode(mode, n):
         entries = tuple(mode)
     except TypeError:
         entries = ()
-    if len(entries) != n or any(
-        isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in entries
-    ):
+    if len(entries) != n or not all(map(_is_integer, entries)):
         raise ValueError(f"mode must have {n} integer entries, got {mode!r}")
     return tuple(int(v) for v in entries)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,6 +23,7 @@ from .errors import (
     ChartMismatch,
     ModeOutsidePolytope,
     NotPositiveDefinite,
+    _finite_float,
 )
 from .polytope import DelzantPolytope, LocalChart, _check_level, _check_mode, vertices_and_faces
 
@@ -262,25 +262,13 @@ def _is_term(t, n):
     return isinstance(alpha, list) and len(alpha) == n and all(type(a) is int and a >= 0 for a in alpha)
 
 
-def _finite_float(value, rule):
-    """A JSON number as a finite float, or ValueError(f"{rule}, got {value!r}").
-
-    A bool is not a number, and neither is an integer too large for a float.
-    """
-    try:
-        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValueError(f"{rule}, got {value!r}")
-    return x
-
-
 def _check_s(s):
     """The degeneration parameter s as a float; it must be finite and positive."""
-    if not (np.isfinite(s) and s > 0):
-        raise ValueError(f"s must be finite and positive, got {s}")
-    return float(s)
+    rule = "s must be finite and positive"
+    x = _finite_float(s, rule)
+    if x <= 0:
+        raise ValueError(f"{rule}, got {s!r}")
+    return x
 
 
 class PotentialFamily:

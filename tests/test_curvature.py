@@ -209,6 +209,12 @@ class TestModelInputs:
         with pytest.raises(ValueError, match="grid_points must be an integer >= 1"):
             ricci_lower_bound_scan(np.eye(1), 1, 1, [1.0], [5.0], grid_points=grid_points)
 
+    @pytest.mark.parametrize("s", [True, "1", pytest.param(10**400, id="huge")])
+    def test_scan_s_is_a_finite_real(self, s):
+        # True would otherwise scan s = 1.0
+        with pytest.raises(ValueError, match="s must be finite and positive"):
+            ricci_lower_bound_scan(np.eye(1), 1, 1, [s], [5.0], grid_points=3)
+
 
 class TestMinRatio:
     def test_smallest_pencil_value(self, rng):

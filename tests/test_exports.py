@@ -106,3 +106,30 @@ def test_every_stored_attribute_is_read():
             unread += [f"{path.name}:{line} {cls.name}.{attr}" for line, attr in stored
                        if attr not in read]
     assert unread == []
+
+
+def test_one_integer_rule_and_one_finite_rule():
+    # "an integer, not a bool" is decided by errors._is_integer and "a finite
+    # real" by errors._finite_float; a numbers.Integral or isfinite test
+    # anywhere else in the package would be a second copy of a rule
+    helpers = {"_is_integer", "_finite_float"}
+    copies = []
+    for path in sorted((ROOT / "src" / "toricspec").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = set()
+        if path.name == "errors.py":
+            for fn in tree.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name in helpers:
+                    inside |= {id(n) for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in ("Integral", "isfinite") and id(node) not in inside:
+                copies.append(f"{path.name}:{node.lineno} {name}")
+    assert copies == []

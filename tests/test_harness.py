@@ -20,6 +20,7 @@ from toricspec.harness import (
     run_sweep,
     sweep_config_from_json,
 )
+from toricspec.limit import predicted_limit
 from toricspec.mesh import build_mesh
 from toricspec.operator import OperatorFactory, solve_eigs
 from toricspec.polytope import bs_points, polytope_to_json, segment, simplex2
@@ -121,6 +122,37 @@ class TestConfig:
         cfg = SweepConfig(spec=spec, k_list=(np.int64(2),), s_list=(1, np.float64(0.5)))
         assert cfg.k_list == (2,) and type(cfg.k_list[0]) is int
         assert cfg.s_list == (1.0, 0.5) and all(type(s) is float for s in cfg.s_list)
+
+    def test_rejects_negative_mode_margin(self, tmp_path, capsys, monkeypatch):
+        spec = make_potential_spec(segment())
+        with pytest.raises(ValueError, match="mode_margin must be >= 0, got -1"):
+            SweepConfig(spec=spec, k_list=(1,), s_list=(0.1,), mode_margin=-1)
+        poly = tmp_path / "p.json"
+        poly.write_text(polytope_to_json(segment()))
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"polytope": "p.json", "k_list": [1], "s_list": [0.1], "mode_margin": -1}))
+        solves = []
+        monkeypatch.setattr(cli, "run_sweep", solves.append)
+        assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        assert "mode_margin" in capsys.readouterr().err and solves == []
+        assert SweepConfig(spec=spec, k_list=(1,), s_list=(0.1,), mode_margin=0).mode_margin == 0
+
+    def test_rejects_repeated_level(self):
+        # each level is judged on its own rows, so a level runs once
+        spec = make_potential_spec(segment())
+        with pytest.raises(ValueError, match="k_list must not repeat a level"):
+            SweepConfig(spec=spec, k_list=(1, 2, 1), s_list=(0.1,))
+
+    def test_numpy_scalars_emit_like_python_ones(self, tmp_path):
+        # numpy counts are stored as ints, so the report serializes
+        spec = make_potential_spec(segment())
+        cfg = SweepConfig(spec=spec, k_list=(1,), s_list=(0.1,), eig_count=np.int64(2),
+                          mode_margin=np.int64(0))
+        assert type(cfg.eig_count) is int and type(cfg.mode_margin) is int
+        ref = SweepConfig(spec=spec, k_list=(1,), s_list=(0.1,), eig_count=2, mode_margin=0)
+        emit_reports(run_sweep(cfg), str(tmp_path / "a"))
+        emit_reports(run_sweep(ref), str(tmp_path / "b"))
+        assert (tmp_path / "a" / "report.json").read_bytes() == (tmp_path / "b" / "report.json").read_bytes()
 
     def test_h_rule(self):
         spec = make_potential_spec(segment())
@@ -224,6 +256,162 @@ class TestSweep:
         flag = cp1_report.verdicts["non_bs_divergence_k1"]
         assert flag["increasing"]     # at least one margin mode tracked
         assert all(flag["increasing"].values())
+
+
+CP1_LIMIT = np.array([0.0, 2.0, 4.0])     # cp1 oscillator values 2 k j at k = 1
+
+
+def _cp1_sweep(s_list, monkeypatch=None, predicted=None):
+    """cp1 sweep at k = 1 with three values; ``predicted`` replaces the limit values.
+
+    The replacement offsets every quantized point's true limit spectrum, so
+    the verdicts judge the solved values against ``predicted``.
+    """
+    if predicted is not None:
+        class Offset:
+            def __init__(self, limit):
+                self.limit = limit
+
+            def flat(self, count):
+                return self.limit.flat(count) + (np.asarray(predicted) - CP1_LIMIT)[:count]
+
+        def offset_limit(spec, k, count):
+            return {b: Offset(ls) for b, ls in predicted_limit(spec, k, count=count).items()}
+
+        monkeypatch.setattr(harness, "predicted_limit", offset_limit)
+    spec = make_potential_spec(segment())
+    return run_sweep(SweepConfig(spec=spec, k_list=(1,), s_list=s_list, eig_count=3))
+
+
+def _last_two(report):
+    """(s, dbar) of the last two rows of the trajectory at b = 0."""
+    rows = report.trajectories[(1, ("0",))]
+    return [(r["s"], np.array(r["dbar"])) for r in rows[-2:]]
+
+
+def _extrapolated(report):
+    """The sqrt(s)-rate Richardson value from the last two s values at b = 0."""
+    (s1, l1), (s2, l2) = _last_two(report)
+    w1, w2 = np.sqrt(s1), np.sqrt(s2)
+    return l2 + (l2 - l1) * w2 / (w1 - w2)
+
+
+def _gaps(values, predicted):
+    return np.abs(values - predicted) / np.maximum(predicted, 1.0)
+
+
+class TestVerdicts:
+    # each sweep offsets the limit predictions so that the raw gap at the
+    # smallest s and the Richardson gap land on known sides of LIMIT_REL_TOL
+
+    def test_one_s_has_no_richardson_gap(self, monkeypatch):
+        solved = _cp1_sweep((0.1,))
+        dbar = np.array(solved.trajectories[(1, ("0",))][-1]["dbar"])
+        report = _cp1_sweep((0.1,), monkeypatch, predicted=dbar)
+        verdict = report.verdicts["limit_match_k1"]
+        assert verdict["ok"]
+        for detail in verdict["detail"].values():
+            assert detail["richardson_gaps"] == [None, None, None]
+            assert max(detail["raw_gaps_at_smallest_s"]) < 1e-12
+
+    def test_two_s_judged_on_raw_gap(self, monkeypatch):
+        s_list = (0.1, 0.05)
+        solved = _cp1_sweep(s_list)
+        lam = _extrapolated(solved)
+        # 4% above the extrapolated values: Richardson passes, the raw gap fails
+        predicted = 1.04 * lam
+        last = _last_two(solved)[-1][1]
+        assert max(_gaps(last, predicted)) > 1.5 * harness.LIMIT_REL_TOL
+        report = _cp1_sweep(s_list, monkeypatch, predicted=predicted)
+        verdict = report.verdicts["limit_match_k1"]
+        assert not verdict["ok"]
+        detail = verdict["detail"]["b=(0)"]
+        assert np.allclose(detail["richardson_gaps"], _gaps(lam, predicted), rtol=1e-9, atol=1e-15)
+        assert max(detail["richardson_gaps"]) < 0.8 * harness.LIMIT_REL_TOL
+        assert np.allclose(detail["raw_gaps_at_smallest_s"], _gaps(last, predicted), rtol=1e-9, atol=1e-15)
+        # predicted at the solved values: the raw gap is zero and passes
+        report = _cp1_sweep(s_list, monkeypatch, predicted=last)
+        verdict = report.verdicts["limit_match_k1"]
+        assert verdict["ok"]
+        assert all(g is not None for d in verdict["detail"].values() for g in d["richardson_gaps"])
+
+    @pytest.mark.parametrize("s_list", [(0.2, 0.1, 0.05), (0.4, 0.2, 0.1, 0.05)])
+    def test_three_s_judged_by_richardson(self, monkeypatch, s_list):
+        solved = _cp1_sweep(s_list)
+        lam = _extrapolated(solved)
+        last = _last_two(solved)[-1][1]
+        # raw fails and Richardson passes: the sweep passes
+        predicted = 1.04 * lam
+        assert max(_gaps(last, predicted)) > 1.5 * harness.LIMIT_REL_TOL
+        report = _cp1_sweep(s_list, monkeypatch, predicted=predicted)
+        verdict = report.verdicts["limit_match_k1"]
+        assert verdict["ok"]
+        for detail in verdict["detail"].values():
+            assert max(detail["raw_gaps_at_smallest_s"]) > 1.5 * harness.LIMIT_REL_TOL
+            assert max(detail["richardson_gaps"]) < 0.8 * harness.LIMIT_REL_TOL
+        # Richardson fails although the raw gap passes: the sweep fails
+        predicted = last + 0.03 * np.maximum(last, 1.0) * np.sign(last - lam)
+        assert max(_gaps(lam, predicted)) > 1.5 * harness.LIMIT_REL_TOL
+        report = _cp1_sweep(s_list, monkeypatch, predicted=predicted)
+        verdict = report.verdicts["limit_match_k1"]
+        assert not verdict["ok"]
+        for detail in verdict["detail"].values():
+            assert max(detail["raw_gaps_at_smallest_s"]) < 0.8 * harness.LIMIT_REL_TOL
+
+    def test_rising_gap_fails_tail(self, monkeypatch):
+        s_list = (0.2, 0.1, 0.05)
+        solved = _cp1_sweep(s_list)
+        assert solved.verdicts["gap_tail_monotone_k1"]["ok"]
+        (_, prev), (_, last) = _last_two(solved)
+        # predicted at the values of the previous s: that gap is 0, the last one is not
+        assert max(_gaps(last, prev)) > 10 * harness.TAIL_ABS
+        report = _cp1_sweep(s_list, monkeypatch, predicted=prev)
+        assert not report.verdicts["gap_tail_monotone_k1"]["ok"]
+        # a gap that falls by half keeps the tail monotone
+        report = _cp1_sweep(s_list, monkeypatch, predicted=last + 2 * (last - prev))
+        assert report.verdicts["gap_tail_monotone_k1"]["ok"]
+
+    def test_two_failed_modes_at_one_s(self, cp1_report, monkeypatch):
+        # mode 2 overflows at assembly and mode -1 gets a shift above its
+        # lowest eigenvalue; both fail at s = 0.05, and rows keep mode order
+        class Failing(OperatorFactory):
+            def __init__(self, spec, s, k, mesh):
+                super().__init__(spec, s, k, mesh)
+                self.s = s
+
+            def operator(self, mode):
+                op = super().operator(mode)
+                if self.s != 0.05 or tuple(mode) not in ((-1,), (2,)):
+                    return op
+                if tuple(mode) == (2,):
+                    raise errors.CoefficientOverflow("injected overflow")
+                low = scipy.linalg.eigh(
+                    op.K.toarray(), op.M.toarray(), subset_by_index=(0, 1), eigvals_only=True
+                )
+                return dataclasses.replace(op, sigma=0.5 * (low[0] + low[1]))
+
+        monkeypatch.setattr(harness, "OperatorFactory", Failing)
+        spec = make_potential_spec(segment())
+        report = run_sweep(SweepConfig(spec=spec, k_list=(1,), s_list=(0.2, 0.1, 0.05, 0.02), eig_count=4))
+        assert [(f["k"], f["s"], f["mode"]) for f in report.failures] == [(1, 0.05, [-1]), (1, 0.05, [2])]
+        assert "negative pivots" in report.failures[0]["error"]
+        assert "injected overflow" in report.failures[1]["error"]
+        expect = [r for r in cp1_report.eig_rows if r["s"] != 0.05 or r["mode"] not in ([-1], [2])]
+        assert len(report.eig_rows) == len(expect) == len(cp1_report.eig_rows) - 2
+        for got, want in zip(report.eig_rows, expect):
+            assert {**got, "dbar": None} == {**want, "dbar": None}
+            assert np.allclose(got["dbar"], want["dbar"], rtol=0, atol=1e-12 * 2)
+        assert report.kernel_rows == cp1_report.kernel_rows
+        assert report.localization_rows == cp1_report.localization_rows
+        assert report.trajectories.keys() == cp1_report.trajectories.keys()
+        for key, rows in report.trajectories.items():
+            for got, want in zip(rows, cp1_report.trajectories[key], strict=True):
+                assert got["s"] == want["s"] and got["predicted"] == want["predicted"]
+                assert np.allclose(got["dbar"], want["dbar"], rtol=0, atol=1e-12 * 2)
+        assert {key: v["ok"] for key, v in report.verdicts.items()} == {
+            key: v["ok"] for key, v in cp1_report.verdicts.items()
+        }
+        assert report.verdicts["non_bs_divergence_k1"] == cp1_report.verdicts["non_bs_divergence_k1"]
 
 
 class TestEmission:
@@ -363,6 +551,14 @@ class TestCli:
         assert cli.main(["limit", "--polytope", poly, "--level", "1", "--count", "3"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert json.loads(out[0])["eigenvalues"][:3] == [0.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_limit_rejects_count_below_one(self, tmp_path, capsys, count):
+        poly = self._write_inputs(tmp_path)
+        assert cli.main(["limit", "--polytope", poly, "--level", "1", f"--count={count}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error" in captured.err and f"count must be an integer >= 1, got {count}" in captured.err
 
     def test_spectrum_verb(self, tmp_path, capsys):
         poly = self._write_inputs(tmp_path)

@@ -284,6 +284,11 @@ class TestChartInverse:
 
 
 class TestPredictions:
+    @pytest.mark.parametrize("count", [0, -5, 2.5, True, "3"])
+    def test_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(ValueError, match="count must be an integer >= 1"):
+            predicted_limit(make_potential_spec(segment()), 1, count=count)
+
     def test_interval_k1(self):
         spec = make_potential_spec(segment())
         pred = predicted_limit(spec, 1, count=4)

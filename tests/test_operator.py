@@ -50,10 +50,13 @@ from toricspec.operator import (
 from toricspec.polytope import hirzebruch, segment, simplex2
 from toricspec.potential import (
     PotentialFamily,
+    _check_s,
     family_hessian_batch,
     ground_state,
     make_potential_spec,
 )
+
+HUGE = 10**400      # an integer too large for a float
 
 
 class TestMesh:
@@ -636,6 +639,26 @@ class TestGuards:
                 ground_state(spec, s, 1, (0,))
         with pytest.raises(ValueError, match="s must be finite and positive"):
             ground_state_rayleigh_batch(spec, np.nan, 1, [(0,)], build_mesh(segment(), 0.1))
+
+    @pytest.mark.parametrize("s", [True, False, "0.1", pytest.param(HUGE, id="huge"), None])
+    def test_s_is_a_finite_real(self, s):
+        # a bool is not a number, and a string or an integer too large for a
+        # float is a ValueError naming s, not a TypeError
+        with pytest.raises(ValueError, match="s must be finite and positive"):
+            _check_s(s)
+        with pytest.raises(ValueError, match="s must be finite and positive"):
+            ground_state(make_potential_spec(segment()), s, 1, (0,))
+
+    def test_numpy_and_integer_s_accepted(self):
+        for s in (np.float64(0.5), np.float32(0.5), 1):
+            assert _check_s(s) == float(s) and type(_check_s(s)) is float
+
+    @pytest.mark.parametrize("h", [True, "0.1", pytest.param(HUGE, id="huge"), None])
+    def test_mesh_size_is_a_finite_real(self, h):
+        for P in (segment(), simplex2()):
+            with pytest.raises(ValueError, match="target_h must be finite and positive"):
+                build_mesh(P, h)
+        assert build_mesh(segment(), np.float64(0.25)).num_nodes == build_mesh(segment(), 0.25).num_nodes
 
     def test_factory_rejects_a_node_in_no_cell(self):
         # node 3 carries no mass, so the mass matrix is singular
