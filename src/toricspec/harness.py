@@ -40,8 +40,9 @@ VERDICT_NOTES = {
     "kernel_tol": "mode counts as holomorphic when its lowest dbar eigenvalue < 1e-3",
     "bs_zero_tol": "quantized modes must keep their lowest dbar eigenvalue < 5e-4 at every s",
     "gap_normalization": "gap_j = |lambda_j - predicted_j| / max(predicted_j, k)",
-    "limit_match": "raw gap at the smallest s <= max(0.05, 2 x discretization estimate) "
-    "for j <= 2; richardson gap extrapolates the last two s values with sqrt(s) rate",
+    "limit_match": "each of the lowest min(3, eig_count) gaps <= 0.05: with three or more s "
+    "values the richardson gap, which extrapolates the last two s values at the sqrt(s) rate; "
+    "with fewer, the raw gap at the smallest s",
     "tail_monotone": "gap at the smallest s <= 1.1 x previous gap + 1e-3",
     "localization": "smallest c on a 0.25-grid with >= 99% quadrature mass inside "
     "the union of balls B(b, c sqrt(s)) over quantized points",
@@ -72,6 +73,8 @@ class SweepConfig:
         # validated values are stored as Python scalars, so reports serialize alike
         self.k_list = tuple(int(k) for k in self.k_list)
         self.eig_count, self.mode_margin = int(self.eig_count), int(self.mode_margin)
+        if not self.s_list:
+            raise ValueError(f"s_list must name at least one s, got {self.s_list!r}")
         rule = "s_list must be finite, positive and strictly descending"
         self.s_list = tuple(_finite_float(s, rule) for s in self.s_list)
         s = self.s_list

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .mesh import interval_mesh, polygon_mesh
 from .operator import assemble_p1, solve_pencil
-from .polytope import BSPoint, bs_points, local_chart
+from .polytope import BSPoint, _check_level, bs_points, local_chart
 from .potential import PotentialSpec
 
 SEPARABLE_TOL = 1e-12
@@ -102,6 +102,7 @@ def exact_cone_spectrum(cone: ConeModel, k, n_max=12):
     r^nu cos(nu theta) L_j^(nu)(k r^2), nu = l pi / alpha, give the values
     k (2 j + nu) for j, l >= 0.  A skew cone with n >= 3 has no closed form.
     """
+    k = _check_level(k)
     n, m = cone.dim, cone.codim
     if not is_separable(cone):
         if n != 2:
@@ -202,6 +203,7 @@ def numeric_cone_spectrum(cone: ConeModel, k, count, target_h=None):
     small error.  target_h defaults to R/400 in 1-D and R/56 in 2-D.
     predicted_limit never calls it.
     """
+    k = _check_level(k)
     R = default_truncation_radius(k)
     if target_h is None:
         target_h = R / 400.0 if cone.dim == 1 else R / 56.0

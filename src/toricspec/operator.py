@@ -15,15 +15,9 @@ Every P1 matrix goes through one kernel: weight fields at the mesh's
 quadrature points become local (M, nb, nb) arrays by einsum with the mesh's
 P1 gradients and barycentric values, and Mesh.csr turns their symmetric part
 into a matrix with a single bincount on the one fixed CSR pattern of the
-mesh, built once however many operators share the mesh.
-mode_potential defines V_m.  Expanded in the mode,
-
-    V_m = k^2 (x . G x + 1) + sum_{i<=j} c_ij m_i m_j G_ij - 2k sum_i m_i (G x)_i
-
-(c_ii = 1, c_ij = 2 for i < j), it is linear in 1 + n(n+1)/2 + n weight
-fields.  An OperatorFactory scatters each field once, the diffusion part
-riding with the first, so a mode's stiffness is a fixed combination of CSR
-data vectors and the same coefficients give V_m at the quadrature points.
+mesh, built once however many operators share the mesh.  A mode's stiffness
+is the diffusion data of its OperatorFactory plus the scatter of the mass
+form weighted by V_m, which mode_potential alone evaluates.
 
 The discrete diffusion form is nonnegative, and V_m and the mass use the
 same positive quadrature, so every Rayleigh quotient of a mode's pencil is
@@ -54,6 +48,7 @@ from .errors import (
     ConvergenceFailure,
     NegativeEigenvalue,
     NotPositiveDefiniteMass,
+    _is_integer,
 )
 from .mesh import Mesh
 from .polytope import _check_level, _check_mode, _lattice_points
@@ -95,7 +90,8 @@ class Spectrum:
 def mode_potential(G, x, k, mode):
     """V_m = (m - k x) . G (m - k x) + k^2 at points x (..., n) with G = G_s(x)."""
     w = np.asarray(mode, dtype=float) - k * np.asarray(x, dtype=float)
-    return np.einsum("...i,...ij,...j->...", w, G, w) + float(k) ** 2
+    Gw = np.einsum("...ij,...j->...i", G, w)
+    return np.einsum("...i,...i->...", Gw, w) + float(k) ** 2
 
 
 def mode_set(P, k, margin=0):
@@ -105,7 +101,7 @@ def mode_set(P, k, margin=0):
     with m/k in P are exactly the quantized ones, the rest probe divergence.
     """
     k = _check_level(k)
-    if margin < 0:
+    if not _is_integer(margin) or margin < 0:
         raise ValueError("margin must be >= 0")
     return _lattice_points(P, [k * lam - margin for lam in P.offsets])
 
@@ -119,9 +115,8 @@ def _stiffness_local(w_q, grads, D_q=None):
 
 def _mass_local(w_q, bary):
     """Local arrays int w phi_i phi_j from a weight field (M, Q)."""
-    nb = bary.shape[1]
-    outer = (bary[:, :, None] * bary[:, None, :]).reshape(len(bary), nb * nb)
-    return (w_q @ outer).reshape(-1, nb, nb)
+    # einsum, not BLAS: woken BLAS threads spin through the next factorization
+    return np.einsum("cq,qij->cij", w_q, bary[:, :, None] * bary[:, None, :])
 
 
 def assemble_p1(mesh: Mesh, diffusion_q, mass_weight_q):
@@ -137,48 +132,28 @@ def assemble_p1(mesh: Mesh, diffusion_q, mass_weight_q):
 
 
 class OperatorFactory:
-    """Shares G_s quadrature data and the mass matrix across modes of one (s, k).
-
-    Each mode's stiffness data and quadrature values of V_m are one
-    combination of the weight fields (see the module docstring).
-    """
+    """What no mode of one (s, k) changes: G_s at the quadrature points, the diffusion data, M."""
 
     def __init__(self, spec: PotentialSpec, s, k, mesh: Mesh):
         self.k = _check_level(k)
         self.mesh = mesh
-        n = mesh.dim
         qw, x = mesh.qweights, mesh.qpoints
-        G_q, Ginv_q = family_hessian_batch(spec, s, x.reshape(-1, n))
-        G_q = G_q.reshape(qw.shape + (n, n))
-        Gx = np.einsum("cqij,cqj->cqi", G_q, x)
-        rows, cols = np.triu_indices(n)
-        self._fields = np.concatenate([
-            [self.k**2 * (np.einsum("cqi,cqi->cq", x, Gx) + 1.0)],
-            np.moveaxis(G_q[..., rows, cols], -1, 0),
-            np.moveaxis(Gx, -1, 0),
-        ])
-        self._data = np.stack([mesh.csr(_mass_local(qw * w, mesh.bary)).data for w in self._fields])
-        self._data[0] += mesh.csr(_stiffness_local(qw, mesh.grads, Ginv_q.reshape(G_q.shape))).data
-        self._pairs = np.where(rows == cols, 1.0, 2.0), rows, cols
+        G_q, Ginv_q = family_hessian_batch(spec, s, x.reshape(-1, mesh.dim))
+        self._G = G_q.reshape(x.shape + (mesh.dim,))
+        self._diffusion = mesh.csr(_stiffness_local(qw, mesh.grads, Ginv_q.reshape(self._G.shape))).data
         self._M = mesh.csr(_mass_local(qw, mesh.bary))
         if np.any(self._M.diagonal() <= 0.0):
             raise NotPositiveDefiniteMass("mass matrix has a nonpositive diagonal")
 
     def operator(self, mode):
-        m = np.array(_check_mode(mode, self.mesh.dim), dtype=float)
-        c, rows, cols = self._pairs
-        coef = np.concatenate([[1.0], c * m[rows] * m[cols], -2.0 * self.k * m])
-        # einsum, not a BLAS product: BLAS threads woken here keep spinning
-        # through the factorization that follows and slow it on small hosts
-        V = np.einsum("f,fcq->cq", coef, self._fields)
+        V = mode_potential(self._G, self.mesh.qpoints, self.k, _check_mode(mode, self.mesh.dim))
         if np.max(V) > V_OVERFLOW:
             raise CoefficientOverflow(
                 f"potential reaches {np.max(V):.3e} at a quadrature point"
             )
-        M = self._M
-        data = np.einsum("f,fj->j", coef, self._data)
-        K = sparse.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
-        return ReducedOperator(K=K, M=M, sigma=float(np.min(V)) - 1.0)
+        K = self.mesh.csr(_mass_local(self.mesh.qweights * V, self.mesh.bary))
+        K.data += self._diffusion
+        return ReducedOperator(K=K, M=self._M, sigma=float(np.min(V)) - 1.0)
 
 
 def ground_state_rayleigh_batch(spec: PotentialSpec, s, k, modes, mesh: Mesh):
@@ -258,7 +233,7 @@ def solve_pencils(Ks, M, count, sigmas):
     its batch and the entries SuperLU stores for the batch's factor.
     """
     N = M.shape[0]
-    if not 1 <= count < N - 1:
+    if not _is_integer(count) or not 1 <= count < N - 1:
         raise ValueError(f"count {count} must be >= 1 and below N - 1 for N = {N} dofs")
     if not M.format == "csr" or not all(
         K.format == "csr"

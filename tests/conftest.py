@@ -3,6 +3,7 @@ lattice oracles, mesh and operator helpers."""
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -137,6 +138,31 @@ def check_mesh(mesh: Mesh, P=None):
     if mesh.dim == 2:
         _, cell_edges = _cell_edges(mesh.cells)
         assert np.bincount(cell_edges.ravel()).max() <= 2, "non-conforming edge"
+
+
+def fubini_study_values(P, k, m, count):
+    """Lowest ``count`` dbar values of mode m at the Fubini-Study end, ascending,
+    each repeated by its multiplicity.
+
+    The end is phi = 0 and s -> infinity, where u_s is v_P.  With
+    D_m = sum_r |nu_r . m - k lambda_r| the values are
+    ((q + D_m)(q + D_m + n) - k^2 - n k) / 2 with multiplicity C(q + n - 1, n - 1)
+    for q >= 0; a quantized mode has D_m = k.  In 1-D, t = 1 - 2x turns the
+    mode's operator on the segment into the Jacobi equation, whose eigenvalues
+    are (q + D_m)(q + D_m + 1).  The 2-D form was measured, not derived: on
+    the simplex and one of its GL_2(Z) images, at k = 1, 2 and every mode
+    within one lattice unit of k P, the P1 values approach it at the h^2 rate.
+    D_m reads the polytope's own facets, so the mode labelling of an image is
+    checked too.
+    """
+    n = P.dim
+    D = sum(abs(int(np.dot(nu, m)) - k * lam) for nu, lam in zip(P.normals, P.offsets))
+    out, q = [], 0
+    while len(out) < count:
+        value = ((q + D) * (q + D + n) - k * k - n * k) / 2
+        out += [value] * comb(q + n - 1, n - 1)
+        q += 1
+    return np.array(out[:count], dtype=float)
 
 
 def mode_operator(spec, s, k, mode, mesh):

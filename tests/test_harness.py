@@ -67,6 +67,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             SweepConfig(spec=spec, k_list=(1,), s_list=(0.1,), eig_count=0)
 
+    def test_rejects_empty_s_list(self, tmp_path, capsys, monkeypatch):
+        # a sweep over no s solves nothing, so every verdict would pass vacuously
+        spec = make_potential_spec(segment())
+        with pytest.raises(ValueError, match="s_list must name at least one s"):
+            SweepConfig(spec=spec, k_list=(1,), s_list=())
+        solves = []
+        monkeypatch.setattr(cli, "run_sweep", solves.append)
+        poly = tmp_path / "p.json"
+        poly.write_text(polytope_to_json(segment()))
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"polytope": "p.json", "k_list": [1], "s_list": []}))
+        assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        assert "s_list must name at least one s" in capsys.readouterr().err
+        assert cli.main(["sweep", "--polytope", str(poly), "--k-list", "1", "--s-list", ""]) == 2
+        assert "s_list must name at least one s" in capsys.readouterr().err
+        assert solves == []
+
     def test_rejects_bad_levels_and_h(self, tmp_path, capsys):
         spec = make_potential_spec(segment())
         with pytest.raises(ValueError, match="k_list"):

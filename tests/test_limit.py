@@ -142,6 +142,18 @@ class TestExactSpectra:
                 assert ls.multiplicities[:n] == mults
                 assert max(ls.values) <= 10 * k
 
+    @pytest.mark.parametrize("k", [0, -1, 1.5, True])
+    def test_level_rule(self, k):
+        # the level rule of bs_points and mode_set: at k = 0 the values would
+        # all be 0, and at k = -1 they would descend
+        for cone in (synthetic_cone(1, 1), synthetic_cone(2, 2, A0=np.array([[2.0, 1.0], [1.0, 2.0]]))):
+            with pytest.raises(ValueError, match="level k"):
+                exact_cone_spectrum(cone, k)
+            with pytest.raises(ValueError, match="level k"):
+                numeric_cone_spectrum(cone, k, 3)
+        half_line = synthetic_cone(1, 1)
+        assert exact_cone_spectrum(half_line, np.int64(2)) == exact_cone_spectrum(half_line, 2)
+
 
 class TestNumericSpectra:
     def test_half_line_within_percent(self):

@@ -11,6 +11,7 @@ from conftest import (
     affine_pullback,
     brute_force_bs_count,
     check_mesh,
+    fubini_study_values,
     mode_operator,
     shape_regularity,
     transform_polytope,
@@ -47,7 +48,7 @@ from toricspec.operator import (
     solve_pencils,
     Spectrum,
 )
-from toricspec.polytope import hirzebruch, segment, simplex2
+from toricspec.polytope import hirzebruch, segment, simplex2, validate_delzant
 from toricspec.potential import (
     PotentialFamily,
     _check_s,
@@ -57,6 +58,8 @@ from toricspec.potential import (
 )
 
 HUGE = 10**400      # an integer too large for a float
+# the GL_2(Z) image {x1 - x2 >= 0, x2 >= 0, -x1 >= -1} of simplex2()
+SIMPLEX_IMAGE = validate_delzant([((1, -1), 0), ((0, 1), 0), ((-1, 0), -1)])
 
 
 class TestMesh:
@@ -158,8 +161,6 @@ class TestMesh:
             assert np.array_equal(cell_edges, ref_inverse.reshape(3, len(cells)).T)
 
     def test_dimension_guard(self):
-        from toricspec.polytope import validate_delzant
-
         cube = validate_delzant(
             [
                 ((1, 0, 0), 0),
@@ -391,9 +392,10 @@ class TestSolvers:
     def test_count_guard(self):
         op = mode_operator(make_potential_spec(segment()), 1.0, 1, (0,), build_mesh(segment(), 0.1))
         N = op.K.shape[0]
-        for count in (0, -1, N - 1, N, N + 1):
-            with pytest.raises(ValueError, match="count"):
+        for count in (0, -1, N - 1, N, N + 1, 2.5, True, np.float64(2.0)):
+            with pytest.raises(ValueError, match="count .* must be >= 1 and below N - 1"):
                 solve_eigs(op, count)
+        assert np.array_equal(solve_eigs(op, np.int64(2)).eigenvalues, solve_eigs(op, 2).eigenvalues)
 
     def test_dependent_ritz_basis(self, monkeypatch):
         # two equal Ritz vectors make the Gram matrix singular
@@ -547,6 +549,38 @@ class TestProductOracle:
             assert np.max(np.abs(vals - ref) / np.maximum(ref, 1.0)) <= 5e-3
 
 
+class TestFubiniStudyEnd:
+    """Every value of every mode at s = 1e10 against the closed form at u_s = v_P."""
+
+    @pytest.mark.parametrize("P, k, h, count", [
+        (segment(), 2, 1 / 200, 4),
+        (segment(), 3, 1 / 200, 4),
+        (simplex2(), 1, 1 / 15, 6),
+        (simplex2(), 2, 1 / 15, 6),
+        (SIMPLEX_IMAGE, 1, 1 / 15, 6),
+        (SIMPLEX_IMAGE, 2, 1 / 15, 6),
+    ])
+    def test_every_value_at_h_squared_rate(self, P, k, h, count):
+        # the worst error over the modes of mode_set(P, k, 1), relative to
+        # max(1, value), falls by P1's factor 4 from h to h/2; a wrong value or
+        # multiplicity would leave an O(1) error at both meshes
+        spec = make_potential_spec(P)
+        worst = []
+        for mesh in (build_mesh(P, h), build_mesh(P, h / 2)):
+            factory = OperatorFactory(spec, 1e10, k, mesh)
+            modes = mode_set(P, k, 1)
+            ops = [factory.operator(m) for m in modes]
+            spectra = solve_pencils([op.K for op in ops], ops[0].M, count, [op.sigma for op in ops])
+            err = 0.0
+            for m, op, sp in zip(modes, ops, spectra):
+                exact = fubini_study_values(P, k, m, count)
+                assert op.sigma < 2 * exact[0] + k * k + P.dim * k, m
+                err = max(err, np.max(np.abs(map_dbar(sp, k, P.dim) - exact) / np.maximum(1.0, exact)))
+            worst.append(err)
+        assert worst[1] < 1e-2
+        assert 3.0 <= worst[0] / worst[1] <= 5.0, worst
+
+
 class TestKernelIdentity:
     @pytest.mark.parametrize("a", [1, 2, 3])
     def test_hirzebruch(self, a):
@@ -619,6 +653,11 @@ class TestGuards:
         assert type(factory.k) is int and factory.k == 2
         assert (op.K != ref.K).nnz == 0
         assert mode_set(P, np.int64(2), 1) == mode_set(P, 2, 1)
+
+    @pytest.mark.parametrize("margin", [-1, 0.5, 1.0, True])
+    def test_mode_set_rejects_bad_margin(self, margin):
+        with pytest.raises(ValueError, match="margin must be >= 0"):
+            mode_set(segment(), 1, margin)
 
     def test_mode_set_and_ground_state_reject_bad_level(self):
         spec = make_potential_spec(segment())
