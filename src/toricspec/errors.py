@@ -46,10 +46,6 @@ class DimensionUnsupported(InputError):
     pass
 
 
-class ChartFailure(ToricSpecError):
-    pass
-
-
 # -- potential ----------------------------------------------------------------
 
 class BoundaryPoint(ToricSpecError):

@@ -18,7 +18,7 @@ from .errors import ToricSpecError, _finite_float, _is_integer
 from .limit import predicted_limit
 from .mesh import build_mesh
 from .operator import OperatorFactory, map_dbar, mode_set, solve_pencils
-from .polytope import bs_points, polytope_from_json
+from .polytope import polytope_from_json
 from .potential import (
     PotentialSpec,
     family_hessian_batch,
@@ -204,9 +204,9 @@ def run_sweep(config: SweepConfig):
     h_set = set(map(config.h_of, config.s_list))
     meshes = {h: build_mesh(P, h) for h in h_set}
     for k in config.k_list:
-        points = bs_points(P, k)
-        by_mode = {b.mode: b for b in points}
         predictions = predicted_limit(spec, k, count=config.eig_count)
+        points = list(predictions)           # the quantized points, in bs_points order
+        by_mode = {b.mode: b for b in points}
         modes = mode_set(P, k, config.mode_margin)
         kernel_rows = []
         trajectories = {}

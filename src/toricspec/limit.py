@@ -17,12 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import (
-    ChartFailure,
-    DimensionUnsupported,
-    TruncationTooSmall,
-    _is_integer,
-)
+from .errors import DimensionUnsupported, TruncationTooSmall, _is_integer
 from .mesh import interval_mesh, polygon_mesh
 from .operator import assemble_p1, solve_pencil
 from .polytope import BSPoint, _check_level, bs_points, local_chart
@@ -43,17 +38,11 @@ class ConeModel:
     def dim(self):
         return self.A0.shape[0]
 
-    def inv_sqrt_A0(self):
-        """A0^(-1/2) by the eigendecomposition of A0."""
-        w, U = np.linalg.eigh(self.A0)
-        return (U / np.sqrt(w)) @ U.T
-
     def facet_normals(self):
-        """Unit inward normals of the cone faces, rows A0^(-1/2) e_i normalized."""
-        S = self.inv_sqrt_A0()
-        rows = S[: self.codim]
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        return rows / norms
+        """Unit inward normals of the cone faces: rows of A0^(-1/2), by eigh(A0), normalized."""
+        w, U = np.linalg.eigh(self.A0)
+        rows = ((U / np.sqrt(w)) @ U.T)[: self.codim]
+        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -154,42 +143,27 @@ def default_truncation_radius(k):
     return float(np.sqrt(30.0 / k))
 
 
-def _clip_polygon(poly, normal, offset):
-    """Sutherland-Hodgman clip of a convex polygon against normal . x >= offset."""
-    out = []
-    n = len(poly)
-    for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
-        dp = normal @ p - offset
-        dq = normal @ q - offset
-        if dp >= 0:
-            out.append(p)
-        if (dp > 0) != (dq > 0) and abs(dp - dq) > 0:
-            t = dp / (dp - dq)
-            out.append(p + t * (q - p))
-    dedup = []
-    for p in out:
-        if not dedup or np.linalg.norm(p - dedup[-1]) > 1e-12:
-            dedup.append(p)
-    if len(dedup) > 1 and np.linalg.norm(dedup[0] - dedup[-1]) <= 1e-12:
-        dedup.pop()
-    return dedup
-
-
 def truncated_cone_mesh(cone: ConeModel, R, target_h):
-    """Mesh of the cone intersected with the centered box of half-width R."""
+    """Mesh of the cone intersected with the centered box of half-width R.
+
+    In 2-D the region is one half-space intersection (qhull: Barber, Dobkin &
+    Huhdanpaa 1996, in any dimension) of the box sides +-xi_i <= R and the
+    cone faces nu . xi >= 0, from the point 0.1 R sum(nu), which is strictly
+    inside because the faces of a Delzant corner meet at an angle below pi.
+    """
     n, m = cone.dim, cone.codim
     if n == 1:
         lo = 0.0 if m >= 1 else -R
         return interval_mesh(lo, R, target_h, graded=False)
     if n == 2:
-        poly = [np.array(corner) for corner in ((-R, -R), (R, -R), (R, R), (-R, R))]
-        S = cone.inv_sqrt_A0()
-        for i in range(m):
-            poly = _clip_polygon(poly, S[i], 0.0)
-            if len(poly) < 3:
-                raise ChartFailure("cone truncation degenerated")
-        return polygon_mesh(np.array(poly), target_h, graded=False)
+        # scipy.spatial adds 80 ms to the package's import, and a sweep meshes no cone
+        from scipy.spatial import HalfspaceIntersection
+
+        nu = cone.facet_normals()
+        A = np.vstack([np.eye(n), -np.eye(n), -nu])
+        b = np.concatenate([np.full(2 * n, -R), np.zeros(m)])
+        region = HalfspaceIntersection(np.column_stack([A, b]), 0.1 * R * nu.sum(axis=0))
+        return polygon_mesh(region.intersections, target_h, graded=False)
     raise DimensionUnsupported("numeric cone spectra for n <= 2 only")
 
 

@@ -105,6 +105,11 @@ def _facet_values(normals, offsets, x):
     )
 
 
+def _point_text(x):
+    """A point as "(0, 1/2)": its coordinates as numbers, not Fraction reprs."""
+    return "(" + ", ".join(str(c) for c in x) + ")"
+
+
 def _centroid(points):
     return tuple(sum(p[i] for p in points) / len(points) for i in range(len(points[0])))
 
@@ -136,7 +141,7 @@ class DelzantPolytope:
     def active_facets(self, x):
         vals = self.facet_values(x)
         if any(v < 0 for v in vals):
-            raise PointOutside(f"{x} is outside the polytope")
+            raise PointOutside(f"{_point_text(x)} is outside the polytope")
         return tuple(r for r, v in enumerate(vals) if v == 0)
 
     def interior_point(self):
@@ -257,7 +262,7 @@ def delzant_violations(raw_facets, dim=None):
 
     ray = _recession_ray(n, normals)
     if ray is not None:
-        return [Unbounded(f"recession direction {ray}")]
+        return [Unbounded(f"recession direction {_point_text(ray)}")]
 
     verts = _enumerate_vertices(n, normals, offsets)
     if not verts:
@@ -280,10 +285,10 @@ def delzant_violations(raw_facets, dim=None):
     for v in verts:
         active = [r for r, val in enumerate(values[v]) if val == 0]
         if len(active) != n:
-            problems.append(NotDelzant(f"vertex {v} lies on {len(active)} facets"))
+            problems.append(NotDelzant(f"vertex {_point_text(v)} lies on {len(active)} facets"))
             continue
         if abs(_det_fraction([normals[r] for r in active])) != 1:
-            problems.append(NotDelzant(f"vertex {v} has a non-unimodular cone"))
+            problems.append(NotDelzant(f"vertex {_point_text(v)} has a non-unimodular cone"))
     return problems
 
 

@@ -140,7 +140,9 @@ class GuilleminPotential:
 
     def _ell_checked(self, x):
         ell = self.facet_values(x)
-        if np.any(ell <= INTERIOR_TOL):
+        bad = np.any(ell <= INTERIOR_TOL, axis=-1)
+        if bad.any():
+            x = np.reshape(x, (-1, self.dim))[np.argmax(bad)]
             raise BoundaryPoint(f"point {x} is within {INTERIOR_TOL} of a facet")
         return ell
 

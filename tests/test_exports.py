@@ -133,3 +133,12 @@ def test_one_integer_rule_and_one_finite_rule():
             if name in ("Integral", "isfinite") and id(node) not in inside:
                 copies.append(f"{path.name}:{node.lineno} {name}")
     assert copies == []
+
+
+def test_every_error_class_has_a_test():
+    # an exception class that no test names is a guard no test has seen
+    # fire; the two base classes are exempt
+    tree = ast.parse((ROOT / "src" / "toricspec" / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    named = _names_used(sorted((ROOT / "tests").rglob("*.py")))
+    assert sorted(classes - named - {"ToricSpecError", "InputError"}) == []

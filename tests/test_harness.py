@@ -537,7 +537,12 @@ class TestCli:
             )
         )
         assert cli.main(["check", "--polytope", str(bad)]) == 1
-        assert "NotDelzant" in capsys.readouterr().out
+        assert capsys.readouterr().out == "violation: NotDelzant: vertex (0, 1) has a non-unimodular cone\n"
+        # a verb that loads the polytope stops on the same text
+        code = cli.main(["spectrum", "--polytope", str(bad), "--s", "0.1", "--level", "1",
+                         "--mode", "[0, 0]", "--h", "0.25"])
+        assert code == 2
+        assert capsys.readouterr().err == "input error: vertex (0, 1) has a non-unimodular cone\n"
 
     def test_check_wrong_length_normal(self, tmp_path, capsys):
         # a malformed normal is an input error (2), not a Delzant verdict (1)
@@ -631,6 +636,44 @@ class TestCli:
             assert cli.main(["sweep", "--polytope", poly, "--k-list", "1", "--s-list", s_list]) == 2
             assert "s_list must be finite" in capsys.readouterr().err
 
+    def test_sweep_flags_with_potential(self, tmp_path, capsys):
+        # --potential on the flag path reads the file as the config key does
+        poly = self._write_inputs(tmp_path)
+        pot = tmp_path / "pot.json"
+        pot.write_text(json.dumps({"psi": [{"alpha": [2], "c": 2.0}]}))
+        flags = ["sweep", "--polytope", poly, "--k-list", "1"]
+        assert cli.main(flags + ["--potential", str(pot), "--out", str(tmp_path / "flags")]) == 0
+        assert cli.main(flags + ["--out", str(tmp_path / "default")]) == 0
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"polytope": "cp1.json", "potential": "pot.json", "k_list": [1],
+                                   "s_list": [0.2, 0.1, 0.05, 0.02], "out": str(tmp_path / "config")}))
+        assert cli.main(["sweep", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        report = (tmp_path / "flags" / "report.json").read_bytes()
+        assert report == (tmp_path / "config" / "report.json").read_bytes()
+        assert report != (tmp_path / "default" / "report.json").read_bytes()
+
+    def test_sweep_needs_config_or_polytope(self, capsys):
+        assert cli.main(["sweep", "--k-list", "1"]) == 2
+        assert capsys.readouterr().err == "sweep needs --config or --polytope\n"
+
+    def test_sweep_exits_3_on_a_failed_mode(self, tmp_path, capsys, monkeypatch):
+        # one mode fails at one s: the sweep finishes, reports it and exits 3
+        class Failing(OperatorFactory):
+            def __init__(self, spec, s, k, mesh):
+                super().__init__(spec, s, k, mesh)
+                self.s = s
+
+            def operator(self, mode):
+                if self.s == 0.05 and tuple(mode) == (2,):
+                    raise errors.CoefficientOverflow("injected overflow")
+                return super().operator(mode)
+
+        monkeypatch.setattr(harness, "OperatorFactory", Failing)
+        poly = self._write_inputs(tmp_path)
+        assert cli.main(["sweep", "--polytope", poly, "--k-list", "1"]) == 3
+        assert capsys.readouterr().err == "1 solver failures\n"
+
     def test_sweep_and_report_roundtrip(self, tmp_path, capsys):
         poly = self._write_inputs(tmp_path)
         cfg = tmp_path / "sweep.json"
@@ -713,14 +756,20 @@ class TestCli:
         assert code == 2
         assert "input error" in capsys.readouterr().err
 
-    def test_ricci_scan_verb(self, capsys):
+    def test_ricci_scan_verb(self, tmp_path, capsys):
+        out = tmp_path / "scan"
         code = cli.main(
             ["ricci-scan", "--matrix", "[[1.0, 0.0], [0.0, 1.0]]",
              "--s-list", "1,0.1", "--z-max", "[5.0, 5.0]",
-             "--allow-corner", "--grid-points", "5"]
+             "--allow-corner", "--grid-points", "5", "--out", str(out)]
         )
         assert code == 0
         assert "inf(min_ratio)" in capsys.readouterr().out
+        header, *rows = (out / "ricci_scan.csv").read_text().splitlines()
+        assert header == "s,x1,x2,min_ratio"
+        assert rows and all(len(row.split(",")) == 4 for row in rows)
+        summary = json.loads((out / "ricci_scan_summary.json").read_text())
+        assert sorted(summary["infimum_per_s"]) == ["0.1", "1.0"]
 
     @pytest.mark.parametrize("matrix, z_max, message", [
         ("[[1, 5], [0, 1]]", "[5, 5]", "symmetric"),     # symmetric part is indefinite

@@ -1,12 +1,19 @@
 """Limit oscillators on cones: exact combinatorics vs weighted FEM."""
 
+import dataclasses
 import json
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from conftest import affine_pullback, random_delzant, random_unimodular, transform_polytope
+from conftest import (
+    affine_pullback,
+    check_mesh,
+    random_delzant,
+    random_unimodular,
+    transform_polytope,
+)
 from toricspec import cli, errors, limit
 from toricspec.limit import (
     ConeModel,
@@ -188,6 +195,18 @@ class TestNumericSpectra:
             assert abs(flat[0]) < 1e-6
             assert flat[1] - flat[0] > 0.1 * k
 
+    def test_bottom_off_zero_raises(self, monkeypatch):
+        # a bottom value off zero means the truncation radius cut the ground state
+        solve = limit.solve_pencil
+
+        def lifted(K, M, count, sigma):
+            sp = solve(K, M, count, sigma)
+            return dataclasses.replace(sp, eigenvalues=sp.eigenvalues + 1e-3)
+
+        monkeypatch.setattr(limit, "solve_pencil", lifted)
+        with pytest.raises(errors.TruncationTooSmall, match="^bottom eigenvalue 1.000e-03 off zero$"):
+            numeric_cone_spectrum(synthetic_cone(1, 1), 1, 4)
+
     def test_chart_independence_via_orthogonal_map(self):
         # two normalizations of the same corner give congruent cones; solving
         # on the orthogonally mapped mesh reproduces the spectrum exactly
@@ -208,6 +227,45 @@ class TestNumericSpectra:
         K, M = assemble_p1(mesh2, diffusion_q=weight, mass_weight_q=weight)
         sp2 = solve_pencil(K, M, 5, sigma=-1.0)
         assert np.max(np.abs(0.5 * sp2.eigenvalues - half1)) < 1e-6
+
+
+def _box_cut_vertices(nu, R):
+    """Vertices of {|xi|_inf <= R, nu . xi >= 0} by brute force over pairs of sides."""
+    A = np.vstack([np.eye(2), -np.eye(2), -nu])
+    b = np.concatenate([np.full(4, R), np.zeros(len(nu))])
+    verts = []
+    for i, j in combinations(range(len(A)), 2):
+        if abs(np.linalg.det(A[[i, j]])) > 1e-12:
+            x = np.linalg.solve(A[[i, j]], b[[i, j]])
+            if np.all(A @ x <= b + 1e-12 * R) and not any(np.allclose(x, v) for v in verts):
+                verts.append(x)
+    return np.array(verts)
+
+
+class TestTruncatedConeMesh:
+    @pytest.mark.parametrize("A0, m", [
+        (np.eye(2), 0), (np.eye(2), 1), (np.eye(2), 2),
+        ([[2, 1], [1, 2]], 1), ([[2, 1], [1, 2]], 2), ([[2, 1], [1, 1]], 2), ([[2, -1], [-1, 2]], 2),
+        # A0^(-1/2) = [[1, 1], [1, 3]] or [[1, -1], [-1, 3]]: the first face
+        # runs through two corners of the box
+        (np.linalg.inv(np.array([[2, 4], [4, 10]])), 1), (np.linalg.inv(np.array([[2, 4], [4, 10]])), 2),
+        (np.linalg.inv(np.array([[2, -4], [-4, 10]])), 1), (np.linalg.inv(np.array([[2, -4], [-4, 10]])), 2),
+    ])
+    def test_region_is_the_box_cut_by_the_faces(self, A0, m):
+        # the mesh covers the cone within the box, and only it: nodes inside,
+        # cells non-degenerate, and the area of the brute-force polygon
+        cone = synthetic_cone(2, m, A0=A0)
+        R = default_truncation_radius(1)
+        mesh = truncated_cone_mesh(cone, R, R / 8.0)
+        check_mesh(mesh)
+        nu = cone.facet_normals()
+        assert np.abs(mesh.nodes).max() <= R * (1 + 1e-14)
+        assert m == 0 or (mesh.nodes @ nu.T).min() >= -1e-14 * R
+        verts = _box_cut_vertices(nu, R)
+        c = verts - verts.mean(axis=0)
+        x, y = verts[np.argsort(np.arctan2(c[:, 1], c[:, 0]))].T
+        area = 0.5 * (x @ np.roll(y, -1) - y @ np.roll(x, -1))
+        assert abs(mesh.qweights.sum() - area) <= 1e-12 * area
 
 
 def _skew_spec(H=((2.0, 1.0), (1.0, 2.0))):

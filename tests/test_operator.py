@@ -411,6 +411,18 @@ class TestSolvers:
         with pytest.raises(errors.ConvergenceFailure, match="Gram"):
             solve_eigs(op, 3)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("LANCZOS_MAX_STEPS", 4, r"^Lanczos did not converge in 4 steps$"),
+        ("RESIDUAL_TOL", 1e-30, r"^residuals .* exceed 1e-30 x max\(1, \|lambda\|\)$"),
+    ])
+    def test_solver_limits(self, monkeypatch, name, value, message):
+        # a pencil not converged within LANCZOS_MAX_STEPS fails, and so do
+        # converged Ritz pairs whose residuals exceed a bound below rounding
+        op = mode_operator(make_potential_spec(segment()), 0.5, 1, (0,), build_mesh(segment(), 0.02))
+        monkeypatch.setattr(operator, name, value)
+        with pytest.raises(errors.ConvergenceFailure, match=message):
+            solve_eigs(op, 3)
+
     def test_shift_above_lowest_value_raises(self):
         # Lanczos seeks the largest 1 / (lambda - sigma), so a shift between
         # the two lowest values would drop the lowest one without the

@@ -34,19 +34,31 @@ class TestValidation:
 
     def test_non_unimodular_vertex_rejected(self):
         # {x >= 0, y >= 0, x + 2y <= 2} has determinant 2 at the top vertex
+        # (the message prints the vertex as numbers, not Fraction reprs)
         raw = [((1, 0), 0), ((0, 1), 0), ((-1, -2), -2)]
-        with pytest.raises(errors.NotDelzant):
+        with pytest.raises(errors.NotDelzant, match=r"^vertex \(0, 1\) has a non-unimodular cone$"):
             validate_delzant(raw)
         kinds = {type(v) for v in delzant_violations(raw)}
         assert errors.NotDelzant in kinds
 
+    def test_vertex_on_too_many_facets_rejected(self):
+        # the apex of a square pyramid lies on its four slanted facets
+        raw = [((0, 0, 1), 0), ((1, 0, -1), 0), ((0, 1, -1), 0), ((-1, 0, -1), -2), ((0, -1, -1), -2)]
+        with pytest.raises(errors.NotDelzant, match=r"^vertex \(1, 1, 1\) lies on 4 facets$"):
+            validate_delzant(raw)
+
     def test_unbounded_rejected(self):
-        with pytest.raises(errors.Unbounded):
-            validate_delzant([((1, 0), 0), ((0, 1), 0)])
+        # a quadrant, and a strip {0 <= x <= 1}, whose normals span only a line
+        for raw in ([((1, 0), 0), ((0, 1), 0)], [((1, 0), 0), ((-1, 0), -1)]):
+            with pytest.raises(errors.Unbounded, match=r"^recession direction \(0, 1\)$"):
+                validate_delzant(raw)
 
     def test_empty_interior_rejected(self):
-        with pytest.raises(errors.EmptyInterior):
-            validate_delzant([((1,), 0), ((-1,), 0)])
+        # {x = 0} has no interior, and {1 <= x <= 0} has no vertex
+        for raw, message in (([((1,), 0), ((-1,), 0)], "touches a facet"),
+                             ([((1,), 1), ((-1,), 0)], "no vertices")):
+            with pytest.raises(errors.EmptyInterior, match=message):
+                validate_delzant(raw)
 
     def test_non_primitive_rejected(self):
         with pytest.raises(errors.NonPrimitiveNormal):
@@ -56,6 +68,10 @@ class TestValidation:
         # x >= -1 never becomes tight inside the unit square
         raw = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1), ((1, 0), -1)]
         with pytest.raises(errors.RedundantFacet):
+            validate_delzant(raw)
+        # x + y >= 0 touches the unit square only at its corner (0, 0)
+        raw = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1), ((1, 1), 0)]
+        with pytest.raises(errors.RedundantFacet, match="^facet 4 is redundant$"):
             validate_delzant(raw)
 
     def test_wrong_length_normal_is_input_error(self):
@@ -166,8 +182,10 @@ class TestCharts:
                     assert ch.inverse(ch.apply(sample)) == sample
 
     def test_point_outside_raises(self):
-        with pytest.raises(errors.PointOutside):
+        with pytest.raises(errors.PointOutside, match=r"^\(2\) is outside the polytope$"):
             local_chart(segment(), (2,))
+        with pytest.raises(errors.PointOutside, match=r"^\(3/2, 0\) is outside the polytope$"):
+            local_chart(simplex2(), (Fraction(3, 2), 0))
 
 
 class TestBSPoints:

@@ -11,7 +11,15 @@ from conftest import affine_pullback, transform_polytope
 from toricspec import errors
 from toricspec.mesh import build_mesh
 from toricspec.operator import ground_state_rayleigh_batch
-from toricspec.polytope import LocalChart, bs_points, hirzebruch, local_chart, segment, simplex2
+from toricspec.polytope import (
+    LocalChart,
+    bs_points,
+    hirzebruch,
+    local_chart,
+    segment,
+    simplex2,
+    validate_delzant,
+)
 from toricspec.potential import (
     GuilleminPotential,
     PolynomialFn,
@@ -72,6 +80,14 @@ class TestGuillemin:
         for evaluate in (v, lambda x: v.tensor(x, 2)):
             with pytest.raises(errors.BoundaryPoint):
                 evaluate([0.0])
+        # a batch names its first point on a facet, not the whole array
+        spec = make_potential_spec(segment())
+        X = np.linspace(0.0, 0.5, 2000)[:, None]
+        with pytest.raises(errors.BoundaryPoint, match=r"^point \[0\.\] is within 1e-14 of a facet$"):
+            family_hessian_batch(spec, 0.1, X)
+        v = GuilleminPotential.of_polytope(simplex2())
+        with pytest.raises(errors.BoundaryPoint, match=r"^point \[0\.5 0\.5\] is within"):
+            v.hessian([[0.2, 0.3], [0.5, 0.5], [0.0, 0.5]])
 
 
 class TestFamilyHessian:
@@ -140,6 +156,18 @@ class TestFamilyHessian:
             family_hessian_batch(spec, 0.1, [[0.5]])
         with pytest.raises(errors.NotPositiveDefinite):
             family_hessian_batch(spec, 0.1, np.array([[0.01], [0.5], [0.99]]))
+
+    def test_three_simplex(self):
+        # n = 3 takes the guard's eigvalsh branch; a point 1e-12 from a facet
+        # is inside, but its eigenvalue ratio is far below PD_RATIO_TOL
+        P = validate_delzant([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -1)])
+        spec = make_potential_spec(P)
+        X = np.array([[0.25, 0.25, 0.25], [0.1, 0.2, 0.3], [0.6, 0.1, 0.2]])
+        G, G_inv = family_hessian_batch(spec, 0.1, X)
+        assert np.allclose(G @ G_inv, np.eye(3), rtol=0, atol=1e-14)
+        assert np.all(np.linalg.eigvalsh(G)[:, 0] > 0)
+        with pytest.raises(errors.NotPositiveDefinite, match=r"^G_s at \[3\.e-01 3\.e-01 1\.e-12\]"):
+            family_hessian_batch(spec, 0.1, np.vstack([X, [0.3, 0.3, 1e-12]]))
 
 
 def chart_reference(spec, s, chart, x):
