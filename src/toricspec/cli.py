@@ -201,7 +201,7 @@ def main(argv=None):
 
     p = sub.add_parser("ricci-scan", help="corner-model curvature lower-bound scan")
     p.add_argument("--matrix", required=True, help="JSON n x n positive definite matrix")
-    p.add_argument("--s-list", required=True, help="comma separated, descending")
+    p.add_argument("--s-list", required=True, help="comma separated, strictly descending")
     p.add_argument("--z-max", required=True, help="JSON list of z bounds per corner direction")
     p.add_argument("--grid-points", type=int, default=12)
     p.add_argument("--allow-corner", action="store_true")

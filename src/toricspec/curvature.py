@@ -20,8 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegionTouchesCodimTwo, SingularA, SingularG, StepTooLarge, _is_integer
-from .potential import GuilleminPotential, PolynomialFn, PotentialFamily, PotentialSpec, _check_s
+from .errors import (
+    RegionTouchesCodimTwo, SingularA, SingularG, StepTooLarge,
+    _check_integer, _check_positive, _check_s_list, _finite_float,
+)
+from .potential import GuilleminPotential, PolynomialFn, PotentialFamily, PotentialSpec
 
 CORNER_Z_CUT = 5.0
 SCAN_Z_MIN = 1e-2
@@ -66,15 +69,17 @@ class ModelSpec:
 def _check_model(A, n, m, y):
     """The corner-model inputs as float arrays, or the input error they make.
 
-    A must be a symmetric (relative tolerance 1e-12) positive definite
-    n x n matrix, 0 <= m <= n, and y an array of shape (..., m) of positive
-    entries.  Every model evaluated here, one point or a stacked grid, passes
-    through this check.
+    A must be a finite, symmetric (relative tolerance 1e-12) positive
+    definite n x n matrix, 0 <= m <= n, and y an array of shape (..., m) of
+    positive entries.  Every model evaluated here, one point or a stacked
+    grid, passes through this check.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     if A.shape != (n, n):
         raise ValueError(f"model matrix A must be {n} x {n}, got shape {A.shape}")
+    for v in A.ravel().tolist():
+        _finite_float(v, "model matrix A must be finite")
     if not 0 <= m <= n:
         raise ValueError(f"corner codimension m = {m} must lie in [0, n = {n}]")
     if np.max(np.abs(A - A.T)) > 1e-12 * np.max(np.abs(A)):
@@ -184,7 +189,7 @@ def model_T(model: ModelSpec, s):
     ``model.y``.  The normalization is pinned by the finite-difference
     curvature oracle.
     """
-    return _model_T(model.A, model.y, s)[0]
+    return _model_T(model.A, model.y, _check_positive(s, "s"))[0]
 
 
 def model_T_prime(y, x_rest, s, n, m):
@@ -197,10 +202,9 @@ def model_T_prime(y, x_rest, s, n, m):
     matches model_T (and the curvature oracle): both branches are nonnegative
     exactly where the un-normalized forms are.
     """
-    y = np.asarray(y, dtype=float)
-    x_rest = np.asarray(x_rest, dtype=float)
-    if np.any(y <= 0):
-        raise ValueError("y_j must be positive")
+    s = _check_positive(s, "s")
+    y = np.array([_check_positive(v, "y_j") for v in y])
+    x_rest = np.array([_check_positive(v, "x_j") for v in x_rest])
     if len(y) != m or len(x_rest) != n - m:
         raise ValueError("expected m corner variables and n - m interior coordinates")
     T_prime = np.zeros(n)
@@ -249,12 +253,12 @@ def ricci_lower_bound_scan(
     geometrically from SCAN_Z_MIN; boxes where two or more of them reach past
     CORNER_Z_CUT touch a codimension-two face and are rejected unless
     ``allow_corner`` is set.  Returns (rows, per_s_infimum) where rows are
-    (s, x_1..x_n, min_ratio).  grid_points, the samples per axis, must be an
-    integer >= 1.
+    (s, x_1..x_n, min_ratio).  s_list must be strictly descending, and
+    grid_points, the samples per axis, an integer >= 1.
     """
-    if not _is_integer(grid_points) or grid_points < 1:
-        raise ValueError(f"grid_points must be an integer >= 1, got {grid_points!r}")
-    z_max = np.asarray(z_max, dtype=float)
+    grid_points = _check_integer(grid_points, "grid_points", 1)
+    s_arr = np.array(_check_s_list(s_list, "s"))
+    z_max = np.array([_check_positive(z, "z_max entry") for z in z_max])
     if len(z_max) != m:
         raise ValueError("one z bound per corner direction expected")
     if not allow_corner and int(np.sum(z_max > CORNER_Z_CUT)) >= 2:
@@ -264,7 +268,6 @@ def ricci_lower_bound_scan(
     axes = [np.geomspace(SCAN_Z_MIN, zm, grid_points) for zm in z_max]
     mesh = np.meshgrid(*axes, indexing="ij")
     zs = np.stack([g.ravel() for g in mesh], axis=-1)
-    s_arr = np.array([_check_s(s) for s in s_list])
     root_s = np.sqrt(s_arr)[:, None, None]
     A, ys = _check_model(A, n, m, root_s * zs)
     xs = np.full((len(s_arr), len(zs), n), np.nan)

@@ -1,7 +1,8 @@
-"""Exception hierarchy shared by all toricspec modules, and the two input rules.
+"""Exception hierarchy shared by all toricspec modules, and the input rules.
 
 Every guard decides "an integer" with _is_integer and "a finite real" with
-_finite_float, so the scalar and the JSON paths accept the same values.
+_finite_float, so the scalar and the JSON paths accept the same values; the
+_check_* rules built on them give each rule its one message.
 """
 
 import math
@@ -52,7 +53,7 @@ class BoundaryPoint(ToricSpecError):
     pass
 
 
-class NotPositiveDefinite(ToricSpecError):
+class NotPositiveDefinite(InputError):
     pass
 
 
@@ -70,7 +71,7 @@ class SingularG(ToricSpecError):
     pass
 
 
-class SingularA(ToricSpecError):
+class SingularA(InputError):
     pass
 
 
@@ -78,7 +79,7 @@ class StepTooLarge(ToricSpecError):
     pass
 
 
-class RegionTouchesCodimTwo(ToricSpecError):
+class RegionTouchesCodimTwo(InputError):
     pass
 
 
@@ -125,3 +126,40 @@ def _finite_float(value, rule):
     if not math.isfinite(x):
         raise ValueError(f"{rule}, got {value!r}")
     return x
+
+
+def _check_integer(value, name, low):
+    """value as an int; it must be an integer >= low."""
+    if not _is_integer(value) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _check_positive(value, name):
+    """value as a float; it must be finite and positive."""
+    rule = f"{name} must be finite and positive"
+    x = _finite_float(value, rule)
+    if x <= 0:
+        raise ValueError(f"{rule}, got {value!r}")
+    return x
+
+
+def _check_s_list(s_list, name):
+    """A non-empty, strictly descending tuple of s, each by _check_positive(s, name)."""
+    s = tuple(_check_positive(v, name) for v in s_list)
+    if not s:
+        raise ValueError(f"s_list must name at least one s, got {s_list!r}")
+    if any(a <= b for a, b in zip(s, s[1:])):
+        raise ValueError(f"s_list must be strictly descending, got {s}")
+    return s
+
+
+def _check_mode(mode, n):
+    """A lattice mode as a tuple of n ints; each entry must be an integer."""
+    try:
+        entries = tuple(mode)
+    except TypeError:
+        entries = ()
+    if len(entries) != n or not all(map(_is_integer, entries)):
+        raise ValueError(f"mode must have {n} integer entries, got {mode!r}")
+    return tuple(int(v) for v in entries)

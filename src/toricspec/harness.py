@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ToricSpecError, _finite_float, _is_integer
+from .errors import ToricSpecError, _check_integer, _check_s_list
 from .limit import predicted_limit
 from .mesh import build_mesh
 from .operator import OperatorFactory, map_dbar, mode_set, solve_pencils
@@ -65,31 +65,17 @@ class SweepConfig:
             entries = getattr(self, name)
             if not isinstance(entries, (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {entries!r}")
-        checks = [("eig_count", self.eig_count), ("mode_margin", self.mode_margin)]
-        checks += [("k_list entry", k) for k in self.k_list]
-        for name, value in checks:
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         # validated values are stored as Python scalars, so reports serialize alike
-        self.k_list = tuple(int(k) for k in self.k_list)
-        self.eig_count, self.mode_margin = int(self.eig_count), int(self.mode_margin)
-        if not self.s_list:
-            raise ValueError(f"s_list must name at least one s, got {self.s_list!r}")
-        rule = "s_list must be finite, positive and strictly descending"
-        self.s_list = tuple(_finite_float(s, rule) for s in self.s_list)
-        s = self.s_list
+        self.k_list = tuple(_check_integer(k, "k_list entry", 1) for k in self.k_list)
+        self.eig_count = _check_integer(self.eig_count, "eig_count", 1)
+        self.mode_margin = _check_integer(self.mode_margin, "mode_margin", 0)
         # a repeated s would make the Richardson step divide by zero
-        if not all(v > 0 for v in s) or any(a <= b for a, b in zip(s, s[1:])):
-            raise ValueError(f"{rule}, got {s}")
-        if not self.k_list or min(self.k_list) < 1:
-            raise ValueError(f"k_list must name at least one level, each >= 1, got {self.k_list}")
+        self.s_list = _check_s_list(self.s_list, "s_list")
+        if not self.k_list:
+            raise ValueError(f"k_list must name at least one level, got {self.k_list}")
         # each level is judged on its own rows
         if len(set(self.k_list)) < len(self.k_list):
             raise ValueError(f"k_list must not repeat a level, got {self.k_list}")
-        if self.eig_count < 1:
-            raise ValueError("eig_count must be >= 1")
-        if self.mode_margin < 0:
-            raise ValueError(f"mode_margin must be >= 0, got {self.mode_margin}")
 
     def h_of(self, s):
         """Mesh size sqrt(s)/H_FACTOR, floored at 1/800 in 1-D and 1/80 otherwise."""
@@ -366,6 +352,7 @@ def fiber_diameter_check(spec: PotentialSpec, s_list, grid_per_dim=9):
     Returns (rows, fitted_C, analytic_bound); the per-s suprema rise toward
     the bound lambda_max((Hess psi)^-1) as s decreases.
     """
+    grid_per_dim = _check_integer(grid_per_dim, "grid_per_dim", 1)
     P = spec.polytope
     lo, hi = P.bounding_box()
     axes = [np.linspace(float(a), float(b), grid_per_dim + 2)[1:-1] for a, b in zip(lo, hi)]

@@ -17,10 +17,10 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionUnsupported, TruncationTooSmall, _is_integer
+from .errors import DimensionUnsupported, TruncationTooSmall, _check_integer
 from .mesh import interval_mesh, polygon_mesh
 from .operator import assemble_p1, solve_pencil
-from .polytope import BSPoint, _check_level, bs_points, local_chart
+from .polytope import BSPoint, bs_points, local_chart
 from .potential import PotentialSpec
 
 SEPARABLE_TOL = 1e-12
@@ -91,7 +91,7 @@ def exact_cone_spectrum(cone: ConeModel, k, n_max=12):
     r^nu cos(nu theta) L_j^(nu)(k r^2), nu = l pi / alpha, give the values
     k (2 j + nu) for j, l >= 0.  A skew cone with n >= 3 has no closed form.
     """
-    k = _check_level(k)
+    k = _check_integer(k, "level k", 1)
     n, m = cone.dim, cone.codim
     if not is_separable(cone):
         if n != 2:
@@ -177,7 +177,7 @@ def numeric_cone_spectrum(cone: ConeModel, k, count, target_h=None):
     small error.  target_h defaults to R/400 in 1-D and R/56 in 2-D.
     predicted_limit never calls it.
     """
-    k = _check_level(k)
+    k = _check_integer(k, "level k", 1)
     R = default_truncation_radius(k)
     if target_h is None:
         target_h = R / 400.0 if cone.dim == 1 else R / 56.0
@@ -216,8 +216,7 @@ def predicted_limit(spec: PotentialSpec, k, count=8):
     j >= 0, so ``flat(count)`` always holds ``count`` values; ``count`` must be
     an integer >= 1.
     """
-    if not _is_integer(count) or count < 1:
-        raise ValueError(f"count must be an integer >= 1, got {count!r}")
+    count = _check_integer(count, "count", 1)
     out = {}
     for b in bs_points(spec.polytope, k):
         cone = cone_at(spec, b)

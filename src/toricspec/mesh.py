@@ -24,7 +24,7 @@ from math import atan2, ceil, factorial, log2
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import DimensionUnsupported, _finite_float
+from .errors import DimensionUnsupported, _check_positive
 
 GRADING_RATIO = 0.7      # width ratio of consecutive 1d end-layer cells
 GRADING_DEPTH = 12       # number of 1d end-layer cells
@@ -121,12 +121,6 @@ def _edge_lengths(nodes, cells):
     return np.stack([np.linalg.norm(coords[:, i] - coords[:, j], axis=1) for i, j in pairs], axis=1)
 
 
-def _check_target_h(target_h):
-    rule = "mesh size target_h must be finite and positive"
-    if _finite_float(target_h, rule) <= 0:
-        raise ValueError(f"{rule}, got {target_h!r}")
-
-
 # ---------------------------------------------------------------------------
 # 1d graded partitions
 # ---------------------------------------------------------------------------
@@ -138,7 +132,7 @@ def interval_mesh(a, b, target_h, graded=True):
     sub-cells whose widths shrink by GRADING_RATIO toward the endpoint;
     otherwise this is the plain uniform partition.
     """
-    _check_target_h(target_h)
+    _check_positive(target_h, "mesh size target_h")
     a, b = float(a), float(b)
     n_core = max(int(ceil((b - a) / target_h)), 2)
     nodes = np.linspace(a, b, n_core + 1)
@@ -221,7 +215,7 @@ def polygon_mesh(vertices, target_h, graded=True):
     when graded, one red-green pass refining every triangle with an edge on
     the polygon boundary, that is, an edge of exactly one triangle.
     """
-    _check_target_h(target_h)
+    _check_positive(target_h, "mesh size target_h")
     pts = order_polygon(vertices)
     ring = 1 + np.arange(len(pts))
     nodes = np.vstack([pts.mean(axis=0), pts])

@@ -48,10 +48,12 @@ from .errors import (
     ConvergenceFailure,
     NegativeEigenvalue,
     NotPositiveDefiniteMass,
+    _check_integer,
+    _check_mode,
     _is_integer,
 )
 from .mesh import Mesh
-from .polytope import _check_level, _check_mode, _lattice_points
+from .polytope import _lattice_points
 from .potential import PotentialSpec, family_hessian_batch
 
 V_OVERFLOW = 1e14
@@ -100,9 +102,8 @@ def mode_set(P, k, margin=0):
     The inflated region is {m : nu_r . m >= k lambda_r - margin}; the modes
     with m/k in P are exactly the quantized ones, the rest probe divergence.
     """
-    k = _check_level(k)
-    if not _is_integer(margin) or margin < 0:
-        raise ValueError("margin must be >= 0")
+    k = _check_integer(k, "level k", 1)
+    margin = _check_integer(margin, "margin", 0)
     return _lattice_points(P, [k * lam - margin for lam in P.offsets])
 
 
@@ -135,7 +136,7 @@ class OperatorFactory:
     """What no mode of one (s, k) changes: G_s at the quadrature points, the diffusion data, M."""
 
     def __init__(self, spec: PotentialSpec, s, k, mesh: Mesh):
-        self.k = _check_level(k)
+        self.k = _check_integer(k, "level k", 1)
         self.mesh = mesh
         qw, x = mesh.qweights, mesh.qpoints
         G_q, Ginv_q = family_hessian_batch(spec, s, x.reshape(-1, mesh.dim))

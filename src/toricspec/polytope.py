@@ -34,7 +34,7 @@ from .errors import (
     PointOutside,
     RedundantFacet,
     Unbounded,
-    _is_integer,
+    _check_integer,
 )
 
 
@@ -369,27 +369,9 @@ def _lattice_points(P, offsets):
     ]
 
 
-def _check_level(k):
-    """The level k as an int; it must be an integer >= 1 (numpy integers count)."""
-    if not _is_integer(k) or k < 1:
-        raise ValueError(f"level k must be an integer >= 1, got {k!r}")
-    return int(k)
-
-
-def _check_mode(mode, n):
-    """A lattice mode as a tuple of n ints; each entry must be an integer."""
-    try:
-        entries = tuple(mode)
-    except TypeError:
-        entries = ()
-    if len(entries) != n or not all(map(_is_integer, entries)):
-        raise ValueError(f"mode must have {n} integer entries, got {mode!r}")
-    return tuple(int(v) for v in entries)
-
-
 def bs_points(P, k):
     """All points of P cap (1/k) Z^n with strict levels and face codimensions."""
-    k = _check_level(k)
+    k = _check_integer(k, "level k", 1)
     offsets = [k * lam for lam in P.offsets]
     points = []
     for m in _lattice_points(P, offsets):
@@ -408,7 +390,7 @@ def fiber_holonomy(P, b, k):
     the connection is d - i x . dtheta; all generators equal one exactly when
     b is a quantized point of level k.
     """
-    k = _check_level(k)
+    k = _check_integer(k, "level k", 1)
     b = tuple(Fraction(c) for c in b)
     chart = local_chart(P, _face_vertex(P, P.active_facets(b)))
     b_chart = chart.apply(b)

@@ -23,9 +23,12 @@ from .errors import (
     ChartMismatch,
     ModeOutsidePolytope,
     NotPositiveDefinite,
+    _check_integer,
+    _check_mode,
+    _check_positive,
     _finite_float,
 )
-from .polytope import DelzantPolytope, LocalChart, _check_level, _check_mode, vertices_and_faces
+from .polytope import DelzantPolytope, LocalChart, vertices_and_faces
 
 INTERIOR_TOL = 1e-14
 PD_RATIO_TOL = 1e-10
@@ -264,15 +267,6 @@ def _is_term(t, n):
     return isinstance(alpha, list) and len(alpha) == n and all(type(a) is int and a >= 0 for a in alpha)
 
 
-def _check_s(s):
-    """The degeneration parameter s as a float; it must be finite and positive."""
-    rule = "s must be finite and positive"
-    x = _finite_float(s, rule)
-    if x <= 0:
-        raise ValueError(f"{rule}, got {s!r}")
-    return x
-
-
 class PotentialFamily:
     """u_s = v_P + phi + psi/s at fixed s; ``tensor`` sums the summands' tensors."""
 
@@ -280,7 +274,7 @@ class PotentialFamily:
         self.boundary = boundary
         self.phi = phi
         self.psi = psi
-        self.s = _check_s(s)
+        self.s = _check_positive(s, "s")
         self.dim = boundary.dim
 
     @staticmethod
@@ -397,8 +391,8 @@ def ground_state(spec: PotentialSpec, s, k, mode):
     each facet with e_r > 0.  So the state is at most 1, and cannot
     overflow, wherever phi and psi are convex.
     """
-    k = _check_level(k)
-    s = _check_s(s)
+    k = _check_integer(k, "level k", 1)
+    s = _check_positive(s, "s")
     m = _check_mode(mode, spec.polytope.dim)
     b = tuple(Fraction(mi, k) for mi in m)
     mode = np.asarray(m, dtype=float)

@@ -1,5 +1,7 @@
 """Curvature closed forms against the general route and the FD oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -215,6 +217,36 @@ class TestModelInputs:
         with pytest.raises(ValueError, match="s must be finite and positive"):
             ricci_lower_bound_scan(np.eye(1), 1, 1, [s], [5.0], grid_points=3)
 
+    @pytest.mark.parametrize("s_list, message", [
+        ([1.0, 1.0], "s_list must be strictly descending"),     # would scan every row twice
+        ([0.1, 1.0], "s_list must be strictly descending"),
+        ([], "s_list must name at least one s"),
+    ])
+    def test_scan_s_list_rule(self, s_list, message):
+        with pytest.raises(ValueError, match=message):
+            ricci_lower_bound_scan(np.eye(1), 1, 1, s_list, [5.0], grid_points=3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_A_rejected(self, bad):
+        # a nan matrix would otherwise give a nan infimum
+        with pytest.raises(ValueError, match="model matrix A must be finite"):
+            ModelSpec(n=1, m=1, A=[[bad]], y=[1.0])
+        with pytest.raises(ValueError, match="model matrix A must be finite"):
+            ricci_lower_bound_scan(np.array([[bad]]), 1, 1, [1.0], [5.0], grid_points=2)
+
+    @pytest.mark.parametrize("z", [np.nan, np.inf, -5.0, 0.0, True])
+    def test_z_max_entries_are_finite_and_positive(self, z):
+        # the message names z_max, and no log10 warning comes before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="z_max entry must be finite and positive"):
+                ricci_lower_bound_scan(np.eye(1), 1, 1, [1.0], [z], grid_points=3)
+
+    @pytest.mark.parametrize("s", [np.nan, 0.0, -1.0])
+    def test_model_T_s_is_finite_and_positive(self, s):
+        with pytest.raises(ValueError, match="s must be finite and positive"):
+            model_T(ModelSpec(n=1, m=1, A=np.eye(1), y=np.ones(1)), s)
+
 
 class TestMinRatio:
     def test_smallest_pencil_value(self, rng):
@@ -259,6 +291,18 @@ class TestModelTPrime:
     def test_vanishing_small_y(self):
         tp, _ = model_T_prime(np.array([1e-4]), np.array([]), 1.0, 1, 1)
         assert tp[0] < 1e-11
+
+    @pytest.mark.parametrize("y, x_rest, s, n, message", [
+        ([np.nan], [], 1.0, 1, "y_j must be finite and positive"),
+        ([0.0], [], 1.0, 1, "y_j must be finite and positive"),
+        ([1.0], [-0.5], 1.0, 2, "x_j must be finite and positive"),    # gave T' = [2, -16]
+        ([1.0], [np.inf], 1.0, 2, "x_j must be finite and positive"),
+        ([1.0], [], np.nan, 1, "s must be finite and positive"),
+        ([1.0], [], 0.0, 1, "s must be finite and positive"),
+    ])
+    def test_inputs_are_finite_and_positive(self, y, x_rest, s, n, message):
+        with pytest.raises(ValueError, match=message):
+            model_T_prime(np.array(y), np.array(x_rest), s, n, 1)
 
 
 class TestMinorIdentity:

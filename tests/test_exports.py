@@ -135,6 +135,18 @@ def test_one_integer_rule_and_one_finite_rule():
     assert copies == []
 
 
+def test_one_home_for_each_input_rule():
+    # "an integer >= low" and "a finite positive real" are errors._check_integer
+    # and errors._check_positive; their message text anywhere else in the
+    # package would be a second copy of a rule
+    texts = ("must be an integer >=", "must be finite and positive")
+    copies = [f"{path.name}:{number} {text!r}"
+              for path in sorted((ROOT / "src" / "toricspec").glob("*.py")) if path.name != "errors.py"
+              for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+              for text in texts if text in line]
+    assert copies == []
+
+
 def test_every_error_class_has_a_test():
     # an exception class that no test names is a guard no test has seen
     # fire; the two base classes are exempt

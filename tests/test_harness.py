@@ -23,7 +23,7 @@ from toricspec.harness import (
 from toricspec.limit import predicted_limit
 from toricspec.mesh import build_mesh
 from toricspec.operator import OperatorFactory, solve_eigs
-from toricspec.polytope import bs_points, polytope_to_json, segment, simplex2
+from toricspec.polytope import bs_points, hirzebruch, polytope_to_json, segment, simplex2
 from toricspec.potential import PolynomialFn, make_potential_spec
 
 HUGE = 10**400      # a JSON integer too large for a float
@@ -142,7 +142,7 @@ class TestConfig:
 
     def test_rejects_negative_mode_margin(self, tmp_path, capsys, monkeypatch):
         spec = make_potential_spec(segment())
-        with pytest.raises(ValueError, match="mode_margin must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="mode_margin must be an integer >= 0, got -1"):
             SweepConfig(spec=spec, k_list=(1,), s_list=(0.1,), mode_margin=-1)
         poly = tmp_path / "p.json"
         poly.write_text(polytope_to_json(segment()))
@@ -513,6 +513,12 @@ class TestStandaloneChecks:
         _, C_fine, _ = fiber_diameter_check(spec, [0.1, 0.01], grid_per_dim=15)
         assert abs(C_coarse - C_fine) <= 0.15 * C_fine
 
+    @pytest.mark.parametrize("grid_per_dim", [0, -3, 2.5, True])
+    def test_fiber_grid_must_be_a_positive_integer(self, grid_per_dim):
+        # 0 sampled only the points graded toward the vertices
+        with pytest.raises(ValueError, match="grid_per_dim must be an integer >= 1"):
+            fiber_diameter_check(make_potential_spec(segment()), [0.1], grid_per_dim=grid_per_dim)
+
 
 class TestCli:
     def _write_inputs(self, tmp_path):
@@ -629,6 +635,26 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "input error" in err and message in err
+
+    @pytest.mark.parametrize("verb", ["spectrum", "limit", "sweep"])
+    @pytest.mark.parametrize("polytope, potential, message", [
+        ("cp1", {"psi": [{"alpha": [2], "c": -0.5}]}, "Hess(psi) fails at"),
+        ("square", {"phi": [{"alpha": [2, 0], "c": -3.0}]}, "Hess(v_P + phi) fails at"),
+    ])
+    def test_non_admissible_potential_is_input_error(self, tmp_path, capsys, monkeypatch, verb, polytope,
+                                                     potential, message):
+        # NotPositiveDefinite names the caller's potential: exit 2, before any solve
+        P = segment() if polytope == "cp1" else hirzebruch(0)
+        poly, pot = tmp_path / "poly.json", tmp_path / "pot.json"
+        poly.write_text(polytope_to_json(P))
+        pot.write_text(json.dumps(potential))
+        solves = []
+        monkeypatch.setattr(cli, "run_sweep", solves.append)
+        flags = {"spectrum": ["--s", "0.1", "--level", "1", "--mode", json.dumps([0] * P.dim), "--h", "0.25"],
+                 "limit": ["--level", "1"], "sweep": ["--k-list", "1"]}[verb]
+        assert cli.main([verb, "--polytope", str(poly), "--potential", str(pot)] + flags) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and message in err and solves == []
 
     def test_sweep_rejects_non_finite_s(self, tmp_path, capsys):
         poly = self._write_inputs(tmp_path)
@@ -776,6 +802,8 @@ class TestCli:
         ("[[2]]", "[5, 5]", "m = 2"),                     # two corner directions in n = 1
         ("[[2, 0], [0, 2]]", "[0, 1]", "--z-max must be"),  # a zero bound has no geometric grid
         ("[[2]]", "[Infinity]", "--z-max must be"),
+        ("[[1, 0], [0, -1]]", "[5]", "model matrix A must be positive definite"),
+        ("[[2, 1], [1, 2]]", "[50, 50]", "reaches past 5.0 in two corner directions"),    # no --allow-corner
     ])
     def test_ricci_scan_rejects_bad_model(self, capsys, matrix, z_max, message):
         code = cli.main(["ricci-scan", "--matrix", matrix, "--s-list", "1", "--z-max", z_max])
@@ -827,6 +855,11 @@ class TestCli:
                                                         "--grid-points", "0"], "grid_points must be an integer >= 1"),
         "ricci_grid_points_negative": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "1", "--z-max", "[5]",
                                                             "--grid-points=-3"], "grid_points must be an integer >= 1"),
+        # a repeated s wrote every row of ricci_scan.csv twice
+        "ricci_s_repeated": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "1,1", "--z-max", "[5]"],
+                             "s_list must be strictly descending"),
+        "ricci_s_ascending": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "0.1,1", "--z-max", "[5]"],
+                              "s_list must be strictly descending"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))

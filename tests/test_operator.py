@@ -51,7 +51,6 @@ from toricspec.operator import (
 from toricspec.polytope import hirzebruch, segment, simplex2, validate_delzant
 from toricspec.potential import (
     PotentialFamily,
-    _check_s,
     family_hessian_batch,
     ground_state,
     make_potential_spec,
@@ -668,7 +667,7 @@ class TestGuards:
 
     @pytest.mark.parametrize("margin", [-1, 0.5, 1.0, True])
     def test_mode_set_rejects_bad_margin(self, margin):
-        with pytest.raises(ValueError, match="margin must be >= 0"):
+        with pytest.raises(ValueError, match="margin must be an integer >= 0"):
             mode_set(segment(), 1, margin)
 
     def test_mode_set_and_ground_state_reject_bad_level(self):
@@ -696,13 +695,14 @@ class TestGuards:
         # a bool is not a number, and a string or an integer too large for a
         # float is a ValueError naming s, not a TypeError
         with pytest.raises(ValueError, match="s must be finite and positive"):
-            _check_s(s)
+            errors._check_positive(s, "s")
         with pytest.raises(ValueError, match="s must be finite and positive"):
             ground_state(make_potential_spec(segment()), s, 1, (0,))
 
     def test_numpy_and_integer_s_accepted(self):
         for s in (np.float64(0.5), np.float32(0.5), 1):
-            assert _check_s(s) == float(s) and type(_check_s(s)) is float
+            checked = errors._check_positive(s, "s")
+            assert checked == float(s) and type(checked) is float
 
     @pytest.mark.parametrize("h", [True, "0.1", pytest.param(HUGE, id="huge"), None])
     def test_mesh_size_is_a_finite_real(self, h):
