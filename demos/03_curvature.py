@@ -34,7 +34,7 @@ print()
 print("== corner model: cofactor closed form vs the general route ==")
 rng = np.random.default_rng(3)
 B = rng.normal(size=(2, 2))
-mod = ModelSpec(n=2, m=2, A=B @ B.T + 2 * np.eye(2), y=np.array([0.3, 0.7]))
+mod = ModelSpec(A=B @ B.T + 2 * np.eye(2), y=np.array([0.3, 0.7]))
 s = 0.05
 T_closed = model_T(mod, s)
 T_general = ricci_of_potential(model_potential(mod, s), mod.x_coords(s)).T
@@ -42,7 +42,7 @@ print("  closed form:\n", np.array_str(T_closed, precision=4))
 print("  max relative difference:",
       f"{np.abs(T_closed - T_general).max() / np.abs(T_general).max():.2e}")
 
-tp, ratios = model_T_prime(np.array([1.0]), np.array([]), 1.0, 1, 1)
+tp, ratios = model_T_prime(np.array([1.0]), np.array([]), 1.0)
 print(f"  reference metric diagonal at y=1, s=1: T' = {tp[0]}, ratio = {ratios[0]}")
 print("  minor identity spot check:", minor_identity_check(np.diag([2.0, 3.0]), [0]))
 

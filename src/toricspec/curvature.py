@@ -43,15 +43,15 @@ class RicciData:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Corner model G_s = (Y_m + A)/s with y_j = s/(2 x_j) for j <= m."""
+    """Corner model G_s = (Y_m + A)/s with y_j = s/(2 x_j) for j <= m = len(y)."""
 
-    n: int
-    m: int
     A: np.ndarray           # constant positive definite n x n matrix
-    y: np.ndarray           # positive entries, length m
+    y: np.ndarray           # finite positive entries, one per corner direction
 
     def __post_init__(self):
-        A, y = _check_model(self.A, self.n, self.m, self.y)
+        if np.ndim(self.y) != 1:
+            raise ValueError(f"model variables y must be a 1-D array, got shape {np.shape(self.y)}")
+        A, y = _check_model(self.A, np.array([_check_positive(v, "y_j") for v in self.y]))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
 
@@ -61,35 +61,37 @@ class ModelSpec:
         Interior directions j > m carry no metric dependence; they are padded
         with ones so the point can feed coordinate-based evaluators.
         """
-        x = np.ones(self.n)
-        x[: self.m] = s / (2.0 * self.y)
+        x = np.ones(len(self.A))
+        x[: len(self.y)] = s / (2.0 * self.y)
         return x
 
 
-def _check_model(A, n, m, y):
+def _check_square(A, name):
+    """A as a finite, non-empty square float array, or the ValueError naming it."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ValueError(f"{name} must be a non-empty square matrix, got shape {A.shape}")
+    for v in A.ravel().tolist():
+        _finite_float(v, f"{name} must be finite")
+    return A
+
+
+def _check_model(A, y):
     """The corner-model inputs as float arrays, or the input error they make.
 
     A must be a finite, symmetric (relative tolerance 1e-12) positive
-    definite n x n matrix, 0 <= m <= n, and y an array of shape (..., m) of
-    positive entries.  Every model evaluated here, one point or a stacked
-    grid, passes through this check.
+    definite n x n matrix, and y an array of shape (..., m) with m <= n, whose
+    entries ``ModelSpec`` checks; the scan's grid is positive by construction.
     """
-    A = np.asarray(A, dtype=float)
+    A = _check_square(A, "model matrix A")
     y = np.asarray(y, dtype=float)
-    if A.shape != (n, n):
-        raise ValueError(f"model matrix A must be {n} x {n}, got shape {A.shape}")
-    for v in A.ravel().tolist():
-        _finite_float(v, "model matrix A must be finite")
-    if not 0 <= m <= n:
-        raise ValueError(f"corner codimension m = {m} must lie in [0, n = {n}]")
+    n, m = A.shape[0], y.shape[-1]
+    if m > n:
+        raise ValueError(f"corner codimension m = {m} must be at most n = {n}")
     if np.max(np.abs(A - A.T)) > 1e-12 * np.max(np.abs(A)):
         raise ValueError("model matrix A must be symmetric")
     if np.linalg.eigvalsh(A)[0] <= 0:
         raise SingularA("model matrix A must be positive definite")
-    if y.shape[-1:] != (m,):
-        raise ValueError(f"expected {m} model variables y_j, got shape {y.shape}")
-    if not np.all(y > 0):
-        raise ValueError("model variables y_j must be positive")
     return A, y
 
 
@@ -148,9 +150,15 @@ def ricci_general(spec: PotentialSpec, s, x):
 
 
 def model_potential(model: ModelSpec, s):
-    """The corner model as a family: sum_{j <= m} x_j log(x_j)/2 + x A x/(2s)."""
-    half_logs = GuilleminPotential(np.eye(model.n)[: model.m], np.zeros(model.m), weights=0.5)
-    return PotentialFamily(half_logs, PolynomialFn.zero(model.n), PolynomialFn.quadratic_form(model.A), s)
+    """The corner model as a family: sum_{j <= m} (x_j/2) log(x_j/2) + x A x/(2s).
+
+    Its log terms differ from sum x_j log(x_j)/2 by an affine function.  Halving is
+    exact, so tensors of orders 2 and 3 match that form to the bit, and order 4 to
+    one ulp: pow may round (x_j/2)^3 apart from x_j^3/8 (4 points in a million).
+    """
+    n, m = len(model.A), len(model.y)
+    half_logs = GuilleminPotential(0.5 * np.eye(n)[:m], np.zeros(m))
+    return PotentialFamily(half_logs, PolynomialFn.zero(n), PolynomialFn.quadratic_form(model.A), s)
 
 
 # ---------------------------------------------------------------------------
@@ -192,40 +200,35 @@ def model_T(model: ModelSpec, s):
     return _model_T(model.A, model.y, _check_positive(s, "s"))[0]
 
 
-def model_T_prime(y, x_rest, s, n, m):
+def model_T_prime(y, x_rest, s):
     """Diagonal matrices of the reference metric (Y_m + I)/s split by index.
 
-    Returns (T_prime, ratios) where T_prime[j] = 8 y_j^3 / (s^2 (y_j + 1)^2)
-    for j <= m with ratio 8 y_j^3 / (s (y_j + 1)^3), and for j > m the
-    interior-direction forms T_prime[j] = 8 y_j^3 (1 - y_j) / s^2 with ratio
-    (s^2 / x_j^3)(1 - s/(2 x_j)), using y_j = s / (2 x_j).  The normalization
-    matches model_T (and the curvature oracle): both branches are nonnegative
-    exactly where the un-normalized forms are.
+    Returns (T_prime, ratios): for the m = len(y) corner directions
+    T_prime[j] = 8 y_j^3 / (s^2 (y_j + 1)^2) with ratio 8 y_j^3 / (s (y_j + 1)^3),
+    and for the interior directions, one per x_rest entry, T_prime[j] =
+    8 y_j^3 (1 - y_j) / s^2 with ratio (s^2 / x_j^3)(1 - s/(2 x_j)), using
+    y_j = s / (2 x_j).  The normalization matches model_T and the FD oracle:
+    both branches are nonnegative exactly where the un-normalized forms are.
     """
     s = _check_positive(s, "s")
     y = np.array([_check_positive(v, "y_j") for v in y])
     x_rest = np.array([_check_positive(v, "x_j") for v in x_rest])
-    if len(y) != m or len(x_rest) != n - m:
-        raise ValueError("expected m corner variables and n - m interior coordinates")
-    T_prime = np.zeros(n)
-    ratios = np.zeros(n)
-    T_prime[:m] = 8.0 * y**3 / (s**2 * (y + 1.0) ** 2)
-    ratios[:m] = 8.0 * y**3 / (s * (y + 1.0) ** 3)
-    if n > m:
-        y_rest = s / (2.0 * x_rest)
-        T_prime[m:] = 8.0 * y_rest**3 * (1.0 - y_rest) / s**2
-        ratios[m:] = (s**2 / x_rest**3) * (1.0 - s / (2.0 * x_rest))
+    y_rest = s / (2.0 * x_rest)
+    T_prime = np.concatenate([8.0 * y**3 / (s**2 * (y + 1.0) ** 2), 8.0 * y_rest**3 * (1.0 - y_rest) / s**2])
+    ratios = np.concatenate([8.0 * y**3 / (s * (y + 1.0) ** 3), (s**2 / x_rest**3) * (1.0 - y_rest)])
     return T_prime, ratios
 
 
 def minor_identity_check(A, index_set):
     """Verify [A]_I = det(A) [A^-1]_I' to relative tolerance MINOR_TOL."""
-    A = np.asarray(A, dtype=float)
+    A = _check_square(A, "matrix A")
     n = A.shape[0]
+    I = sorted(_check_integer(i, "index", 0) for i in index_set)
+    if any(i >= n for i in I) or len(set(I)) != len(I):
+        raise ValueError(f"index_set must hold distinct indices below n = {n}, got {index_set!r}")
     det = np.linalg.det(A)
     if abs(det) < 1e-300:
         raise SingularA("matrix is singular")
-    I = sorted(index_set)
     Ic = [i for i in range(n) if i not in I]
     lhs = np.linalg.det(A[np.ix_(I, I)]) if I else 1.0
     Ainv = np.linalg.inv(A)
@@ -259,8 +262,8 @@ def ricci_lower_bound_scan(
     grid_points = _check_integer(grid_points, "grid_points", 1)
     s_arr = np.array(_check_s_list(s_list, "s"))
     z_max = np.array([_check_positive(z, "z_max entry") for z in z_max])
-    if len(z_max) != m:
-        raise ValueError("one z bound per corner direction expected")
+    if np.shape(A) != (n, n) or len(z_max) != m:
+        raise ValueError(f"A must be {n} x {n} and z_max of length {m}, got {np.shape(A)} and {len(z_max)}")
     if not allow_corner and int(np.sum(z_max > CORNER_Z_CUT)) >= 2:
         raise RegionTouchesCodimTwo(
             f"z box {z_max} reaches past {CORNER_Z_CUT} in two corner directions"
@@ -269,7 +272,7 @@ def ricci_lower_bound_scan(
     mesh = np.meshgrid(*axes, indexing="ij")
     zs = np.stack([g.ravel() for g in mesh], axis=-1)
     root_s = np.sqrt(s_arr)[:, None, None]
-    A, ys = _check_model(A, n, m, root_s * zs)
+    A, ys = _check_model(A, root_s * zs)
     xs = np.full((len(s_arr), len(zs), n), np.nan)
     xs[..., :m] = root_s / (2.0 * zs)
     rows = []

@@ -54,7 +54,8 @@ class LimitSpectrum:
     exact: bool
 
     def flat(self, count):
-        """The lowest ``count`` values, each repeated by its multiplicity."""
+        """The lowest ``count`` values (an integer >= 0), each repeated by its multiplicity."""
+        count = _check_integer(count, "count", 0)
         return np.array([v for v, m in zip(self.values, self.multiplicities) for _ in range(m)][:count])
 
 
@@ -90,8 +91,10 @@ def exact_cone_spectrum(cone: ConeModel, k, n_max=12):
     A skew 2-D cone is a sector of opening alpha; its eigenfunctions
     r^nu cos(nu theta) L_j^(nu)(k r^2), nu = l pi / alpha, give the values
     k (2 j + nu) for j, l >= 0.  A skew cone with n >= 3 has no closed form.
+    n_max is an integer >= 0.
     """
     k = _check_integer(k, "level k", 1)
+    n_max = _check_integer(n_max, "n_max", 0)
     n, m = cone.dim, cone.codim
     if not is_separable(cone):
         if n != 2:
@@ -140,7 +143,8 @@ def _compositions(N, slots):
 
 
 def default_truncation_radius(k):
-    return float(np.sqrt(30.0 / k))
+    """sqrt(30 / k), where the Gaussian weight e^{-k R^2} is e^-30; k is an integer >= 1."""
+    return float(np.sqrt(30.0 / _check_integer(k, "level k", 1)))
 
 
 def truncated_cone_mesh(cone: ConeModel, R, target_h):

@@ -113,24 +113,18 @@ class PolynomialFn:
 # ---------------------------------------------------------------------------
 
 class GuilleminPotential:
-    """v(x) = sum_r w_r * ell_r(x) log ell_r(x) over a facet list.
+    """v(x) = sum_r ell_r(x) log ell_r(x) over facets ell_r(x) = nu_r . x - lambda_r.
 
-    The boundary potential v_P of a Delzant polytope (``of_polytope``, and
-    ``PotentialSpec.boundary``, which is derived from the polytope) carries
-    w_r = 1 on every facet.  With unit weight the exact bound states scale
-    like integer powers of the facet functions, which keeps the P1
-    interpolation of the bound-state oracle at clean second order; the corner
-    models (weight 1/2) are driven through the same closed forms with
-    explicit weights.
+    Every facet has unit weight: for v_P (``of_polytope``, and the derived
+    ``PotentialSpec.boundary``) the exact bound states then scale like integer
+    powers of the facet functions, which keeps the P1 interpolation of the
+    bound-state oracle at clean second order.  A corner model's x_j log(x_j)/2
+    is the facet x_j/2, up to an affine function (``model_potential``).
     """
 
-    def __init__(self, normals, offsets, weights=None):
+    def __init__(self, normals, offsets):
         self.normals = np.asarray(normals, dtype=float)
         self.offsets = np.asarray(offsets, dtype=float)
-        d = len(self.offsets)
-        self.weights = np.ones(d) if weights is None else np.broadcast_to(
-            np.asarray(weights, dtype=float), (d,)
-        ).copy()
         self.dim = self.normals.shape[1]
 
     @staticmethod
@@ -151,7 +145,7 @@ class GuilleminPotential:
 
     def __call__(self, x):
         ell = self._ell_checked(x)
-        return np.sum(self.weights * ell * np.log(ell), axis=-1)
+        return np.sum(ell * np.log(ell), axis=-1)
 
     def gradient(self, x):
         return self.tensor(x, 1)
@@ -162,15 +156,15 @@ class GuilleminPotential:
     def tensor(self, x, order):
         """Derivative tensor of the given order >= 1.
 
-        For order o >= 2 it is sum_r w_r (-1)^o (o-2)! ell_r^(1-o) nu_r^(x o).
+        For order o >= 2 it is sum_r (-1)^o (o-2)! ell_r^(1-o) nu_r^(x o).
         """
         if order < 1:
             raise ValueError("order must be at least 1")
         ell = self._ell_checked(x)
         if order == 1:
-            coef = self.weights * (1.0 + np.log(ell))
+            coef = 1.0 + np.log(ell)
         else:
-            coef = (-1) ** order * math.factorial(order - 2) * self.weights / ell ** (order - 1)
+            coef = (-1) ** order * math.factorial(order - 2) / ell ** (order - 1)
         idx = _TENSOR_INDICES[:order]
         subscripts = "...r," + ",".join("r" + i for i in idx) + "->..." + idx
         return np.einsum(subscripts, coef, *[self.normals] * order)

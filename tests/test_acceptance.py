@@ -219,7 +219,7 @@ def test_criterion_5_ricci_closed_forms(rng):
         A = B @ B.T + (0.5 + rng.random()) * np.eye(n)
         y = rng.uniform(0.08, 3.0, size=m)
         s = 10.0 ** rng.uniform(-2, 0)
-        mod = ModelSpec(n=n, m=m, A=A, y=y)
+        mod = ModelSpec(A=A, y=y)
         T_closed = model_T(mod, s)
         T_general = ricci_of_potential(model_potential(mod, s), mod.x_coords(s)).T
         scale = max(np.abs(T_general).max(), 1e-30)
@@ -229,8 +229,8 @@ def test_criterion_5_ricci_closed_forms(rng):
     for _ in range(20):
         y = rng.uniform(0.05, 3.0, size=2)
         s = 10.0 ** rng.uniform(-2, 0)
-        tp, ratios = model_T_prime(y, np.array([]), s, 2, 2)
-        mod = ModelSpec(n=2, m=2, A=np.eye(2), y=y)
+        tp, ratios = model_T_prime(y, np.array([]), s)
+        mod = ModelSpec(A=np.eye(2), y=y)
         scale = max(np.abs(tp).max(), 1e-30)
         worst_prime = max(
             worst_prime, float(np.abs(np.diag(model_T(mod, s)) - tp).max() / scale)

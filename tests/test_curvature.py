@@ -1,5 +1,7 @@
 """Curvature closed forms against the general route and the FD oracle."""
 
+import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -42,7 +44,7 @@ def random_model(rng, n=None, m=None):
     B = rng.normal(size=(n, n))
     A = B @ B.T + (0.5 + rng.random()) * np.eye(n)
     y = rng.uniform(0.08, 3.0, size=m)
-    return ModelSpec(n=n, m=m, A=A, y=y)
+    return ModelSpec(A=A, y=y)
 
 
 def cofactor_model_T(A, y, s):
@@ -116,7 +118,7 @@ class TestGeneralRoute:
 class TestModelClosedForms:
     def test_scalar_model_value(self):
         # n = 1 closed form from G = 1/(2x) + 1/s: T = ((G'/G^2)') G
-        mod = ModelSpec(n=1, m=1, A=np.eye(1), y=np.array([1.0]))
+        mod = ModelSpec(A=np.eye(1), y=np.array([1.0]))
         assert np.isclose(model_T(mod, 1.0)[0, 0], 2.0, rtol=1e-12)
         for y, s in ((0.4, 0.7), (2.5, 0.05)):
             x = s / (2 * y)
@@ -124,11 +126,11 @@ class TestModelClosedForms:
             G1 = -1 / (2 * x**2)
             G2 = 1 / x**3
             T_scalar = (G2 / G**2 - 2 * G1**2 / G**3) * G
-            mod = ModelSpec(n=1, m=1, A=np.eye(1), y=np.array([y]))
+            mod = ModelSpec(A=np.eye(1), y=np.array([y]))
             assert np.isclose(model_T(mod, s)[0, 0], T_scalar, rtol=1e-12)
 
     def test_diagonal_A_has_no_off_diagonal(self):
-        mod = ModelSpec(n=2, m=2, A=np.diag([2.0, 5.0]), y=np.array([0.7, 1.3]))
+        mod = ModelSpec(A=np.diag([2.0, 5.0]), y=np.array([0.7, 1.3]))
         T = model_T(mod, 0.3)
         assert T[0, 1] == 0.0 and T[1, 0] == 0.0
 
@@ -173,31 +175,31 @@ class TestModelInputs:
         # eigvalsh of [[1, 5], [0, 1]] reads 1, 1; its symmetric part has -1.5
         A = np.array([[1.0, 5.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            ModelSpec(n=2, m=2, A=A, y=np.ones(2))
+            ModelSpec(A=A, y=np.ones(2))
         with pytest.raises(ValueError, match="symmetric"):
             ricci_lower_bound_scan(A, 2, 2, [1.0], [5.0, 5.0], grid_points=3)
 
     def test_symmetry_tolerance_is_relative(self):
         A = SKEW * 1e6
         A[0, 1] += 1e-7                 # 1e-13 of the largest entry
-        ModelSpec(n=2, m=2, A=A, y=np.ones(2))
+        ModelSpec(A=A, y=np.ones(2))
         A[0, 1] += 1e-5
         with pytest.raises(ValueError, match="symmetric"):
-            ModelSpec(n=2, m=2, A=A, y=np.ones(2))
+            ModelSpec(A=A, y=np.ones(2))
 
     def test_m_above_n_rejected(self):
         with pytest.raises(ValueError, match="m = 2"):
-            ModelSpec(n=1, m=2, A=np.eye(1), y=np.ones(2))
+            ModelSpec(A=np.eye(1), y=np.ones(2))
         with pytest.raises(ValueError, match="m = 2"):
             ricci_lower_bound_scan(np.eye(1), 1, 2, [1.0], [5.0, 5.0], grid_points=3)
 
     def test_indefinite_A_and_bad_y_rejected(self):
         with pytest.raises(errors.SingularA):
-            ModelSpec(n=2, m=1, A=np.diag([1.0, -1.0]), y=np.ones(1))
+            ModelSpec(A=np.diag([1.0, -1.0]), y=np.ones(1))
         with pytest.raises(errors.SingularA):
             ricci_lower_bound_scan(np.diag([1.0, -1.0]), 2, 1, [1.0], [5.0], grid_points=3)
         with pytest.raises(ValueError, match="positive"):
-            ModelSpec(n=2, m=1, A=np.eye(2), y=np.array([0.0]))
+            ModelSpec(A=np.eye(2), y=np.array([0.0]))
         with pytest.raises(ValueError, match="positive"):
             ricci_lower_bound_scan(np.eye(2), 2, 1, [0.0], [5.0], grid_points=3)
 
@@ -230,7 +232,7 @@ class TestModelInputs:
     def test_non_finite_A_rejected(self, bad):
         # a nan matrix would otherwise give a nan infimum
         with pytest.raises(ValueError, match="model matrix A must be finite"):
-            ModelSpec(n=1, m=1, A=[[bad]], y=[1.0])
+            ModelSpec(A=[[bad]], y=[1.0])
         with pytest.raises(ValueError, match="model matrix A must be finite"):
             ricci_lower_bound_scan(np.array([[bad]]), 1, 1, [1.0], [5.0], grid_points=2)
 
@@ -242,10 +244,43 @@ class TestModelInputs:
             with pytest.raises(ValueError, match="z_max entry must be finite and positive"):
                 ricci_lower_bound_scan(np.eye(1), 1, 1, [1.0], [z], grid_points=3)
 
+    @pytest.mark.parametrize("y", [[np.inf], [np.nan], [0.0], [-1.0], [True], [1.0, np.inf]])
+    def test_model_y_entries_are_finite_and_positive(self, y):
+        # y = [inf] was accepted: model_T gave [[nan]] and x_coords(1.0) gave [0.]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="y_j must be finite and positive"):
+                ModelSpec(A=np.eye(2), y=y)
+
+    @pytest.mark.parametrize("y", [np.ones((1, 2)), np.ones((2, 1)), 1.0])
+    def test_model_y_must_be_one_dimensional(self, y):
+        # a stacked y is not read as a longer one
+        with pytest.raises(ValueError, match="model variables y must be a 1-D array"):
+            ModelSpec(A=np.eye(2), y=y)
+
+    def test_model_shape_comes_from_its_arrays(self):
+        mod = ModelSpec(A=A3, y=[0.5, 2.0])
+        assert [f.name for f in dataclasses.fields(mod)] == ["A", "y"]
+        assert np.array_equal(mod.x_coords(0.4), [0.4, 0.1, 1.0])
+        assert model_T(mod, 0.4).shape == (3, 3)
+
+    @pytest.mark.parametrize("A", [np.ones((2, 3)), np.ones(2), np.zeros((0, 0))])
+    def test_model_A_must_be_square(self, A):
+        with pytest.raises(ValueError, match="model matrix A must be a non-empty square matrix"):
+            ModelSpec(A=A, y=[1.0])
+
+    @pytest.mark.parametrize("A, n, m, z_max", [
+        (np.eye(2), 1, 1, [5.0]),
+        (np.eye(2), 2, 1, [5.0, 5.0]),
+    ])
+    def test_scan_n_and_m_match_A_and_z_max(self, A, n, m, z_max):
+        with pytest.raises(ValueError, match=r"A must be \d x \d and z_max of length \d"):
+            ricci_lower_bound_scan(A, n, m, [1.0], z_max, grid_points=3)
+
     @pytest.mark.parametrize("s", [np.nan, 0.0, -1.0])
     def test_model_T_s_is_finite_and_positive(self, s):
         with pytest.raises(ValueError, match="s must be finite and positive"):
-            model_T(ModelSpec(n=1, m=1, A=np.eye(1), y=np.ones(1)), s)
+            model_T(ModelSpec(A=np.eye(1), y=np.ones(1)), s)
 
 
 class TestMinRatio:
@@ -269,15 +304,15 @@ class TestMinRatio:
 
 class TestModelTPrime:
     def test_reference_value(self):
-        tp, ratios = model_T_prime(np.array([1.0]), np.array([]), 1.0, 1, 1)
+        tp, ratios = model_T_prime(np.array([1.0]), np.array([]), 1.0)
         assert np.isclose(tp[0], 2.0)
         assert np.isclose(ratios[0], 1.0)
 
     def test_matches_identity_model_block(self, rng):
         y = rng.uniform(0.1, 2.0, size=2)
         s = 0.3
-        tp, ratios = model_T_prime(y, np.array([]), s, 2, 2)
-        mod = ModelSpec(n=2, m=2, A=np.eye(2), y=y)
+        tp, ratios = model_T_prime(y, np.array([]), s)
+        mod = ModelSpec(A=np.eye(2), y=y)
         assert np.max(np.abs(np.diag(model_T(mod, s)) - tp)) < 1e-12 * max(tp.max(), 1)
         assert np.max(np.abs(tp / ((y + 1.0) / s) - ratios)) < 1e-12 * max(abs(ratios).max(), 1)
 
@@ -285,12 +320,25 @@ class TestModelTPrime:
         # y_j < 1 gives nonnegative ratio, y_j > 1 negative
         s = 0.2
         for x, sign in ((s, 1.0), (s / 4.0, -1.0)):   # y = 1/2 and y = 2
-            _, ratios = model_T_prime(np.array([1.0]), np.array([x]), s, 2, 1)
+            _, ratios = model_T_prime(np.array([1.0]), np.array([x]), s)
             assert np.sign(ratios[1]) == sign
 
     def test_vanishing_small_y(self):
-        tp, _ = model_T_prime(np.array([1e-4]), np.array([]), 1.0, 1, 1)
+        tp, _ = model_T_prime(np.array([1e-4]), np.array([]), 1.0)
         assert tp[0] < 1e-11
+
+    def test_shape_comes_from_its_inputs(self):
+        # m = len(y) corner directions first, then one per interior coordinate
+        s, y, x_rest = 0.2, np.array([0.5, 2.0]), np.array([0.4, 0.05])
+        tp, ratios = model_T_prime(y, x_rest, s)
+        assert tp.shape == ratios.shape == (4,)
+        tp_corner, ratios_corner = model_T_prime(y, np.array([]), s)
+        assert np.array_equal(tp[:2], tp_corner) and np.array_equal(ratios[:2], ratios_corner)
+        for j, x in enumerate(x_rest):
+            tp_one, ratios_one = model_T_prime(np.array([]), np.array([x]), s)
+            assert tp[2 + j] == tp_one[0] and ratios[2 + j] == ratios_one[0]
+        y_rest = s / (2.0 * x_rest)
+        assert np.allclose(tp[2:], 8.0 * y_rest**3 * (1.0 - y_rest) / s**2, rtol=1e-14)
 
     @pytest.mark.parametrize("y, x_rest, s, n, message", [
         ([np.nan], [], 1.0, 1, "y_j must be finite and positive"),
@@ -299,10 +347,14 @@ class TestModelTPrime:
         ([1.0], [np.inf], 1.0, 2, "x_j must be finite and positive"),
         ([1.0], [], np.nan, 1, "s must be finite and positive"),
         ([1.0], [], 0.0, 1, "s must be finite and positive"),
+        ([np.inf], [0.5], 1.0, 2, "y_j must be finite and positive"),
     ])
     def test_inputs_are_finite_and_positive(self, y, x_rest, s, n, message):
         with pytest.raises(ValueError, match=message):
-            model_T_prime(np.array(y), np.array(x_rest), s, n, 1)
+            model_T_prime(np.array(y), np.array(x_rest), s)
+        # valid entries of the same shape give n = len(y) + len(x_rest) values
+        tp, ratios = model_T_prime(np.ones(len(y)), np.ones(len(x_rest)), 1.0)
+        assert tp.shape == ratios.shape == (n,)
 
 
 class TestMinorIdentity:
@@ -325,6 +377,33 @@ class TestMinorIdentity:
     def test_singular_raises(self):
         with pytest.raises(errors.SingularA):
             minor_identity_check(np.zeros((2, 2)), [0])
+
+    def test_any_index_set_of_A3(self):
+        for size in range(4):
+            for I in itertools.combinations(range(3), size):
+                assert minor_identity_check(A3, list(I)) and minor_identity_check(A3, I[::-1])
+
+    @pytest.mark.parametrize("index_set, message", [
+        ([0, 0], "index_set must hold distinct indices below n = 3"),   # gave False
+        ([5], "index_set must hold distinct indices below n = 3"),      # raised IndexError
+        ([-1], "index must be an integer >= 0"),                        # gave False
+        ([True], "index must be an integer >= 0"),                      # gave False
+        ([0.0], "index must be an integer >= 0"),                       # raised IndexError
+    ])
+    def test_index_set_rule(self, index_set, message):
+        # Jacobi's identity holds for every invertible A and index set, so a
+        # malformed one must be refused rather than judged False
+        with pytest.raises(ValueError, match=message):
+            minor_identity_check(A3, index_set)
+
+    @pytest.mark.parametrize("A, message", [
+        (np.ones((2, 3)), "matrix A must be a non-empty square matrix"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "matrix A must be finite"),
+        ([[np.inf]], "matrix A must be finite"),
+    ])
+    def test_matrix_rule(self, A, message):
+        with pytest.raises(ValueError, match=message):
+            minor_identity_check(A, [0])
 
 
 class TestOracle:
@@ -406,7 +485,7 @@ class TestScans:
             assert s == s_list[i // len(zs)]
             assert np.array_equal(x[:m], np.sqrt(s) / (2.0 * z))
             assert np.all(np.isnan(x[m:])) and len(x) == n
-            ref = model_min_ratio(ModelSpec(n=n, m=m, A=A, y=np.sqrt(s) * z), s)
+            ref = model_min_ratio(ModelSpec(A=A, y=np.sqrt(s) * z), s)
             assert abs(ratio - ref) <= 1e-12 * abs(ref)
         for s in s_list:
             assert infimum[s] == min(r for t, _, r in rows if t == s)

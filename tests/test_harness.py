@@ -800,8 +800,10 @@ class TestCli:
     @pytest.mark.parametrize("matrix, z_max, message", [
         ("[[1, 5], [0, 1]]", "[5, 5]", "symmetric"),     # symmetric part is indefinite
         ("[[2]]", "[5, 5]", "m = 2"),                     # two corner directions in n = 1
-        ("[[2, 0], [0, 2]]", "[0, 1]", "--z-max must be"),  # a zero bound has no geometric grid
-        ("[[2]]", "[Infinity]", "--z-max must be"),
+        ("[[2, 0], [0, 2]]", "[0, 1]", "z_max entry must be finite and positive"),  # no geometric grid
+        ("[[2]]", "[Infinity]", "z_max entry must be finite and positive"),
+        ("[[2]]", "[-5]", "z_max entry must be finite and positive"),
+        ("[[2, 0], [0, 2]]", "[5, true]", "z_max entry must be finite and positive"),
         ("[[1, 0], [0, -1]]", "[5]", "model matrix A must be positive definite"),
         ("[[2, 1], [1, 2]]", "[50, 50]", "reaches past 5.0 in two corner directions"),    # no --allow-corner
     ])
@@ -835,7 +837,11 @@ class TestCli:
         "ricci_z_max_scalar": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "1", "--z-max", "5"],
                                "--z-max must be a non-empty JSON list"),
         "ricci_z_max_null": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "1", "--z-max", "[null]"],
-                             "--z-max must be a non-empty JSON list"),
+                             "z_max entry must be finite and positive"),
+        "ricci_z_max_empty": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "1", "--z-max", "[]"],
+                              "--z-max must be a non-empty JSON list"),
+        "ricci_z_max_nested": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "1", "--z-max", "[[5]]"],
+                               "z_max entry must be finite and positive"),
         "ricci_z_max_object": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "1", "--z-max", "{}"],
                                "--z-max must be a non-empty JSON list"),
         "ricci_s_zero": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "0", "--z-max", "[5]"],
@@ -846,7 +852,7 @@ class TestCli:
         "ricci_matrix_huge": ("ricci-scan", None, ["--matrix", f"[[{HUGE}]]", "--s-list", "1", "--z-max", "[5]"],
                               "--matrix must be a JSON n x n matrix of finite numbers"),
         "ricci_z_max_huge": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "1", "--z-max", f"[{HUGE}]"],
-                             "--z-max must be a non-empty JSON list of finite positive numbers"),
+                             "z_max entry must be finite and positive"),
         "potential_c_huge": ("limit", ("pot.json", {"psi": [{"alpha": [2], "c": HUGE}]}), [],
                              "potential psi must list terms"),
         "sweep_s_huge": ("sweep", ("sweep.json", {"polytope": "cp1.json", "k_list": [1], "s_list": [HUGE]}),

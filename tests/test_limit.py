@@ -158,8 +158,28 @@ class TestExactSpectra:
                 exact_cone_spectrum(cone, k)
             with pytest.raises(ValueError, match="level k"):
                 numeric_cone_spectrum(cone, k, 3)
+        # k = 0 raised ZeroDivisionError, and k = -1 gave nan with a warning
+        with pytest.raises(ValueError, match="level k must be an integer >= 1"):
+            default_truncation_radius(k)
         half_line = synthetic_cone(1, 1)
         assert exact_cone_spectrum(half_line, np.int64(2)) == exact_cone_spectrum(half_line, 2)
+        assert default_truncation_radius(np.int64(2)) == default_truncation_radius(2)
+
+    @pytest.mark.parametrize("n_max", [-1, True, 2.0])
+    def test_n_max_rule(self, n_max):
+        # n_max = -1 gave an empty spectrum, and True was taken as 1
+        for cone in (synthetic_cone(1, 1), synthetic_cone(2, 2, A0=np.array([[2.0, 1.0], [1.0, 2.0]]))):
+            with pytest.raises(ValueError, match="n_max must be an integer >= 0"):
+                exact_cone_spectrum(cone, 1, n_max=n_max)
+            assert exact_cone_spectrum(cone, 1, n_max=0).values == (0.0,)
+
+    @pytest.mark.parametrize("count", [-2, True, 1.0])
+    def test_flat_count_rule(self, count):
+        # flat(-2) gave every value but the last two
+        ls = exact_cone_spectrum(synthetic_cone(1, 1), 1, n_max=4)
+        with pytest.raises(ValueError, match="count must be an integer >= 0"):
+            ls.flat(count)
+        assert len(ls.flat(0)) == 0 and len(ls.flat(np.int64(2))) == 2
 
 
 class TestNumericSpectra:

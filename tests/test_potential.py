@@ -189,7 +189,6 @@ class TestSpecDerivesBoundary:
         v = spec.boundary
         assert np.array_equal(v.normals, np.array(P.normals, dtype=float))
         assert np.array_equal(v.offsets, np.array(P.offsets, dtype=float))
-        assert np.array_equal(v.weights, np.ones(P.num_facets))
         X = np.array([[0.2, 0.3], [0.1, 0.05], [0.6, 0.3], [1e-6, 0.5]])
         for a, b in zip(family_hessian_batch(spec, 0.1, X), family_hessian_batch(made, 0.1, X), strict=True):
             assert np.array_equal(a, b)
