@@ -2,18 +2,15 @@
 # ----------------------------------------------------------
 # The boundary potential v_P = sum ell_r log ell_r fixes the complex structure
 # near the facets while psi/s blows up the metric as s -> 0.  This script
-# evaluates the Hessian family G_s, splits it near a facet into singular and
-# bounded parts, and checks the closed-form bound states of the reduced
-# operators.
+# evaluates the Hessian family G_s and checks the closed-form bound states of
+# the reduced operators.
 
 import numpy as np
 
 from toricspec import (
     GuilleminPotential,
-    boundary_decomposition,
     family_hessian_batch,
     ground_state,
-    local_chart,
     make_potential_spec,
     segment,
     simplex2,
@@ -31,14 +28,6 @@ spec = make_potential_spec(segment())      # default psi = x^2/2
 for s in (1.0, 0.1, 0.01):
     G, G_inv = family_hessian_batch(spec, s, [[0.5]])
     print(f"  s={s:5.2f}: G = {G[0,0,0]:9.2f}   G^-1 = {G_inv[0,0,0]:.5f}")
-
-print()
-print("== split near a facet: singular + psi/s + bounded ==")
-chart = local_chart(segment(), (0,))
-for xv in (0.1, 0.01, 0.001):
-    X_sing, A, B = boundary_decomposition(spec, chart, np.array([xv]))
-    print(f"  x={xv:6.3f}: X_sing = {X_sing[0,0]:9.1f}  A = {A[0,0]:.1f}  "
-          f"B = {B[0,0]:.4f}  (B stays bounded)")
 
 print()
 print("== exact bound states ==")

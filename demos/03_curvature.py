@@ -11,7 +11,6 @@ from toricspec import (
     ModelSpec,
     christoffel_ricci_oracle,
     make_potential_spec,
-    minor_identity_check,
     model_T,
     model_T_prime,
     ricci_general,
@@ -44,7 +43,6 @@ print("  max relative difference:",
 
 tp, ratios = model_T_prime(np.array([1.0]), np.array([]), 1.0)
 print(f"  reference metric diagonal at y=1, s=1: T' = {tp[0]}, ratio = {ratios[0]}")
-print("  minor identity spot check:", minor_identity_check(np.diag([2.0, 3.0]), [0]))
 
 print()
 print("== finite-difference oracle on a curved 2d family ==")

@@ -12,7 +12,6 @@ import tempfile
 from toricspec import (
     SweepConfig,
     emit_reports,
-    fiber_diameter_check,
     make_potential_spec,
     run_sweep,
     segment,
@@ -48,13 +47,6 @@ for r in report.localization_rows:
     if r["k"] == 1 and r["s"] <= 0.05:
         print(f"  s={r['s']:5.2f} mode {r['mode']}: mass within B(b, 5 sqrt(s)) = "
               f"{r['mass_at_c5']:.4f}, minimal sufficient c = {r['c_min']}")
-
-print()
-print("== fiber diameter proxy: sup lambda_max(G_s^-1) <= C s ==")
-rows, fitted, bound = fiber_diameter_check(spec, [1.0, 0.1, 0.01])
-for r in rows:
-    print(f"  s={r['s']:5.2f}: sup lambda_max / s = {r['sup_lambda_max_over_s']:.4f}")
-print(f"  fitted C = {fitted:.4f} against the bound lambda_max(Hess psi^-1) = {bound:.4f}")
 
 with tempfile.TemporaryDirectory(prefix="toricspec_demo_") as tmp:
     out = pathlib.Path(tmp)

@@ -11,7 +11,6 @@ from .curvature import (
     ModelSpec,
     RicciData,
     christoffel_ricci_oracle,
-    minor_identity_check,
     model_T,
     model_T_prime,
     ricci_general,
@@ -22,7 +21,6 @@ from .harness import (
     ConvergenceReport,
     SweepConfig,
     emit_reports,
-    fiber_diameter_check,
     run_sweep,
     sweep_config_from_json,
 )
@@ -67,7 +65,6 @@ from .potential import (
     PolynomialFn,
     PotentialFamily,
     PotentialSpec,
-    boundary_decomposition,
     family_hessian_batch,
     ground_state,
     make_potential_spec,
@@ -83,11 +80,11 @@ __all__ = [
     "validate_delzant", "vertices_and_faces",
     # potential
     "GuilleminPotential", "PolynomialFn", "PotentialFamily", "PotentialSpec",
-    "boundary_decomposition", "family_hessian_batch", "ground_state",
-    "make_potential_spec", "potential_spec_from_json",
+    "family_hessian_batch", "ground_state", "make_potential_spec",
+    "potential_spec_from_json",
     # curvature
-    "ModelSpec", "RicciData", "christoffel_ricci_oracle", "minor_identity_check",
-    "model_T", "model_T_prime", "ricci_general", "ricci_lower_bound_scan",
+    "ModelSpec", "RicciData", "christoffel_ricci_oracle", "model_T",
+    "model_T_prime", "ricci_general", "ricci_lower_bound_scan",
     "ricci_of_potential",
     # mesh and operator
     "Mesh", "build_mesh", "interval_mesh", "polygon_mesh", "OperatorFactory",
@@ -97,8 +94,8 @@ __all__ = [
     "ConeModel", "LimitSpectrum", "cone_at", "exact_cone_spectrum",
     "is_separable", "numeric_cone_spectrum", "predicted_limit",
     # harness
-    "ConvergenceReport", "SweepConfig", "emit_reports", "fiber_diameter_check",
-    "run_sweep", "sweep_config_from_json",
+    "ConvergenceReport", "SweepConfig", "emit_reports", "run_sweep",
+    "sweep_config_from_json",
 ]
 
 __version__ = "0.1.0"

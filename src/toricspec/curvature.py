@@ -28,7 +28,6 @@ from .potential import GuilleminPotential, PolynomialFn, PotentialFamily, Potent
 
 CORNER_Z_CUT = 5.0
 SCAN_Z_MIN = 1e-2
-MINOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -66,16 +65,6 @@ class ModelSpec:
         return x
 
 
-def _check_square(A, name):
-    """A as a finite, non-empty square float array, or the ValueError naming it."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
-        raise ValueError(f"{name} must be a non-empty square matrix, got shape {A.shape}")
-    for v in A.ravel().tolist():
-        _finite_float(v, f"{name} must be finite")
-    return A
-
-
 def _check_model(A, y):
     """The corner-model inputs as float arrays, or the input error they make.
 
@@ -83,7 +72,11 @@ def _check_model(A, y):
     definite n x n matrix, and y an array of shape (..., m) with m <= n, whose
     entries ``ModelSpec`` checks; the scan's grid is positive by construction.
     """
-    A = _check_square(A, "model matrix A")
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ValueError(f"model matrix A must be a non-empty square matrix, got shape {A.shape}")
+    for v in A.ravel().tolist():
+        _finite_float(v, "model matrix A must be finite")
     y = np.asarray(y, dtype=float)
     n, m = A.shape[0], y.shape[-1]
     if m > n:
@@ -219,24 +212,6 @@ def model_T_prime(y, x_rest, s):
     return T_prime, ratios
 
 
-def minor_identity_check(A, index_set):
-    """Verify [A]_I = det(A) [A^-1]_I' to relative tolerance MINOR_TOL."""
-    A = _check_square(A, "matrix A")
-    n = A.shape[0]
-    I = sorted(_check_integer(i, "index", 0) for i in index_set)
-    if any(i >= n for i in I) or len(set(I)) != len(I):
-        raise ValueError(f"index_set must hold distinct indices below n = {n}, got {index_set!r}")
-    det = np.linalg.det(A)
-    if abs(det) < 1e-300:
-        raise SingularA("matrix is singular")
-    Ic = [i for i in range(n) if i not in I]
-    lhs = np.linalg.det(A[np.ix_(I, I)]) if I else 1.0
-    Ainv = np.linalg.inv(A)
-    rhs = det * (np.linalg.det(Ainv[np.ix_(Ic, Ic)]) if Ic else 1.0)
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return abs(lhs - rhs) <= MINOR_TOL * scale
-
-
 # ---------------------------------------------------------------------------
 # lower-bound scans
 # ---------------------------------------------------------------------------
@@ -256,12 +231,15 @@ def ricci_lower_bound_scan(
     geometrically from SCAN_Z_MIN; boxes where two or more of them reach past
     CORNER_Z_CUT touch a codimension-two face and are rejected unless
     ``allow_corner`` is set.  Returns (rows, per_s_infimum) where rows are
-    (s, x_1..x_n, min_ratio).  s_list must be strictly descending, and
-    grid_points, the samples per axis, an integer >= 1.
+    (s, x_1..x_n, min_ratio).  s_list must be strictly descending; n, m and
+    grid_points, the samples per axis, are integers >= 1, with A n x n and
+    z_max of length m.
     """
     grid_points = _check_integer(grid_points, "grid_points", 1)
     s_arr = np.array(_check_s_list(s_list, "s"))
     z_max = np.array([_check_positive(z, "z_max entry") for z in z_max])
+    n = _check_integer(n, "n", 1)
+    m = _check_integer(m, "corner codimension m", 1)
     if np.shape(A) != (n, n) or len(z_max) != m:
         raise ValueError(f"A must be {n} x {n} and z_max of length {m}, got {np.shape(A)} and {len(z_max)}")
     if not allow_corner and int(np.sum(z_max > CORNER_Z_CUT)) >= 2:

@@ -57,10 +57,6 @@ class NotPositiveDefinite(InputError):
     pass
 
 
-class ChartMismatch(ToricSpecError):
-    pass
-
-
 class ModeOutsidePolytope(InputError):
     pass
 

@@ -19,12 +19,7 @@ from .limit import predicted_limit
 from .mesh import build_mesh
 from .operator import OperatorFactory, map_dbar, mode_set, solve_pencils
 from .polytope import polytope_from_json
-from .potential import (
-    PotentialSpec,
-    family_hessian_batch,
-    make_potential_spec,
-    potential_spec_from_json,
-)
+from .potential import PotentialSpec, make_potential_spec, potential_spec_from_json
 from .reports import svg_line_plot, write_csv, write_json
 
 KERNEL_TOL = 1e-3
@@ -340,41 +335,6 @@ def _judge_level(k, kernel_rows, trajectories, non_bs_lowest):
         # informational flag, not a pass criterion
         f"non_bs_divergence_k{k}": {"ok": True, "increasing": divergent},
     }
-
-
-# ---------------------------------------------------------------------------
-# standalone checks
-# ---------------------------------------------------------------------------
-
-def fiber_diameter_check(spec: PotentialSpec, s_list, grid_per_dim=9):
-    """Proxy for the sqrt(s) fiber-diameter law: sup lambda_max(G_s^-1) <= C s.
-
-    Returns (rows, fitted_C, analytic_bound); the per-s suprema rise toward
-    the bound lambda_max((Hess psi)^-1) as s decreases.
-    """
-    grid_per_dim = _check_integer(grid_per_dim, "grid_per_dim", 1)
-    P = spec.polytope
-    lo, hi = P.bounding_box()
-    axes = [np.linspace(float(a), float(b), grid_per_dim + 2)[1:-1] for a, b in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    inside = spec.boundary.facet_values(pts).min(axis=1) > 1e-9
-    pts = pts[inside]
-    # graded points toward the vertices catch the boundary behavior
-    center = np.array([float(c) for c in P.interior_point()])
-    corners = np.array(P.vertices, dtype=float)
-    extra = [center + (1 - eps) * (v - center) for v in corners for eps in (1e-2, 1e-4)]
-    pts = np.vstack([pts, extra])
-
-    rows = []
-    for s in s_list:
-        _, G_inv = family_hessian_batch(spec, s, pts)
-        lam_max = np.linalg.eigvalsh(G_inv)[:, -1]
-        rows.append({"s": float(s), "sup_lambda_max_over_s": float(lam_max.max() / s)})
-    fitted = max([0.0] + [r["sup_lambda_max_over_s"] for r in rows])
-    hess_psi = spec.psi.hessian(pts)
-    bound = float(np.linalg.eigvalsh(np.linalg.inv(hess_psi))[:, -1].max())
-    return rows, fitted, bound
 
 
 # ---------------------------------------------------------------------------

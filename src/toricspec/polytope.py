@@ -127,10 +127,6 @@ class DelzantPolytope:
     offsets: tuple           # tuple of integers lambda_r
     vertices: tuple          # tuple of rational vertex tuples, lexicographic
 
-    @property
-    def num_facets(self):
-        return len(self.normals)
-
     def facet_values(self, x):
         """Exact facet functions ell_r(x) = nu_r . x - lambda_r at integer or rational x."""
         return _facet_values(self.normals, self.offsets, x)
@@ -171,7 +167,6 @@ class LocalChart:
     and the image of the polytope lies in {x : x_i >= 0, i <= local_codim}.
     """
 
-    base: tuple              # rational base point b
     lattice_map: tuple       # rows of A in GL_n(Z)
     shift: tuple             # rational shift c
     local_codim: int
@@ -182,10 +177,6 @@ class LocalChart:
             sum(a * x_j for a, x_j in zip(row, x)) + c
             for row, c in zip(self.lattice_map, self.shift)
         )
-
-    def inverse(self, y):
-        rhs = [Fraction(y_i) - c for y_i, c in zip(y, self.shift)]
-        return tuple(sum(a * r for a, r in zip(row, rhs)) for row in self.lattice_inverse())
 
     def lattice_inverse(self):
         """Rows of A^-1 by one elimination of [A | I]; integers for A in GL_n(Z)."""
@@ -353,7 +344,7 @@ def local_chart(P, b):
     else:
         A = tuple(tuple(int(i == j) for j in range(P.dim)) for i in range(P.dim))
     shift = tuple(-sum(a * b_j for a, b_j in zip(row, b)) for row in A)
-    return LocalChart(base=b, lattice_map=A, shift=shift, local_codim=len(active))
+    return LocalChart(lattice_map=A, shift=shift, local_codim=len(active))
 
 
 def _lattice_points(P, offsets):

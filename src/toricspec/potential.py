@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     BoundaryPoint,
-    ChartMismatch,
     ModeOutsidePolytope,
     NotPositiveDefinite,
     _check_integer,
@@ -28,7 +27,7 @@ from .errors import (
     _check_positive,
     _finite_float,
 )
-from .polytope import DelzantPolytope, LocalChart, vertices_and_faces
+from .polytope import DelzantPolytope, vertices_and_faces
 
 INTERIOR_TOL = 1e-14
 PD_RATIO_TOL = 1e-10
@@ -209,9 +208,9 @@ def _admissibility_sample(P: DelzantPolytope):
 def make_potential_spec(P: DelzantPolytope, phi=None, psi=None):
     """Assemble a PotentialSpec, spot-checking admissibility on a sample of P.
 
-    phi must keep Hess(v_P + phi) positive definite inside P with the boundary
-    determinant product positive, and psi must have positive definite Hessian
-    on all of P; both are checked by sampling, not proved.
+    phi must keep Hess(v_P + phi) positive definite inside P, and psi must
+    have positive definite Hessian on all of P; both are checked by sampling,
+    not proved.
     """
     phi = phi if phi is not None else PolynomialFn.zero(P.dim)
     psi = psi if psi is not None else PolynomialFn.quadratic_form(np.eye(P.dim))
@@ -221,14 +220,10 @@ def make_potential_spec(P: DelzantPolytope, phi=None, psi=None):
     for q, H in zip(sample, hess_psi):
         if np.linalg.eigvalsh(H)[0] <= 0:
             raise NotPositiveDefinite(f"Hess(psi) fails at {q}")
-    ell = spec.boundary.facet_values(sample)
     hess_v = spec.boundary.hessian(sample) + phi.hessian(sample)
-    for q, H, lrow in zip(sample, hess_v, ell):
-        w = np.linalg.eigvalsh(H)
-        if w[0] <= 0:
+    for q, H in zip(sample, hess_v):
+        if np.linalg.eigvalsh(H)[0] <= 0:
             raise NotPositiveDefinite(f"Hess(v_P + phi) fails at {q}")
-        if np.linalg.det(H) * np.prod(lrow) <= 0:
-            raise NotPositiveDefinite(f"boundary determinant product fails at {q}")
     return spec
 
 
@@ -322,45 +317,6 @@ def family_hessian_batch(spec: PotentialSpec, s, X):
     G = fam.hessian(X)
     _check_pd(G, X)
     return G, np.linalg.inv(G)
-
-
-# ---------------------------------------------------------------------------
-# boundary splitting of G_s in a chart
-# ---------------------------------------------------------------------------
-
-def boundary_decomposition(spec: PotentialSpec, chart: LocalChart, x):
-    """Split G_s (chart coordinates) as X_sing + A/s + B with B bounded.
-
-    x is given in chart coordinates with x_i > 0 for i <= local_codim, and the
-    first local_codim rows of the chart matrix must be the normals of the
-    facets active at its base, in order (ChartMismatch otherwise).
-    X_sing = diag(1/x_1, .., 1/x_m, 0, ..) carries the active-facet singular
-    part of Hess(v_P) (unit weights), A = Hess(psi), and B collects the inactive
-    facets plus Hess(phi); B extends continuously to the face.  A and B are
-    original-coordinate Hessians H at the exact preimage x0 of x, pulled back
-    through the chart matrix L by the chain rule, L^-T H(x0) L^-1, so the
-    three matrices sum to G_s in the chart.
-    """
-    m = chart.local_codim
-    x = np.asarray(x, dtype=float)
-    P = spec.polytope
-    if x.shape != (P.dim,):
-        raise ChartMismatch("point dimension does not match the chart")
-    if np.any(x[:m] <= 0):
-        raise ChartMismatch("chart coordinates must have x_i > 0 for active facets")
-    active = P.active_facets(chart.base)
-    if len(active) != m or any(tuple(chart.lattice_map[i]) != P.normals[r] for i, r in enumerate(active)):
-        raise ChartMismatch("chart does not normalize the active facets")
-
-    X_sing = np.zeros((P.dim, P.dim))
-    X_sing[range(m), range(m)] = 1.0 / x[:m]
-    x0 = np.array([float(c) for c in chart.inverse(x)])
-    A_inv = np.array(chart.lattice_inverse(), dtype=float)
-    inactive = [r for r in range(P.num_facets) if r not in active]
-    v_rest = GuilleminPotential(spec.boundary.normals[inactive], spec.boundary.offsets[inactive])
-    A_mat = A_inv.T @ spec.psi.hessian(x0) @ A_inv
-    B_mat = A_inv.T @ (v_rest.hessian(x0) + spec.phi.hessian(x0)) @ A_inv
-    return X_sing, A_mat, B_mat
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Curvature closed forms against the general route and the FD oracle."""
 
 import dataclasses
-import itertools
 import warnings
 
 import numpy as np
@@ -16,7 +15,6 @@ from toricspec.curvature import (
     _min_ratio,
     _model_T,
     christoffel_ricci_oracle,
-    minor_identity_check,
     model_T,
     model_T_prime,
     model_potential,
@@ -277,6 +275,20 @@ class TestModelInputs:
         with pytest.raises(ValueError, match=r"A must be \d x \d and z_max of length \d"):
             ricci_lower_bound_scan(A, n, m, [1.0], z_max, grid_points=3)
 
+    @pytest.mark.parametrize("m, z_max", [(0, []), (-1, []), (1.5, [5.0]), (True, [5.0])])
+    def test_scan_m_is_a_positive_integer(self, m, z_max):
+        # m = 0 raised numpy's "need at least one array to stack", 1.5 asked
+        # for "z_max of length 1.5", and True scanned one corner direction
+        with pytest.raises(ValueError, match="corner codimension m must be an integer >= 1"):
+            ricci_lower_bound_scan(np.eye(2), 2, m, [0.1], z_max, grid_points=3)
+
+    @pytest.mark.parametrize("n", [0, 2.0, True])
+    def test_scan_n_is_a_positive_integer(self, n):
+        # 2.0 and True matched np.shape(A) and scanned
+        A = np.eye(max(int(n), 1))
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            ricci_lower_bound_scan(A, n, 1, [0.1], [5.0], grid_points=3)
+
     @pytest.mark.parametrize("s", [np.nan, 0.0, -1.0])
     def test_model_T_s_is_finite_and_positive(self, s):
         with pytest.raises(ValueError, match="s must be finite and positive"):
@@ -355,55 +367,6 @@ class TestModelTPrime:
         # valid entries of the same shape give n = len(y) + len(x_rest) values
         tp, ratios = model_T_prime(np.ones(len(y)), np.ones(len(x_rest)), 1.0)
         assert tp.shape == ratios.shape == (n,)
-
-
-class TestMinorIdentity:
-    def test_identity_matrix(self):
-        assert minor_identity_check(np.eye(3), [0, 2])
-
-    def test_diagonal_example(self):
-        assert minor_identity_check(np.diag([2.0, 3.0]), [0])
-
-    def test_random_trials(self, rng):
-        for _ in range(100):
-            n = int(rng.integers(2, 7))
-            A = rng.normal(size=(n, n))
-            while abs(np.linalg.det(A)) < 1e-3:
-                A = rng.normal(size=(n, n))
-            size = int(rng.integers(0, n + 1))
-            I = sorted(rng.choice(n, size=size, replace=False).tolist())
-            assert minor_identity_check(A, I)
-
-    def test_singular_raises(self):
-        with pytest.raises(errors.SingularA):
-            minor_identity_check(np.zeros((2, 2)), [0])
-
-    def test_any_index_set_of_A3(self):
-        for size in range(4):
-            for I in itertools.combinations(range(3), size):
-                assert minor_identity_check(A3, list(I)) and minor_identity_check(A3, I[::-1])
-
-    @pytest.mark.parametrize("index_set, message", [
-        ([0, 0], "index_set must hold distinct indices below n = 3"),   # gave False
-        ([5], "index_set must hold distinct indices below n = 3"),      # raised IndexError
-        ([-1], "index must be an integer >= 0"),                        # gave False
-        ([True], "index must be an integer >= 0"),                      # gave False
-        ([0.0], "index must be an integer >= 0"),                       # raised IndexError
-    ])
-    def test_index_set_rule(self, index_set, message):
-        # Jacobi's identity holds for every invertible A and index set, so a
-        # malformed one must be refused rather than judged False
-        with pytest.raises(ValueError, match=message):
-            minor_identity_check(A3, index_set)
-
-    @pytest.mark.parametrize("A, message", [
-        (np.ones((2, 3)), "matrix A must be a non-empty square matrix"),
-        ([[np.nan, 0.0], [0.0, 1.0]], "matrix A must be finite"),
-        ([[np.inf]], "matrix A must be finite"),
-    ])
-    def test_matrix_rule(self, A, message):
-        with pytest.raises(ValueError, match=message):
-            minor_identity_check(A, [0])
 
 
 class TestOracle:

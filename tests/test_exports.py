@@ -27,12 +27,24 @@ def _names_used(files, strings=False):
     return used
 
 
+# exports kept public without a caller in the package or the benchmark
+KEPT_PUBLIC = (
+    "fiber_holonomy",           # the holonomy test of a quantized point, for callers and demo 01
+    "hirzebruch",               # constructor of the Hirzebruch polygons F_a
+    "polytope_to_json",         # I/O: writes what polytope_from_json reads
+    "model_T",                  # closed form that criterion 5 compares against
+    "model_T_prime",            # closed form that criterion 5 compares against
+    "numeric_cone_spectrum",    # criterion 4's cone oracle
+)
+
+
 def test_every_export_has_a_caller():
-    # a caller is a name or attribute in the package's modules, the demos or
-    # the benchmark; docstrings, comments and the tests do not count
+    # a caller is a name or attribute in the package's modules or the
+    # benchmark; docstrings, comments, the demos and the tests do not count,
+    # and only the names in KEPT_PUBLIC may go without one
     files = [p for p in (ROOT / "src" / "toricspec").glob("*.py") if p.name != "__init__.py"]
-    files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    assert sorted(set(toricspec.__all__) - _names_used(files)) == []
+    files += sorted((ROOT / "perfbench").glob("*.py"))
+    assert sorted(set(toricspec.__all__) - _names_used(files)) == sorted(KEPT_PUBLIC)
 
 
 def test_every_definition_has_a_caller():

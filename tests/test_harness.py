@@ -16,7 +16,6 @@ from toricspec.harness import (
     SweepConfig,
     _localization_masses,
     emit_reports,
-    fiber_diameter_check,
     run_sweep,
     sweep_config_from_json,
 )
@@ -24,7 +23,7 @@ from toricspec.limit import predicted_limit
 from toricspec.mesh import build_mesh
 from toricspec.operator import OperatorFactory, solve_eigs
 from toricspec.polytope import bs_points, hirzebruch, polytope_to_json, segment, simplex2
-from toricspec.potential import PolynomialFn, make_potential_spec
+from toricspec.potential import make_potential_spec
 
 HUGE = 10**400      # a JSON integer too large for a float
 
@@ -493,31 +492,6 @@ class TestStandaloneChecks:
                 fracs[c] = float(np.sum(qw * mask * vals * vals)) / total
             c_min = next(c for c in C_GRID if fracs[c] >= LOCALIZATION_MASS)
             assert masses[b.mode] == (c_min, fracs[5.0])
-
-    def test_fiber_diameter_bound_and_scaling(self):
-        spec = make_potential_spec(segment())
-        rows, C, bound = fiber_diameter_check(spec, [1.0, 0.1, 0.01])
-        assert C <= bound + 1e-12
-        assert abs(C - bound) <= 0.1 * bound
-        # psi scaled by 4 scales the constant by 1/4
-        spec4 = make_potential_spec(
-            segment(), psi=PolynomialFn(dim=1, terms=(((2,), 2.0),))
-        )
-        _, C4, bound4 = fiber_diameter_check(spec4, [1.0, 0.1, 0.01])
-        assert np.isclose(bound4, bound / 4)
-        assert abs(C4 - C / 4) <= 0.1 * (C / 4)
-
-    def test_fiber_grid_insensitivity(self):
-        spec = make_potential_spec(simplex2())
-        _, C_coarse, _ = fiber_diameter_check(spec, [0.1, 0.01], grid_per_dim=5)
-        _, C_fine, _ = fiber_diameter_check(spec, [0.1, 0.01], grid_per_dim=15)
-        assert abs(C_coarse - C_fine) <= 0.15 * C_fine
-
-    @pytest.mark.parametrize("grid_per_dim", [0, -3, 2.5, True])
-    def test_fiber_grid_must_be_a_positive_integer(self, grid_per_dim):
-        # 0 sampled only the points graded toward the vertices
-        with pytest.raises(ValueError, match="grid_per_dim must be an integer >= 1"):
-            fiber_diameter_check(make_potential_spec(segment()), [0.1], grid_per_dim=grid_per_dim)
 
 
 class TestCli:

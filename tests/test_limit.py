@@ -364,7 +364,7 @@ class TestOneSolvePerCone:
 class TestChartInverse:
     def test_exact_where_float_is_not(self):
         rows = ((3, 2), (1, 1))
-        chart = LocalChart(base=(0, 0), lattice_map=rows, shift=(0, 0), local_codim=0)
+        chart = LocalChart(lattice_map=rows, shift=(0, 0), local_codim=0)
         A = np.array(rows, dtype=float)
         assert np.any(np.linalg.inv(A) @ A != np.eye(2))
         A_inv = np.array(chart.lattice_inverse(), dtype=float)

@@ -9,10 +9,10 @@ import pytest
 
 from conftest import affine_pullback, transform_polytope
 from toricspec import errors
+from toricspec.limit import cone_at
 from toricspec.mesh import build_mesh
 from toricspec.operator import ground_state_rayleigh_batch
 from toricspec.polytope import (
-    LocalChart,
     bs_points,
     hirzebruch,
     local_chart,
@@ -25,7 +25,6 @@ from toricspec.potential import (
     PolynomialFn,
     PotentialFamily,
     PotentialSpec,
-    boundary_decomposition,
     family_hessian_batch,
     ground_state,
     make_potential_spec,
@@ -170,10 +169,9 @@ class TestFamilyHessian:
             family_hessian_batch(spec, 0.1, np.vstack([X, [0.3, 0.3, 1e-12]]))
 
 
-def chart_reference(spec, s, chart, x):
-    """A^-T G_s(x0) A^-1 from family_hessian_batch at the exact preimage x0 of x."""
+def chart_reference(spec, s, chart, x0):
+    """A^-T G_s(x0) A^-1: G_s at the original-coordinate point x0, in the chart's coordinates."""
     A_inv = np.array(chart.lattice_inverse(), dtype=float)
-    x0 = np.array([float(c) for c in chart.inverse(x)])
     (G,), _ = family_hessian_batch(spec, s, [x0])
     return A_inv.T @ G @ A_inv
 
@@ -203,36 +201,11 @@ class TestSpecDerivesBoundary:
 
 
 class TestBoundarySplit:
-    def test_reconstruction_and_boundedness(self):
-        spec = make_potential_spec(segment())
-        ch = local_chart(segment(), (0,))
-        for s in (1.0, 0.1):
-            for xv in (0.1, 1e-2, 1e-3, 1e-4):
-                x = np.array([xv])
-                X_sing, A, B = boundary_decomposition(spec, ch, x)
-                G = chart_reference(spec, s, ch, x)
-                assert np.max(np.abs(X_sing + A / s + B - G)) <= 1e-12 * np.abs(G).max()
-                assert np.abs(B).max() < 2.0
-        # B approaches the inactive facet curvature
-        _, _, B0 = boundary_decomposition(spec, ch, np.array([1e-6]))
-        assert np.isclose(B0[0, 0], 1.0, atol=1e-5)
-
-    def test_interior_chart_has_no_singular_part(self):
-        S = simplex2()
-        spec = make_potential_spec(S)
-        from fractions import Fraction
-
-        ch = local_chart(S, (Fraction(1, 3), Fraction(1, 3)))
-        assert ch.local_codim == 0
-        X_sing, A, B = boundary_decomposition(spec, ch, np.array([0.01, -0.02]))
-        assert np.all(X_sing == 0)
-        G = chart_reference(spec, 0.5, ch, np.array([0.01, -0.02]))
-        assert np.allclose(A / 0.5 + B, G, rtol=1e-12)
-
     @pytest.mark.parametrize("polytope", ["hirzebruch(1)", "image of simplex2"])
     def test_skewed_charts(self, polytope):
-        # every quantized-point chart at k = 1, 2; the image's charts have
-        # non-diagonal inverses, and psi and phi couple the coordinates
+        # the 1/s part of G_s in a quantized point's chart is cone_at's A0;
+        # the image's charts have non-diagonal inverses, psi and phi couple
+        # the coordinates, and Hess(v_P + phi) cancels between the two s
         if polytope == "hirzebruch(1)":
             P = hirzebruch(1)
         else:
@@ -242,39 +215,48 @@ class TestBoundarySplit:
             phi=PolynomialFn(dim=2, terms=(((2, 1), 0.02), ((0, 3), -0.01))),
             psi=PolynomialFn.quadratic_form([[2.0, 1.0], [1.0, 2.0]]),
         )
-        charts = {b.point: local_chart(P, b.point) for k in (1, 2) for b in bs_points(P, k)}
+        points = {b.point: b for k in (1, 2) for b in bs_points(P, k)}
+        charts = {point: local_chart(P, point) for point in points}
         assert any(np.any(np.array(ch.lattice_inverse()) != np.eye(2)) for ch in charts.values())
-        direction = np.array([1.0, 0.7])
-        for ch in charts.values():
-            m = ch.local_codim
+        interior = np.array([float(c) for c in P.interior_point()])
+        s1, s2 = 1.0, 0.1
+        for point, b in points.items():
+            A0 = cone_at(spec, b).A0
+            base = np.array([float(c) for c in point])
             for t in (0.05, 0.01):
-                x = t * np.where(np.arange(2) < m, direction, 0.3 * direction - 0.5)
-                for s in (1.0, 0.1):
-                    X_sing, A, B = boundary_decomposition(spec, ch, x)
-                    G = chart_reference(spec, s, ch, x)
-                    assert np.max(np.abs(X_sing + A / s + B - G)) <= 1e-12 * np.abs(G).max()
-            if m:
-                # B extends continuously to the face: it settles as x_i -> 0
-                B_near = [boundary_decomposition(spec, ch, t * direction * (np.arange(2) < m))[2]
-                          for t in (1e-6, 1e-9)]
-                assert np.abs(B_near[0]).max() < 10.0
-                assert np.max(np.abs(B_near[0] - B_near[1])) <= 1e-4 * np.abs(B_near[0]).max()
+                x0 = base + t * (interior - base)
+                G1, G2 = (chart_reference(spec, s, charts[point], x0) for s in (s1, s2))
+                split = (G1 - G2) / (1 / s1 - 1 / s2)
+                assert np.max(np.abs(split - A0)) <= 1e-12 * np.abs(A0).max()
 
-    def test_chart_mismatch(self):
-        spec = make_potential_spec(segment())
-        ch = local_chart(segment(), (0,))
-        with pytest.raises(errors.ChartMismatch):
-            boundary_decomposition(spec, ch, np.array([-0.1]))
-        # the origin of simplex2 lies on two facets: a chart claiming one
-        # would leave the unbounded 1/x_2 term in B
-        spec2 = make_potential_spec(simplex2())
-        one_facet = LocalChart(base=(0, 0), lattice_map=((1, 0), (0, 1)), shift=(0, 0), local_codim=1)
-        with pytest.raises(errors.ChartMismatch, match="active facets"):
-            boundary_decomposition(spec2, one_facet, np.array([0.1, 0.1]))
-        # the right number of facets, but a row that is not their normal
-        flipped = LocalChart(base=(0,), lattice_map=((-1,),), shift=(0,), local_codim=1)
-        with pytest.raises(errors.ChartMismatch, match="active facets"):
-            boundary_decomposition(spec, flipped, np.array([0.1]))
+
+class TestFiberLaw:
+    def test_fiber_diameter_bound_and_scaling(self):
+        # G_s = Hess(v_P + phi) + Hess(psi)/s with the first term positive
+        # definite, so lambda_max(G_s^-1) <= s lambda_max(Hess(psi)^-1): the
+        # torus fibers shrink like sqrt(s); the supremum nears the bound as s falls
+        def fiber_sup(spec):
+            P = spec.polytope
+            center = np.array([float(c) for c in P.interior_point()])
+            corners = np.array(P.vertices, dtype=float)
+            X = np.array([center + t * (v - center) for v in corners for t in (0, 0.3, 0.7, 0.99, 1 - 1e-4)])
+            bound = np.linalg.eigvalsh(np.linalg.inv(spec.psi.hessian(X)))[:, -1]
+            sup = []
+            for s in (1.0, 0.1, 0.01):
+                _, G_inv = family_hessian_batch(spec, s, X)
+                lam_max = np.linalg.eigvalsh(G_inv)[:, -1]
+                assert np.all(lam_max <= s * bound * (1 + 1e-12))
+                sup.append(lam_max.max() / s)
+            return sup[-1], bound.max()
+
+        for P in (segment(), simplex2()):
+            C, bound = fiber_sup(make_potential_spec(P))
+            assert abs(C - bound) <= 0.1 * bound
+        # psi scaled by 4 scales the bound by 1/4
+        C, bound = fiber_sup(make_potential_spec(segment()))
+        C4, bound4 = fiber_sup(make_potential_spec(segment(), psi=PolynomialFn(dim=1, terms=(((2,), 2.0),))))
+        assert np.isclose(bound4, bound / 4)
+        assert abs(C4 - C / 4) <= 0.1 * (C / 4)
 
 
 class TestGroundState:
