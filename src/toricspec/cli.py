@@ -42,6 +42,14 @@ def _load_spec(polytope, path):
         return potential_spec_from_json(polytope, f.read())
 
 
+def _number_list(text, flag):
+    """The comma-separated JSON numbers of a list flag, as a list."""
+    try:
+        return json.loads(f"[{text}]")
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated JSON numbers, got {text!r}") from None
+
+
 def cmd_check(args):
     with open(args.polytope, encoding="ascii") as f:
         raw, dim = _facets_from_json(f.read())
@@ -83,7 +91,7 @@ def cmd_ricci_scan(args):
         A,
         n,
         len(z_max),
-        [float(s) for s in args.s_list.split(",")],
+        _number_list(args.s_list, "--s-list"),
         z_max,
         grid_points=args.grid_points,
         allow_corner=args.allow_corner,
@@ -149,8 +157,8 @@ def cmd_sweep(args):
         # the flags become the config-file dict, so both paths share one loader
         data = {
             "polytope": args.polytope,
-            "k_list": json.loads(f"[{args.k_list}]"),
-            "s_list": json.loads(f"[{args.s_list}]"),
+            "k_list": _number_list(args.k_list, "--k-list"),
+            "s_list": _number_list(args.s_list, "--s-list"),
         }
         if args.potential:
             data["potential"] = args.potential
@@ -160,6 +168,9 @@ def cmd_sweep(args):
         return EXIT_INPUT
     config = sweep_config_from_json(data, base_dir=base)
     out_dir = data.get("out", args.out)
+    if out_dir and "out" in data:
+        # a config file's out is relative to the file, as its input paths are
+        out_dir = os.path.join(base, out_dir)
     if out_dir:
         # an unwritable output path is an input error, found before the solves
         os.makedirs(out_dir, exist_ok=True)

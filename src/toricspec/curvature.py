@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    RegionTouchesCodimTwo, SingularA, SingularG, StepTooLarge,
+    InputError, ToricSpecError,
     _check_integer, _check_positive, _check_s_list, _finite_float,
 )
 from .potential import GuilleminPotential, PolynomialFn, PotentialFamily, PotentialSpec
@@ -84,7 +84,7 @@ def _check_model(A, y):
     if np.max(np.abs(A - A.T)) > 1e-12 * np.max(np.abs(A)):
         raise ValueError("model matrix A must be symmetric")
     if np.linalg.eigvalsh(A)[0] <= 0:
-        raise SingularA("model matrix A must be positive definite")
+        raise InputError("model matrix A must be positive definite")
     return A, y
 
 
@@ -114,7 +114,7 @@ def ricci_from_tensors(G, dG, d2G):
     """
     w = np.linalg.eigvalsh(G)
     if w[0] <= 0 or w[0] <= 1e-14 * w[-1]:
-        raise SingularG("G is numerically singular")
+        raise ToricSpecError("G is numerically singular")
     L = np.linalg.cholesky(G)
     L_inv = np.linalg.inv(L)
     # derivatives in the xi frame: d/dxi_k = sum_a L_inv[k, a] d/dx_a
@@ -243,7 +243,7 @@ def ricci_lower_bound_scan(
     if np.shape(A) != (n, n) or len(z_max) != m:
         raise ValueError(f"A must be {n} x {n} and z_max of length {m}, got {np.shape(A)} and {len(z_max)}")
     if not allow_corner and int(np.sum(z_max > CORNER_Z_CUT)) >= 2:
-        raise RegionTouchesCodimTwo(
+        raise InputError(
             f"z box {z_max} reaches past {CORNER_Z_CUT} in two corner directions"
         )
     axes = [np.geomspace(SCAN_Z_MIN, zm, grid_points) for zm in z_max]
@@ -315,7 +315,7 @@ def christoffel_ricci_oracle(spec: PotentialSpec, s, x):
     fam = PotentialFamily.of_spec(spec, s)
     min_ell = float(np.min(spec.boundary.facet_values(x)))
     if min_ell <= 0:
-        raise StepTooLarge("point is not interior")
+        raise ToricSpecError("point is not interior")
     h = 1e-4 * min_ell
 
     N = 2 * n

@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by all toricspec modules, and the input rules.
+"""The package's exception classes, and the input rules.
+
+Callers tell two categories apart, so there are two classes to raise: an
+InputError is an input that names no valid problem (the CLI exits 2), and a
+ToricSpecError raised directly is a computation that failed on valid input
+(exit 3). The message names the guard. The five Delzant kinds are
+InputErrors too; delzant_violations returns them and `toricspec check`
+prints their names.
 
 Every guard decides "an integer" with _is_integer and "a finite real" with
 _finite_float, so the scalar and the JSON paths accept the same values; the
@@ -10,14 +17,14 @@ import numbers
 
 
 class ToricSpecError(Exception):
-    """Base class for all errors raised by this package."""
+    """Raised directly, a computation that failed on valid input (exit 3); InputError's base."""
 
 
 class InputError(ToricSpecError):
     """An input that names no valid problem; the CLI exits 2 on it."""
 
 
-# -- polytope -----------------------------------------------------------------
+# -- the Delzant kinds that delzant_violations returns --------------------------
 
 class Unbounded(InputError):
     pass
@@ -36,70 +43,6 @@ class NonPrimitiveNormal(InputError):
 
 
 class NotDelzant(InputError):
-    pass
-
-
-class PointOutside(InputError):
-    pass
-
-
-class DimensionUnsupported(InputError):
-    pass
-
-
-# -- potential ----------------------------------------------------------------
-
-class BoundaryPoint(ToricSpecError):
-    pass
-
-
-class NotPositiveDefinite(InputError):
-    pass
-
-
-class ModeOutsidePolytope(InputError):
-    pass
-
-
-# -- curvature ----------------------------------------------------------------
-
-class SingularG(ToricSpecError):
-    pass
-
-
-class SingularA(InputError):
-    pass
-
-
-class StepTooLarge(ToricSpecError):
-    pass
-
-
-class RegionTouchesCodimTwo(InputError):
-    pass
-
-
-# -- operator -----------------------------------------------------------------
-
-class NotPositiveDefiniteMass(ToricSpecError):
-    pass
-
-
-class CoefficientOverflow(ToricSpecError):
-    pass
-
-
-class ConvergenceFailure(ToricSpecError):
-    pass
-
-
-class NegativeEigenvalue(ToricSpecError):
-    pass
-
-
-# -- limit --------------------------------------------------------------------
-
-class TruncationTooSmall(ToricSpecError):
     pass
 
 

@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionUnsupported, TruncationTooSmall, _check_integer
+from .errors import InputError, ToricSpecError, _check_integer
 from .mesh import interval_mesh, polygon_mesh
 from .operator import assemble_p1, solve_pencil
 from .polytope import BSPoint, bs_points, local_chart
@@ -98,7 +98,7 @@ def exact_cone_spectrum(cone: ConeModel, k, n_max=12):
     n, m = cone.dim, cone.codim
     if not is_separable(cone):
         if n != 2:
-            raise DimensionUnsupported(f"a skew cone with n >= 3 has no closed form (n = {n})")
+            raise InputError(f"a skew cone with n >= 3 has no closed form (n = {n})")
         return _sector_spectrum(k, _opening_angle(cone), n_max)
     values, mults = [], []
     for N in range(n_max + 1):
@@ -168,7 +168,7 @@ def truncated_cone_mesh(cone: ConeModel, R, target_h):
         b = np.concatenate([np.full(2 * n, -R), np.zeros(m)])
         region = HalfspaceIntersection(np.column_stack([A, b]), 0.1 * R * nu.sum(axis=0))
         return polygon_mesh(region.intersections, target_h, graded=False)
-    raise DimensionUnsupported("numeric cone spectra for n <= 2 only")
+    raise InputError("numeric cone spectra for n <= 2 only")
 
 
 def numeric_cone_spectrum(cone: ConeModel, k, count, target_h=None):
@@ -187,7 +187,7 @@ def numeric_cone_spectrum(cone: ConeModel, k, count, target_h=None):
         target_h = R / 400.0 if cone.dim == 1 else R / 56.0
     vals = solve_pencil(*_cone_pencil(cone, k, R, target_h), count, sigma=-1.0).eigenvalues
     if abs(vals[0]) > 1e-6:
-        raise TruncationTooSmall(f"bottom eigenvalue {vals[0]:.3e} off zero")
+        raise ToricSpecError(f"bottom eigenvalue {vals[0]:.3e} off zero")
     return 0.5 * vals
 
 
@@ -215,7 +215,7 @@ def predicted_limit(spec: PotentialSpec, k, count=8):
 
     Every cone of dimension n <= 2 has one (right-angled or a sector), so no
     finite element solve runs; a skew cone with n >= 3 has none and raises
-    DimensionUnsupported.  Each spectrum lists the values up to
+    InputError.  Each spectrum lists the values up to
     k max(count + 2 n + 4, 2 (count - 1)); every cone has the values 2 k j,
     j >= 0, so ``flat(count)`` always holds ``count`` values; ``count`` must be
     an integer >= 1.

@@ -24,7 +24,7 @@ from math import atan2, ceil, factorial, log2
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import DimensionUnsupported, _check_positive
+from .errors import InputError, _check_positive
 
 GRADING_RATIO = 0.7      # width ratio of consecutive 1d end-layer cells
 GRADING_DEPTH = 12       # number of 1d end-layer cells
@@ -71,7 +71,7 @@ class Mesh:
 
     def __post_init__(self):
         if self.dim not in _BARY_RULES:
-            raise DimensionUnsupported("meshes are built for n <= 2 only")
+            raise InputError("meshes are built for n <= 2 only")
         self.bary, w = _BARY_RULES[self.dim]
         coords = self.nodes[self.cells]
         J = coords[:, 1:] - coords[:, :1]
@@ -238,5 +238,5 @@ def build_mesh(P, target_h):
     if P.dim == 2:
         verts = [[float(c) for c in v] for v in P.vertices]
         return polygon_mesh(verts, target_h)
-    raise DimensionUnsupported("meshes are built for n <= 2 only")
+    raise InputError("meshes are built for n <= 2 only")
 

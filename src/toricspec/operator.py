@@ -44,10 +44,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 
 from .errors import (
-    CoefficientOverflow,
-    ConvergenceFailure,
-    NegativeEigenvalue,
-    NotPositiveDefiniteMass,
+    ToricSpecError,
     _check_integer,
     _check_mode,
     _is_integer,
@@ -144,12 +141,12 @@ class OperatorFactory:
         self._diffusion = mesh.csr(_stiffness_local(qw, mesh.grads, Ginv_q.reshape(self._G.shape))).data
         self._M = mesh.csr(_mass_local(qw, mesh.bary))
         if np.any(self._M.diagonal() <= 0.0):
-            raise NotPositiveDefiniteMass("mass matrix has a nonpositive diagonal")
+            raise ToricSpecError("mass matrix has a nonpositive diagonal")
 
     def operator(self, mode):
         V = mode_potential(self._G, self.mesh.qpoints, self.k, _check_mode(mode, self.mesh.dim))
         if np.max(V) > V_OVERFLOW:
-            raise CoefficientOverflow(
+            raise ToricSpecError(
                 f"potential reaches {np.max(V):.3e} at a quadrature point"
             )
         K = self.mesh.csr(_mass_local(self.mesh.qweights * V, self.mesh.bary))
@@ -189,10 +186,10 @@ def solve_pencil(K, M, count, sigma):
     """Lowest ``count`` pairs of K v = lambda M v, residuals checked.
 
     The batch of one of solve_pencils, which states the contract; its
-    ConvergenceFailure is raised here.
+    ToricSpecError is raised here.
     """
     result = solve_pencils([K], M, count, [sigma])[0]
-    if isinstance(result, ConvergenceFailure):
+    if isinstance(result, ToricSpecError):
         raise result
     return result
 
@@ -204,7 +201,7 @@ def solve_pencils(Ks, M, count, sigmas):
     (ValueError otherwise), ``sigmas[p]`` must sit below the lowest
     eigenvalue of pencil p, and ``count`` must be at least 1 and below N - 1
     for N dofs.  Returns, in order, one Spectrum per pencil, or the
-    ConvergenceFailure of that pencil alone.
+    ToricSpecError of that pencil alone.
 
     Spectral-transformation Lanczos (Ericsson & Ruhe 1980): the operator
     (K - sigma M)^-1 M is self-adjoint in the M inner product, with the
@@ -266,7 +263,7 @@ def _lanczos_batch(Ks, M, count, sigmas):
             return [
                 r for p in range(B) for r in _lanczos_batch(Ks[p:p + 1], M, count, sigmas[p:p + 1])
             ]
-        return [ConvergenceFailure(f"K - sigma M at sigma = {float(sigmas[0])!r}: {exc}")]
+        return [ToricSpecError(f"K - sigma M at sigma = {float(sigmas[0])!r}: {exc}")]
     # with perm_r = perm_c the factorization is L D L^T of P A P^T, and dof
     # i's pivot is U[perm_c[i], perm_c[i]]; SuperLU leaves the diagonal only
     # at a zero pivot, which an SPD block never has
@@ -322,18 +319,18 @@ def _lanczos_batch(Ks, M, count, sigmas):
     out = []
     for b, (K, sigma) in enumerate(zip(Ks, sigmas)):
         if negative[b]:
-            out.append(ConvergenceFailure(
+            out.append(ToricSpecError(
                 f"sigma = {float(sigma)!r} is not below the spectrum: "
                 f"K - sigma M has {negative[b]} negative pivots"
             ))
         elif b not in done:
-            out.append(ConvergenceFailure(f"Lanczos did not converge in {m} steps"))
+            out.append(ToricSpecError(f"Lanczos did not converge in {m} steps"))
         else:
             steps_b, S = done[b]
             W = np.einsum("in,ic->nc", Q[:steps_b, b], S)
             try:
                 vals, residuals, vectors = _rayleigh_ritz(K, M, W, count)
-            except ConvergenceFailure as exc:
+            except ToricSpecError as exc:
                 out.append(exc)
                 continue
             out.append(Spectrum(vals, residuals, vectors, steps=m, factor_nnz=int(lu.nnz)))
@@ -355,7 +352,7 @@ def _rayleigh_ritz(K, M, W, count):
     gram = np.einsum("nc,nd->cd", W, MW)
     gram_eigs = np.linalg.eigvalsh(gram)
     if not gram_eigs[0] > RESIDUAL_TOL * gram_eigs[-1]:
-        raise ConvergenceFailure(
+        raise ToricSpecError(
             f"Ritz basis Gram matrix is rank-deficient: eigenvalues "
             f"{gram_eigs[0]:.3e} to {gram_eigs[-1]:.3e}"
         )
@@ -365,7 +362,7 @@ def _rayleigh_ritz(K, M, W, count):
     R = np.einsum("nc,cd->nd", KW, C) - MV * vals
     residuals = np.linalg.norm(R, axis=0) / np.linalg.norm(MV, axis=0)
     if np.any(residuals > RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))):
-        raise ConvergenceFailure(
+        raise ToricSpecError(
             f"residuals {residuals} exceed {RESIDUAL_TOL} x max(1, |lambda|)"
         )
     return vals, residuals, np.einsum("nc,cd->nd", W, C)
@@ -385,7 +382,7 @@ def dbar_spectrum(spec: PotentialSpec, s, k, mode, mesh: Mesh, count):
 def map_dbar(spectrum: Spectrum, k, n):
     shifted = (spectrum.eigenvalues - k * k - k * n) / 2.0
     if np.any(shifted < -1e-6):
-        raise NegativeEigenvalue(
+        raise ToricSpecError(
             f"holomorphic-sector eigenvalue {shifted.min():.3e} below -1e-6"
         )
     return np.maximum(shifted, 0.0)

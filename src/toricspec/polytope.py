@@ -27,11 +27,10 @@ from math import ceil, floor, gcd, lcm
 import numpy as np
 
 from .errors import (
-    DimensionUnsupported,
     EmptyInterior,
+    InputError,
     NonPrimitiveNormal,
     NotDelzant,
-    PointOutside,
     RedundantFacet,
     Unbounded,
     _check_integer,
@@ -137,7 +136,7 @@ class DelzantPolytope:
     def active_facets(self, x):
         vals = self.facet_values(x)
         if any(v < 0 for v in vals):
-            raise PointOutside(f"{_point_text(x)} is outside the polytope")
+            raise InputError(f"{_point_text(x)} is outside the polytope")
         return tuple(r for r, v in enumerate(vals) if v == 0)
 
     def interior_point(self):
@@ -306,7 +305,7 @@ def vertices_and_faces(P):
     m-subsets of the facet sets active at vertices.
     """
     if P.dim > 3:
-        raise DimensionUnsupported("face lattices are built for n <= 3 only")
+        raise InputError("face lattices are built for n <= 3 only")
     active_at = {v: P.active_facets(v) for v in P.vertices}
 
     faces = [Face(active=(), codim=0, vertices=P.vertices, rep_point=P.interior_point())]
@@ -337,7 +336,7 @@ def local_chart(P, b):
     level l of b.
     """
     b = tuple(Fraction(c) for c in b)
-    active = P.active_facets(b)   # raises PointOutside when b is not in P
+    active = P.active_facets(b)   # raises InputError when b is not in P
     if active:
         rest = [r for r in P.active_facets(_face_vertex(P, active)) if r not in active]
         A = tuple(P.normals[r] for r in active + tuple(rest))

@@ -19,9 +19,8 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from .errors import (
-    BoundaryPoint,
-    ModeOutsidePolytope,
-    NotPositiveDefinite,
+    InputError,
+    ToricSpecError,
     _check_integer,
     _check_mode,
     _check_positive,
@@ -139,7 +138,7 @@ class GuilleminPotential:
         bad = np.any(ell <= INTERIOR_TOL, axis=-1)
         if bad.any():
             x = np.reshape(x, (-1, self.dim))[np.argmax(bad)]
-            raise BoundaryPoint(f"point {x} is within {INTERIOR_TOL} of a facet")
+            raise ToricSpecError(f"point {x} is within {INTERIOR_TOL} of a facet")
         return ell
 
     def __call__(self, x):
@@ -219,11 +218,11 @@ def make_potential_spec(P: DelzantPolytope, phi=None, psi=None):
     hess_psi = psi.hessian(sample)
     for q, H in zip(sample, hess_psi):
         if np.linalg.eigvalsh(H)[0] <= 0:
-            raise NotPositiveDefinite(f"Hess(psi) fails at {q}")
+            raise InputError(f"Hess(psi) fails at {q}")
     hess_v = spec.boundary.hessian(sample) + phi.hessian(sample)
     for q, H in zip(sample, hess_v):
         if np.linalg.eigvalsh(H)[0] <= 0:
-            raise NotPositiveDefinite(f"Hess(v_P + phi) fails at {q}")
+            raise InputError(f"Hess(v_P + phi) fails at {q}")
     return spec
 
 
@@ -264,7 +263,6 @@ class PotentialFamily:
         self.phi = phi
         self.psi = psi
         self.s = _check_positive(s, "s")
-        self.dim = boundary.dim
 
     @staticmethod
     def of_spec(spec: PotentialSpec, s):
@@ -282,7 +280,7 @@ class PotentialFamily:
 
 
 def _check_pd(G, X):
-    """Raise NotPositiveDefinite where lambda_min(G) <= PD_RATIO_TOL lambda_max(G).
+    """Raise InputError where lambda_min(G) <= PD_RATIO_TOL lambda_max(G).
 
     G has shape (..., n, n) at the points X (..., n).  For n <= 2 the extreme
     eigenvalues come from the trace and determinant, with lambda_min taken as
@@ -303,13 +301,13 @@ def _check_pd(G, X):
     bad = ~((hi > 0) & (lo > PD_RATIO_TOL * hi))
     if bad.any():
         x = np.reshape(X, (-1, n))[np.argmax(bad)]
-        raise NotPositiveDefinite(f"G_s at {x} has eigenvalue ratio below {PD_RATIO_TOL}")
+        raise InputError(f"G_s at {x} has eigenvalue ratio below {PD_RATIO_TOL}")
 
 
 def family_hessian_batch(spec: PotentialSpec, s, X):
     """G_s = Hess(v_P + phi + psi/s) and G_s^-1 at interior points X (Q, n).
 
-    Both have shape (Q, n, n).  Raises NotPositiveDefinite where the
+    Both have shape (Q, n, n).  Raises InputError where the
     eigenvalue ratio of G_s falls below PD_RATIO_TOL.
     """
     fam = PotentialFamily.of_spec(spec, s)
@@ -347,7 +345,7 @@ def ground_state(spec: PotentialSpec, s, k, mode):
     b = tuple(Fraction(mi, k) for mi in m)
     mode = np.asarray(m, dtype=float)
     if not spec.polytope.contains(b):
-        raise ModeOutsidePolytope(f"mode {mode} has m/k outside the polytope")
+        raise InputError(f"mode {mode} has m/k outside the polytope")
     v = spec.boundary
     exponents = v.normals @ mode - k * v.offsets
 

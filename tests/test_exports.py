@@ -13,18 +13,28 @@ def test_all_names_resolve():
     assert missing == []
 
 
-def _names_used(files, strings=False):
-    """Every Name and Attribute in the files, and with strings=True every string constant."""
-    used = set()
+def _uses(files, strings=False):
+    """(names, attributes): every Name id and every Attribute attr in the files.
+
+    With strings=True every string constant counts as both.
+    """
+    names, attrs = set(), set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attrs.add(node.attr)
             elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.add(node.value)
-    return used
+                names.add(node.value)
+                attrs.add(node.value)
+    return names, attrs
+
+
+def _names_used(files, strings=False):
+    """Every Name and Attribute in the files, and with strings=True every string constant."""
+    names, attrs = _uses(files, strings)
+    return names | attrs
 
 
 # exports kept public without a caller in the package or the benchmark
@@ -48,18 +58,24 @@ def test_every_export_has_a_caller():
 
 
 def test_every_definition_has_a_caller():
-    # every function, method and class in the package is used by name in the
-    # package, the demos or the benchmark, whose tracer wraps functions named
-    # in strings; dunders are exempt, and a use from the tests does not count
+    # every function, method and class in the package is used in the package,
+    # the demos or the benchmark, whose tracer wraps functions named in
+    # strings; a method counts as used only through an attribute (or such a
+    # string), so a local variable of the same name does not keep it alive;
+    # dunders are exempt, and a use from the tests does not count
     sources = sorted((ROOT / "src" / "toricspec").glob("*.py"))
-    used = _names_used(sources + sorted((ROOT / "demos").glob("*.py")))
-    used |= _names_used(sorted((ROOT / "perfbench").glob("*.py")), strings=True)
+    names, attrs = _uses(sources + sorted((ROOT / "demos").glob("*.py")))
+    bench_names, bench_attrs = _uses(sorted((ROOT / "perfbench").glob("*.py")), strings=True)
+    names, attrs = names | bench_names, attrs | bench_attrs
     unused = []
     for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not (node.name.startswith("__") and node.name.endswith("__"))
-                    and node.name not in used):
+                    and node.name not in (attrs if id(node) in methods else names | attrs)):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
 
@@ -166,3 +182,26 @@ def test_every_error_class_has_a_test():
     classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
     named = _names_used(sorted((ROOT / "tests").rglob("*.py")))
     assert sorted(classes - named - {"ToricSpecError", "InputError"}) == []
+
+
+DELZANT_KINDS = ("Unbounded", "EmptyInterior", "RedundantFacet", "NonPrimitiveNormal", "NotDelzant")
+
+
+def test_one_exception_class_per_exit_code():
+    # callers tell only an input error (exit 2) from a solver failure (exit 3),
+    # so errors.py keeps those two classes and the five Delzant kinds that
+    # `toricspec check` prints by name; every raise of a new exception in the
+    # package names one of them or ValueError, and the message names the guard
+    tree = ast.parse((ROOT / "src" / "toricspec" / "errors.py").read_text(encoding="utf-8"))
+    classes = sorted(node.name for node in tree.body if isinstance(node, ast.ClassDef))
+    assert classes == sorted(("ToricSpecError", "InputError") + DELZANT_KINDS)
+    allowed = {"ValueError", "InputError", "ToricSpecError", *DELZANT_KINDS}
+    others = []
+    for path in sorted((ROOT / "src" / "toricspec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name not in allowed:
+                    others.append(f"{path.name}:{node.lineno} {name}")
+    assert others == []

@@ -247,7 +247,7 @@ class TestSweep:
                 if self.s != 0.05 or tuple(mode) != (2,):
                     return op
                 if failure == "overflow":
-                    raise errors.CoefficientOverflow("injected overflow")
+                    raise errors.ToricSpecError("injected overflow")
                 low = scipy.linalg.eigh(
                     op.K.toarray(), op.M.toarray(), subset_by_index=(0, 1), eigvals_only=True
                 )
@@ -400,7 +400,7 @@ class TestVerdicts:
                 if self.s != 0.05 or tuple(mode) not in ((-1,), (2,)):
                     return op
                 if tuple(mode) == (2,):
-                    raise errors.CoefficientOverflow("injected overflow")
+                    raise errors.ToricSpecError("injected overflow")
                 low = scipy.linalg.eigh(
                     op.K.toarray(), op.M.toarray(), subset_by_index=(0, 1), eigvals_only=True
                 )
@@ -617,7 +617,7 @@ class TestCli:
     ])
     def test_non_admissible_potential_is_input_error(self, tmp_path, capsys, monkeypatch, verb, polytope,
                                                      potential, message):
-        # NotPositiveDefinite names the caller's potential: exit 2, before any solve
+        # a potential that is not positive definite is the caller's input: exit 2, before any solve
         P = segment() if polytope == "cp1" else hirzebruch(0)
         poly, pot = tmp_path / "poly.json", tmp_path / "pot.json"
         poly.write_text(polytope_to_json(P))
@@ -635,6 +635,38 @@ class TestCli:
         for s_list in ("NaN,0.1", "Infinity,0.1"):
             assert cli.main(["sweep", "--polytope", poly, "--k-list", "1", "--s-list", s_list]) == 2
             assert "s_list must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, flag", [("sweep", "--k-list"), ("sweep", "--s-list"), ("ricci-scan", "--s-list")])
+    @pytest.mark.parametrize("text", ["1_0", ".5", "1,,0.5"])
+    def test_list_flags_take_json_numbers(self, tmp_path, capsys, monkeypatch, verb, flag, text):
+        # every list flag is one comma-separated list of JSON numbers: a
+        # Python-only literal or an empty entry is an input error naming the flag
+        solves = []
+        monkeypatch.setattr(cli, "run_sweep", solves.append)
+        if verb == "sweep":
+            flags = ["--polytope", self._write_inputs(tmp_path)]
+        else:
+            flags = ["--matrix", "[[1]]", "--z-max", "[5]"]
+        assert cli.main([verb] + flags + [flag, text]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: {flag} must be comma-separated JSON numbers, got {text!r}\n"
+        assert solves == []
+
+    def test_config_out_is_relative_to_the_config(self, tmp_path, capsys, monkeypatch):
+        # a config's "out", like its "polytope", is a path beside the config
+        # file; the --out flag stays relative to the working directory
+        cfgdir = tmp_path / "cfgdir"
+        cfgdir.mkdir()
+        self._write_inputs(cfgdir)
+        data = {"polytope": "cp1.json", "k_list": [1], "s_list": [0.2, 0.1, 0.05, 0.02]}
+        (cfgdir / "with_out.json").write_text(json.dumps({**data, "out": "results"}))
+        (cfgdir / "no_out.json").write_text(json.dumps(data))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["sweep", "--config", "cfgdir/with_out.json"]) == 0
+        assert cli.main(["sweep", "--config", "cfgdir/no_out.json", "--out", "flag_out"]) == 0
+        capsys.readouterr()
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("report.json")) == [
+            "cfgdir/results/report.json", "flag_out/report.json"]
 
     def test_sweep_flags_with_potential(self, tmp_path, capsys):
         # --potential on the flag path reads the file as the config key does
@@ -666,7 +698,7 @@ class TestCli:
 
             def operator(self, mode):
                 if self.s == 0.05 and tuple(mode) == (2,):
-                    raise errors.CoefficientOverflow("injected overflow")
+                    raise errors.ToricSpecError("injected overflow")
                 return super().operator(mode)
 
         monkeypatch.setattr(harness, "OperatorFactory", Failing)
@@ -732,7 +764,7 @@ class TestCli:
         assert "input error" in capsys.readouterr().err
 
         def failing_sweep(config):
-            raise errors.ConvergenceFailure("no convergence")
+            raise errors.ToricSpecError("no convergence")
 
         monkeypatch.setattr(cli, "run_sweep", failing_sweep)
         poly = self._write_inputs(tmp_path)

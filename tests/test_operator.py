@@ -170,7 +170,7 @@ class TestMesh:
                 ((0, 0, -1), -1),
             ]
         )
-        with pytest.raises(errors.DimensionUnsupported):
+        with pytest.raises(errors.InputError, match="^meshes are built for n <= 2 only$"):
             build_mesh(cube, 0.2)
 
 
@@ -268,8 +268,9 @@ class TestAssembly:
     def test_overflow_guard(self):
         spec = make_potential_spec(segment())
         factory = OperatorFactory(spec, 1.0, 1, build_mesh(segment(), 0.05))
-        with pytest.raises(errors.CoefficientOverflow):
+        with pytest.raises(errors.ToricSpecError, match="^potential reaches .* at a quadrature point$") as excinfo:
             factory.operator((10**8,))
+        assert excinfo.type is errors.ToricSpecError
 
     def test_ground_state_rayleigh_rate(self):
         spec = make_potential_spec(segment())
@@ -341,8 +342,9 @@ class TestCertifiedShift:
 
     def test_overflow_guard_2d(self):
         factory = OperatorFactory(make_potential_spec(simplex2()), 1.0, 1, build_mesh(simplex2(), 0.25))
-        with pytest.raises(errors.CoefficientOverflow):
+        with pytest.raises(errors.ToricSpecError, match="^potential reaches .* at a quadrature point$") as excinfo:
             factory.operator((10**7, -10**7))
+        assert excinfo.type is errors.ToricSpecError
 
     def test_pencil_must_share_pattern(self):
         op = mode_operator(make_potential_spec(segment()), 0.5, 1, (0,), build_mesh(segment(), 0.02))
@@ -407,8 +409,9 @@ class TestSolvers:
             return rayleigh_ritz(K, M, W, count)
 
         monkeypatch.setattr(operator, "_rayleigh_ritz", repeated)
-        with pytest.raises(errors.ConvergenceFailure, match="Gram"):
+        with pytest.raises(errors.ToricSpecError, match="^Ritz basis Gram matrix is rank-deficient") as excinfo:
             solve_eigs(op, 3)
+        assert excinfo.type is errors.ToricSpecError
 
     @pytest.mark.parametrize("name, value, message", [
         ("LANCZOS_MAX_STEPS", 4, r"^Lanczos did not converge in 4 steps$"),
@@ -419,8 +422,9 @@ class TestSolvers:
         # converged Ritz pairs whose residuals exceed a bound below rounding
         op = mode_operator(make_potential_spec(segment()), 0.5, 1, (0,), build_mesh(segment(), 0.02))
         monkeypatch.setattr(operator, name, value)
-        with pytest.raises(errors.ConvergenceFailure, match=message):
+        with pytest.raises(errors.ToricSpecError, match=message) as excinfo:
             solve_eigs(op, 3)
+        assert excinfo.type is errors.ToricSpecError
 
     def test_shift_above_lowest_value_raises(self):
         # Lanczos seeks the largest 1 / (lambda - sigma), so a shift between
@@ -432,8 +436,9 @@ class TestSolvers:
             op.K.toarray(), op.M.toarray(), subset_by_index=(0, 1), eigvals_only=True
         )
         mid = 0.5 * (low[0] + low[1])
-        with pytest.raises(errors.ConvergenceFailure, match=re.escape(f"sigma = {float(mid)!r}")):
+        with pytest.raises(errors.ToricSpecError, match=re.escape(f"sigma = {float(mid)!r} is not below")) as excinfo:
             solve_pencil(op.K, op.M, 4, mid)
+        assert excinfo.type is errors.ToricSpecError
         assert np.allclose(solve_pencil(op.K, op.M, 1, op.sigma).eigenvalues, low[:1], rtol=1e-12)
         cone = ConeModel(codim=2, A0=np.eye(2))
         R = default_truncation_radius(1)
@@ -450,7 +455,8 @@ class TestSolvers:
         sigmas = [op.sigma for op in ops]
         sigmas[2] = 10.0 * ops[2].sigma + 100.0
         batch = solve_pencils([op.K for op in ops], ops[0].M, 4, sigmas)
-        assert isinstance(batch[2], errors.ConvergenceFailure)
+        assert type(batch[2]) is errors.ToricSpecError
+        assert "is not below the spectrum" in str(batch[2])
         for i, (op, sp) in enumerate(zip(ops, batch)):
             if i == 2:
                 continue
@@ -466,7 +472,8 @@ class TestSolvers:
         ops = [factory.operator(m) for m in mode_set(segment(), 1, 1)]
         M = ops[0].M
         batch = solve_pencils([op.K for op in ops] + [M.copy()], M, 3, [op.sigma for op in ops] + [1.0])
-        assert isinstance(batch[4], errors.ConvergenceFailure)
+        assert type(batch[4]) is errors.ToricSpecError
+        assert str(batch[4]).startswith("K - sigma M at sigma = 1.0: ")
         assert "exactly singular" in str(batch[4])
         for op, sp in zip(ops, batch):
             alone = solve_pencil(op.K, op.M, 3, op.sigma)
@@ -532,8 +539,10 @@ class TestDbar:
         fake = Spectrum(
             eigenvalues=np.array([1.9]), residuals=np.array([0.0]), vectors=np.zeros((1, 1))
         )
-        with pytest.raises(errors.NegativeEigenvalue):
+        message = "^holomorphic-sector eigenvalue -5.000e-02 below -1e-6$"
+        with pytest.raises(errors.ToricSpecError, match=message) as excinfo:
             map_dbar(fake, 1, 1)
+        assert excinfo.type is errors.ToricSpecError
 
     def test_tiny_negative_clipped(self):
         fake = Spectrum(
@@ -714,8 +723,9 @@ class TestGuards:
     def test_factory_rejects_a_node_in_no_cell(self):
         # node 3 carries no mass, so the mass matrix is singular
         mesh = Mesh(dim=1, nodes=np.array([[0.1], [0.5], [0.9], [0.95]]), cells=np.array([[0, 1], [1, 2]]))
-        with pytest.raises(errors.NotPositiveDefiniteMass):
+        with pytest.raises(errors.ToricSpecError, match="^mass matrix has a nonpositive diagonal$") as excinfo:
             OperatorFactory(make_potential_spec(segment()), 1.0, 1, mesh)
+        assert excinfo.type is errors.ToricSpecError
 
 
 class TestInvariance:

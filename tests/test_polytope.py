@@ -185,9 +185,9 @@ class TestCharts:
                     assert back == sample
 
     def test_point_outside_raises(self):
-        with pytest.raises(errors.PointOutside, match=r"^\(2\) is outside the polytope$"):
+        with pytest.raises(errors.InputError, match=r"^\(2\) is outside the polytope$"):
             local_chart(segment(), (2,))
-        with pytest.raises(errors.PointOutside, match=r"^\(3/2, 0\) is outside the polytope$"):
+        with pytest.raises(errors.InputError, match=r"^\(3/2, 0\) is outside the polytope$"):
             local_chart(simplex2(), (Fraction(3, 2), 0))
 
 

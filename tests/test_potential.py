@@ -77,16 +77,19 @@ class TestGuillemin:
     def test_boundary_point_raises(self):
         v = GuilleminPotential.of_polytope(segment())
         for evaluate in (v, lambda x: v.tensor(x, 2)):
-            with pytest.raises(errors.BoundaryPoint):
+            with pytest.raises(errors.ToricSpecError, match=r"^point \[0\.\] is within 1e-14 of a facet$") as excinfo:
                 evaluate([0.0])
+            assert excinfo.type is errors.ToricSpecError
         # a batch names its first point on a facet, not the whole array
         spec = make_potential_spec(segment())
         X = np.linspace(0.0, 0.5, 2000)[:, None]
-        with pytest.raises(errors.BoundaryPoint, match=r"^point \[0\.\] is within 1e-14 of a facet$"):
+        with pytest.raises(errors.ToricSpecError, match=r"^point \[0\.\] is within 1e-14 of a facet$") as excinfo:
             family_hessian_batch(spec, 0.1, X)
+        assert excinfo.type is errors.ToricSpecError
         v = GuilleminPotential.of_polytope(simplex2())
-        with pytest.raises(errors.BoundaryPoint, match=r"^point \[0\.5 0\.5\] is within"):
+        with pytest.raises(errors.ToricSpecError, match=r"^point \[0\.5 0\.5\] is within") as excinfo:
             v.hessian([[0.2, 0.3], [0.5, 0.5], [0.0, 0.5]])
+        assert excinfo.type is errors.ToricSpecError
 
 
 class TestFamilyHessian:
@@ -141,7 +144,7 @@ class TestFamilyHessian:
     def test_not_positive_definite_rejected(self):
         P = segment()
         bad_phi = PolynomialFn(dim=1, terms=(((2,), -5.0),))
-        with pytest.raises(errors.NotPositiveDefinite):
+        with pytest.raises(errors.InputError, match=r"^Hess\(v_P \+ phi\) fails at "):
             make_potential_spec(P, phi=bad_phi)
 
     def test_batch_guard_matches_scalar(self):
@@ -151,9 +154,9 @@ class TestFamilyHessian:
         spec = PotentialSpec(
             polytope=P, phi=PolynomialFn.zero(1), psi=psi,
         )
-        with pytest.raises(errors.NotPositiveDefinite):
+        with pytest.raises(errors.InputError, match=r"^G_s at \[0\.5\] has eigenvalue ratio below 1e-10$"):
             family_hessian_batch(spec, 0.1, [[0.5]])
-        with pytest.raises(errors.NotPositiveDefinite):
+        with pytest.raises(errors.InputError, match=r"^G_s at \[0\.5\] has eigenvalue ratio below 1e-10$"):
             family_hessian_batch(spec, 0.1, np.array([[0.01], [0.5], [0.99]]))
 
     def test_three_simplex(self):
@@ -165,7 +168,7 @@ class TestFamilyHessian:
         G, G_inv = family_hessian_batch(spec, 0.1, X)
         assert np.allclose(G @ G_inv, np.eye(3), rtol=0, atol=1e-14)
         assert np.all(np.linalg.eigvalsh(G)[:, 0] > 0)
-        with pytest.raises(errors.NotPositiveDefinite, match=r"^G_s at \[3\.e-01 3\.e-01 1\.e-12\]"):
+        with pytest.raises(errors.InputError, match=r"^G_s at \[3\.e-01 3\.e-01 1\.e-12\]"):
             family_hessian_batch(spec, 0.1, np.vstack([X, [0.3, 0.3, 1e-12]]))
 
 
@@ -316,7 +319,7 @@ class TestGroundState:
 
     def test_mode_outside_raises(self):
         spec = make_potential_spec(segment())
-        with pytest.raises(errors.ModeOutsidePolytope):
+        with pytest.raises(errors.InputError, match=r"^mode \[2\.\] has m/k outside the polytope$"):
             ground_state(spec, 1.0, 1, [2])
 
     @pytest.mark.parametrize("P", [segment(), simplex2(), hirzebruch(1)],
