@@ -18,7 +18,7 @@ from toricspec import (
 
 print("== boundary potential of [0, 1] ==")
 v, x = GuilleminPotential.of_polytope(segment()), [0.25]
-val, grad, hess, third = v(x), v.gradient(x), v.tensor(x, 2), v.tensor(x, 3)
+val, grad, hess, third = v(x), v.tensor(x, 1), v.tensor(x, 2), v.tensor(x, 3)
 print(f"  v(0.25) = {val:.6f}, v' = {grad[0]:.6f}, v'' = {hess[0,0]:.6f}, "
       f"v''' = {third[0,0,0]:.6f}")
 

@@ -80,8 +80,8 @@ def cmd_bs(args):
 
 def cmd_ricci_scan(args):
     A = json.loads(args.matrix)
-    rule = "--matrix must be a JSON n x n matrix of finite numbers"
-    if not (isinstance(A, list) and all(isinstance(row, list) and len(row) == len(A) for row in A)):
+    rule = "--matrix must be a JSON n x n matrix of finite numbers, n >= 1"
+    if not (isinstance(A, list) and A and all(isinstance(row, list) and len(row) == len(A) for row in A)):
         raise ValueError(f"{rule}, got {args.matrix}")
     A, n = np.array([[_finite_float(v, rule) for v in row] for row in A]), len(A)
     z_max = json.loads(args.z_max)
@@ -167,10 +167,8 @@ def cmd_sweep(args):
         print("sweep needs --config or --polytope", file=sys.stderr)
         return EXIT_INPUT
     config = sweep_config_from_json(data, base_dir=base)
-    out_dir = data.get("out", args.out)
-    if out_dir and "out" in data:
-        # a config file's out is relative to the file, as its input paths are
-        out_dir = os.path.join(base, out_dir)
+    # a config file's out is relative to the file, as its input paths are
+    out_dir = os.path.join(base, data["out"]) if "out" in data else args.out
     if out_dir:
         # an unwritable output path is an input error, found before the solves
         os.makedirs(out_dir, exist_ok=True)

@@ -24,7 +24,9 @@ from .errors import (
     InputError, ToricSpecError,
     _check_integer, _check_positive, _check_s_list, _finite_float,
 )
-from .potential import GuilleminPotential, PolynomialFn, PotentialFamily, PotentialSpec
+from .potential import (
+    GuilleminPotential, PolynomialFn, PotentialFamily, PotentialSpec, _check_pd, family_hessian_batch,
+)
 
 CORNER_Z_CUT = 5.0
 SCAN_Z_MIN = 1e-2
@@ -102,19 +104,21 @@ def _min_ratio(T, G):
 # general route: exact derivative tensors
 # ---------------------------------------------------------------------------
 
-def ricci_from_tensors(G, dG, d2G):
-    """T and min_ratio from G and its first two derivative arrays.
+def ricci_of_potential(potential, x):
+    """RicciData of the metric G = Hess(potential) at x.
 
-    dG[k, i, j] = d_k G_ij and d2G[k, l, i, j] = d_k d_l G_ij.  The curvature
-    is evaluated in the coordinates xi = L^T x, G = L L^T, where the metric is
-    the identity; there d(G^-1) = -dG, d log det(G^-1) = -tr(dG) and T = R.
-    Working in that frame keeps the digits a chart with large cond(G) would
-    otherwise cost through G^-1.  T is (0,2), and R = T G^-1 with the first
-    index the derivative direction.
+    ``potential`` is anything with ``tensor(x, order)``: a PotentialFamily, or
+    one of its summands.  G is checked by the rule of ``family_hessian_batch``,
+    so an indefinite or near-singular metric is an InputError naming x.  The
+    curvature is evaluated in the coordinates xi = L^T x, G = L L^T, where the
+    metric is the identity; there d(G^-1) = -dG, d log det(G^-1) = -tr(dG)
+    and T = R.  Working in that frame keeps the digits a chart with large
+    cond(G) would otherwise cost through G^-1.  T is (0,2), and R = T G^-1
+    with the first index the derivative direction.
     """
-    w = np.linalg.eigvalsh(G)
-    if w[0] <= 0 or w[0] <= 1e-14 * w[-1]:
-        raise ToricSpecError("G is numerically singular")
+    # dG[k, i, j] = d_k G_ij and d2G[k, l, i, j] = d_k d_l G_ij
+    G, dG, d2G = (potential.tensor(x, order) for order in (2, 3, 4))
+    _check_pd(G, x)
     L = np.linalg.cholesky(G)
     L_inv = np.linalg.inv(L)
     # derivatives in the xi frame: d/dxi_k = sum_a L_inv[k, a] d/dx_a
@@ -126,15 +130,6 @@ def ricci_from_tensors(G, dG, d2G):
     T_xi = np.einsum("jlh,h->jl", dGw, v) - dv
     T = L @ T_xi @ L.T
     return RicciData(T=T, min_ratio=float(_min_ratio(T, G)))
-
-
-def ricci_of_potential(potential, x):
-    """RicciData of the metric Hess(potential) at x.
-
-    ``potential`` is anything with ``tensor(x, order)``: a PotentialFamily, or
-    one of its summands.
-    """
-    return ricci_from_tensors(*(potential.tensor(x, order) for order in (2, 3, 4)))
 
 
 def ricci_general(spec: PotentialSpec, s, x):
@@ -307,12 +302,13 @@ def christoffel_ricci_oracle(spec: PotentialSpec, s, x):
     metric G_s of ``spec`` in the action coordinates (the angle coordinates
     are Killing directions).  The step is h = 1e-4 min_r ell_r(x), so the
     stencil, which reaches 2h along each axis, stays inside the polytope.
-    Under the Kahler dictionary this block equals T/2, which is what callers
-    compare against.
+    G_s and G_s^-1 at the stencil come from ``family_hessian_batch``, whose
+    rule makes an indefinite or near-singular metric an InputError naming
+    the point.  Under the Kahler dictionary this block equals T/2, which is
+    what callers compare against.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    fam = PotentialFamily.of_spec(spec, s)
     min_ell = float(np.min(spec.boundary.facet_values(x)))
     if min_ell <= 0:
         raise ToricSpecError("point is not interior")
@@ -320,11 +316,11 @@ def christoffel_ricci_oracle(spec: PotentialSpec, s, x):
 
     N = 2 * n
     offsets, c1, c2 = _fd_stencil(n)
-    G = fam.hessian(x + h * offsets)
+    G, G_inv = family_hessian_batch(spec, s, x + h * offsets)
     # metric samples g = diag(G, G^-1) at every stencil point, centre first
     g = np.zeros((len(offsets), N, N))
     g[:, :n, :n] = G
-    g[:, n:, n:] = np.linalg.inv(G)
+    g[:, n:, n:] = G_inv
     g_inv = np.zeros((N, N))
     g_inv[:n, :n] = g[0, n:, n:]
     g_inv[n:, n:] = G[0]

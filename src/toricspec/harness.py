@@ -79,7 +79,7 @@ class SweepConfig:
 
 
 _SCALAR_KEYS = ("eig_count", "mode_margin")
-# "out" is the CLI's output directory
+# "out" is the CLI's output directory, a non-empty path string
 _CONFIG_KEYS = {"polytope", "potential", "k_list", "s_list", "out", *_SCALAR_KEYS}
 
 
@@ -97,6 +97,8 @@ def sweep_config_from_json(data, base_dir="."):
     unknown = sorted(set(data) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown sweep config keys: {', '.join(unknown)}")
+    if "out" in data and not (isinstance(data["out"], str) and data["out"]):
+        raise ValueError(f"sweep config out must be a non-empty path string, got {data['out']!r}")
     P = load("polytope", polytope_from_json)
     if P is None:
         raise ValueError("sweep config needs a polytope")

@@ -64,7 +64,7 @@ def cone_at(spec: PotentialSpec, b: BSPoint):
     chart = local_chart(spec.polytope, b.point)
     A_inv = np.array(chart.lattice_inverse(), dtype=float)
     x0 = np.array([float(c) for c in b.point])
-    A0 = A_inv.T @ spec.psi.hessian(x0) @ A_inv
+    A0 = A_inv.T @ spec.psi.tensor(x0, 2) @ A_inv
     return ConeModel(codim=chart.local_codim, A0=A0)
 
 

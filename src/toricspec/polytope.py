@@ -154,7 +154,6 @@ class Face:
 
     active: tuple            # sorted facet indices cutting the face out
     codim: int
-    vertices: tuple          # rational vertex tuples of the face
     rep_point: tuple         # centroid of the face vertices
 
 
@@ -308,7 +307,7 @@ def vertices_and_faces(P):
         raise InputError("face lattices are built for n <= 3 only")
     active_at = {v: P.active_facets(v) for v in P.vertices}
 
-    faces = [Face(active=(), codim=0, vertices=P.vertices, rep_point=P.interior_point())]
+    faces = [Face(active=(), codim=0, rep_point=P.interior_point())]
     seen = set()
     for m in range(1, P.dim + 1):
         for act in active_at.values():
@@ -317,7 +316,7 @@ def vertices_and_faces(P):
                     continue
                 seen.add(sub)
                 fv = tuple(w for w in P.vertices if set(sub) <= set(active_at[w]))
-                faces.append(Face(active=sub, codim=m, vertices=fv, rep_point=_centroid(fv)))
+                faces.append(Face(active=sub, codim=m, rep_point=_centroid(fv)))
     return faces
 
 

@@ -85,12 +85,6 @@ class PolynomialFn:
             new_terms.append((tuple(new_alpha), c * alpha[i]))
         return PolynomialFn(dim=self.dim, terms=tuple(new_terms))
 
-    def gradient(self, x):
-        return self.tensor(x, 1)
-
-    def hessian(self, x):
-        return self.tensor(x, 2)
-
     def tensor(self, x, order):
         """Symmetric derivative tensor of the given order at x."""
         n = self.dim
@@ -144,12 +138,6 @@ class GuilleminPotential:
     def __call__(self, x):
         ell = self._ell_checked(x)
         return np.sum(ell * np.log(ell), axis=-1)
-
-    def gradient(self, x):
-        return self.tensor(x, 1)
-
-    def hessian(self, x):
-        return self.tensor(x, 2)
 
     def tensor(self, x, order):
         """Derivative tensor of the given order >= 1.
@@ -215,11 +203,11 @@ def make_potential_spec(P: DelzantPolytope, phi=None, psi=None):
     psi = psi if psi is not None else PolynomialFn.quadratic_form(np.eye(P.dim))
     spec = PotentialSpec(polytope=P, phi=phi, psi=psi)
     sample = _admissibility_sample(P)
-    hess_psi = psi.hessian(sample)
+    hess_psi = psi.tensor(sample, 2)
     for q, H in zip(sample, hess_psi):
         if np.linalg.eigvalsh(H)[0] <= 0:
             raise InputError(f"Hess(psi) fails at {q}")
-    hess_v = spec.boundary.hessian(sample) + phi.hessian(sample)
+    hess_v = spec.boundary.tensor(sample, 2) + phi.tensor(sample, 2)
     for q, H in zip(sample, hess_v):
         if np.linalg.eigvalsh(H)[0] <= 0:
             raise InputError(f"Hess(v_P + phi) fails at {q}")
@@ -256,7 +244,11 @@ def _is_term(t, n):
 
 
 class PotentialFamily:
-    """u_s = v_P + phi + psi/s at fixed s; ``tensor`` sums the summands' tensors."""
+    """u_s = v_P + phi + psi/s at fixed s; ``tensor`` sums the summands' tensors.
+
+    ``tensor(x, order)`` is the only derivative API; G_s is ``tensor(x, 2)``,
+    and every caller that forms it applies ``_check_pd``.
+    """
 
     def __init__(self, boundary: GuilleminPotential, phi: PolynomialFn, psi: PolynomialFn, s: float):
         self.boundary = boundary
@@ -267,9 +259,6 @@ class PotentialFamily:
     @staticmethod
     def of_spec(spec: PotentialSpec, s):
         return PotentialFamily(spec.boundary, spec.phi, spec.psi, s)
-
-    def hessian(self, x):
-        return self.tensor(x, 2)
 
     def tensor(self, x, order):
         return (
@@ -312,7 +301,7 @@ def family_hessian_batch(spec: PotentialSpec, s, X):
     """
     fam = PotentialFamily.of_spec(spec, s)
     X = np.asarray(X, dtype=float)
-    G = fam.hessian(X)
+    G = fam.tensor(X, 2)
     _check_pd(G, X)
     return G, np.linalg.inv(G)
 
@@ -355,7 +344,7 @@ def ground_state(spec: PotentialSpec, s, k, mode):
         smooth = np.einsum(
             "...i,...i->...",
             mode - k * x,
-            spec.phi.gradient(x) + spec.psi.gradient(x) / s,
+            spec.phi.tensor(x, 1) + spec.psi.tensor(x, 1) / s,
         ) + k * (spec.phi(x) + spec.psi(x) / s)
         expo = smooth + np.sum(exponents - k * ell, axis=-1)
         log_ell = np.log(np.where(ell > 0.0, ell, 1.0))

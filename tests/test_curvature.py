@@ -18,7 +18,6 @@ from toricspec.curvature import (
     model_T,
     model_T_prime,
     model_potential,
-    ricci_from_tensors,
     ricci_general,
     ricci_lower_bound_scan,
     ricci_of_potential,
@@ -27,6 +26,9 @@ from toricspec.polytope import segment, simplex2
 from toricspec.potential import (
     GuilleminPotential,
     PolynomialFn,
+    PotentialFamily,
+    PotentialSpec,
+    family_hessian_batch,
     make_potential_spec,
 )
 
@@ -111,6 +113,23 @@ class TestGeneralRoute:
             r1 = ricci_general(spec, 0.3, x).min_ratio
             r2 = ricci_general(spec_Q, 0.3, x_new).min_ratio
             assert abs(r1 - r2) < 1e-8 * max(1, abs(r1))
+
+
+class TestMetricRule:
+    # psi = -x^2/2 makes G_s = 4 - 1/0.1 = -6 at the midpoint of the segment
+    INDEFINITE = PotentialSpec(segment(), PolynomialFn.zero(1), PolynomialFn.quadratic_form([[-1.0]]))
+    CALLS = {
+        "family_hessian_batch": lambda spec: family_hessian_batch(spec, 0.1, [[0.5]]),
+        "ricci_general": lambda spec: ricci_general(spec, 0.1, [0.5]),
+        "christoffel_ricci_oracle": lambda spec: christoffel_ricci_oracle(spec, 0.1, [0.5]),
+        "ricci_of_potential": lambda spec: ricci_of_potential(PotentialFamily.of_spec(spec, 0.1), [0.5]),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_indefinite_metric_is_one_input_error(self, call):
+        # every path that forms G_s applies the rule of family_hessian_batch
+        with pytest.raises(errors.InputError, match=r"^G_s at \[0\.5\] has eigenvalue ratio below 1e-10$"):
+            self.CALLS[call](self.INDEFINITE)
 
 
 class TestModelClosedForms:
@@ -203,9 +222,8 @@ class TestModelInputs:
 
 
     def test_singular_metric_rejected(self):
-        with pytest.raises(errors.ToricSpecError, match="^G is numerically singular$") as excinfo:
-            ricci_from_tensors(np.zeros((1, 1)), np.zeros((1, 1, 1)), np.zeros((1, 1, 1, 1)))
-        assert excinfo.type is errors.ToricSpecError
+        with pytest.raises(errors.InputError, match=r"^G_s at \[0\.5\] has eigenvalue ratio below 1e-10$"):
+            ricci_of_potential(PolynomialFn.zero(1), [0.5])
 
     @pytest.mark.parametrize("grid_points", [0, -3, True, 2.0])
     def test_grid_points_must_be_a_positive_integer(self, grid_points):
@@ -311,7 +329,7 @@ class TestMinRatio:
         spec = make_potential_spec(simplex2())
         x = np.array([0.2, 0.3])
         data = ricci_general(spec, 0.4, x)
-        G = spec.boundary.hessian(x) + spec.phi.hessian(x) + spec.psi.hessian(x) / 0.4
+        G = spec.boundary.tensor(x, 2) + spec.phi.tensor(x, 2) + spec.psi.tensor(x, 2) / 0.4
         assert abs(data.min_ratio - float(_min_ratio(data.T, G))) <= 1e-12 * abs(data.min_ratio)
 
 

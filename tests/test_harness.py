@@ -838,6 +838,16 @@ class TestCli:
         "sweep_potential_number": ("sweep", ("sweep.json", {"polytope": "cp1.json", "potential": 7,
                                                             "k_list": [1], "s_list": [0.1]}),
                                    [], "potential must be an object"),
+        "sweep_out_number": ("sweep", ("sweep.json", {"polytope": "cp1.json", "k_list": [1], "s_list": [0.1],
+                                                      "out": 5}), [], "sweep config out must be a non-empty"),
+        "sweep_out_null": ("sweep", ("sweep.json", {"polytope": "cp1.json", "k_list": [1], "s_list": [0.1],
+                                                    "out": None}), [], "sweep config out must be a non-empty"),
+        "sweep_out_empty": ("sweep", ("sweep.json", {"polytope": "cp1.json", "k_list": [1], "s_list": [0.1],
+                                                     "out": ""}), [], "sweep config out must be a non-empty"),
+        "sweep_out_bool": ("sweep", ("sweep.json", {"polytope": "cp1.json", "k_list": [1], "s_list": [0.1],
+                                                    "out": True}), [], "sweep config out must be a non-empty"),
+        "ricci_matrix_empty": ("ricci-scan", None, ["--matrix", "[]", "--s-list", "1", "--z-max", "[5]"],
+                               "--matrix must be a JSON n x n matrix of finite numbers, n >= 1"),
         "ricci_matrix_scalar": ("ricci-scan", None, ["--matrix", "5", "--s-list", "1", "--z-max", "[5]"],
                                 "--matrix must be a JSON n x n matrix"),
         "ricci_z_max_scalar": ("ricci-scan", None, ["--matrix", "[[1]]", "--s-list", "1", "--z-max", "5"],
@@ -890,4 +900,4 @@ class TestCli:
         assert cli.main([verb] + flags) == 2
         err = capsys.readouterr().err
         assert "input error" in err and message in err
-        assert solves == []
+        assert solves == [] and not list(tmp_path.rglob("report.json"))

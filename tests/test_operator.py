@@ -177,17 +177,17 @@ class TestMesh:
 class TestCoefficients:
     def test_reference_values(self):
         x = np.array([0.5])
-        G = PotentialFamily.of_spec(make_potential_spec(segment()), 0.1).hessian(x)
+        G = PotentialFamily.of_spec(make_potential_spec(segment()), 0.1).tensor(x, 2)
         assert np.isclose(np.linalg.inv(G)[0, 0], 1 / 14)
         assert np.isclose(mode_potential(G, x, 1, [0]), 4.5)
 
     def test_bs_point_floor(self):
         # at x = m/k the quadratic form vanishes and V collapses to k^2
         x = np.array([0.5, 1e-12])
-        G = PotentialFamily.of_spec(make_potential_spec(simplex2()), 0.3).hessian(x)
+        G = PotentialFamily.of_spec(make_potential_spec(simplex2()), 0.3).tensor(x, 2)
         assert mode_potential(G, x, 2, [1, 0]) >= 4.0
         x1 = np.array([0.5])
-        G1 = PotentialFamily.of_spec(make_potential_spec(segment()), 0.3).hessian(x1)
+        G1 = PotentialFamily.of_spec(make_potential_spec(segment()), 0.3).tensor(x1, 2)
         assert np.isclose(mode_potential(G1, x1, 2, [1]), 4.0)
 
     def test_lower_bound(self, rng):
@@ -196,7 +196,7 @@ class TestCoefficients:
         family = PotentialFamily.of_spec(spec, s)
         for _ in range(10):
             x = rng.uniform(0.05, 0.3, size=2)
-            V = mode_potential(family.hessian(x), x, k, m)
+            V = mode_potential(family.tensor(x, 2), x, k, m)
             dist2 = float(np.sum((x - m / k) ** 2))
             assert V >= k * k + dist2 * k * k / s - 1e-9
 

@@ -61,17 +61,14 @@ class TestGuillemin:
         P = simplex2()
         v = GuilleminPotential.of_polytope(P)
         x = np.array([0.3, 0.25])
-        assert np.allclose(v.gradient(x), fd_gradient(v, x), atol=1e-7)
+        assert np.allclose(v.tensor(x, 1), fd_gradient(v, x), atol=1e-7)
         for order in (2, 3, 4):
-            lower = getattr(v, "gradient") if order == 2 else (
-                lambda y, o=order - 1: v.tensor(y, o)
-            )
             tensor = v.tensor(x, order)
             h = 1e-6
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = h
-                fd = (lower(x + e) - lower(x - e)) / (2 * h)
+                fd = (v.tensor(x + e, order - 1) - v.tensor(x - e, order - 1)) / (2 * h)
                 assert np.allclose(tensor[..., i], fd, atol=1e-4), order
 
     def test_boundary_point_raises(self):
@@ -88,7 +85,7 @@ class TestGuillemin:
         assert excinfo.type is errors.ToricSpecError
         v = GuilleminPotential.of_polytope(simplex2())
         with pytest.raises(errors.ToricSpecError, match=r"^point \[0\.5 0\.5\] is within") as excinfo:
-            v.hessian([[0.2, 0.3], [0.5, 0.5], [0.0, 0.5]])
+            v.tensor([[0.2, 0.3], [0.5, 0.5], [0.0, 0.5]], 2)
         assert excinfo.type is errors.ToricSpecError
 
 
@@ -112,7 +109,7 @@ class TestFamilyHessian:
     def test_invariants(self, rng):
         spec = make_potential_spec(simplex2())
         fam01 = PotentialFamily.of_spec(spec, 0.1)
-        psi_min = np.linalg.eigvalsh(spec.psi.hessian(np.zeros(2)))[0]
+        psi_min = np.linalg.eigvalsh(spec.psi.tensor(np.zeros(2), 2))[0]
         for _ in range(10):
             x = rng.uniform(0.05, 0.3, size=2)
             (G,), (G_inv,) = family_hessian_batch(spec, 0.1, [x])
@@ -126,7 +123,7 @@ class TestFamilyHessian:
             for idx in range(2):
                 e = np.zeros(2)
                 e[idx] = h
-                fd = (fam01.hessian(x + e) - fam01.hessian(x - e)) / (2 * h)
+                fd = (fam01.tensor(x + e, 2) - fam01.tensor(x - e, 2)) / (2 * h)
                 assert np.max(np.abs(dG[idx] - fd)) < 1e-4
             assert np.max(np.abs(dG - np.transpose(dG, (1, 0, 2)))) < 1e-10
             assert np.max(np.abs(dG - np.transpose(dG, (2, 1, 0)))) < 1e-10
@@ -243,7 +240,7 @@ class TestFiberLaw:
             center = np.array([float(c) for c in P.interior_point()])
             corners = np.array(P.vertices, dtype=float)
             X = np.array([center + t * (v - center) for v in corners for t in (0, 0.3, 0.7, 0.99, 1 - 1e-4)])
-            bound = np.linalg.eigvalsh(np.linalg.inv(spec.psi.hessian(X)))[:, -1]
+            bound = np.linalg.eigvalsh(np.linalg.inv(spec.psi.tensor(X, 2)))[:, -1]
             sup = []
             for s in (1.0, 0.1, 0.01):
                 _, G_inv = family_hessian_batch(spec, s, X)
@@ -311,7 +308,7 @@ class TestGroundState:
                     e = np.zeros(2)
                     e[i] = o * h
                     div += w * flux(x + e)[i] / h
-            G = fam.hessian(x)
+            G = fam.tensor(x, 2)
             w_vec = mode - k * x
             V = w_vec @ G @ w_vec + k * k
             resid = abs(-div + V * state(x) - target * state(x)) / abs(state(x))
@@ -367,7 +364,7 @@ class TestPolynomialsAndJson:
         P = simplex2()
         spec = potential_spec_from_json(P, "{}")
         assert spec.phi.terms == ()
-        assert np.allclose(spec.psi.hessian(np.zeros(2)), np.eye(2))
+        assert np.allclose(spec.psi.tensor(np.zeros(2), 2), np.eye(2))
         # the file format read back: the default psi written out as terms
         text = json.dumps({"psi": [{"alpha": list(a), "c": c} for a, c in spec.psi.terms]})
         spec2 = potential_spec_from_json(P, text)

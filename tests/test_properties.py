@@ -156,8 +156,8 @@ def test_ricci_min_ratio_lattice_invariant(seed):
                 data = ricci_general(spec, s, x)
                 r = data.min_ratio
                 r_Q = ricci_general(spec_Q, s, A @ x + c).min_ratio
-                G = PotentialFamily.of_spec(spec, s).hessian(x)
-                G_Q = PotentialFamily.of_spec(spec_Q, s).hessian(A @ x + c)
+                G = PotentialFamily.of_spec(spec, s).tensor(x, 2)
+                G_Q = PotentialFamily.of_spec(spec_Q, s).tensor(A @ x + c, 2)
                 scale = np.abs(np.linalg.eigvals(np.linalg.solve(G, data.T))).max()
                 floor = 10 * np.finfo(float).eps * np.linalg.cond(G_Q) ** 2 * scale
                 assert abs(r_Q - r) <= 1e-9 * abs(r) + floor
