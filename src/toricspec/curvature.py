@@ -17,6 +17,7 @@ route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -267,6 +268,7 @@ _FD_D1 = np.array([1, -8, 8, -1])          # times 1 / (12 h)
 _FD_D2 = np.array([-1, 16, 16, -1])        # times 1 / (12 h^2), centre -30
 
 
+@cache
 def _fd_stencil(n):
     """Stencil offsets and 4th-order centered coefficient tables in n dimensions.
 
@@ -274,7 +276,8 @@ def _fd_stencil(n):
     4 points per axis and 16 per pair of axes, all distinct.  For metric
     samples g[S] at x + h offsets[S], d_k g = sum_S c1[k, S] g[S] / (12 h) and
     d_k d_l g = sum_S c2[k, l, S] g[S] / (144 h^2).  The tables hold
-    integers, so a constant metric has derivatives exactly zero.
+    integers, so a constant metric has derivatives exactly zero.  They are
+    built once per n and returned read-only.
     """
     pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
     size = 1 + 4 * n + 16 * len(pairs)
@@ -292,6 +295,8 @@ def _fd_stencil(n):
         offsets[cols, k] = np.repeat(_FD_STEPS, 4)
         offsets[cols, l] = np.tile(_FD_STEPS, 4)
         c2[k, l, cols] = c2[l, k, cols] = np.outer(_FD_D1, _FD_D1).ravel()
+    for table in (offsets, c1, c2):
+        table.setflags(write=False)
     return offsets, c1, c2
 
 
@@ -301,7 +306,9 @@ def christoffel_ricci_oracle(spec: PotentialSpec, s, x):
     Computed purely from 4th-order centered finite differences of the family
     metric G_s of ``spec`` in the action coordinates (the angle coordinates
     are Killing directions).  The step is h = 1e-4 min_r ell_r(x), so the
-    stencil, which reaches 2h along each axis, stays inside the polytope.
+    stencil, which reaches 2h along each axis, stays inside the polytope;
+    a point outside P is an InputError, and one on its boundary a
+    ToricSpecError.
     G_s and G_s^-1 at the stencil come from ``family_hessian_batch``, whose
     rule makes an indefinite or near-singular metric an InputError naming
     the point.  Under the Kahler dictionary this block equals T/2, which is
@@ -309,8 +316,10 @@ def christoffel_ricci_oracle(spec: PotentialSpec, s, x):
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    min_ell = float(np.min(spec.boundary.facet_values(x)))
+    ell = spec.boundary.facet_values(x)
+    min_ell = float(np.min(ell))
     if min_ell <= 0:
+        spec.boundary._check_inside(x, ell)
         raise ToricSpecError("point is not interior")
     h = 1e-4 * min_ell
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import ceil, floor, gcd, lcm
 
@@ -138,6 +139,11 @@ class DelzantPolytope:
         if any(v < 0 for v in vals):
             raise InputError(f"{_point_text(x)} is outside the polytope")
         return tuple(r for r, v in enumerate(vals) if v == 0)
+
+    @cached_property
+    def vertex_facets(self):
+        """{vertex: its active facets}, which the polytope data fix."""
+        return {v: self.active_facets(v) for v in self.vertices}
 
     def interior_point(self):
         return _centroid(self.vertices)
@@ -305,7 +311,7 @@ def vertices_and_faces(P):
     """
     if P.dim > 3:
         raise InputError("face lattices are built for n <= 3 only")
-    active_at = {v: P.active_facets(v) for v in P.vertices}
+    active_at = P.vertex_facets
 
     faces = [Face(active=(), codim=0, rep_point=P.interior_point())]
     seen = set()
@@ -322,7 +328,7 @@ def vertices_and_faces(P):
 
 def _face_vertex(P, active):
     """The least vertex of the face cut out by the facets ``active``."""
-    return min(v for v in P.vertices if set(active) <= set(P.active_facets(v)))
+    return min(v for v, act in P.vertex_facets.items() if set(active) <= set(act))
 
 
 def local_chart(P, b):
@@ -337,7 +343,7 @@ def local_chart(P, b):
     b = tuple(Fraction(c) for c in b)
     active = P.active_facets(b)   # raises InputError when b is not in P
     if active:
-        rest = [r for r in P.active_facets(_face_vertex(P, active)) if r not in active]
+        rest = [r for r in P.vertex_facets[_face_vertex(P, active)] if r not in active]
         A = tuple(P.normals[r] for r in active + tuple(rest))
     else:
         A = tuple(tuple(int(i == j) for j in range(P.dim)) for i in range(P.dim))

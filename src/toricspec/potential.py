@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -85,19 +85,45 @@ class PolynomialFn:
             new_terms.append((tuple(new_alpha), c * alpha[i]))
         return PolynomialFn(dim=self.dim, terms=tuple(new_terms))
 
+    @cached_property
+    def _derivative_tables(self):
+        """{order: _derivatives(order)} for each order asked for; the terms fix them."""
+        return {}
+
+    def _derivatives(self, order):
+        """(polynomials, slots, positions) of the order-fold derivative tensor.
+
+        The polynomials are the nonzero derivatives d_idx p, one per sorted
+        index tuple idx, taken in the order of idx; the value of
+        polynomials[slots[j]] fills the flat position positions[j], one for
+        each permutation of its idx.  An identically zero derivative is
+        dropped, since the tensor starts at zero.
+        """
+        tables = self._derivative_tables
+        if order not in tables:
+            n = self.dim
+            polys, slots, positions = [], [], []
+            for idx in combinations_with_replacement(range(n), order):
+                p = self
+                for i in idx:
+                    p = p.derivative(i)
+                if p.terms:
+                    perms = sorted(set(permutations(idx)))
+                    slots += [len(polys)] * len(perms)
+                    positions += [reduce(lambda flat, i: flat * n + i, perm, 0) for perm in perms]
+                    polys.append(p)
+            tables[order] = (tuple(polys), np.array(slots, dtype=int), np.array(positions, dtype=int))
+        return tables[order]
+
     def tensor(self, x, order):
-        """Symmetric derivative tensor of the given order at x."""
+        """Symmetric derivative tensor of the given order at x; the tables are built once per order."""
         n = self.dim
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (n,) * order)
-        for idx in combinations_with_replacement(range(n), order):
-            p = self
-            for i in idx:
-                p = p.derivative(i)
-            val = p(x)
-            for perm in set(permutations(idx)):
-                out[(...,) + perm] = val
-        return out
+        polys, slots, positions = self._derivatives(order)
+        out = np.zeros(x.shape[:-1] + (n**order,))
+        if polys:
+            out[..., positions] = np.stack([p(x) for p in polys], axis=-1)[..., slots]
+        return out.reshape(x.shape[:-1] + (n,) * order)
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +154,25 @@ class GuilleminPotential:
         return x @ self.normals.T - self.offsets
 
     def _ell_checked(self, x):
+        """Facet values at x, or the error of its first point not inside P.
+
+        A point more than INTERIOR_TOL outside a facet is an InputError; one
+        on a facet or within INTERIOR_TOL of one is a ToricSpecError.
+        """
         ell = self.facet_values(x)
         bad = np.any(ell <= INTERIOR_TOL, axis=-1)
         if bad.any():
+            self._check_inside(x, ell)
             x = np.reshape(x, (-1, self.dim))[np.argmax(bad)]
             raise ToricSpecError(f"point {x} is within {INTERIOR_TOL} of a facet")
         return ell
+
+    def _check_inside(self, x, ell):
+        """Raise InputError naming the first point of x with some ell_r < -INTERIOR_TOL."""
+        outside = np.any(ell < -INTERIOR_TOL, axis=-1)
+        if outside.any():
+            x = np.reshape(x, (-1, self.dim))[np.argmax(outside)]
+            raise InputError(f"point {x} is outside the polytope")
 
     def __call__(self, x):
         ell = self._ell_checked(x)

@@ -398,6 +398,11 @@ class TestOracle:
             for table in (c1, c2):
                 assert np.array_equal(table, np.round(table))
                 assert not np.any(table.sum(axis=-1))
+            # built once per n, and read-only so no caller can change them
+            assert all(a is b for a, b in zip(_fd_stencil(n), (offsets, c1, c2)))
+            for table in (offsets, c1, c2):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = 1.0
 
     def test_sphere_block(self):
         spec = make_potential_spec(segment())
@@ -425,10 +430,12 @@ class TestOracle:
 
     def test_step_guard(self):
         spec = make_potential_spec(segment())
-        for x in (0.0, 1.0, 1.5):
+        for x in (0.0, 1.0):
             with pytest.raises(errors.ToricSpecError, match="^point is not interior$") as excinfo:
                 christoffel_ricci_oracle(spec, 1.0, np.array([x]))
             assert excinfo.type is errors.ToricSpecError
+        with pytest.raises(errors.InputError, match=r"^point \[1\.5\] is outside the polytope$"):
+            christoffel_ricci_oracle(spec, 1.0, np.array([1.5]))
 
 
 class TestScans:

@@ -1,6 +1,9 @@
 """The package's public export list."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import toricspec
@@ -11,6 +14,16 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_all_names_resolve():
     missing = [name for name in toricspec.__all__ if not hasattr(toricspec, name)]
     assert missing == []
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # limit.truncated_cone_mesh imports scipy.spatial inside the function:
+    # at module level it would add about 80 ms to every import of the package
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, toricspec; print('scipy.spatial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _uses(files, strings=False):

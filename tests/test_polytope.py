@@ -184,6 +184,25 @@ class TestCharts:
                                  for row in ch.lattice_inverse())
                     assert back == sample
 
+    def test_vertex_facet_map(self):
+        # the cached {vertex: active facets} map that charts and faces read
+        simplex3 = validate_delzant(
+            [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -1)]
+        )
+        for P in [segment(), simplex2(), simplex3] + [hirzebruch(a) for a in range(4)]:
+            assert P.vertex_facets == {v: P.active_facets(v) for v in P.vertices}
+            assert list(P.vertex_facets) == list(P.vertices)
+        # edge points whose chart completes the active normal with the other
+        # normal of the least vertex of the edge: (0, 0) and (0, 1)
+        half = Fraction(1, 2)
+        for P, b, A, shift in (
+            (hirzebruch(1), (half, 0), ((0, 1), (1, 0)), (0, -half)),
+            (simplex2(), (half, half), ((-1, -1), (1, 0)), (1, -half)),
+        ):
+            assert b in [q.point for q in bs_points(P, 2)]
+            ch = local_chart(P, b)
+            assert (ch.lattice_map, ch.shift, ch.local_codim) == (A, shift, 1)
+
     def test_point_outside_raises(self):
         with pytest.raises(errors.InputError, match=r"^\(2\) is outside the polytope$"):
             local_chart(segment(), (2,))

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import affine_pullback, transform_polytope
 from toricspec import errors
+from toricspec.curvature import ricci_general
 from toricspec.limit import cone_at
 from toricspec.mesh import build_mesh
 from toricspec.operator import ground_state_rayleigh_batch
@@ -86,6 +87,19 @@ class TestGuillemin:
         v = GuilleminPotential.of_polytope(simplex2())
         with pytest.raises(errors.ToricSpecError, match=r"^point \[0\.5 0\.5\] is within") as excinfo:
             v.tensor([[0.2, 0.3], [0.5, 0.5], [0.0, 0.5]], 2)
+        assert excinfo.type is errors.ToricSpecError
+        # a point outside P is an input error, on the scalar and the batch path
+        outside = r"^point \[1\.5\] is outside the polytope$"
+        with pytest.raises(errors.InputError, match=outside):
+            ricci_general(spec, 0.1, [1.5])
+        with pytest.raises(errors.InputError, match=outside):
+            family_hessian_batch(spec, 0.1, [[1.5]])
+        # the first outside point is named, even after a point on a facet
+        with pytest.raises(errors.InputError, match=r"^point \[0\.9 0\.3\] is outside the polytope$"):
+            v.tensor([[0.2, 0.3], [0.5, 0.5], [0.9, 0.3], [-0.1, 0.5]], 2)
+        # within 1e-14 of a facet on its outer side is a facet point, not an input error
+        with pytest.raises(errors.ToricSpecError, match=r"is within 1e-14 of a facet$") as excinfo:
+            family_hessian_batch(spec, 0.1, [[-1e-15]])
         assert excinfo.type is errors.ToricSpecError
 
 

@@ -7,6 +7,7 @@ at every quantized point, and the limit cone spectra there.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 from hypothesis import given, settings
@@ -172,3 +173,39 @@ def test_chart_completion_rows_come_from_a_vertex():
     assert ch.local_codim == 2
     assert ch.lattice_map == ((0, 1, 0), (0, 0, 1), (1, 0, 0))
     assert ch.shift == (0, 0, Fraction(-1, 2))
+
+
+def _reference_tensor(p, x, order):
+    """The derivative chain of a PolynomialFn, derived afresh at every call."""
+    n = p.dim
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[:-1] + (n,) * order)
+    for idx in combinations_with_replacement(range(n), order):
+        q = p
+        for i in idx:
+            q = q.derivative(i)
+        val = q(x)
+        for perm in set(permutations(idx)):
+            out[(...,) + perm] = val
+    return out
+
+
+@PROPERTY
+@given(seed=seeds, dim=st.integers(min_value=1, max_value=3))
+def test_polynomial_derivative_tables(seed, dim):
+    # tensor evaluates tables built once per order; in any order of requests,
+    # repeated or not, it matches the chain to the bit, and a returned array
+    # is the caller's to write into
+    rng = np.random.default_rng(seed)
+    alphas = [a for a in product(range(5), repeat=dim) if sum(a) <= 4]
+    chosen = rng.choice(len(alphas), size=rng.integers(0, 7), replace=False)
+    coeffs = rng.normal(size=len(chosen)) * (rng.random(len(chosen)) < 0.7)
+    p = PolynomialFn(dim=dim, terms=tuple((alphas[i], float(c)) for i, c in zip(chosen, coeffs)))
+    X = rng.uniform(-1.0, 1.0, size=(5, dim))
+    for order in rng.permutation(np.repeat(np.arange(6), 2)).tolist():
+        for x in (X[0], X):
+            ref = _reference_tensor(p, x, order)
+            got = p.tensor(x, order)
+            assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes()
+            got[...] = np.nan
+            assert np.array_equal(p.tensor(x, order), ref)
