@@ -102,6 +102,9 @@ def sweep_config_from_json(data, base_dir="."):
     P = load("polytope", polytope_from_json)
     if P is None:
         raise ValueError("sweep config needs a polytope")
+    for key in ("k_list", "s_list"):
+        if key not in data:
+            raise ValueError(f"sweep config needs {key}")
     spec = load("potential", lambda v: potential_spec_from_json(P, v)) or make_potential_spec(P)
     kwargs = {key: data[key] for key in _SCALAR_KEYS if key in data}
     return SweepConfig(spec=spec, k_list=data["k_list"], s_list=data["s_list"], **kwargs)
@@ -248,10 +251,8 @@ def _solve_modes(factory, modes, count):
     """
     solved = [_attempt(factory.operator, mode) for mode in modes]
     built = [op for op in solved if not isinstance(op, ToricSpecError)]
-    if built:
-        Ks, sigmas = [op.K for op in built], [op.sigma for op in built]
-        spectra = iter(solve_pencils(Ks, built[0].M, count, sigmas))
-        solved = [op if isinstance(op, ToricSpecError) else next(spectra) for op in solved]
+    spectra = iter(solve_pencils(built, count))
+    solved = [op if isinstance(op, ToricSpecError) else next(spectra) for op in solved]
 
     def dbar_and_ground(spectrum):
         return map_dbar(spectrum, factory.k, factory.mesh.dim), spectrum.vectors[:, 0]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError, ToricSpecError, _check_integer
 from .mesh import interval_mesh, polygon_mesh
-from .operator import assemble_p1, solve_pencil
+from .operator import ReducedOperator, assemble_p1, solve_eigs
 from .polytope import BSPoint, bs_points, local_chart
 from .potential import PotentialSpec
 
@@ -185,18 +185,19 @@ def numeric_cone_spectrum(cone: ConeModel, k, count, target_h=None):
     R = default_truncation_radius(k)
     if target_h is None:
         target_h = R / 400.0 if cone.dim == 1 else R / 56.0
-    vals = solve_pencil(*_cone_pencil(cone, k, R, target_h), count, sigma=-1.0).eigenvalues
+    vals = solve_eigs(_cone_pencil(cone, k, R, target_h), count).eigenvalues
     if abs(vals[0]) > 1e-6:
         raise ToricSpecError(f"bottom eigenvalue {vals[0]:.3e} off zero")
     return 0.5 * vals
 
 
 def _cone_pencil(cone: ConeModel, k, R, target_h):
-    """Stiffness and mass of the cone truncated at R, both weighted by e^{-k ||xi||^2}."""
+    """The pencil of the cone truncated at R, stiffness and mass both weighted by
+    e^{-k ||xi||^2}; the stiffness is nonnegative, so sigma = -1 is below the spectrum."""
     mesh = truncated_cone_mesh(cone, R, target_h)
     q = mesh.qpoints.reshape(-1, mesh.dim)
     weight = np.exp(-k * np.sum(q * q, axis=1)).reshape(mesh.qweights.shape)
-    return assemble_p1(mesh, diffusion_q=weight, mass_weight_q=weight)
+    return ReducedOperator(*assemble_p1(mesh, weight), sigma=-1.0)
 
 
 def _cluster(vals, tol):

@@ -15,9 +15,10 @@ Every P1 matrix goes through one kernel: weight fields at the mesh's
 quadrature points become local (M, nb, nb) arrays by einsum with the mesh's
 P1 gradients and barycentric values, and Mesh.csr turns their symmetric part
 into a matrix with a single bincount on the one fixed CSR pattern of the
-mesh, built once however many operators share the mesh.  A mode's stiffness
-is the diffusion data of its OperatorFactory plus the scatter of the mass
-form weighted by V_m, which mode_potential alone evaluates.
+mesh, built once however many operators share the mesh.  assemble_p1 builds
+every weighted pair, a factory's and a cone's; a mode's stiffness is the
+diffusion data of its OperatorFactory plus the scatter of the mass form
+weighted by V_m, which mode_potential alone evaluates.
 
 The discrete diffusion form is nonnegative, and V_m and the mass use the
 same positive quadrature, so every Rayleigh quotient of a mode's pencil is
@@ -30,7 +31,7 @@ shift-invert Lanczos in the M inner product (solve_pencils), run in
 lock-step on the modes of a factory, which share M, with one sparse
 factorization of their shifted matrices per batch.  The certified shift
 makes each shifted matrix positive definite, which the factorization's
-pivots confirm (Sylvester's law of inertia); solve_pencil is the batch of
+pivots confirm (Sylvester's law of inertia); solve_eigs is the batch of
 one.
 """
 
@@ -65,10 +66,7 @@ LANCZOS_MAX_STEPS = 300      # a pencil not converged by then fails
 
 @dataclass
 class ReducedOperator:
-    """Stiffness/mass pair of one (s, k, m) reduced operator on one CSR pattern.
-
-    sigma = min_q V_m(x_q) - 1 lies below every eigenvalue of the pencil.
-    """
+    """A pencil (K, M) on one CSR pattern with sigma below its spectrum: a mode's pencil or a cone's."""
 
     K: sparse.csr_matrix
     M: sparse.csr_matrix
@@ -117,15 +115,15 @@ def _mass_local(w_q, bary):
     return np.einsum("cq,qij->cij", w_q, bary[:, :, None] * bary[:, None, :])
 
 
-def assemble_p1(mesh: Mesh, diffusion_q, mass_weight_q):
-    """Weighted P1 pair K = int w_D grad phi . grad phi, M = int w phi phi.
+def assemble_p1(mesh: Mesh, weight_q, D_q=None):
+    """Weighted P1 pair K = int w grad phi . D grad phi, M = int w phi phi.
 
-    diffusion_q and mass_weight_q are scalar fields (M, Q) at the quadrature
-    points.
+    weight_q is a field (M, Q) at the quadrature points or a number, and D_q
+    a matrix field (M, Q, n, n), the identity when omitted.
     """
-    qw = mesh.qweights
-    K = mesh.csr(_stiffness_local(qw * diffusion_q, mesh.grads))
-    M = mesh.csr(_mass_local(qw * mass_weight_q, mesh.bary))
+    w_q = mesh.qweights * weight_q
+    K = mesh.csr(_stiffness_local(w_q, mesh.grads, D_q))
+    M = mesh.csr(_mass_local(w_q, mesh.bary))
     return K, M
 
 
@@ -135,11 +133,11 @@ class OperatorFactory:
     def __init__(self, spec: PotentialSpec, s, k, mesh: Mesh):
         self.k = _check_integer(k, "level k", 1)
         self.mesh = mesh
-        qw, x = mesh.qweights, mesh.qpoints
+        x = mesh.qpoints
         G_q, Ginv_q = family_hessian_batch(spec, s, x.reshape(-1, mesh.dim))
         self._G = G_q.reshape(x.shape + (mesh.dim,))
-        self._diffusion = mesh.csr(_stiffness_local(qw, mesh.grads, Ginv_q.reshape(self._G.shape))).data
-        self._M = mesh.csr(_mass_local(qw, mesh.bary))
+        diffusion, self._M = assemble_p1(mesh, 1.0, Ginv_q.reshape(self._G.shape))
+        self._diffusion = diffusion.data
         if np.any(self._M.diagonal() <= 0.0):
             raise ToricSpecError("mass matrix has a nonpositive diagonal")
 
@@ -182,26 +180,15 @@ def ground_state_rayleigh_batch(spec: PotentialSpec, s, k, modes, mesh: Mesh):
     return {m: num[m] / den[m] for m in nodal}
 
 
-def solve_pencil(K, M, count, sigma):
-    """Lowest ``count`` pairs of K v = lambda M v, residuals checked.
+def solve_pencils(ops, count):
+    """Lowest ``count`` pairs of every pencil K_p v = lambda M v of one mass matrix.
 
-    The batch of one of solve_pencils, which states the contract; its
-    ToricSpecError is raised here.
-    """
-    result = solve_pencils([K], M, count, [sigma])[0]
-    if isinstance(result, ToricSpecError):
-        raise result
-    return result
-
-
-def solve_pencils(Ks, M, count, sigmas):
-    """Lowest ``count`` pairs of every pencil K_p v = lambda M v on one mass matrix.
-
-    Each K_p and M are symmetric CSR matrices on one sparsity pattern
-    (ValueError otherwise), ``sigmas[p]`` must sit below the lowest
-    eigenvalue of pencil p, and ``count`` must be at least 1 and below N - 1
-    for N dofs.  Returns, in order, one Spectrum per pencil, or the
-    ToricSpecError of that pencil alone.
+    The pencils are ReducedOperators whose M is one object, as a factory's
+    modes share it, and each K_p and M are symmetric CSR matrices on one
+    sparsity pattern (ValueError otherwise); each sigma_p must sit below the
+    lowest eigenvalue of pencil p, and ``count`` must be at least 1 and below
+    N - 1 for N dofs.  Returns, in order, one Spectrum per pencil, or the
+    ToricSpecError of that pencil alone; no pencils give no results.
 
     Spectral-transformation Lanczos (Ericsson & Ruhe 1980): the operator
     (K - sigma M)^-1 M is self-adjoint in the M inner product, with the
@@ -230,40 +217,44 @@ def solve_pencils(Ks, M, count, sigmas):
     antisymmetric eigenvectors.  Each Spectrum records the Lanczos steps of
     its batch and the entries SuperLU stores for the batch's factor.
     """
+    if not ops:
+        return []
+    M = ops[0].M
+    if any(op.M is not M for op in ops):
+        raise ValueError("the pencils of one solve_pencils call must share one mass matrix")
     N = M.shape[0]
     if not _is_integer(count) or not 1 <= count < N - 1:
         raise ValueError(f"count {count} must be >= 1 and below N - 1 for N = {N} dofs")
     if not M.format == "csr" or not all(
-        K.format == "csr"
-        and np.array_equal(K.indptr, M.indptr)
-        and np.array_equal(K.indices, M.indices)
-        for K in Ks
+        op.K.format == "csr"
+        and np.array_equal(op.K.indptr, M.indptr)
+        and np.array_equal(op.K.indices, M.indices)
+        for op in ops
     ):
         raise ValueError("K and M must be CSR matrices on one sparsity pattern")
     size = max(1, BATCH_DOFS // N)
     out = []
-    for start in range(0, len(Ks), size):
-        out += _lanczos_batch(Ks[start:start + size], M, count, sigmas[start:start + size])
+    for start in range(0, len(ops), size):
+        out += _lanczos_batch(ops[start:start + size], count)
     return out
 
 
-def _lanczos_batch(Ks, M, count, sigmas):
+def _lanczos_batch(ops, count):
     """solve_pencils on one batch, with one factorization."""
-    B, N, nnz = len(Ks), M.shape[0], M.nnz
+    M = ops[0].M
+    B, N, nnz = len(ops), M.shape[0], M.nnz
     blocks = np.arange(B, dtype=M.indices.dtype)[:, None]    # keeps SuperLU's int32 indices
     indices = (M.indices + N * blocks).ravel()
     indptr = np.append((M.indptr[:-1] + nnz * blocks).ravel(), B * nnz)
-    data = np.concatenate([K.data - sigma * M.data for K, sigma in zip(Ks, sigmas)])
+    data = np.concatenate([op.K.data - op.sigma * M.data for op in ops])
     shifted = sparse.csc_matrix((data, indices, indptr), shape=(B * N, B * N))
     mass = sparse.csr_matrix((np.tile(M.data, B), indices, indptr), shape=shifted.shape)
     try:
         lu = splinalg.splu(shifted, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:          # exactly singular: find the pencil alone
         if B > 1:
-            return [
-                r for p in range(B) for r in _lanczos_batch(Ks[p:p + 1], M, count, sigmas[p:p + 1])
-            ]
-        return [ToricSpecError(f"K - sigma M at sigma = {float(sigmas[0])!r}: {exc}")]
+            return [r for p in range(B) for r in _lanczos_batch(ops[p:p + 1], count)]
+        return [ToricSpecError(f"K - sigma M at sigma = {float(ops[0].sigma)!r}: {exc}")]
     # with perm_r = perm_c the factorization is L D L^T of P A P^T, and dof
     # i's pivot is U[perm_c[i], perm_c[i]]; SuperLU leaves the diagonal only
     # at a zero pivot, which an SPD block never has
@@ -317,10 +308,10 @@ def _lanczos_batch(Ks, M, count, sigmas):
         np.divide(Mw, norm[:, None], out=MQ[m])
 
     out = []
-    for b, (K, sigma) in enumerate(zip(Ks, sigmas)):
+    for b, op in enumerate(ops):
         if negative[b]:
             out.append(ToricSpecError(
-                f"sigma = {float(sigma)!r} is not below the spectrum: "
+                f"sigma = {float(op.sigma)!r} is not below the spectrum: "
                 f"K - sigma M has {negative[b]} negative pivots"
             ))
         elif b not in done:
@@ -329,7 +320,7 @@ def _lanczos_batch(Ks, M, count, sigmas):
             steps_b, S = done[b]
             W = np.einsum("in,ic->nc", Q[:steps_b, b], S)
             try:
-                vals, residuals, vectors = _rayleigh_ritz(K, M, W, count)
+                vals, residuals, vectors = _rayleigh_ritz(op.K, M, W, count)
             except ToricSpecError as exc:
                 out.append(exc)
                 continue
@@ -369,8 +360,12 @@ def _rayleigh_ritz(K, M, W, count):
 
 
 def solve_eigs(op: ReducedOperator, count):
-    """Lowest ``count`` eigenpairs of a reduced operator, shifted to its certified op.sigma."""
-    return solve_pencil(op.K, op.M, count, op.sigma)
+    """Lowest ``count`` eigenpairs of one pencil, the batch of one of solve_pencils,
+    which states the contract; its ToricSpecError is raised here."""
+    result = solve_pencils([op], count)[0]
+    if isinstance(result, ToricSpecError):
+        raise result
+    return result
 
 
 def dbar_spectrum(spec: PotentialSpec, s, k, mode, mesh: Mesh, count):

@@ -150,7 +150,7 @@ def fubini_study_values(P, k, m, count):
     for q >= 0; a quantized mode has D_m = k.  In 1-D, t = 1 - 2x turns the
     mode's operator on the segment into the Jacobi equation, whose eigenvalues
     are (q + D_m)(q + D_m + 1).  The 2-D form was measured, not derived: on
-    the simplex and one of its GL_2(Z) images, at k = 1, 2 and every mode
+    the simplex and two of its GL_2(Z) images, at k = 1, 2 and every mode
     within one lattice unit of k P, the P1 values approach it at the h^2 rate.
     D_m reads the polytope's own facets, so the mode labelling of an image is
     checked too.

@@ -274,3 +274,78 @@ def test_one_exception_class_per_exit_code():
                 if name not in allowed:
                     others.append(f"{path.name}:{node.lineno} {name}")
     assert others == []
+
+
+def _import_aliases(tree):
+    """{local name: dotted path} of every import in the module, at any depth."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                # "import scipy.sparse" binds scipy; "import scipy.sparse as sp" binds sp
+                root = a.name.split(".")[0]
+                aliases[a.asname or root] = a.name if a.asname else root
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for a in node.names:
+                aliases[a.asname or a.name] = f"{node.module}.{a.name}"
+    return aliases
+
+
+def _dotted(node, aliases):
+    """The imported dotted path an expression names (``splinalg.splu`` -> scipy.sparse.linalg.splu), or None."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value, aliases)
+        return None if head is None else f"{head}.{node.attr}"
+    return None
+
+
+def _sites(path, found):
+    """{"file:function"} of the functions (Class.method, outer.inner) holding a node found(node, aliases) accepts."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = _import_aliases(tree)
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if found(child, aliases):
+                sites.add(f"{path.stem}:{'.'.join(scope) or '<module>'}")
+            visit(child, scope)
+
+    visit(tree, ())
+    return sites
+
+
+def _called(name):
+    def found(node, aliases):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
+    return found
+
+
+def _uses_sparse_linalg(node, aliases):
+    # an import statement binds the name; any later load of that name is a use
+    path = _dotted(node, aliases) if isinstance(node, (ast.Name, ast.Attribute)) else None
+    return path is not None and (path == "scipy.sparse.linalg" or path.startswith("scipy.sparse.linalg."))
+
+
+def test_one_assembly_path_and_one_solve_path():
+    # every P1 matrix is scattered by Mesh.csr in assemble_p1 (every pair) or
+    # OperatorFactory.operator (a mode's V_m mass form); every sparse
+    # factorization runs in _lanczos_batch, which solve_pencils alone calls,
+    # so solve_eigs, the sweep and the cone oracle share one path.  Each
+    # listed site must hold the use, so a renamed one fails too
+    files = sorted((ROOT / "src" / "toricspec").glob("*.py"))
+    rules = (
+        (_called("csr"), {"operator:assemble_p1", "operator:OperatorFactory.operator"}),
+        (_uses_sparse_linalg, {"operator:_lanczos_batch"}),
+        (_called("_lanczos_batch"), {"operator:solve_pencils", "operator:_lanczos_batch"}),
+    )
+    for found, allowed in rules:
+        assert set().union(*(_sites(path, found) for path in files)) == allowed

@@ -196,6 +196,24 @@ class TestConfig:
                 sweep_config_from_json({**base, **extra}, base_dir=str(tmp_path))
         assert sweep_config_from_json(base, base_dir=str(tmp_path)).eig_count == 4
 
+    @pytest.mark.parametrize("key", ["k_list", "s_list"])
+    def test_missing_list_names_the_key(self, tmp_path, capsys, monkeypatch, key):
+        # a config without a level or an s list is an input error (exit 2)
+        # naming the key, not a bare KeyError
+        poly = tmp_path / "p.json"
+        poly.write_text(polytope_to_json(segment()))
+        data = {"polytope": "p.json", "k_list": [1], "s_list": [0.2]}
+        del data[key]
+        with pytest.raises(ValueError, match=f"^sweep config needs {key}$"):
+            sweep_config_from_json(data, base_dir=str(tmp_path))
+        solves = []
+        monkeypatch.setattr(cli, "run_sweep", solves.append)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(data))
+        assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"input error: sweep config needs {key}\n"
+        assert solves == []
+
 
 class TestSweep:
     def test_verdicts_pass(self, cp1_report):

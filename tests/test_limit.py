@@ -217,13 +217,13 @@ class TestNumericSpectra:
 
     def test_bottom_off_zero_raises(self, monkeypatch):
         # a bottom value off zero means the truncation radius cut the ground state
-        solve = limit.solve_pencil
+        solve = limit.solve_eigs
 
-        def lifted(K, M, count, sigma):
-            sp = solve(K, M, count, sigma)
+        def lifted(op, count):
+            sp = solve(op, count)
             return dataclasses.replace(sp, eigenvalues=sp.eigenvalues + 1e-3)
 
-        monkeypatch.setattr(limit, "solve_pencil", lifted)
+        monkeypatch.setattr(limit, "solve_eigs", lifted)
         with pytest.raises(errors.ToricSpecError, match="^bottom eigenvalue 1.000e-03 off zero$") as excinfo:
             numeric_cone_spectrum(synthetic_cone(1, 1), 1, 4)
         assert excinfo.type is errors.ToricSpecError
@@ -236,7 +236,7 @@ class TestNumericSpectra:
         O = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         half1 = numeric_cone_spectrum(cone1, 1, 5)
         from toricspec.mesh import Mesh
-        from toricspec.operator import assemble_p1, solve_pencil
+        from toricspec.operator import ReducedOperator, assemble_p1, solve_eigs
 
         R = default_truncation_radius(1)
         mesh1 = truncated_cone_mesh(cone1, R, R / 56.0)
@@ -245,8 +245,7 @@ class TestNumericSpectra:
         mesh2 = Mesh(dim=2, nodes=nodes2, cells=mesh1.cells.copy())
         q = mesh2.qpoints.reshape(-1, 2)
         weight = np.exp(-np.sum(q * q, axis=1)).reshape(mesh2.qweights.shape)
-        K, M = assemble_p1(mesh2, diffusion_q=weight, mass_weight_q=weight)
-        sp2 = solve_pencil(K, M, 5, sigma=-1.0)
+        sp2 = solve_eigs(ReducedOperator(*assemble_p1(mesh2, weight), sigma=-1.0), 5)
         assert np.max(np.abs(0.5 * sp2.eigenvalues - half1)) < 1e-6
 
 

@@ -1,5 +1,6 @@
 """Meshes and the reduced operator family: assembly, spectra, oracles."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -35,6 +36,7 @@ from toricspec.mesh import (
 from toricspec.operator import (
     BATCH_DOFS,
     OperatorFactory,
+    ReducedOperator,
     _mass_local,
     _stiffness_local,
     assemble_p1,
@@ -44,7 +46,6 @@ from toricspec.operator import (
     mode_potential,
     mode_set,
     solve_eigs,
-    solve_pencil,
     solve_pencils,
     Spectrum,
 )
@@ -57,8 +58,11 @@ from toricspec.potential import (
 )
 
 HUGE = 10**400      # an integer too large for a float
-# the GL_2(Z) image {x1 - x2 >= 0, x2 >= 0, -x1 >= -1} of simplex2()
+# the GL_2(Z) images {x1 - x2 >= 0, x2 >= 0, -x1 >= -1} and
+# {x1 - x2 >= 0, -x1 + 2 x2 >= 0, -x2 >= -1} of simplex2(), vertices
+# (0, 0), (1, 0), (1, 1) and (0, 0), (1, 1), (2, 1)
 SIMPLEX_IMAGE = validate_delzant([((1, -1), 0), ((0, 1), 0), ((-1, 0), -1)])
+IMAGE_2 = validate_delzant([((1, -1), 0), ((-1, 2), 0), ((0, -1), -1)])
 
 
 class TestMesh:
@@ -129,7 +133,7 @@ class TestMesh:
             pairs = []
             for m in (mesh, flipped):
                 weight = np.exp(-np.sum(m.qpoints**2, axis=-1))
-                pairs.append(assemble_p1(m, diffusion_q=weight, mass_weight_q=weight))
+                pairs.append(assemble_p1(m, weight))
             for A, B in zip(*pairs):
                 assert np.max(np.abs((A - B).toarray())) < 1e-12 * np.abs(A).max()
 
@@ -213,7 +217,7 @@ class TestAssembly:
         pattern = vars(mesh)["_pattern"]
         OperatorFactory(spec, 0.5, 2, mesh).operator((1,))
         ones = np.ones_like(mesh.qweights)
-        assemble_p1(mesh, diffusion_q=ones, mass_weight_q=ones)
+        assemble_p1(mesh, ones)
         assert vars(mesh)["_pattern"] is pattern
 
     def test_csr_matches_coo_summation(self, rng):
@@ -232,13 +236,25 @@ class TestAssembly:
             assert A.shape == (N, N) and A.nnz == ref.nnz
             assert abs(A - ref).max() <= 1e-12 * abs(ref).max()
 
+    def test_identity_diffusion_matches_scalar_branch(self):
+        # D = I at every quadrature point gives the pair of the D-free branch,
+        # on the cp2 mesh and on a skew cone mesh
+        cone = ConeModel(codim=2, A0=np.array([[2.0, 1.0], [1.0, 2.0]]))
+        R = np.sqrt(30.0)
+        for mesh in (build_mesh(simplex2(), 1 / 30), truncated_cone_mesh(cone, R, R / 56.0)):
+            weight = np.exp(-np.sum(mesh.qpoints**2, axis=-1))
+            I_q = np.broadcast_to(np.eye(2), mesh.qweights.shape + (2, 2))
+            for A, B in zip(assemble_p1(mesh, weight, I_q), assemble_p1(mesh, weight)):
+                assert np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+                assert np.max(np.abs(A.data - B.data)) <= 1e-13 * np.max(np.abs(B.data))
+
     def test_symmetry(self):
         pairs = []
         for P, h, mode in ((simplex2(), 0.15, (0, 0)), (segment(), 0.02, (1,))):
             mesh = build_mesh(P, h)
             op = mode_operator(make_potential_spec(P), 0.5, 1, mode, mesh)
             weight = np.exp(-np.sum(mesh.qpoints**2, axis=-1))
-            pairs += [(op.K, op.M), assemble_p1(mesh, diffusion_q=weight, mass_weight_q=weight)]
+            pairs += [(op.K, op.M), assemble_p1(mesh, weight)]
         for K, M in pairs:
             assert (K - K.T).nnz == 0
             assert (M - M.T).nnz == 0
@@ -249,7 +265,7 @@ class TestAssembly:
         h = 0.1
         mesh = interval_mesh(0, 1, h, graded=False)
         ones = np.ones_like(mesh.qweights)
-        K, M = assemble_p1(mesh, diffusion_q=ones, mass_weight_q=ones)
+        K, M = assemble_p1(mesh, ones)
         N = mesh.num_nodes
         lap = 2.0 * np.eye(N) - np.eye(N, k=1) - np.eye(N, k=-1)
         lap[0, 0] = lap[-1, -1] = 1.0
@@ -352,22 +368,21 @@ class TestCertifiedShift:
         wider = (op.M + 1e-3 * sparse.eye(N, k=2, format="csr")).tocsr()
         for K, M in ((op.K, wider), (op.K.tocsc(), op.M.tocsc()), (op.K, op.M.tocoo())):
             with pytest.raises(ValueError, match="one sparsity pattern"):
-                solve_pencil(K, M, 3, op.sigma)
+                solve_eigs(ReducedOperator(K, M, op.sigma), 3)
 
 
 class TestSolvers:
     def test_identity_pencil(self):
         spec = make_potential_spec(segment())
         op = mode_operator(spec, 1.0, 1, (0,), build_mesh(segment(), 0.05))
-        sp = solve_pencil(op.M.copy(), op.M.copy(), 3, sigma=0.0)
+        sp = solve_eigs(ReducedOperator(op.M.copy(), op.M.copy(), sigma=0.0), 3)
         assert np.allclose(sp.eigenvalues, 1.0, atol=1e-10)
 
     def test_neumann_laplacian_surrogate(self):
         # unit diffusion, no potential: eigenvalues (pi j)^2 on [0, 1]
         mesh = interval_mesh(0, 1, 1 / 200, graded=False)
         ones = np.ones_like(mesh.qweights)
-        K, M = assemble_p1(mesh, diffusion_q=ones, mass_weight_q=ones)
-        sp = solve_pencil(K, M, 4, sigma=-1.0)
+        sp = solve_eigs(ReducedOperator(*assemble_p1(mesh, ones), sigma=-1.0), 4)
         expect = np.array([0.0, np.pi**2, 4 * np.pi**2, 9 * np.pi**2])
         assert np.max(np.abs(sp.eigenvalues - expect)) < 2e-2
 
@@ -437,13 +452,12 @@ class TestSolvers:
         )
         mid = 0.5 * (low[0] + low[1])
         with pytest.raises(errors.ToricSpecError, match=re.escape(f"sigma = {float(mid)!r} is not below")) as excinfo:
-            solve_pencil(op.K, op.M, 4, mid)
+            solve_eigs(dataclasses.replace(op, sigma=mid), 4)
         assert excinfo.type is errors.ToricSpecError
-        assert np.allclose(solve_pencil(op.K, op.M, 1, op.sigma).eigenvalues, low[:1], rtol=1e-12)
+        assert np.allclose(solve_eigs(op, 1).eigenvalues, low[:1], rtol=1e-12)
         cone = ConeModel(codim=2, A0=np.eye(2))
         R = default_truncation_radius(1)
-        K, M = _cone_pencil(cone, 1, R, R / 14.0)
-        assert abs(solve_pencil(K, M, 1, -1.0).eigenvalues[0]) < 1e-6
+        assert abs(solve_eigs(_cone_pencil(cone, 1, R, R / 14.0), 1).eigenvalues[0]) < 1e-6
 
     def test_batch_matches_batch_of_one(self):
         # every pencil of a batch, including one with a shift above its
@@ -452,18 +466,33 @@ class TestSolvers:
         factory = OperatorFactory(spec, 0.02, 2, build_mesh(segment(), np.sqrt(0.02) / 40))
         ops = [factory.operator(m) for m in mode_set(segment(), 2, 1)]
         assert 1 < len(ops) <= BATCH_DOFS // ops[0].M.shape[0]
-        sigmas = [op.sigma for op in ops]
-        sigmas[2] = 10.0 * ops[2].sigma + 100.0
-        batch = solve_pencils([op.K for op in ops], ops[0].M, 4, sigmas)
+        shifted = list(ops)
+        shifted[2] = dataclasses.replace(ops[2], sigma=10.0 * ops[2].sigma + 100.0)
+        batch = solve_pencils(shifted, 4)
         assert type(batch[2]) is errors.ToricSpecError
         assert "is not below the spectrum" in str(batch[2])
         for i, (op, sp) in enumerate(zip(ops, batch)):
             if i == 2:
                 continue
-            alone = solve_pencil(op.K, op.M, 4, op.sigma)
+            alone = solve_eigs(op, 4)
             tol = 1e-12 * np.maximum(1.0, np.abs(alone.eigenvalues))
             assert np.all(np.abs(sp.eigenvalues - alone.eigenvalues) <= tol)
             assert sp.steps >= alone.steps
+
+    def test_batch_guards(self):
+        # a lock-step batch factors every pencil with one mass matrix, so
+        # pencils of two factories fail even when their masses are equal;
+        # no pencils give no results
+        spec = make_potential_spec(segment())
+        mesh = build_mesh(segment(), 0.05)
+        a = OperatorFactory(spec, 0.5, 1, mesh).operator((0,))
+        b = OperatorFactory(spec, 0.2, 1, mesh).operator((1,))
+        assert np.array_equal(a.M.data, b.M.data)
+        message = "^the pencils of one solve_pencils call must share one mass matrix$"
+        for ops in ([a, b], [a, ReducedOperator(a.K, a.M.copy(), a.sigma)]):
+            with pytest.raises(ValueError, match=message):
+                solve_pencils(ops, 3)
+        assert solve_pencils([], 3) == []
 
     def test_singular_pencil_fails_alone(self):
         # K = M at sigma = 1 makes an exactly zero block, which SuperLU
@@ -471,12 +500,12 @@ class TestSolvers:
         factory = OperatorFactory(make_potential_spec(segment()), 0.5, 1, build_mesh(segment(), 0.05))
         ops = [factory.operator(m) for m in mode_set(segment(), 1, 1)]
         M = ops[0].M
-        batch = solve_pencils([op.K for op in ops] + [M.copy()], M, 3, [op.sigma for op in ops] + [1.0])
+        batch = solve_pencils(ops + [ReducedOperator(M.copy(), M, sigma=1.0)], 3)
         assert type(batch[4]) is errors.ToricSpecError
         assert str(batch[4]).startswith("K - sigma M at sigma = 1.0: ")
         assert "exactly singular" in str(batch[4])
         for op, sp in zip(ops, batch):
-            alone = solve_pencil(op.K, op.M, 3, op.sigma)
+            alone = solve_eigs(op, 3)
             tol = 1e-12 * np.maximum(1.0, np.abs(alone.eigenvalues))
             assert np.all(np.abs(sp.eigenvalues - alone.eigenvalues) <= tol)
 
@@ -494,22 +523,20 @@ class TestSolvers:
         # value (6.544146 / 6.544862) on the square
         if case == "sweep_1d":
             spec = make_potential_spec(segment())
-            op = mode_operator(spec, 0.005, 3, (1,), build_mesh(segment(), np.sqrt(0.005) / 40))
-            K, M, count, sigma = op.K, op.M, 4, op.sigma
+            op, count = mode_operator(spec, 0.005, 3, (1,), build_mesh(segment(), np.sqrt(0.005) / 40)), 4
         elif case == "weighted_sector":
             cone = ConeModel(codim=2, A0=np.array([[2.0, 1.0], [1.0, 2.0]]))
             R = default_truncation_radius(1)
-            K, M = _cone_pencil(cone, 1, R, R / 14.0)
-            count, sigma = 6, -1.0
+            op, count = _cone_pencil(cone, 1, R, R / 14.0), 6
         else:
             spec = make_potential_spec(hirzebruch(0))
-            op = mode_operator(spec, 0.1, 1, (0, 0), build_mesh(hirzebruch(0), 1 / 16))
-            K, M, count, sigma = op.K, op.M, 4, op.sigma
+            op, count = mode_operator(spec, 0.1, 1, (0, 0), build_mesh(hirzebruch(0), 1 / 16)), 4
+        K, M = op.K, op.M
         assert K.shape[0] <= 1500
         ref = scipy.linalg.eigh(
             K.toarray(), M.toarray(), subset_by_index=(0, count - 1), eigvals_only=True
         )
-        sp = solve_pencil(K, M, count, sigma)
+        sp = solve_eigs(op, count)
         assert np.all(np.abs(sp.eigenvalues - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
         V = sp.vectors
         assert np.max(np.abs(V.T @ (M @ V) - np.eye(count))) <= 1e-12
@@ -579,6 +606,8 @@ class TestFubiniStudyEnd:
         (simplex2(), 2, 1 / 15, 6),
         (SIMPLEX_IMAGE, 1, 1 / 15, 6),
         (SIMPLEX_IMAGE, 2, 1 / 15, 6),
+        (IMAGE_2, 1, 1 / 8, 6),
+        (IMAGE_2, 2, 1 / 8, 6),
     ])
     def test_every_value_at_h_squared_rate(self, P, k, h, count):
         # the worst error over the modes of mode_set(P, k, 1), relative to
@@ -590,7 +619,7 @@ class TestFubiniStudyEnd:
             factory = OperatorFactory(spec, 1e10, k, mesh)
             modes = mode_set(P, k, 1)
             ops = [factory.operator(m) for m in modes]
-            spectra = solve_pencils([op.K for op in ops], ops[0].M, count, [op.sigma for op in ops])
+            spectra = solve_pencils(ops, count)
             err = 0.0
             for m, op, sp in zip(modes, ops, spectra):
                 exact = fubini_study_values(P, k, m, count)
@@ -611,7 +640,7 @@ class TestKernelIdentity:
         modes = mode_set(P, 1, 1)
         factory = OperatorFactory(make_potential_spec(P), 1.0, 1, build_mesh(P, 1 / 12))
         ops = [factory.operator(m) for m in modes]
-        spectra = solve_pencils([op.K for op in ops], ops[0].M, 1, [op.sigma for op in ops])
+        spectra = solve_pencils(ops, 1)
         lowest = {m: map_dbar(sp, 1, 2)[0] for m, sp in zip(modes, spectra)}
         zero = {m for m, d in lowest.items() if d < KERNEL_TOL}
         assert zero == set(mode_set(P, 1, 0))
