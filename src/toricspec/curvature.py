@@ -22,8 +22,7 @@ from functools import cache
 import numpy as np
 
 from .errors import (
-    InputError, ToricSpecError,
-    _check_integer, _check_positive, _check_s_list, _finite_float,
+    InputError, _check_integer, _check_positive, _check_s_list, _finite_float,
 )
 from .potential import (
     GuilleminPotential, PolynomialFn, PotentialFamily, PotentialSpec, _check_pd, family_hessian_batch,
@@ -75,11 +74,11 @@ def _check_model(A, y):
     definite n x n matrix, and y an array of shape (..., m) with m <= n, whose
     entries ``ModelSpec`` checks; the scan's grid is positive by construction.
     """
-    A = np.asarray(A, dtype=float)
+    # entries are checked as given: float() would accept "1" and True
+    A = np.asarray(A, dtype=object)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ValueError(f"model matrix A must be a non-empty square matrix, got shape {A.shape}")
-    for v in A.ravel().tolist():
-        _finite_float(v, "model matrix A must be finite")
+    A = np.array([_finite_float(v, "model matrix A must be finite") for v in A.ravel()]).reshape(A.shape)
     y = np.asarray(y, dtype=float)
     n, m = A.shape[0], y.shape[-1]
     if m > n:
@@ -307,8 +306,8 @@ def christoffel_ricci_oracle(spec: PotentialSpec, s, x):
     metric G_s of ``spec`` in the action coordinates (the angle coordinates
     are Killing directions).  The step is h = 1e-4 min_r ell_r(x), so the
     stencil, which reaches 2h along each axis, stays inside the polytope;
-    a point outside P is an InputError, and one on its boundary a
-    ToricSpecError.
+    the potential's interior rule makes a point outside P an InputError, and
+    one on its boundary or within INTERIOR_TOL of it a ToricSpecError.
     G_s and G_s^-1 at the stencil come from ``family_hessian_batch``, whose
     rule makes an indefinite or near-singular metric an InputError naming
     the point.  Under the Kahler dictionary this block equals T/2, which is
@@ -316,12 +315,7 @@ def christoffel_ricci_oracle(spec: PotentialSpec, s, x):
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    ell = spec.boundary.facet_values(x)
-    min_ell = float(np.min(ell))
-    if min_ell <= 0:
-        spec.boundary._check_inside(x, ell)
-        raise ToricSpecError("point is not interior")
-    h = 1e-4 * min_ell
+    h = 1e-4 * float(np.min(spec.boundary._ell_checked(x)))
 
     N = 2 * n
     offsets, c1, c2 = _fd_stencil(n)

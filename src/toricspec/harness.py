@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ToricSpecError, _check_integer, _check_s_list
 from .limit import predicted_limit
 from .mesh import build_mesh
-from .operator import OperatorFactory, map_dbar, mode_set, solve_pencils
+from .operator import dbar_spectra, mode_set
 from .polytope import polytope_from_json
 from .potential import PotentialSpec, make_potential_spec, potential_spec_from_json
 from .reports import svg_line_plot, write_csv, write_json
@@ -200,7 +200,7 @@ def run_sweep(config: SweepConfig):
 
         for s in config.s_list:
             mesh = meshes[config.h_of(s)]
-            results = _solve_modes(OperatorFactory(spec, s, k, mesh), modes, config.eig_count)
+            results = dbar_spectra(spec, s, k, mesh, modes, config.eig_count)
             dbars = {}
             ground = {}
             for mode, result in zip(modes, results):
@@ -208,12 +208,12 @@ def run_sweep(config: SweepConfig):
                 if isinstance(result, ToricSpecError):
                     report.failures.append({**row, "error": str(result)})
                     continue
-                dbars[mode], vector = result
+                dbars[mode], spectrum = result
                 report.eig_rows.append(
                     {**row, "is_bs": mode in by_mode, "dbar": dbars[mode].tolist()}
                 )
                 if mode in by_mode:
-                    ground[mode] = vector
+                    ground[mode] = spectrum.vectors[:, 0]
                 else:
                     non_bs_lowest[mode].append(float(dbars[mode][0]))
             zero_modes = sum(1 for dbar in dbars.values() if dbar[0] < KERNEL_TOL)
@@ -241,33 +241,6 @@ def run_sweep(config: SweepConfig):
         report.trajectories.update({(k, bkey): rows for bkey, rows in trajectories.items()})
         report.verdicts.update(_judge_level(k, kernel_rows, trajectories, non_bs_lowest))
     return report
-
-
-def _solve_modes(factory, modes, count):
-    """Per mode, in order: (dbar values, ground vector), or that mode's ToricSpecError.
-
-    Every mode is assembled first, and the assembled ones are solved together
-    in lock-step batches.
-    """
-    solved = [_attempt(factory.operator, mode) for mode in modes]
-    built = [op for op in solved if not isinstance(op, ToricSpecError)]
-    spectra = iter(solve_pencils(built, count))
-    solved = [op if isinstance(op, ToricSpecError) else next(spectra) for op in solved]
-
-    def dbar_and_ground(spectrum):
-        return map_dbar(spectrum, factory.k, factory.mesh.dim), spectrum.vectors[:, 0]
-
-    return [_attempt(dbar_and_ground, spectrum) for spectrum in solved]
-
-
-def _attempt(step, arg):
-    """step(arg), or the ToricSpecError it raises; an arg that is one passes through."""
-    if isinstance(arg, ToricSpecError):
-        return arg
-    try:
-        return step(arg)
-    except ToricSpecError as exc:
-        return exc
 
 
 def _localization_masses(mesh, all_points, vectors, s):

@@ -71,16 +71,15 @@ def cone_at(spec: PotentialSpec, b: BSPoint):
 def is_separable(cone: ConeModel):
     """True when the cone is congruent to a right-angled model.
 
-    The facet normals A0^(-1/2) e_i must be pairwise orthogonal, equivalently
-    (A0^-1)_{ij} = 0 for i != j <= m; any cone with m <= 1 is a rotated
-    half-space or all of R^n, hence always separable.
+    The unit facet normals u_i, which also give a sector its opening angle,
+    must be pairwise orthogonal: every cosine u_i . u_j, i != j, at most
+    SEPARABLE_TOL, a test that no scaling of A0 changes.  Any cone with
+    m <= 1 is a rotated half-space or all of R^n, hence always separable.
     """
     if cone.codim <= 1:
         return True
-    A0_inv = np.linalg.inv(cone.A0)
-    block = A0_inv[: cone.codim, : cone.codim]
-    off = block - np.diag(np.diag(block))
-    return bool(np.max(np.abs(off)) <= SEPARABLE_TOL * np.max(np.abs(np.diag(block))))
+    u = cone.facet_normals()
+    return bool(np.max(np.abs(u @ u.T - np.eye(cone.codim))) <= SEPARABLE_TOL)
 
 
 def exact_cone_spectrum(cone: ConeModel, k, n_max=12):

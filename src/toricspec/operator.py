@@ -32,7 +32,8 @@ lock-step on the modes of a factory, which share M, with one sparse
 factorization of their shifted matrices per batch.  The certified shift
 makes each shifted matrix positive definite, which the factorization's
 pivots confirm (Sylvester's law of inertia); solve_eigs is the batch of
-one.
+one.  dbar_spectra turns a level's modes into dbar values on that path, and
+dbar_spectrum is its batch of one.
 """
 
 from __future__ import annotations
@@ -368,10 +369,37 @@ def solve_eigs(op: ReducedOperator, count):
     return result
 
 
+def dbar_spectra(spec: PotentialSpec, s, k, mesh: Mesh, modes, count):
+    """Per mode, in order: (dbar values, Spectrum), or that mode's ToricSpecError.
+
+    One OperatorFactory, whose own ToricSpecError raises, assembles every
+    mode first, and solve_pencils solves the assembled ones together.
+    """
+    factory = OperatorFactory(spec, s, k, mesh)
+    solved = [_attempt(factory.operator, mode) for mode in modes]
+    built = [op for op in solved if not isinstance(op, ToricSpecError)]
+    spectra = iter(solve_pencils(built, count))
+    solved = [op if isinstance(op, ToricSpecError) else next(spectra) for op in solved]
+    return [_attempt(lambda sp: (map_dbar(sp, factory.k, mesh.dim), sp), sp) for sp in solved]
+
+
+def _attempt(step, arg):
+    """step(arg), or the ToricSpecError it raises; an arg that is one passes through."""
+    if isinstance(arg, ToricSpecError):
+        return arg
+    try:
+        return step(arg)
+    except ToricSpecError as exc:
+        return exc
+
+
 def dbar_spectrum(spec: PotentialSpec, s, k, mode, mesh: Mesh, count):
-    """Holomorphic-sector eigenvalues (lambda - k^2 - nk)/2 of one mode."""
-    spectrum = solve_eigs(OperatorFactory(spec, s, k, mesh).operator(mode), count)
-    return map_dbar(spectrum, k, spec.polytope.dim), spectrum
+    """Holomorphic-sector eigenvalues (lambda - k^2 - nk)/2 of one mode, with its
+    Spectrum: the batch of one of dbar_spectra, whose ToricSpecError is raised here."""
+    result = dbar_spectra(spec, s, k, mesh, [mode], count)[0]
+    if isinstance(result, ToricSpecError):
+        raise result
+    return result
 
 
 def map_dbar(spectrum: Spectrum, k, n):

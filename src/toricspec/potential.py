@@ -360,7 +360,8 @@ def ground_state(spec: PotentialSpec, s, k, mode):
         phi_m = prod_r ell_r^{e_r} * exp(sum_r (e_r - k ell_r) + polynomial),
 
     with integer counts e_r = nu_r . m - k lambda_r = k ell_r(b) >= 0, so
-    the returned callable extends continuously to the closed polytope.  It is
+    the returned callable extends continuously to the closed polytope; a
+    point more than INTERIOR_TOL outside it is an InputError.  It is
     normalized to 1 at b = m/k: with f = phi + psi/s, log phi_m(x) -
     log phi_m(b) is -k (f(b) - f(x) - grad f(x) . (b - x)), a Bregman
     divergence, plus k ell_r(b) (1 - t + log t), t = ell_r(x)/ell_r(b), for
@@ -379,7 +380,9 @@ def ground_state(spec: PotentialSpec, s, k, mode):
 
     def log_state(x):
         x = np.asarray(x, dtype=float)
-        ell = np.maximum(v.facet_values(x), 0.0)
+        ell = v.facet_values(x)
+        v._check_inside(x, ell)
+        ell = np.maximum(ell, 0.0)
         smooth = np.einsum(
             "...i,...i->...",
             mode - k * x,

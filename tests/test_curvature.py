@@ -245,9 +245,10 @@ class TestModelInputs:
         with pytest.raises(ValueError, match=message):
             ricci_lower_bound_scan(np.eye(1), 1, 1, s_list, [5.0], grid_points=3)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "1", True])
     def test_non_finite_A_rejected(self, bad):
-        # a nan matrix would otherwise give a nan infimum
+        # a nan matrix would otherwise give a nan infimum; each entry is a
+        # finite real as given, where float() would turn "1" and True into 1.0
         with pytest.raises(ValueError, match="model matrix A must be finite"):
             ModelSpec(A=[[bad]], y=[1.0])
         with pytest.raises(ValueError, match="model matrix A must be finite"):
@@ -429,9 +430,12 @@ class TestOracle:
                 assert np.max(np.abs(ric - T / 2)) < 1e-5 * np.abs(T).max()
 
     def test_step_guard(self):
+        # the potential's interior rule: x = 1e-15 and x = -1e-15 are both
+        # within INTERIOR_TOL of the facet, and give one message
         spec = make_potential_spec(segment())
-        for x in (0.0, 1.0):
-            with pytest.raises(errors.ToricSpecError, match="^point is not interior$") as excinfo:
+        for x, shown in ((0.0, r"0\."), (1.0, r"1\."), (-1e-15, r"-1\.e-15"), (1e-15, r"1\.e-15")):
+            message = rf"^point \[{shown}\] is within 1e-14 of a facet$"
+            with pytest.raises(errors.ToricSpecError, match=message) as excinfo:
                 christoffel_ricci_oracle(spec, 1.0, np.array([x]))
             assert excinfo.type is errors.ToricSpecError
         with pytest.raises(errors.InputError, match=r"^point \[1\.5\] is outside the polytope$"):

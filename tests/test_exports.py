@@ -339,13 +339,20 @@ def test_one_assembly_path_and_one_solve_path():
     # every P1 matrix is scattered by Mesh.csr in assemble_p1 (every pair) or
     # OperatorFactory.operator (a mode's V_m mass form); every sparse
     # factorization runs in _lanczos_batch, which solve_pencils alone calls,
-    # so solve_eigs, the sweep and the cone oracle share one path.  Each
-    # listed site must hold the use, so a renamed one fails too
+    # so solve_eigs, the sweep and the cone oracle share one path.  A level's
+    # modes become dbar values in dbar_spectra alone (dbar_spectrum is its
+    # batch of one), so no module but operator.py builds a factory, solves
+    # its pencils or maps them.  Each listed site must hold the use, so a
+    # renamed one fails too
     files = sorted((ROOT / "src" / "toricspec").glob("*.py"))
     rules = (
         (_called("csr"), {"operator:assemble_p1", "operator:OperatorFactory.operator"}),
         (_uses_sparse_linalg, {"operator:_lanczos_batch"}),
         (_called("_lanczos_batch"), {"operator:solve_pencils", "operator:_lanczos_batch"}),
+        (_called("solve_pencils"), {"operator:solve_eigs", "operator:dbar_spectra"}),
+        (_called("OperatorFactory"), {"operator:dbar_spectra"}),
+        (_called("map_dbar"), {"operator:dbar_spectra"}),
+        (_called("dbar_spectra"), {"operator:dbar_spectrum", "harness:run_sweep"}),
     )
     for found, allowed in rules:
         assert set().union(*(_sites(path, found) for path in files)) == allowed

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -271,7 +272,7 @@ class TestSweep:
                 )
                 return dataclasses.replace(op, sigma=0.5 * (low[0] + low[1]))
 
-        monkeypatch.setattr(harness, "OperatorFactory", Failing)
+        monkeypatch.setattr("toricspec.operator.OperatorFactory", Failing)
         spec = make_potential_spec(segment())
         report = run_sweep(SweepConfig(spec=spec, k_list=(1,), s_list=(0.2, 0.1, 0.05, 0.02), eig_count=4))
         assert [(f["k"], f["s"], f["mode"]) for f in report.failures] == [(1, 0.05, [2])]
@@ -424,7 +425,7 @@ class TestVerdicts:
                 )
                 return dataclasses.replace(op, sigma=0.5 * (low[0] + low[1]))
 
-        monkeypatch.setattr(harness, "OperatorFactory", Failing)
+        monkeypatch.setattr("toricspec.operator.OperatorFactory", Failing)
         spec = make_potential_spec(segment())
         report = run_sweep(SweepConfig(spec=spec, k_list=(1,), s_list=(0.2, 0.1, 0.05, 0.02), eig_count=4))
         assert [(f["k"], f["s"], f["mode"]) for f in report.failures] == [(1, 0.05, [-1]), (1, 0.05, [2])]
@@ -446,6 +447,27 @@ class TestVerdicts:
             key: v["ok"] for key, v in cp1_report.verdicts.items()
         }
         assert report.verdicts["non_bs_divergence_k1"] == cp1_report.verdicts["non_bs_divergence_k1"]
+
+    def test_notes_state_the_constants(self):
+        # the notes land in every report.json: each number they state is the
+        # one the verdicts use
+        notes = harness.VERDICT_NOTES
+
+        def number(key, pattern):
+            return float(re.search(pattern, notes[key]).group(1))
+
+        assert number("kernel_tol", r"< ([\d.e-]+)$") == harness.KERNEL_TOL
+        assert number("bs_zero_tol", r"< ([\d.e-]+) at every s$") == harness.BS_ZERO_TOL
+        assert number("limit_match", r"gaps <= ([\d.e-]+):") == harness.LIMIT_REL_TOL
+        assert number("tail_monotone", r"<= ([\d.]+) x previous gap") == harness.TAIL_NOISE
+        assert number("tail_monotone", r"\+ ([\d.e-]+)$") == harness.TAIL_ABS
+        assert number("localization", r">= ([\d.]+)% quadrature mass") / 100 == harness.LOCALIZATION_MASS
+        assert set(np.diff(harness.C_GRID)) == {number("localization", r"on a ([\d.]+)-grid")}
+        # a level judged on five values checks the stated min(3, eig_count) of them
+        checked = number("limit_match", r"lowest min\((\d+), eig_count\) gaps")
+        rows = [{"s": s, "dbar": [0.0] * 5, "predicted": [1.0] * 5, "gaps": [1.0] * 5} for s in (0.2, 0.1)]
+        detail = harness._judge_level(1, [], {("0",): rows}, {})["limit_match_k1"]["detail"]["b=(0)"]
+        assert len(detail["raw_gaps_at_smallest_s"]) == len(detail["richardson_gaps"]) == checked
 
 
 class TestEmission:
@@ -719,7 +741,7 @@ class TestCli:
                     raise errors.ToricSpecError("injected overflow")
                 return super().operator(mode)
 
-        monkeypatch.setattr(harness, "OperatorFactory", Failing)
+        monkeypatch.setattr("toricspec.operator.OperatorFactory", Failing)
         poly = self._write_inputs(tmp_path)
         assert cli.main(["sweep", "--polytope", poly, "--k-list", "1"]) == 3
         assert capsys.readouterr().err == "1 solver failures\n"

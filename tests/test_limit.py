@@ -83,6 +83,16 @@ class TestSeparability:
     def test_skew_not(self):
         assert not is_separable(synthetic_cone(2, 2, A0=[[2, 1], [1, 2]]))
 
+    def test_scale_invariant(self):
+        # face cosine 5e-8, far above SEPARABLE_TOL; a tolerance relative to
+        # inv(A0)'s largest diagonal entry (1 here) would call it right-angled
+        cone = synthetic_cone(2, 2, A0=np.linalg.inv([[1, 5e-13], [5e-13, 1e-10]]))
+        u = cone.facet_normals()
+        assert abs(u[0] @ u[1] - 5e-8) < 1e-12
+        assert not is_separable(cone)
+        values = exact_cone_spectrum(cone, 1, n_max=4).values
+        assert len(values) == 6 and abs(values[1] - 2.0) < 1e-7 and values[2] == 2.0
+
 
 class TestExactSpectra:
     def test_half_line(self):

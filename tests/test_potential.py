@@ -333,6 +333,15 @@ class TestGroundState:
         with pytest.raises(errors.InputError, match=r"^mode \[2\.\] has m/k outside the polytope$"):
             ground_state(spec, 1.0, 1, [2])
 
+    def test_point_outside_raises(self):
+        # x = 1.5 gave 0.2607 silently; the closed polytope, and points less
+        # than INTERIOR_TOL outside it, still evaluate
+        state = ground_state(make_potential_spec(segment()), 0.1, 1, (1,))
+        with pytest.raises(errors.InputError, match=r"^point \[1\.5\] is outside the polytope$"):
+            state(np.array([[0.3], [1.5]]))
+        assert state(np.array([1.0])) == 1.0
+        assert np.allclose(state(np.array([[0.0], [1.0 + 5e-15]])), [0.0, 1.0], rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("P", [segment(), simplex2(), hirzebruch(1)],
                              ids=["segment", "simplex2", "hirzebruch(1)"])
     def test_normalized_at_base_point(self, P):
