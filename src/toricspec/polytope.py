@@ -6,6 +6,10 @@ face enumeration, unimodular local charts and the enumeration of quantized
 lattice points are lattice statements where floating point rounding is fatal.
 Downstream metric modules convert to floats at the last moment.
 
+Validation parses the facet data and enumerates the vertices once, and
+returns the polytope its checks ran on, whose {vertex: active facets} table
+charts and faces then read.  A point must have one coordinate per dimension.
+
 One Gauss-Jordan elimination over the rationals serves determinants, square
 solves and kernel vectors; one helper evaluates the facet functions
 nu_r . x - lambda_r.  Charts need no integer normal form: by Delzant's
@@ -110,6 +114,12 @@ def _point_text(x):
     return "(" + ", ".join(str(c) for c in x) + ")"
 
 
+def _check_length(x, n):
+    """Raise ValueError unless the point x has n coordinates; zip would drop or miss some."""
+    if len(x) != n:
+        raise ValueError(f"point {_point_text(x)} has {len(x)} coordinates in dimension {n}")
+
+
 def _centroid(points):
     return tuple(sum(p[i] for p in points) / len(points) for i in range(len(points[0])))
 
@@ -129,6 +139,7 @@ class DelzantPolytope:
 
     def facet_values(self, x):
         """Exact facet functions ell_r(x) = nu_r . x - lambda_r at integer or rational x."""
+        _check_length(x, self.dim)
         return _facet_values(self.normals, self.offsets, x)
 
     def contains(self, x):
@@ -176,6 +187,7 @@ class LocalChart:
     local_codim: int
 
     def apply(self, x):
+        _check_length(x, len(self.lattice_map))
         x = [Fraction(c) for c in x]
         return tuple(
             sum(a * x_j for a, x_j in zip(row, x)) + c
@@ -236,15 +248,11 @@ def _recession_ray(dim, normals):
     return None
 
 
-def delzant_violations(raw_facets, dim=None):
-    """Collect structured Delzant violations without raising.
-
-    ``raw_facets`` is a list of (normal, offset) pairs with integer data.
-    Returns a list of exception instances; empty means valid.  A normal whose
-    length is not the dimension is malformed input and raises ValueError.
-    """
-    normals = [tuple(int(v) for v in nu) for nu, _ in raw_facets]
-    offsets = [int(lam) for _, lam in raw_facets]
+def _validated(raw_facets, dim):
+    """(problems, polytope) of facet data, parsed and enumerated once; the polytope,
+    None until its interior is known nonempty, is the one the later checks read."""
+    normals = tuple(tuple(int(v) for v in nu) for nu, _ in raw_facets)
+    offsets = tuple(int(lam) for _, lam in raw_facets)
     n = dim if dim is not None else (len(normals[0]) if normals else 0)
     for r, nu in enumerate(normals):
         if len(nu) != n:
@@ -253,50 +261,55 @@ def delzant_violations(raw_facets, dim=None):
     problems = [NonPrimitiveNormal(f"facet normal {r} is not primitive")
                 for r, nu in enumerate(normals) if gcd(*nu) != 1]
     if problems:
-        return problems
+        return problems, None
 
     ray = _recession_ray(n, normals)
     if ray is not None:
-        return [Unbounded(f"recession direction {_point_text(ray)}")]
+        return [Unbounded(f"recession direction {_point_text(ray)}")], None
 
     verts = _enumerate_vertices(n, normals, offsets)
     if not verts:
-        return [EmptyInterior("no vertices")]
+        return [EmptyInterior("no vertices")], None
     if any(v <= 0 for v in _facet_values(normals, offsets, _centroid(verts))):
-        return [EmptyInterior("vertex centroid touches a facet")]
+        return [EmptyInterior("vertex centroid touches a facet")], None
 
-    values = {v: _facet_values(normals, offsets, v) for v in verts}
+    P = DelzantPolytope(dim=n, normals=normals, offsets=offsets, vertices=tuple(verts))
     for r in range(len(normals)):
-        fv = [v for v in verts if values[v][r] == 0]
+        fv = [v for v, active in P.vertex_facets.items() if r in active]
         if not fv:
             problems.append(RedundantFacet(f"facet {r} is redundant"))
             continue
-        at_centroid = _facet_values(normals, offsets, _centroid(fv))
+        at_centroid = P.facet_values(_centroid(fv))
         if any(val == 0 for q, val in enumerate(at_centroid) if q != r):
             problems.append(RedundantFacet(f"facet {r} is redundant"))
     if problems:
-        return problems
+        return problems, P
 
-    for v in verts:
-        active = [r for r, val in enumerate(values[v]) if val == 0]
+    for v, active in P.vertex_facets.items():
         if len(active) != n:
             problems.append(NotDelzant(f"vertex {_point_text(v)} lies on {len(active)} facets"))
             continue
         if abs(_det_fraction([normals[r] for r in active])) != 1:
             problems.append(NotDelzant(f"vertex {_point_text(v)} has a non-unimodular cone"))
-    return problems
+    return problems, P
+
+
+def delzant_violations(raw_facets, dim=None):
+    """Collect structured Delzant violations without raising.
+
+    ``raw_facets`` is a list of (normal, offset) pairs with integer data.
+    Returns a list of exception instances; empty means valid.  A normal whose
+    length is not the dimension is malformed input and raises ValueError.
+    """
+    return _validated(raw_facets, dim)[0]
 
 
 def validate_delzant(raw_facets, dim=None):
-    """Validate integer facet data and build a DelzantPolytope, or raise."""
-    problems = delzant_violations(raw_facets, dim=dim)
+    """Validate integer facet data and return the DelzantPolytope the checks ran on, or raise."""
+    problems, P = _validated(raw_facets, dim)
     if problems:
         raise problems[0]
-    normals = tuple(tuple(int(v) for v in nu) for nu, _ in raw_facets)
-    offsets = tuple(int(lam) for _, lam in raw_facets)
-    n = dim if dim is not None else len(normals[0])
-    verts = tuple(_enumerate_vertices(n, normals, offsets))
-    return DelzantPolytope(dim=n, normals=normals, offsets=offsets, vertices=verts)
+    return P
 
 
 # ---------------------------------------------------------------------------

@@ -50,13 +50,15 @@ class PolynomialFn:
 
     @staticmethod
     def quadratic_form(A):
-        """psi = x^T A x / 2 for a symmetric matrix A."""
+        """psi = x^T A x / 2 for a square matrix A; only its symmetric part counts."""
         A = np.asarray(A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"quadratic form needs a square matrix, got shape {A.shape}")
         n = A.shape[0]
         terms = []
         for i in range(n):
             for j in range(i, n):
-                coeff = float(A[i, i] / 2.0 if i == j else A[i, j])
+                coeff = float(A[i, i] / 2.0 if i == j else (A[i, j] + A[j, i]) / 2.0)
                 if coeff != 0.0:
                     alpha = [0] * n
                     alpha[i] += 1
@@ -242,14 +244,11 @@ def make_potential_spec(P: DelzantPolytope, phi=None, psi=None):
     psi = psi if psi is not None else PolynomialFn.quadratic_form(np.eye(P.dim))
     spec = PotentialSpec(polytope=P, phi=phi, psi=psi)
     sample = _admissibility_sample(P)
-    hess_psi = psi.tensor(sample, 2)
-    for q, H in zip(sample, hess_psi):
-        if np.linalg.eigvalsh(H)[0] <= 0:
-            raise InputError(f"Hess(psi) fails at {q}")
     hess_v = spec.boundary.tensor(sample, 2) + phi.tensor(sample, 2)
-    for q, H in zip(sample, hess_v):
-        if np.linalg.eigvalsh(H)[0] <= 0:
-            raise InputError(f"Hess(v_P + phi) fails at {q}")
+    for name, H in (("psi", psi.tensor(sample, 2)), ("v_P + phi", hess_v)):
+        fails = np.linalg.eigvalsh(H)[:, 0] <= 0
+        if fails.any():
+            raise InputError(f"Hess({name}) fails at {sample[np.argmax(fails)]}")
     return spec
 
 

@@ -356,3 +356,12 @@ def test_one_assembly_path_and_one_solve_path():
     )
     for found, allowed in rules:
         assert set().union(*(_sites(path, found) for path in files)) == allowed
+
+
+def test_one_vertex_enumeration_per_validation():
+    # validate_delzant and delzant_violations share one pass, _validated,
+    # that enumerates the vertices once and builds the polytope its checks
+    # read; the only other enumeration lists the lattice points of k P
+    path = ROOT / "src" / "toricspec" / "polytope.py"
+    sites = _sites(path, _called("_enumerate_vertices"))
+    assert sites == {"polytope:_validated", "polytope:_lattice_points"}

@@ -197,6 +197,15 @@ class TestConfig:
                 sweep_config_from_json({**base, **extra}, base_dir=str(tmp_path))
         assert sweep_config_from_json(base, base_dir=str(tmp_path)).eig_count == 4
 
+    def test_missing_polytope_is_input_error(self, tmp_path, capsys):
+        data = {"k_list": [1], "s_list": [0.2]}
+        with pytest.raises(ValueError, match="^sweep config needs a polytope$"):
+            sweep_config_from_json(data, base_dir=str(tmp_path))
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(data))
+        assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "input error: sweep config needs a polytope\n"
+
     @pytest.mark.parametrize("key", ["k_list", "s_list"])
     def test_missing_list_names_the_key(self, tmp_path, capsys, monkeypatch, key):
         # a config without a level or an s list is an input error (exit 2)

@@ -297,6 +297,11 @@ class TestTruncatedConeMesh:
         area = 0.5 * (x @ np.roll(y, -1) - y @ np.roll(x, -1))
         assert abs(mesh.qweights.sum() - area) <= 1e-12 * area
 
+    def test_dimension_guard(self):
+        R = default_truncation_radius(1)
+        with pytest.raises(errors.InputError, match=r"^numeric cone spectra for n <= 2 only$"):
+            truncated_cone_mesh(synthetic_cone(3, 3), R, R / 8.0)
+
 
 def _skew_spec(H=((2.0, 1.0), (1.0, 2.0))):
     return make_potential_spec(simplex2(), psi=PolynomialFn.quadratic_form(np.array(H)))
@@ -381,6 +386,11 @@ class TestChartInverse:
         assert np.array_equal(A_inv, [[1.0, -2.0], [-1.0, 3.0]])
         assert np.array_equal(A @ A_inv, np.eye(2))
         assert np.array_equal(A_inv @ A, np.eye(2))
+
+    def test_singular_chart_raises(self):
+        chart = LocalChart(lattice_map=((1, 2), (2, 4)), shift=(0, 0), local_codim=0)
+        with pytest.raises(ValueError, match="^chart matrix is singular$"):
+            chart.lattice_inverse()
 
 
 class TestPredictions:

@@ -176,6 +176,8 @@ class TestMesh:
         )
         with pytest.raises(errors.InputError, match="^meshes are built for n <= 2 only$"):
             build_mesh(cube, 0.2)
+        with pytest.raises(errors.InputError, match="^meshes are built for n <= 2 only$"):
+            Mesh(dim=3, nodes=np.eye(4)[:, :3], cells=np.array([[0, 1, 2, 3]]))
 
 
 class TestCoefficients:
@@ -434,11 +436,16 @@ class TestSolvers:
     ])
     def test_solver_limits(self, monkeypatch, name, value, message):
         # a pencil not converged within LANCZOS_MAX_STEPS fails, and so do
-        # converged Ritz pairs whose residuals exceed a bound below rounding
-        op = mode_operator(make_potential_spec(segment()), 0.5, 1, (0,), build_mesh(segment(), 0.02))
+        # converged Ritz pairs whose residuals exceed a bound below rounding;
+        # dbar_spectrum raises the error its one mode returns
+        spec, mesh = make_potential_spec(segment()), build_mesh(segment(), 0.02)
+        op = mode_operator(spec, 0.5, 1, (0,), mesh)
         monkeypatch.setattr(operator, name, value)
         with pytest.raises(errors.ToricSpecError, match=message) as excinfo:
             solve_eigs(op, 3)
+        assert excinfo.type is errors.ToricSpecError
+        with pytest.raises(errors.ToricSpecError, match=message) as excinfo:
+            dbar_spectrum(spec, 0.5, 1, (0,), mesh, 3)
         assert excinfo.type is errors.ToricSpecError
 
     def test_shift_above_lowest_value_raises(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_bs_count, random_delzant, random_unimodular, transform_polytope
-from toricspec import errors
+from toricspec import errors, polytope
 from toricspec.polytope import (
     bs_points,
     delzant_violations,
@@ -82,6 +82,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             polytope_from_json('{"dim": 2, "facets": [{"normal": [1], "offset": 0}]}')
 
+    def test_one_enumeration_returns_the_checked_polytope(self, monkeypatch):
+        # the polytope validate_delzant returns is the one whose vertex table
+        # the checks read, so its vertex_facets is already cached
+        calls = []
+        enumerate_vertices = polytope._enumerate_vertices
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_vertices(*args)
+
+        monkeypatch.setattr(polytope, "_enumerate_vertices", counted)
+        P = validate_delzant([((1, 0), 0), ((0, 1), 0), ((0, -1), -1), ((-1, -2), -3)])
+        assert len(calls) == 1
+        assert "vertex_facets" in vars(P)
+        assert delzant_violations([((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)]) == []
+        assert len(calls) == 2
+
     def test_validity_invariant_under_lattice_maps(self, rng):
         for _ in range(20):
             P = random_delzant(rng, int(rng.integers(1, 3)))
@@ -132,6 +149,12 @@ class TestFaces:
             assert set(H.vertices) == {(0, 0), (0, 1), (1, 1), (a + 1, 0)}
         trapezoid = validate_delzant([((1, 0), 0), ((0, 1), 0), ((0, -1), -1), ((-1, -1), -2)])
         assert hirzebruch(1) == trapezoid
+
+    def test_dimension_guard(self):
+        simplex4 = validate_delzant([(tuple(int(i == j) for j in range(4)), 0) for i in range(4)]
+                                    + [((-1, -1, -1, -1), -1)])
+        with pytest.raises(errors.InputError, match=r"^face lattices are built for n <= 3 only$"):
+            vertices_and_faces(simplex4)
 
     def test_rep_points_in_relative_interior(self):
         for P in (segment(), simplex2(), hirzebruch(3)):
@@ -202,6 +225,21 @@ class TestCharts:
             assert b in [q.point for q in bs_points(P, 2)]
             ch = local_chart(P, b)
             assert (ch.lattice_map, ch.shift, ch.local_codim) == (A, shift, 1)
+
+    def test_point_of_wrong_length_raises(self):
+        # a point is not truncated or padded to the dimension
+        S = simplex2()
+        too_short = r"^point \(0\) has 1 coordinates in dimension 2$"
+        with pytest.raises(ValueError, match=r"^point \(0\.25, 0\.25, 7\) has 3 coordinates in dimension 2$"):
+            S.contains((1 / 4, 1 / 4, 7))
+        with pytest.raises(ValueError, match=too_short):
+            local_chart(S, (0,))
+        with pytest.raises(ValueError, match=r"^point \(1/2\) has 1 coordinates in dimension 2$"):
+            fiber_holonomy(S, (Fraction(1, 2),), 2)
+        with pytest.raises(ValueError, match=r"^point \(1\) has 1 coordinates in dimension 2$"):
+            local_chart(S, (1, 0)).apply((1,))
+        with pytest.raises(ValueError, match=too_short):
+            S.active_facets((0,))
 
     def test_point_outside_raises(self):
         with pytest.raises(errors.InputError, match=r"^\(2\) is outside the polytope$"):

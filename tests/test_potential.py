@@ -54,6 +54,11 @@ class TestGuillemin:
         assert np.isclose(v.tensor([0.25], 2)[0, 0], 4 + 4 / 3)
         assert np.isclose(v.tensor([0.25], 3)[0, 0, 0], -16 + 16 / 9)
 
+    def test_order_below_one_rejected(self):
+        v = GuilleminPotential.of_polytope(segment())
+        with pytest.raises(ValueError, match="^order must be at least 1$"):
+            v.tensor([0.5], 0)
+
     def test_simplex_hessian(self):
         v = GuilleminPotential.of_polytope(simplex2())
         assert np.allclose(v.tensor([1 / 3, 1 / 3], 2), [[6, 3], [3, 6]])
@@ -374,6 +379,18 @@ class TestGroundState:
 
 
 class TestPolynomialsAndJson:
+    def test_quadratic_form_is_half_x_A_x(self):
+        # a non-symmetric A counts through its symmetric part; a symmetric A
+        # keeps its off-diagonal entries as they are
+        x = np.array([1.0, 1.0])
+        A = np.array([[1.0, 2.0], [0.0, 1.0]])
+        assert PolynomialFn.quadratic_form(A)(x) == x @ A @ x / 2 == 2.0
+        assert PolynomialFn.quadratic_form(A).terms == PolynomialFn.quadratic_form((A + A.T) / 2).terms
+        assert PolynomialFn.quadratic_form([[2, 1], [1, 2]]).terms == (((2, 0), 1.0), ((1, 1), 1.0), ((0, 2), 1.0))
+        for bad in ([[1, 2, 3], [0, 1, 2]], [1, 2], 1.0):
+            with pytest.raises(ValueError, match="^quadratic form needs a square matrix"):
+                PolynomialFn.quadratic_form(bad)
+
     def test_affine_pullback(self, rng):
         p = PolynomialFn(dim=2, terms=(((2, 1), 1.5), ((0, 3), -0.5), ((1, 0), 2.0)))
         B = rng.normal(size=(2, 2))
